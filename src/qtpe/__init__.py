@@ -47,10 +47,12 @@ from .moments import (
     alpha_prime_sigma,
     alpha_sigma,
     design_error_monomial,
+    design_errors,
     design_iterations_needed,
     fixed_space_basis,
     ideal_apply,
     lambda_report,
+    sector_lambda,
     shuffle_operator,
     subspace_closeness_report,
 )
@@ -63,7 +65,10 @@ from .perms import (
     falling_factorial,
     fixed_point_count,
     fixed_point_matrix,
+    partitions,
     stirling_first,
+    symmetric_irrep_dim,
+    unitary_irrep_dim,
 )
 from .zigzag import (
     BoundValue,

@@ -1,6 +1,7 @@
 """Command-line orchestration: sample, products, spectra, batch certification.
 
-Exit codes: 0 success, 2 usage or precondition violation, 3 numerical
+Exit codes: 0 success, 1 a certify check failed, 2 usage or precondition
+violation (a certify message names the offending field), 3 numerical
 non-convergence, 4 I/O failure. Every command is deterministic given its
 seed; reports carry no timestamps so reruns are byte-identical.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -20,7 +20,6 @@ from . import epsgood as eg
 from . import moments
 from .ensemble import UnitaryEnsemble, hermitian_double, load, sample_random_qtpe, save, validate
 from .zigzag import (
-    ZigzagSpec,
     bound_genzigzag,
     bound_zigzag,
     bound_zigzag_derandomised,
@@ -38,6 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 EXIT_IO = 4
+
+GENZIGZAG_EPS = 1e-3  # epsilon of the generalised bound: `qtpe zigzag --eps` default, and certify's value
 
 
 def _flatten(prefix: str, obj, out: dict) -> None:
@@ -120,67 +121,77 @@ def cmd_lambda(args) -> int:
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
 
+def _build_product(kind: str, g: UnitaryEnsemble, hs: list[UnitaryEnsemble], k: int | None, eps: float):
+    """The `kind` product of g with the inner ensembles, and its closed-form bound.
+
+    The bound is a function of (lambda_1 of g, lambda_2 of the first inner
+    ensemble, t), so every caller checks a product against its own formula.
+    """
+    if kind in ("zigzag", "derandomised"):
+        if len(hs) != 1:
+            raise PreconditionError(f"{kind} takes exactly one inner ensemble, got {len(hs)}")
+        if kind == "zigzag":
+            return zigzag(g, hs[0]), lambda l1, l2, t: bound_zigzag(l1, l2, t, g.size)
+        return zigzag_derandomised(g, hs[0]), lambda l1, l2, t: bound_zigzag_derandomised(l1, l2, t, g.size)
+    if kind != "generalised":
+        raise PreconditionError(f"unknown product kind {kind!r}")
+    k = len(hs) if k is None else k
+    if len(hs) == 1 and k > 1:
+        hs = hs * k
+    if len(hs) != k:
+        raise PreconditionError(f"generalised product needs k={k} inner ensembles, got {len(hs)}")
+    d = g.size
+    if hs[0].dim % d != 0:
+        raise PreconditionError(f"inner dimension {hs[0].dim} is not a multiple of outer degree {d}")
+    dprime = hs[0].dim // d
+    product = zigzag_generalised(g, hs, d, dprime)
+    return product, lambda l1, l2, t: bound_genzigzag(l1, l2, k, t, d, dprime, eps)
+
+
+def _bound_check(g, h, product, bound_of, t: int, tol: float | None, bound_tol: float, rng: SeededRng) -> dict:
+    """Measure lambda_1 (g, t=1), lambda_2 (h, t) and the product's lambda, and
+    compare the last with the product's closed-form bound."""
+    rep1 = moments.lambda_report(g, 1, tol=tol, rng=rng.child(1))
+    rep2 = moments.lambda_report(h, t, tol=tol, rng=rng.child(2))
+    rep = moments.lambda_report(product, t, tol=tol, rng=rng.child(3))
+    bound = bound_of(rep1.lambda_, rep2.lambda_, t)
+    return {
+        "t": t,
+        "lambda1": rep1.lambda_,
+        "lambda2": rep2.lambda_,
+        "lambda_product": rep.lambda_,
+        "bound": bound.value,
+        "flags": list(bound.flags),
+        "vacuous": bound.vacuous,
+        "satisfied": rep.lambda_ <= bound.value + bound_tol,
+        "converged": rep1.converged and rep2.converged and rep.converged,
+    }
+
+
 def cmd_zigzag(args) -> int:
     g = _load_checked(args.g)
     hs = [_load_checked(p) for p in args.h]
-    if args.kind in ("zigzag", "derandomised"):
-        if len(hs) != 1:
-            raise PreconditionError(f"{args.kind} takes exactly one inner ensemble, got {len(hs)}")
-        h = hs[0]
+    if args.kind != "generalised":
         if args.double_g and g.involution is None:
             g = hermitian_double(g)
-        if args.double_h and h.involution is None:
-            h = hermitian_double(h)
-        product = zigzag(g, h) if args.kind == "zigzag" else zigzag_derandomised(g, h)
-        spec = ZigzagSpec(args.kind, g.dim, g.size, h.dim, h.size)
-    else:
-        k = args.k if args.k is not None else len(hs)
-        if len(hs) == 1 and k > 1:
-            hs = hs * k
-        if len(hs) != k:
-            raise PreconditionError(f"generalised product needs k={k} inner ensembles, got {len(hs)}")
-        d = g.size
-        if hs[0].dim % d != 0:
-            raise PreconditionError(f"inner dimension {hs[0].dim} is not a multiple of outer degree {d}")
-        dprime = hs[0].dim // d
-        product = zigzag_generalised(g, hs, d, dprime)
-        spec = ZigzagSpec(args.kind, g.dim, g.size, hs[0].dim, hs[0].size, k=k, d_split=(d, dprime))
+        if args.double_h:
+            hs = [h if h.involution is not None else hermitian_double(h) for h in hs]
+    product, bound_of = _build_product(args.kind, g, hs, args.k, args.eps)
     save(product, args.out, sidecar={"provenance": {"kind": args.kind, "g": str(args.g), "h": [str(p) for p in args.h]}})
     report: dict = {
         "kind": args.kind,
         "members": product.size,
         "dim": product.dim,
-        "outer": {"dim": spec.outer_dim, "degree": spec.outer_degree},
-        "inner": {"dim": spec.inner_dim, "degree": spec.inner_degree},
+        "outer": {"dim": g.dim, "degree": g.size},
+        "inner": {"dim": hs[0].dim, "degree": hs[0].size},
         "out": str(args.out),
     }
     exit_code = EXIT_OK
     if args.check_bound_t is not None:
-        t = args.check_bound_t
         rng = SeededRng(args.seed)
-        rep1 = moments.lambda_report(g, 1, tol=args.tol, rng=rng.child(1))
-        rep2 = moments.lambda_report(hs[0], t, tol=args.tol, rng=rng.child(2))
-        rep = moments.lambda_report(product, t, tol=args.tol, rng=rng.child(3))
-        if args.kind == "zigzag":
-            bound = bound_zigzag(rep1.lambda_, rep2.lambda_, t, g.size)
-        elif args.kind == "derandomised":
-            bound = bound_zigzag_derandomised(rep1.lambda_, rep2.lambda_, t, g.size)
-        else:
-            d, dprime = spec.d_split
-            bound = bound_genzigzag(rep1.lambda_, rep2.lambda_, spec.k, t, d, dprime, args.eps)
-        satisfied = rep.lambda_ <= bound.value + args.bound_tol
-        report["bound_check"] = {
-            "t": t,
-            "lambda1": rep1.lambda_,
-            "lambda2": rep2.lambda_,
-            "lambda_product": rep.lambda_,
-            "bound": bound.value,
-            "flags": list(bound.flags),
-            "vacuous": bound.vacuous,
-            "satisfied": satisfied,
-            "converged": rep1.converged and rep2.converged and rep.converged,
-        }
-        if not (rep1.converged and rep2.converged and rep.converged):
+        check = _bound_check(g, hs[0], product, bound_of, args.check_bound_t, args.tol, args.bound_tol, rng)
+        report["bound_check"] = check
+        if not check["converged"]:
             exit_code = EXIT_NONCONVERGED
     _emit(report, args.report, args.csv)
     return exit_code
@@ -190,147 +201,190 @@ def _step_rng(seed: int, index: int) -> SeededRng:
     return SeededRng(seed).child(index)
 
 
+_REQUIRED = object()
+_TYPE_NAMES = {int: "a 32-bit integer", float: "a finite number", str: "a string", bool: "true or false"}
+
+
+class ConfigFieldError(PreconditionError):
+    """A certify step field that is missing or malformed; reads 'steps[i].field: ...'."""
+
+
+class _Step:
+    """Typed access to the fields of one certify step.
+
+    A missing required field or a value of the wrong type raises
+    ConfigFieldError naming steps[i].field. An optional field given as null
+    takes its default.
+    """
+
+    def __init__(self, step: dict, index: int, base: Path):
+        self.step = step
+        self.index = index
+        self.base = base
+
+    def bad(self, name: str, message: str) -> ConfigFieldError:
+        return ConfigFieldError(f"steps[{self.index}].{name}: {message}")
+
+    def get(self, name: str, kind: type, default=_REQUIRED):
+        value = self.step.get(name)
+        if value is None:
+            if default is _REQUIRED:
+                raise self.bad(name, "missing field")
+            return default
+        if not _is_kind(value, kind):
+            raise self.bad(name, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+        return float(value) if kind is float else value
+
+    def ints(self, name: str, default: list[int]) -> list[int]:
+        value = self.step.get(name)
+        if value is None:
+            return default
+        if not isinstance(value, list) or not value or not all(_is_kind(v, int) for v in value):
+            raise self.bad(name, f"expected a nonempty list of integers, got {value!r}")
+        return value
+
+    def path(self, name: str) -> str:
+        """A file path, resolved relative to the config file."""
+        return self._resolve(name, self.get(name, str))
+
+    def paths(self, name: str) -> list[str]:
+        """One path or a nonempty list of them, each resolved like path()."""
+        raw = self.step.get(name)
+        if raw is None:
+            raise self.bad(name, "missing field")
+        value = raw if isinstance(raw, list) else [raw]
+        if not value or not all(isinstance(v, str) for v in value):
+            raise self.bad(name, f"expected a path or a nonempty list of paths, got {raw!r}")
+        return [self._resolve(name, v) for v in value]
+
+    def _resolve(self, name: str, raw: str) -> str:
+        if "\0" in raw:
+            raise self.bad(name, "path contains a NUL character")
+        path = Path(raw)
+        return str(path if path.is_absolute() else self.base / path)
+
+
+def _is_kind(value, kind: type) -> bool:
+    if kind is int:
+        # no dimension, degree, power or count of this package fits beyond 2^31
+        return isinstance(value, int) and not isinstance(value, bool) and abs(value) < 2**31
+    if kind is float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            return False
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            return False
+    return isinstance(value, kind)
+
+
 def _run_step(step: dict, index: int, seed: int, base: Path) -> dict:
-    kind = step.get("kind")
-    name = step.get("name", f"step-{index}")
+    f = _Step(step, index, base)
+    kind = f.get("kind", str, None)
+    name = f.get("name", str, f"step-{index}")
     rng = _step_rng(seed, index)
     result: dict = {"name": name, "kind": kind}
 
-    def resolve(p: str) -> str:
-        path = Path(p)
-        return str(path if path.is_absolute() else base / path)
-
     if kind == "sample":
-        e = sample_random_qtpe(int(step["dim"]), int(step["degree"]), rng, label=step.get("label", name))
+        e = sample_random_qtpe(f.get("dim", int), f.get("degree", int), rng, label=f.get("label", str, name))
         save(
             e,
-            resolve(step["out"]),
+            f.path("out"),
             sidecar={"seed": seed, "provenance": {"kind": "haar-sample"}, "bound_reference": 8.0 / math.sqrt(e.size)},
         )
         result.update({"members": e.size, "dim": e.dim, "pass": True})
     elif kind == "double":
-        e = hermitian_double(_load_checked(resolve(step["ensemble"])))
-        save(e, resolve(step["out"]), sidecar={"provenance": {"kind": "double"}})
+        e = hermitian_double(_load_checked(f.path("ensemble")))
+        save(e, f.path("out"), sidecar={"provenance": {"kind": "double"}})
         result.update({"members": e.size, "dim": e.dim, "pass": True})
     elif kind == "lambda":
-        e = _load_checked(resolve(step["ensemble"]))
+        path = f.path("ensemble")
+        e = _load_checked(path)
         rep = moments.lambda_report(
             e,
-            int(step["t"]),
-            method=step.get("method"),
-            tol=step.get("tol"),
+            f.get("t", int),
+            method=f.get("method", str, None),
+            tol=f.get("tol", float, None),
             rng=rng,
-            max_iters=int(step.get("max_iters", 5000)),
-            bound_reference=_sidecar_bound(resolve(step["ensemble"])),
+            max_iters=f.get("max_iters", int, 5000),
+            bound_reference=_sidecar_bound(path),
         )
         result.update(rep.to_json_dict())
         ok = rep.converged
-        if "assert_below" in step:
-            below = rep.lambda_ < float(step["assert_below"])
-            result["assert_below"] = {"threshold": float(step["assert_below"]), "satisfied": below}
+        threshold = f.get("assert_below", float, None)
+        if threshold is not None:
+            below = rep.lambda_ < threshold
+            result["assert_below"] = {"threshold": threshold, "satisfied": below}
             ok = ok and below
         if rep.bound_reference is not None:
             result["vacuous_bound"] = rep.bound_reference >= 1.0
         result["pass"] = ok
     elif kind == "zigzag":
-        g = _load_checked(resolve(step["g"]))
-        h_paths = step["h"] if isinstance(step["h"], list) else [step["h"]]
-        hs = [_load_checked(resolve(p)) for p in h_paths]
-        zz_kind = step.get("zz_kind", "zigzag")
-        if zz_kind == "zigzag":
-            product = zigzag(g, hs[0])
-        elif zz_kind == "derandomised":
-            product = zigzag_derandomised(g, hs[0])
-        else:
-            k = int(step.get("k", len(hs)))
-            if len(hs) == 1 and k > 1:
-                hs = hs * k
-            d = g.size
-            product = zigzag_generalised(g, hs, d, hs[0].dim // d)
-        save(product, resolve(step["out"]), sidecar={"provenance": {"kind": zz_kind}})
+        g = _load_checked(f.path("g"))
+        hs = [_load_checked(p) for p in f.paths("h")]
+        zz_kind = f.get("zz_kind", str, "zigzag")
+        product, bound_of = _build_product(zz_kind, g, hs, f.get("k", int, None), GENZIGZAG_EPS)
+        save(product, f.path("out"), sidecar={"provenance": {"kind": zz_kind}})
         result.update({"members": product.size, "dim": product.dim})
         ok = True
-        if "check_bound_t" in step:
-            t = int(step["check_bound_t"])
-            tol = float(step.get("bound_tol", 1e-6))
-            rep1 = moments.lambda_report(g, 1, tol=step.get("tol"), rng=rng.child(1))
-            rep2 = moments.lambda_report(hs[0], t, tol=step.get("tol"), rng=rng.child(2))
-            rep = moments.lambda_report(product, t, tol=step.get("tol"), rng=rng.child(3))
-            bound = bound_zigzag(rep1.lambda_, rep2.lambda_, t, g.size)
-            satisfied = rep.lambda_ <= bound.value + tol
-            result["bound_check"] = {
-                "lambda1": rep1.lambda_,
-                "lambda2": rep2.lambda_,
-                "lambda_product": rep.lambda_,
-                "bound": bound.value,
-                "flags": list(bound.flags),
-                "vacuous": bound.vacuous,
-                "satisfied": satisfied,
-            }
-            ok = satisfied and rep1.converged and rep2.converged and rep.converged
+        t = f.get("check_bound_t", int, None)
+        if t is not None:
+            tol, bound_tol = f.get("tol", float, None), f.get("bound_tol", float, 1e-6)
+            check = _bound_check(g, hs[0], product, bound_of, t, tol, bound_tol, rng)
+            result["bound_check"] = check
+            ok = check["satisfied"] and check["converged"]
         result["pass"] = ok
     elif kind == "closeness":
-        rep = moments.subspace_closeness_report(int(step["D"]), int(step["d"]), int(step["t"]))
+        rep = moments.subspace_closeness_report(f.get("D", int), f.get("d", int), f.get("t", int))
         result.update(rep.to_json_dict())
         result["pass"] = all(rep.claims.values())
     elif kind == "design_error":
-        e = _load_checked(resolve(step["ensemble"]))
-        t = int(step["t"])
-        tol = float(step.get("tol", 1e-9))
-        lam = moments.lambda_report(e, t, rng=rng).lambda_
-        worst = 0.0
-        ok = True
-        for k in step.get("ks", [1]):
-            for rows in _index_tuples(e.dim, t):
-                for cols in _index_tuples(e.dim, t):
-                    err = moments.design_error_monomial(e, t, int(k), rows, cols)
-                    worst = max(worst, err - lam ** int(k))
-                    ok = ok and err <= lam ** int(k) + tol
-        result.update({"lambda": lam, "worst_excess": worst, "pass": ok})
+        e = _load_checked(f.path("ensemble"))
+        t = f.get("t", int)
+        tol = f.get("tol", float, 1e-9)
+        ks = f.ints("ks", [1])
+        rep = moments.lambda_report(e, t, rng=rng)
+        result.update({"lambda": rep.lambda_, "converged": rep.converged})
+        if not rep.converged:
+            # an unconverged lambda bounds nothing; the step fails unchecked
+            result["pass"] = False
+        else:
+            errors = moments.design_errors(e, t, ks)
+            bounds = [rep.lambda_**k for k in ks]
+            result["worst_excess"] = max([0.0] + [float(err.max()) - b for err, b in zip(errors, bounds)])
+            result["pass"] = all(bool((err <= b + tol).all()) for err, b in zip(errors, bounds))
     elif kind == "epsgood":
-        n = int(step["d"]) * int(step["dprime"])
-        us = [haar_unitary(n, rng.child(i)) for i in range(int(step["k"]))]
+        d, dprime = f.get("d", int), f.get("dprime", int)
+        mode = f.get("mode", str, "exhaustive")
+        us = [haar_unitary(d * dprime, rng.child(i)) for i in range(f.get("k", int))]
         decision = eg.is_tuple_good(
             us,
-            int(step["d"]),
-            int(step["dprime"]),
-            float(step["eps"]),
-            mode=step.get("mode", "exhaustive"),
-            budget=step.get("budget"),
-            rng=rng.child(99) if step.get("mode") == "sampled" else None,
+            d,
+            dprime,
+            f.get("eps", float),
+            mode=mode,
+            budget=f.get("budget", int, None),
+            rng=rng.child(99) if mode == "sampled" else None,
         )
         result.update({"good": decision.good, "coverage": decision.coverage, "witness": decision.witness})
-        result["pass"] = decision.good == bool(step.get("expect_good", True))
+        result["pass"] = decision.good == f.get("expect_good", bool, True)
     elif kind == "bound":
-        which = step["bound"]
+        which = f.get("bound", str)
+        l1, l2, t = f.get("l1", float), f.get("l2", float), f.get("t", int)
         if which == "zigzag":
-            b = bound_zigzag(float(step["l1"]), float(step["l2"]), int(step["t"]), int(step["d"]))
+            b = bound_zigzag(l1, l2, t, f.get("d", int))
         elif which == "derandomised":
-            b = bound_zigzag_derandomised(float(step["l1"]), float(step["l2"]), int(step["t"]), int(step["d"]))
+            b = bound_zigzag_derandomised(l1, l2, t, f.get("d", int))
         elif which == "improved":
-            b = bound_zigzag_improved(
-                float(step["l1"]), float(step["l2"]), int(step["t"]), int(step["d"]), step.get("variant", "as-printed")
-            )
+            b = bound_zigzag_improved(l1, l2, t, f.get("d", int), f.get("variant", str, "as-printed"))
         elif which == "generalised":
-            b = bound_genzigzag(
-                float(step["l1"]),
-                float(step["l2"]),
-                int(step["k"]),
-                int(step["t"]),
-                int(step["d"]),
-                int(step["dprime"]),
-                float(step["eps"]),
-            )
+            b = bound_genzigzag(l1, l2, f.get("k", int), t, f.get("d", int), f.get("dprime", int), f.get("eps", float))
         else:
-            raise PreconditionError(f"steps[{index}].bound: unknown bound kind {which!r}")
+            raise f.bad("bound", f"unknown bound kind {which!r}")
         result.update({"value": b.value, "flags": list(b.flags), "vacuous": b.vacuous, "pass": True})
     else:
-        raise PreconditionError(f"steps[{index}].kind: unknown step kind {kind!r}")
+        raise f.bad("kind", f"unknown step kind {kind!r}")
     return result
-
-
-def _index_tuples(n: int, t: int):
-    return list(itertools.product(range(n), repeat=t))
 
 
 def cmd_certify(args) -> int:
@@ -349,7 +403,10 @@ def cmd_certify(args) -> int:
     if not isinstance(steps, list) or not steps:
         print("config.steps: expected a nonempty list", file=sys.stderr)
         return EXIT_USAGE
-    seed = int(config.get("seed", 0))
+    seed = config.get("seed", 0)
+    if not _is_kind(seed, int) or seed < 0:
+        print(f"config.seed: expected a nonnegative integer, got {seed!r}", file=sys.stderr)
+        return EXIT_USAGE
     base = Path(args.config).resolve().parent
     results = []
     failures = []
@@ -359,11 +416,14 @@ def cmd_certify(args) -> int:
             return EXIT_USAGE
         try:
             result = _run_step(step, i, seed, base)
-        except KeyError as exc:
-            print(f"config.steps[{i}]: missing field {exc}", file=sys.stderr)
+        except ConfigFieldError as exc:
+            print(f"config.{exc}", file=sys.stderr)
             return EXIT_USAGE
         except (PreconditionError, EnsembleFormatError) as exc:
             print(f"config.steps[{i}]: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except ArithmeticError as exc:  # a closed form overflowed on out-of-range inputs
+            print(f"config.steps[{i}]: numeric inputs out of range: {exc}", file=sys.stderr)
             return EXIT_USAGE
         results.append(result)
         if not result.get("pass", True):
@@ -412,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--double-h", action="store_true", help="Hermitian-double h first if it has no involution")
     p.add_argument("--check-bound-t", type=int, default=None, help="measure lambdas and compare to the bound at this t")
     p.add_argument("--bound-tol", type=float, default=1e-6)
-    p.add_argument("--eps", type=float, default=1e-3, help="generalised bound epsilon")
+    p.add_argument("--eps", type=float, default=GENZIGZAG_EPS, help="generalised bound epsilon")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

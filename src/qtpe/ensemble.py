@@ -68,16 +68,15 @@ class ValidationReport:
 
     unitarity_defect: float
     involution_defect: float
-    dimension_ok: bool
     tol: float
 
     @property
     def passed(self) -> bool:
-        return self.dimension_ok and self.unitarity_defect <= self.tol and self.involution_defect <= self.tol
+        return self.unitarity_defect <= self.tol and self.involution_defect <= self.tol
 
 
 def validate(e: UnitaryEnsemble, tol: float = 1e-10) -> ValidationReport:
-    """Report unitarity, involution consistency, and dimension consistency."""
+    """Report unitarity and involution consistency."""
     eye = np.eye(e.dim)
     gram = np.matmul(e.adjoints(), e.unitaries)
     unitarity = float(np.sqrt(np.sum(np.abs(gram - eye) ** 2, axis=(1, 2))).max())
@@ -90,7 +89,7 @@ def validate(e: UnitaryEnsemble, tol: float = 1e-10) -> ValidationReport:
         else:
             diffs = e.unitaries[list(inv)] - e.adjoints()
             involution = float(np.sqrt(np.sum(np.abs(diffs) ** 2, axis=(1, 2))).max())
-    return ValidationReport(unitarity, involution, dimension_ok=True, tol=tol)
+    return ValidationReport(unitarity, involution, tol=tol)
 
 
 def sample_random_qtpe(d: int, s: int, rng: SeededRng, label: str = "") -> UnitaryEnsemble:

@@ -185,6 +185,8 @@ def is_tuple_good(
     k = len(us)
     if k < 1:
         raise PreconditionError("need at least one unitary")
+    if d < 1 or dprime < 1:
+        raise PreconditionError(f"d and d' must be >= 1, got d={d}, d'={dprime}")
     n = d * dprime
     stacked = [np.asarray(u, dtype=complex) for u in us]
     for u in stacked:

@@ -48,6 +48,10 @@ class SeededRng:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0 or self.stream < 0:
+            raise PreconditionError(f"seed and stream must be nonnegative, got ({self.seed}, {self.stream})")
+
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, self.stream])))
 
@@ -119,8 +123,10 @@ class LinearMap:
         a = np.asarray(a, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise PreconditionError(f"expected a square matrix, got shape {a.shape}")
-        ah = a.conj().T
-        return cls(dim=a.shape[0], apply=lambda x: a @ x, adjoint_apply=lambda x: ah @ x, dense=lambda: a)
+        # a^H x as conj(a^T conj(x)), so no conjugated copy of a is stored
+        return cls(
+            dim=a.shape[0], apply=lambda x: a @ x, adjoint_apply=lambda x: (a.T @ x.conj()).conj(), dense=lambda: a
+        )
 
 
 @dataclass

@@ -5,6 +5,16 @@ C^(n^2t). The moment operator averages tensor-power conjugations over an
 ensemble; the ideal operator is the orthogonal projection onto the span of
 the register-shuffle matrices, and the second largest singular value of their
 difference is the quantity every construction is judged by.
+
+Two exact ways to that value exist. The iterative one applies the moment
+operator matrix-free and deflates the fixed space from every iterate. The
+dense one never materialises the n^2t x n^2t operator: by Schur-Weyl duality
+(C^n)^(x t) splits into U(n) irreps V_lambda, lambda a partition of t with at
+most n rows, each repeated f_lambda times, and the moment operator is block
+diagonal over pairs (lambda, mu). Each block acts on d_lambda x d_mu
+matrices as X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)†, the Haar projector
+is vec(I)vec(I)†/d_lambda on the diagonal blocks and 0 elsewhere, and
+lambda is the largest top singular value over the blocks.
 """
 
 from __future__ import annotations
@@ -20,13 +30,24 @@ from .errors import PreconditionError, SizeLimitError
 from .linalg import (
     LinearMap,
     SeededRng,
+    SpectralEstimate,
     dense_limit,
     kron,
     max_principal_sine,
     orthonormalize,
     spectral_norm,
 )
-from .perms import Permutation, all_permutations, cycle_count
+from .perms import (
+    Permutation,
+    all_permutations,
+    column_group,
+    cycle_count,
+    partitions,
+    row_group,
+    sign,
+    symmetric_irrep_dim,
+    unitary_irrep_dim,
+)
 
 ITERATIVE_AMBIENT_LIMIT = 10**7
 MAX_T_LAMBDA = 4
@@ -245,6 +266,106 @@ class MomentOperator:
         return acc / self.ensemble.size
 
 
+@dataclass
+class IrrepBasis:
+    """One copy of the U(n) irrep V_lambda inside (C^n)^(x t).
+
+    `basis` holds d_lambda(n) orthonormal columns spanning the image of the
+    Young symmetriser of `shape`; the irrep occurs `multiplicity` = f_lambda
+    times in (C^n)^(x t).
+    """
+
+    shape: tuple[int, ...]
+    multiplicity: int
+    basis: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+
+def irrep_bases(n: int, t: int) -> list[IrrepBasis]:
+    """A basis of one copy of each U(n) irrep in (C^n)^(x t), in partition order.
+
+    For every partition lambda of t with at most n rows, the image of the
+    Young symmetriser c_lambda = (sum_row P_p)(sum_col sgn(q) P_q) is one copy
+    of V_lambda; partitions with more rows have c_lambda = 0 and are skipped.
+    The ranks are checked against the hook-content formula, and the copies
+    against sum_lambda f_lambda d_lambda(n) = n^t. At t=1 the symmetriser is
+    the identity and so is the basis, exactly.
+    """
+    if t > MAX_T_BASIS:
+        raise SizeLimitError(f"t={t} exceeds basis guard {MAX_T_BASIS}")
+    nt = n**t
+    out = []
+    for shape in partitions(t):
+        if len(shape) > n:
+            continue
+        dim = unitary_irrep_dim(shape, n)
+        if t == 1:
+            basis = np.eye(n, dtype=complex)
+        else:
+            rows = sum(shuffle_operator(p, n, t) for p in row_group(shape))
+            cols = sum(sign(q) * shuffle_operator(q, n, t) for q in column_group(shape))
+            basis, rank = orthonormalize(rows @ cols, rank_tol=1e-8)
+            if rank != dim:
+                raise AssertionError(f"Young symmetriser {shape} has rank {rank}, hook-content formula gives {dim}")
+        out.append(IrrepBasis(shape, symmetric_irrep_dim(shape), basis))
+    copies = sum(b.multiplicity * b.dim for b in out)
+    if copies != nt:
+        raise AssertionError(f"irrep copies fill {copies} of {nt} dimensions")
+    return out
+
+
+def irrep_action(members: np.ndarray, basis: np.ndarray, n: int, t: int) -> np.ndarray:
+    """R(U_i) = B† U_i^(x t) B for every member, as an (s, d, d) stack.
+
+    U^(x t) B is t mode contractions on the columns of B, batched over
+    members; no Kronecker power is formed.
+    """
+    s = members.shape[0]
+    nt, d = basis.shape
+    cur = np.broadcast_to(basis, (s, nt, d))
+    for mode in range(t):
+        cur = np.matmul(members[:, None], cur.reshape(s, n**mode, n, -1))
+    return np.matmul(basis.conj().T, cur.reshape(s, nt, d))
+
+
+def sector_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of X -> (1/s) sum_i A_i X B_i† under row-major vectorisation.
+
+    That is (1/s) sum_i A_i (x) conj(B_i), formed as one GEMM over members
+    followed by an index transpose.
+    """
+    s, da, _ = a.shape
+    db = b.shape[1]
+    m = a.reshape(s, -1).T @ b.conj().reshape(s, -1)
+    m /= s
+    return m.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
+
+
+def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
+    """Largest singular value of the moment operator minus the Haar projector,
+    exactly, from its Schur-Weyl blocks.
+
+    The (lambda, mu) block is sector_block(R_lambda, R_mu); the diagonal ones
+    lose their fixed vector vec(I)/sqrt(d_lambda). Each unordered pair is
+    computed once: the (mu, lambda) block equals J (lambda, mu) J with the
+    antiunitary J: X -> X†, so both have the same singular values.
+    """
+    reps = [irrep_action(e.unitaries, b.basis, e.dim, t) for b in irrep_bases(e.dim, t)]
+    value = 0.0
+    for i, a in enumerate(reps):
+        for j in range(i, len(reps)):
+            block = sector_block(a, reps[j])
+            if i == j:
+                d = a.shape[1]
+                diag = np.arange(d) * (d + 1)  # where vec(I) is 1
+                block[np.ix_(diag, diag)] -= 1.0 / d
+            value = max(value, spectral_norm(block, method="dense-svd").value)
+    return value
+
+
 def ideal_apply(basis: FixedSpaceBasis, m: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the fixed space (the Haar average)."""
     nt = basis.local_dim**basis.t
@@ -315,11 +436,14 @@ def lambda_report(
 ) -> SpectralReport:
     """Second largest singular value of the moment operator vs the Haar projector.
 
-    The dense method materialises the n^2t x n^2t superoperator and takes an
-    exact SVD; the iterative method is matrix-free with fixed-space deflation
-    of every iterate. Non-convergence is surfaced in the report, never
-    silently dropped.
+    The dense method is exact: it takes the SVD of every Schur-Weyl block
+    (sector_lambda) instead of the n^2t x n^2t superoperator, and still obeys
+    the dense limit on n^2t. The iterative method is matrix-free with
+    fixed-space deflation of every iterate. Non-convergence is surfaced in
+    the report, never silently dropped.
     """
+    if t < 1:
+        raise PreconditionError(f"t must be >= 1, got {t}")
     if t > MAX_T_LAMBDA:
         raise SizeLimitError(f"t={t} exceeds lambda guard {MAX_T_LAMBDA}")
     ambient = e.dim ** (2 * t)
@@ -328,17 +452,20 @@ def lambda_report(
     if ambient > ITERATIVE_AMBIENT_LIMIT:
         raise SizeLimitError(f"ambient {ambient} exceeds iterative limit {ITERATIVE_AMBIENT_LIMIT}")
     rng = SeededRng(0, 0) if rng is None else rng
-    op, basis = deviation_map(e, t)
     if method is None:
         method = "dense-svd" if ambient <= dense_limit() else "power-iteration"
-    est = spectral_norm(
-        op,
-        tol=tol,
-        max_iters=max_iters,
-        rng=rng,
-        method=method,
-        deflate=basis.ortho if (deflate and method == "power-iteration") else None,
-    )
+    if method == "dense-svd":
+        est = SpectralEstimate(value=sector_lambda(e, t), residual=0.0, iterations=0, method="dense-svd")
+    else:
+        op, basis = deviation_map(e, t)
+        est = spectral_norm(
+            op,
+            tol=tol,
+            max_iters=max_iters,
+            rng=rng,
+            method=method,
+            deflate=basis.ortho if deflate else None,
+        )
     return SpectralReport(
         lambda_=est.value,
         method=est.method,
@@ -373,22 +500,45 @@ def design_error_monomial(
     for tup in (row_indices, col_indices):
         if any(not 0 <= j < n for j in tup):
             raise PreconditionError(f"indices must lie in range(0, {n}): {tup}")
-    nt = n**t
     flat_j = 0
     for j in col_indices:
         flat_j = flat_j * n + j
     flat_i = 0
     for i in row_indices:
         flat_i = flat_i * n + i
+    deviations = _monomial_deviations(MomentOperator(e, t), fixed_space_basis(n, t), [k], flat_j)
+    return float(deviations[0][flat_i])
+
+
+def design_errors(e: UnitaryEnsemble, t: int, ks: list[int]) -> list[np.ndarray]:
+    """design_error_monomial for every row and column tuple at once.
+
+    Returns one n^t x n^t array per k in `ks`, indexed by the flat (row-major)
+    row tuple and column tuple. The fixed-space basis and the moment operator
+    are built once, and each column tuple costs max(ks) applies of Phi whose
+    image is read at every row tuple: n^t max(ks) applies in all.
+    """
+    if not ks or min(ks) < 1:
+        raise PreconditionError(f"every k must be >= 1, got {ks}")
+    phi = MomentOperator(e, t)
+    basis = fixed_space_basis(e.dim, t)
+    columns = [_monomial_deviations(phi, basis, ks, flat_j) for flat_j in range(e.dim**t)]
+    return [np.stack([col[a] for col in columns], axis=1) for a in range(len(ks))]
+
+
+def _monomial_deviations(phi: MomentOperator, basis: FixedSpaceBasis, ks: list[int], flat_j: int) -> list[np.ndarray]:
+    """|<E_I, (Phi^k - P_W)(M'_J)>| for every flat row tuple I, one array per k in ks."""
+    nt = phi.local_dim**phi.t
     x = np.zeros(nt * nt, dtype=complex)
     x[flat_j * nt + flat_j] = 1.0
-    phi = MomentOperator(e, t)
-    basis = fixed_space_basis(n, t)
+    fixed = basis.project_vec(x)
+    reads = {}
     y = x
-    for _ in range(k):
+    for k in range(1, max(ks) + 1):
         y = phi.apply_vec(y)
-    y = y - basis.project_vec(x)
-    return float(abs(y[flat_i * nt + flat_i]))
+        if k in ks:
+            reads[k] = np.abs((y - fixed).reshape(nt, nt).diagonal())
+    return [reads[k] for k in ks]
 
 
 def design_iterations_needed(t: int, n: int, alpha: float, lam: float) -> int:
@@ -468,6 +618,8 @@ def subspace_closeness_report(outer_dim: int, inner_dim: int, t: int) -> Closene
     fixed unitary relabelling of the interleaved layout and therefore leaves
     all principal angles unchanged.
     """
+    if min(outer_dim, inner_dim, t) < 1:
+        raise PreconditionError(f"dimensions and t must be >= 1, got D={outer_dim}, d={inner_dim}, t={t}")
     if t > 3:
         raise SizeLimitError(f"t={t} exceeds closeness guard 3")
     ambient = (outer_dim * inner_dim) ** (2 * t)

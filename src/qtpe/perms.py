@@ -1,9 +1,12 @@
 """Permutations of {0,...,t-1} and the combinatorics behind the error terms.
 
 Covers cycle/fixed-point statistics, unsigned Stirling numbers of the first
-kind, falling factorials, and the two t!-indexed matrices (cycle-weighted and
+kind, falling factorials, the two t!-indexed matrices (cycle-weighted and
 fixed-point-weighted) whose spectral norms bound the off-diagonal mass of the
-permutation Gram matrices used elsewhere.
+permutation Gram matrices used elsewhere, and the Young-diagram data behind
+the Schur-Weyl sectors: partitions of t, the row and column groups of their
+canonical tableaux, the sign character, and the hook-length and hook-content
+irrep dimensions.
 """
 
 from __future__ import annotations
@@ -163,5 +166,92 @@ def fixed_point_matrix(t: int, eps: float) -> np.ndarray:
     return _pair_statistic_matrix(t, lambda p: eps ** (t - fixed_point_count(p)))
 
 
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
+def sign(p: Permutation) -> int:
+    """Parity character: +1 for even permutations, -1 for odd ones."""
+    return -1 if (p.size - cycle_count(p)) % 2 else 1
+
+
+def partitions(t: int) -> list[tuple[int, ...]]:
+    """Partitions of t as non-increasing tuples, in reverse lexicographic order.
+
+    (t) comes first and (1, ..., 1) last. This single ordering indexes the
+    Schur-Weyl sectors everywhere in the package.
+    """
+    if not 1 <= t <= MAX_ENUM_T:
+        raise SizeLimitError(f"t={t} outside enumeration guard 1..{MAX_ENUM_T}")
+
+    def below(rest: int, cap: int):
+        if rest == 0:
+            yield ()
+            return
+        for part in range(min(rest, cap), 0, -1):
+            for tail in below(rest - part, part):
+                yield (part,) + tail
+
+    return list(below(t, t))
+
+
+def _check_shape(shape: tuple[int, ...]) -> int:
+    if not shape or any(a < b for a, b in zip(shape, shape[1:])) or shape[-1] < 1:
+        raise PreconditionError(f"not a partition: {shape!r}")
+    return sum(shape)
+
+
+def _tableau_rows(shape: tuple[int, ...]) -> list[list[int]]:
+    """Boxes of the canonical Young tableau, filled with 0..t-1 row by row."""
+    rows, start = [], 0
+    for length in shape:
+        rows.append(list(range(start, start + length)))
+        start += length
+    return rows
+
+
+def _block_stabiliser(blocks: list[list[int]], t: int) -> list[Permutation]:
+    """All permutations of range(t) that map every block onto itself."""
+    out = []
+    for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        m = list(range(t))
+        for block, image in zip(blocks, images):
+            for a, b in zip(block, image):
+                m[a] = b
+        out.append(Permutation(tuple(m)))
+    return out
+
+
+def row_group(shape: tuple[int, ...]) -> list[Permutation]:
+    """Permutations preserving each row of the canonical Young tableau of `shape`."""
+    t = _check_shape(shape)
+    return _block_stabiliser(_tableau_rows(shape), t)
+
+
+def column_group(shape: tuple[int, ...]) -> list[Permutation]:
+    """Permutations preserving each column of the canonical Young tableau of `shape`."""
+    t = _check_shape(shape)
+    rows = _tableau_rows(shape)
+    columns = [[row[c] for row in rows if c < len(row)] for c in range(shape[0])]
+    return _block_stabiliser(columns, t)
+
+
+def _hooks(shape: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(row, column, hook length) of every box of the Young diagram."""
+    conj = [sum(1 for length in shape if length > c) for c in range(shape[0])]
+    return [(i, j, shape[i] - j + conj[j] - i - 1) for i in range(len(shape)) for j in range(shape[i])]
+
+
+def symmetric_irrep_dim(shape: tuple[int, ...]) -> int:
+    """f_lambda, the dimension of the S_t irrep `shape`: t! over the product of hook lengths."""
+    t = _check_shape(shape)
+    return math.factorial(t) // math.prod(h for _, _, h in _hooks(shape))
+
+
+def unitary_irrep_dim(shape: tuple[int, ...], n: int) -> int:
+    """d_lambda(n), the dimension of the U(n) irrep `shape` (hook-content formula).
+
+    The product of (n + column - row) over the product of hook lengths; it is
+    0 exactly when `shape` has more than n rows.
+    """
+    _check_shape(shape)
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    hooks = _hooks(shape)
+    return math.prod(n + j - i for i, j, _ in hooks) // math.prod(h for _, _, h in hooks)

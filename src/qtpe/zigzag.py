@@ -22,19 +22,6 @@ from .errors import PreconditionError, SizeLimitError
 GENERALISED_DEGREE_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class ZigzagSpec:
-    """Compatibility record for a product: outer/inner shapes and the kind."""
-
-    kind: str  # "zigzag" | "derandomised" | "generalised"
-    outer_dim: int
-    outer_degree: int
-    inner_dim: int
-    inner_degree: int
-    k: int = 1
-    d_split: tuple[int, int] | None = None
-
-
 def _outer_involution(g: UnitaryEnsemble) -> tuple[int, ...]:
     if g.involution is not None:
         return g.involution
@@ -180,6 +167,8 @@ class BoundValue:
 
 
 def _closeness_term(t: int, d: float) -> float:
+    if t < 1 or d < 1:
+        raise PreconditionError(f"need t >= 1 and a dimension >= 1, got t={t}, d={d}")
     return (t * (t - 1) / d) ** 0.25
 
 
@@ -233,6 +222,8 @@ def bound_genzigzag(l1: float, l2: float, k: int, t: int, d: int, dprime: int, e
     d^(2k+1) eps^-2 as a feasibility statement, using s = 4 (the smallest
     admissible degree) when no degree accompanies the call.
     """
+    if k < 1:
+        raise PreconditionError(f"k must be >= 1, got {k}")
     flags: list[str] = []
     if k < 2:
         flags.append(f"k={k} < 2 makes the lambda_2^(k-1) term equal 1 (vacuous)")

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import identity_ensemble, pauli_ensemble, raw_haar_ensemble
+from hypothesis import HealthCheck, given, settings, strategies as st
 from qtpe.cli import main
 from qtpe.ensemble import load, save
+from qtpe.zigzag import bound_genzigzag, bound_zigzag, bound_zigzag_derandomised
 
 
 def run(*argv):
@@ -265,6 +267,199 @@ class TestCertify:
         doc = json.loads(out.read_text())
         assert doc["steps"][0]["kind"] == "epsgood"
         assert code in (0, 1)
+
+
+class TestCertifyProducts:
+    """Each product kind is checked against its own bound, as `qtpe zigzag` does."""
+
+    def _run(self, tmp_path, zz_step, g_dim=4, h_dim=4, seed=3):
+        steps = [
+            {"kind": "sample", "name": "g", "dim": g_dim, "degree": 4, "out": "g.qtpe"},
+            {"kind": "sample", "name": "h", "dim": h_dim, "degree": 4, "out": "h.qtpe"},
+            dict({"kind": "zigzag", "name": "p", "g": "g.qtpe", "h": "h.qtpe", "out": "gh.qtpe"}, **zz_step),
+        ]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "seed": seed, "steps": steps}))
+        out = tmp_path / "report.json"
+        code = run("certify", "--config", str(cfg), "--out", str(out))
+        return code, (json.loads(out.read_text()) if out.exists() else None)
+
+    def test_derandomised_uses_its_own_bound(self, tmp_path):
+        # seed 3, g and h of dim 4 and degree 4: the plain zigzag formula gives
+        # 2.6711 here, the derandomised one 2.6038
+        code, doc = self._run(tmp_path, {"zz_kind": "derandomised", "check_bound_t": 1})
+        assert code == 0
+        check = doc["steps"][2]["bound_check"]
+        expected = bound_zigzag_derandomised(check["lambda1"], check["lambda2"], 1, 4).value
+        assert check["bound"] == expected
+        assert check["bound"] == pytest.approx(2.6038, abs=1e-4)
+        assert check["bound"] != pytest.approx(bound_zigzag(check["lambda1"], check["lambda2"], 1, 4).value)
+
+    def test_generalised_uses_its_own_bound(self, tmp_path):
+        code, doc = self._run(tmp_path, {"zz_kind": "generalised", "k": 2, "check_bound_t": 1})
+        assert code == 0
+        step = doc["steps"][2]
+        assert step["members"] == 16
+        check = step["bound_check"]
+        # epsilon is fixed at the `qtpe zigzag --eps` default: the config has no field for it
+        assert check["bound"] == bound_genzigzag(check["lambda1"], check["lambda2"], 2, 1, 4, 1, 1e-3).value
+
+    def test_generalised_inner_dimension_must_split(self, tmp_path, capsys):
+        code, _ = self._run(tmp_path, {"zz_kind": "generalised", "k": 2}, h_dim=6)
+        assert code == 2
+        assert "not a multiple of outer degree" in capsys.readouterr().err
+
+    def test_unknown_product_kind_exit_2(self, tmp_path, capsys):
+        code, _ = self._run(tmp_path, {"zz_kind": "spiral"})
+        assert code == 2
+        assert "spiral" in capsys.readouterr().err
+
+
+class TestCertifyFields:
+    def _config(self, tmp_path, steps, seed=1):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "seed": seed, "steps": steps}))
+        return cfg
+
+    @pytest.mark.parametrize(
+        "step,field",
+        [
+            ({"kind": "sample", "dim": "abc", "degree": 4, "out": "g.qtpe"}, "steps[0].dim"),
+            ({"kind": "sample", "dim": 2.5, "degree": 4, "out": "g.qtpe"}, "steps[0].dim"),
+            ({"kind": "sample", "dim": True, "degree": 4, "out": "g.qtpe"}, "steps[0].dim"),
+            ({"kind": "sample", "dim": 2, "degree": 4, "out": 7}, "steps[0].out"),
+            ({"kind": "bound", "bound": "zigzag", "l1": "x", "l2": 0.1, "t": 1, "d": 8}, "steps[0].l1"),
+            ({"kind": "bound", "bound": "zigzag", "l1": 0.1, "l2": 0.1, "t": [1], "d": 8}, "steps[0].t"),
+            ({"kind": "closeness", "D": 2, "d": {}, "t": 1}, "steps[0].d"),
+            ({"kind": 3}, "steps[0].kind"),
+            ({"kind": "sample", "dim": 2, "degree": 4, "out": "g\0.qtpe"}, "steps[0].out"),
+        ],
+    )
+    def test_wrong_type_exit_2_names_field(self, tmp_path, capsys, step, field):
+        assert run("certify", "--config", str(self._config(tmp_path, [step]))) == 2
+        err = capsys.readouterr().err
+        assert f"config.{field}:" in err
+        assert "Traceback" not in err
+
+    def test_missing_field_names_path(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, [{"kind": "bound", "bound": "zigzag", "l1": 0.1, "t": 1, "d": 8}])
+        assert run("certify", "--config", str(cfg)) == 2
+        assert "config.steps[0].l2: missing field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["7", -1, 1.5])
+    def test_bad_seed_exit_2(self, tmp_path, capsys, seed):
+        cfg = self._config(tmp_path, [{"kind": "bound", "bound": "zigzag", "l1": 0.1, "l2": 0.1, "t": 1, "d": 8}], seed)
+        assert run("certify", "--config", str(cfg)) == 2
+        assert "config.seed" in capsys.readouterr().err
+
+    def test_zero_dimension_in_bound_exit_2(self, tmp_path):
+        cfg = self._config(tmp_path, [{"kind": "bound", "bound": "zigzag", "l1": 0.1, "l2": 0.1, "t": 1, "d": 0}])
+        assert run("certify", "--config", str(cfg)) == 2
+
+
+_BASE_STEPS = [
+    {"kind": "sample", "name": "g", "dim": 2, "degree": 4, "out": "g.qtpe"},
+    {"kind": "sample", "name": "h", "dim": 4, "degree": 4, "out": "h.qtpe"},
+    {"kind": "lambda", "name": "lam", "ensemble": "g.qtpe", "t": 1, "tol": 1e-8, "assert_below": 1.0},
+    {"kind": "zigzag", "name": "zz", "g": "g.qtpe", "h": "h.qtpe", "zz_kind": "zigzag", "out": "gh.qtpe"},
+    {"kind": "design_error", "name": "de", "ensemble": "g.qtpe", "t": 1, "ks": [1, 2]},
+    {"kind": "closeness", "name": "close", "D": 2, "d": 4, "t": 2},
+    {"kind": "epsgood", "name": "eg", "d": 2, "dprime": 2, "k": 2, "eps": 0.5, "expect_good": True},
+    {"kind": "bound", "name": "b", "bound": "generalised", "l1": 0.1, "l2": 0.2, "k": 2, "t": 1, "d": 8, "dprime": 8,
+     "eps": 0.005},
+]
+
+# Type confusion is the point, so values stay small: a valid dimension of
+# 10^5 would legitimately ask for gigabytes, and that is not what is tested.
+_FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.integers(10**20, 10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet="ab.0\0", max_size=4),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(alphabet="ab", max_size=2), st.integers(0, 2), max_size=2),
+)
+
+
+def _certify_code(folder, steps, seed):
+    cfg = folder / "config.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "seed": seed, "steps": steps}))
+    return run("certify", "--config", str(cfg), "--out", str(folder / "report.json"))
+
+
+# 0 pass, 1 a check failed, 2 usage, 3 non-convergence, 4 I/O
+_DOCUMENTED_EXIT_CODES = (0, 1, 2, 3, 4)
+
+
+def test_fuzz_base_config_passes(tmp_path):
+    assert _certify_code(tmp_path, _BASE_STEPS, 1) == 0
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(index=st.integers(0, len(_BASE_STEPS) - 1), field=st.integers(0, 20), value=_FUZZ_VALUES)
+def test_fuzzed_step_fields_give_documented_exit_codes(tmp_path_factory, index, field, value):
+    steps = [dict(step) for step in _BASE_STEPS]
+    names = sorted(steps[index]) + ["unknown"]
+    steps[index][names[field % len(names)]] = value
+    assert _certify_code(tmp_path_factory.mktemp("fuzz"), steps, 1) in _DOCUMENTED_EXIT_CODES
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=_FUZZ_VALUES)
+def test_fuzzed_seed_gives_documented_exit_codes(tmp_path_factory, seed):
+    assert _certify_code(tmp_path_factory.mktemp("fuzz"), _BASE_STEPS[:3], seed) in _DOCUMENTED_EXIT_CODES
+
+
+class TestDesignErrorStep:
+    def _config(self, tmp_path, ks=(1, 2)):
+        steps = [
+            {"kind": "sample", "name": "g", "dim": 2, "degree": 4, "out": "g.qtpe"},
+            {"kind": "design_error", "name": "de", "ensemble": "g.qtpe", "t": 2, "ks": list(ks)},
+        ]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "seed": 5, "steps": steps}))
+        return cfg
+
+    def test_matches_monomial_errors(self, tmp_path):
+        import itertools
+
+        from qtpe.moments import design_error_monomial, lambda_report
+
+        out = tmp_path / "r.json"
+        assert run("certify", "--config", str(self._config(tmp_path)), "--out", str(out)) == 0
+        step = json.loads(out.read_text())["steps"][1]
+        e = load(tmp_path / "g.qtpe")
+        lam = step["lambda"]
+        tuples = list(itertools.product(range(2), repeat=2))
+        worst = 0.0
+        for k in (1, 2):
+            for rows in tuples:
+                for cols in tuples:
+                    worst = max(worst, design_error_monomial(e, 2, k, rows, cols) - lam**k)
+        assert step["converged"] and step["pass"]
+        assert step["worst_excess"] == worst
+
+    def test_unconverged_lambda_fails_the_step(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import qtpe.moments as m
+
+        real = m.lambda_report
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(m, "lambda_report", unconverged)
+        out = tmp_path / "r.json"
+        assert run("certify", "--config", str(self._config(tmp_path)), "--out", str(out)) == 1
+        step = json.loads(out.read_text())["steps"][1]
+        assert step["converged"] is False and step["pass"] is False
+        assert "worst_excess" not in step
+
+    def test_nonpositive_k_exit_2(self, tmp_path):
+        assert run("certify", "--config", str(self._config(tmp_path, ks=(1, 0)))) == 2
 
 
 class TestUsage:

@@ -129,6 +129,11 @@ class TestTupleGood:
         expected = is_good_for_set(u, xs, 2, 2, eps=0.7).good
         assert is_tuple_good([u], 2, 2, 0.7).good == expected
 
+    @pytest.mark.parametrize("d,dprime", [(0, 4), (-2, -2)])
+    def test_nonpositive_split_rejected(self, d, dprime):
+        with pytest.raises(PreconditionError):
+            is_tuple_good([np.eye(4, dtype=complex)], d, dprime, 0.5)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_all_identity_rejected(self, d):
         eps = (d - 1) / 3.0 * 0.9

@@ -38,6 +38,11 @@ class TestSeededRng:
         kids = {r.child(k).stream for k in range(100)}
         assert len(kids) == 100
 
+    @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -1)])
+    def test_negative_key_rejected(self, seed, stream):
+        with pytest.raises(PreconditionError):
+            SeededRng(seed, stream)
+
 
 class TestHaarUnitary:
     @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16, 64, 100])

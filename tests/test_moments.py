@@ -11,6 +11,10 @@ from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.linalg import SeededRng, haar_unitary
 from qtpe.moments import (
     MomentOperator,
+    design_errors,
+    irrep_action,
+    irrep_bases,
+    sector_lambda,
     alpha_prime_inner,
     alpha_prime_sigma,
     alpha_sigma,
@@ -23,7 +27,16 @@ from qtpe.moments import (
     shuffle_operator,
     subspace_closeness_report,
 )
-from qtpe.perms import Permutation, all_permutations, cycle_count, cycle_gram_matrix, identity
+from qtpe.perms import (
+    Permutation,
+    all_permutations,
+    cycle_count,
+    cycle_gram_matrix,
+    identity,
+    partitions,
+    unitary_irrep_dim,
+)
+from qtpe.zigzag import zigzag
 
 
 class TestShuffleOperator:
@@ -284,6 +297,8 @@ class TestLambda:
         e = hermitian_ensemble(2, 4, seed=0)
         with pytest.raises(SizeLimitError):
             lambda_report(e, 5)
+        with pytest.raises(PreconditionError):
+            lambda_report(e, 0)
 
 
 class TestDesignError:
@@ -313,6 +328,137 @@ class TestDesignError:
     def test_index_range_checked(self):
         with pytest.raises(PreconditionError):
             design_error_monomial(pauli_ensemble(), 1, 1, (2,), (0,))
+
+
+class TestDesignErrors:
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_table_matches_monomial_calls(self, t):
+        import itertools
+
+        e = raw_haar_ensemble(2, 3, 40 + t)
+        ks = [2, 1, 3]
+        table = design_errors(e, t, ks)
+        tuples = list(itertools.product(range(2), repeat=t))
+        for a, k in enumerate(ks):
+            assert table[a].shape == (2**t, 2**t)
+            for i, rows in enumerate(tuples):
+                for j, cols in enumerate(tuples):
+                    assert table[a][i, j] == design_error_monomial(e, t, k, rows, cols)
+
+    def test_one_basis_and_n_t_applies(self, monkeypatch):
+        import qtpe.moments as m
+
+        calls = {"basis": 0, "apply": 0}
+        real_basis, real_apply = m.fixed_space_basis, m.MomentOperator.apply_vec
+
+        def basis(*args):
+            calls["basis"] += 1
+            return real_basis(*args)
+
+        def apply(self, x):
+            calls["apply"] += 1
+            return real_apply(self, x)
+
+        monkeypatch.setattr(m, "fixed_space_basis", basis)
+        monkeypatch.setattr(m.MomentOperator, "apply_vec", apply)
+        design_errors(hermitian_ensemble(3, 4, 1), 2, [1, 3])
+        assert calls == {"basis": 1, "apply": 9 * 3}
+
+    def test_k_zero_rejected(self):
+        with pytest.raises(PreconditionError):
+            design_errors(pauli_ensemble(), 1, [1, 0])
+
+
+def full_dense_lambda(e, t):
+    """The oracle: top singular value of the materialised moment operator minus the Haar projector."""
+    basis = fixed_space_basis(e.dim, t)
+    deviation = MomentOperator(e, t).dense() - basis.ortho @ basis.ortho.conj().T
+    return float(np.linalg.svd(deviation, compute_uv=False)[0])
+
+
+def small_zigzag(outer_dim, seed):
+    g = sample_random_qtpe(outer_dim, 4, SeededRng(seed))
+    h = sample_random_qtpe(4, 4, SeededRng(seed + 1))
+    return zigzag(g, h)
+
+
+class TestSchurWeylSectors:
+    @pytest.mark.parametrize("n,t", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 3), (5, 2)])
+    def test_ranks_are_hook_content_dims(self, n, t):
+        bases = irrep_bases(n, t)
+        for b in bases:
+            assert b.dim == unitary_irrep_dim(b.shape, n) > 0
+            assert b.basis.shape == (n**t, b.dim)
+        assert sum(b.multiplicity * b.dim for b in bases) == n**t
+
+    def test_partitions_with_more_than_n_rows_skipped(self):
+        assert [b.shape for b in irrep_bases(2, 3)] == [(3,), (2, 1)]
+        assert [b.shape for b in irrep_bases(2, 4)] == [(4,), (3, 1), (2, 2)]
+        assert [b.shape for b in irrep_bases(1, 2)] == [(2,)]
+        assert [b.shape for b in irrep_bases(4, 3)] == partitions(3)
+
+    @pytest.mark.parametrize("n,t", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
+    def test_bases_orthonormal(self, n, t):
+        for b in irrep_bases(n, t):
+            assert np.allclose(b.basis.conj().T @ b.basis, np.eye(b.dim), atol=1e-12)
+
+    def test_t1_basis_is_exactly_the_identity(self):
+        (only,) = irrep_bases(5, 1)
+        assert only.shape == (1,) and only.multiplicity == 1
+        assert np.array_equal(only.basis, np.eye(5))
+
+    @pytest.mark.parametrize("n,t", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
+    def test_irrep_action_is_a_homomorphism(self, n, t):
+        u = haar_unitary(n, SeededRng(n, t))
+        v = haar_unitary(n, SeededRng(n, t + 10))
+        members = np.stack([u, v, u @ v])
+        for b in irrep_bases(n, t):
+            ru, rv, ruv = irrep_action(members, b.basis, n, t)
+            assert np.allclose(ruv, ru @ rv, atol=1e-12)
+            assert np.allclose(ru.conj().T @ ru, np.eye(b.dim), atol=1e-12)
+
+    def test_irrep_action_matches_kronecker_power(self):
+        u = haar_unitary(3, SeededRng(5))
+        ut = np.kron(np.kron(u, u), u)
+        for b in irrep_bases(3, 3):
+            (r,) = irrep_action(u[None], b.basis, 3, 3)
+            assert np.allclose(r, b.basis.conj().T @ ut @ b.basis, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n,t", [(2, 1), (5, 1), (1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (1, 4), (2, 4)]
+    )
+    @pytest.mark.parametrize("family", ["hermitian", "raw"])
+    def test_oracle_against_full_dense_svd(self, n, t, family):
+        seed = 100 * n + 10 * t
+        e = hermitian_ensemble(n, 4, seed) if family == "hermitian" else raw_haar_ensemble(n, 3, seed)
+        assert abs(sector_lambda(e, t) - full_dense_lambda(e, t)) <= 1e-10
+
+    @pytest.mark.parametrize("outer_dim,t", [(1, 1), (2, 1), (1, 2)])
+    def test_oracle_on_zigzag_products(self, outer_dim, t):
+        product = small_zigzag(outer_dim, 70 + outer_dim)
+        assert abs(sector_lambda(product, t) - full_dense_lambda(product, t)) <= 1e-10
+
+    def test_pauli_exact(self):
+        assert sector_lambda(pauli_ensemble(), 1) == 0.0
+        assert sector_lambda(pauli_ensemble(), 2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_report_fields_unchanged(self):
+        rep = lambda_report(hermitian_ensemble(3, 4, 2), 2, method="dense-svd", rng=SeededRng(4))
+        assert (rep.method, rep.iterations, rep.residual, rep.converged, rep.seed) == ("dense-svd", 0, 0.0, True, 4)
+        assert rep.lambda_ == sector_lambda(hermitian_ensemble(3, 4, 2), 2)
+
+    def test_dense_path_builds_no_fixed_space_basis(self, monkeypatch):
+        import qtpe.moments as m
+
+        def refuse(*args):
+            raise AssertionError("the dense path must not build the fixed-space basis")
+
+        monkeypatch.setattr(m, "fixed_space_basis", refuse)
+        assert lambda_report(pauli_ensemble(), 2).method == "dense-svd"
+
+    def test_rerun_bit_identical(self):
+        e = raw_haar_ensemble(3, 5, 9)
+        assert sector_lambda(e, 2) == sector_lambda(e, 2)
 
 
 class TestDesignIterations:
@@ -352,3 +498,5 @@ class TestSubspaceCloseness:
     def test_guard(self):
         with pytest.raises(SizeLimitError):
             subspace_closeness_report(2, 4, 4)
+        with pytest.raises(PreconditionError):
+            subspace_closeness_report(0, 4, 2)

@@ -11,6 +11,7 @@ from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.perms import (
     Permutation,
     all_permutations,
+    column_group,
     cycle_count,
     cycle_gram_matrix,
     distinct_fraction_deficit,
@@ -18,7 +19,12 @@ from qtpe.perms import (
     fixed_point_count,
     fixed_point_matrix,
     identity,
+    partitions,
+    row_group,
+    sign,
     stirling_first,
+    symmetric_irrep_dim,
+    unitary_irrep_dim,
 )
 
 
@@ -210,3 +216,83 @@ class TestFixedPointMatrix:
             m = fixed_point_matrix(t, eps)
             norm = np.max(np.abs(np.linalg.eigvalsh(m)))
             assert norm <= 2 * eps * eps * t * t + 1e-12
+
+
+def brute_force_sign(p):
+    """Independent oracle: parity of the inversion count."""
+    m = p.map
+    inversions = sum(1 for a in range(len(m)) for b in range(a + 1, len(m)) if m[a] > m[b])
+    return -1 if inversions % 2 else 1
+
+
+class TestYoungDiagrams:
+    @pytest.mark.parametrize("t,count", [(1, 1), (2, 2), (3, 3), (4, 5), (5, 7), (6, 11)])
+    def test_partition_counts(self, t, count):
+        parts = partitions(t)
+        assert len(parts) == count == len(set(parts))
+        assert all(sum(p) == t and list(p) == sorted(p, reverse=True) for p in parts)
+        assert parts[0] == (t,) and parts[-1] == (1,) * t
+
+    def test_partition_guard(self):
+        with pytest.raises(SizeLimitError):
+            partitions(0)
+
+    @given(perm_strategy)
+    def test_sign_is_inversion_parity(self, p):
+        assert sign(p) == brute_force_sign(p)
+
+    @given(perm_strategy, perm_strategy)
+    def test_sign_is_a_character(self, p, q):
+        if p.size == q.size:
+            assert sign(p.compose(q)) == sign(p) * sign(q)
+
+    def test_row_and_column_groups(self):
+        # canonical tableau of (2, 1): rows {0, 1}, {2}; columns {0, 2}, {1}
+        assert {p.map for p in row_group((2, 1))} == {(0, 1, 2), (1, 0, 2)}
+        assert {p.map for p in column_group((2, 1))} == {(0, 1, 2), (2, 1, 0)}
+        assert len(row_group((3, 1))) == 6 and len(column_group((3, 1))) == 2
+        assert len(row_group((2, 2))) == 4 and len(column_group((2, 2))) == 4
+
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_row_and_column_groups_meet_in_identity(self, t):
+        for shape in partitions(t):
+            rows = {p.map for p in row_group(shape)}
+            cols = {p.map for p in column_group(shape)}
+            assert rows & cols == {tuple(range(t))}
+            assert len(rows) == math.prod(math.factorial(r) for r in shape)
+
+    @pytest.mark.parametrize("t", range(1, 8))
+    def test_hook_lengths_square_sum_is_group_order(self, t):
+        assert sum(symmetric_irrep_dim(p) ** 2 for p in partitions(t)) == math.factorial(t)
+
+    def test_hook_length_examples(self):
+        assert symmetric_irrep_dim((2, 1)) == 2
+        assert symmetric_irrep_dim((3, 1)) == 3
+        assert symmetric_irrep_dim((2, 2)) == 2
+        assert symmetric_irrep_dim((3, 2)) == 5
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hook_content_closed_forms(self, n):
+        assert unitary_irrep_dim((2,), n) == n * (n + 1) // 2
+        assert unitary_irrep_dim((1, 1), n) == n * (n - 1) // 2
+        assert unitary_irrep_dim((2, 1), n) == n * (n * n - 1) // 3
+        assert unitary_irrep_dim((1,) * 3, n) == math.comb(n, 3)
+        assert unitary_irrep_dim((3,), n) == math.comb(n + 2, 3)
+
+    @pytest.mark.parametrize("t", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_schur_weyl_dimension_count(self, n, t):
+        # (C^n)^(x t) = sum over lambda of V_lambda (x) S_lambda
+        assert sum(symmetric_irrep_dim(p) * unitary_irrep_dim(p, n) for p in partitions(t)) == n**t
+
+    def test_too_many_rows_have_dimension_zero(self):
+        assert unitary_irrep_dim((1, 1, 1), 2) == 0
+        assert unitary_irrep_dim((2, 1, 1), 2) == 0
+        assert unitary_irrep_dim((1, 1), 1) == 0
+
+    def test_rejects_non_partitions(self):
+        for bad in [(), (1, 2), (2, 0)]:
+            with pytest.raises(PreconditionError):
+                symmetric_irrep_dim(bad)
+        with pytest.raises(PreconditionError):
+            unitary_irrep_dim((2,), 0)

@@ -304,6 +304,17 @@ class TestBoundCalculators:
         assert b.dprime_threshold > 100
         assert not b.dprime_feasible
 
+    def test_out_of_domain_arguments_rejected(self):
+        for call in (
+            lambda: bound_zigzag(0.1, 0.1, 1, 0),
+            lambda: bound_zigzag_derandomised(0.1, 0.1, 0, 8),
+            lambda: bound_zigzag_improved(0.1, 0.1, 1, -4),
+            lambda: bound_genzigzag(0.1, 0.0, 0, 1, 100, 100, 0.001),
+            lambda: bound_genzigzag(0.1, 0.1, 2, 1, 100, 0, 0.001),
+        ):
+            with pytest.raises(PreconditionError):
+                call()
+
 
 class TestNonVacuousBound:
     def test_exact_design_inner_gives_bound_below_one(self):
