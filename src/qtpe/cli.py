@@ -1,5 +1,9 @@
 """Command-line orchestration: sample, products, spectra, batch certification.
 
+`sample`, `lambda` and `zigzag` are one-step certify runs: their flags fill
+a step dict with the certify field names, the step runs through the same
+executor as a certify step, and the step result is the report.
+
 Exit codes: 0 success, 1 a certify check failed, 2 usage or precondition
 violation (a certify message names the offending field), 3 numerical
 non-convergence, 4 I/O failure. Every command is deterministic given its
@@ -18,7 +22,7 @@ from pathlib import Path
 
 from . import epsgood as eg
 from . import moments
-from .ensemble import UnitaryEnsemble, hermitian_double, load, sample_random_qtpe, save, validate
+from .ensemble import UnitaryEnsemble, hermitian_double, load, read_sidecar, sample_random_qtpe, save, validate
 from .zigzag import (
     bound_genzigzag,
     bound_zigzag,
@@ -38,7 +42,8 @@ EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 EXIT_IO = 4
 
-GENZIGZAG_EPS = 1e-3  # epsilon of the generalised bound: `qtpe zigzag --eps` default, and certify's value
+GENZIGZAG_EPS = 1e-3  # epsilon of the generalised product bound
+METHODS = ("auto", "dense-svd", "power-iteration")
 
 
 def _flatten(prefix: str, obj, out: dict) -> None:
@@ -69,19 +74,6 @@ def _emit(report: dict, out_path: str | None, as_csv: bool) -> None:
         sys.stdout.write(text)
 
 
-def cmd_sample(args) -> int:
-    rng = SeededRng(args.seed)
-    e = sample_random_qtpe(args.dim, args.degree, rng, label=args.label or f"haar-d{args.dim}-s{args.degree}")
-    sidecar = {
-        "seed": args.seed,
-        "provenance": {"kind": "haar-sample", "dim": args.dim, "degree": args.degree},
-        "bound_reference": 8.0 / math.sqrt(args.degree),
-    }
-    save(e, args.out, sidecar=sidecar)
-    print(f"sampled {e.label}: {e.size} unitaries of dimension {e.dim} -> {args.out}")
-    return EXIT_OK
-
-
 def _load_checked(path: str) -> UnitaryEnsemble:
     e = load(path)
     report = validate(e, tol=1e-8 * max(1, e.dim))
@@ -94,34 +86,15 @@ def _load_checked(path: str) -> UnitaryEnsemble:
 
 
 def _sidecar_bound(path: str) -> float | None:
-    side = Path(path).with_suffix(".json")
-    if not side.exists():
-        return None
+    """The sidecar's finite `bound_reference`, or None when there is none."""
     try:
-        value = json.loads(side.read_text()).get("bound_reference")
-        return float(value) if value is not None else None
-    except (json.JSONDecodeError, TypeError, ValueError):
+        value = float(read_sidecar(path)["bound_reference"])
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
+    return value if math.isfinite(value) else None
 
 
-def cmd_lambda(args) -> int:
-    e = _load_checked(args.ensemble)
-    bound = args.bound if args.bound is not None else _sidecar_bound(args.ensemble)
-    method = None if args.method == "auto" else args.method
-    report = moments.lambda_report(
-        e,
-        args.t,
-        method=method,
-        tol=args.tol,
-        rng=SeededRng(args.seed),
-        max_iters=args.max_iters,
-        bound_reference=bound,
-    )
-    _emit(report.to_json_dict(), args.out, args.csv)
-    return EXIT_OK if report.converged else EXIT_NONCONVERGED
-
-
-def _build_product(kind: str, g: UnitaryEnsemble, hs: list[UnitaryEnsemble], k: int | None, eps: float):
+def _build_product(kind: str, g: UnitaryEnsemble, hs: list[UnitaryEnsemble], k: int | None):
     """The `kind` product of g with the inner ensembles, and its closed-form bound.
 
     The bound is a function of (lambda_1 of g, lambda_2 of the first inner
@@ -145,7 +118,7 @@ def _build_product(kind: str, g: UnitaryEnsemble, hs: list[UnitaryEnsemble], k: 
         raise PreconditionError(f"inner dimension {hs[0].dim} is not a multiple of outer degree {d}")
     dprime = hs[0].dim // d
     product = zigzag_generalised(g, hs, d, dprime)
-    return product, lambda l1, l2, t: bound_genzigzag(l1, l2, k, t, d, dprime, eps)
+    return product, lambda l1, l2, t: bound_genzigzag(l1, l2, k, t, d, dprime, GENZIGZAG_EPS)
 
 
 def _bound_check(g, h, product, bound_of, t: int, tol: float | None, bound_tol: float, rng: SeededRng) -> dict:
@@ -166,39 +139,6 @@ def _bound_check(g, h, product, bound_of, t: int, tol: float | None, bound_tol: 
         "satisfied": rep.lambda_ <= bound.value + bound_tol,
         "converged": rep1.converged and rep2.converged and rep.converged,
     }
-
-
-def cmd_zigzag(args) -> int:
-    g = _load_checked(args.g)
-    hs = [_load_checked(p) for p in args.h]
-    if args.kind != "generalised":
-        if args.double_g and g.involution is None:
-            g = hermitian_double(g)
-        if args.double_h:
-            hs = [h if h.involution is not None else hermitian_double(h) for h in hs]
-    product, bound_of = _build_product(args.kind, g, hs, args.k, args.eps)
-    save(product, args.out, sidecar={"provenance": {"kind": args.kind, "g": str(args.g), "h": [str(p) for p in args.h]}})
-    report: dict = {
-        "kind": args.kind,
-        "members": product.size,
-        "dim": product.dim,
-        "outer": {"dim": g.dim, "degree": g.size},
-        "inner": {"dim": hs[0].dim, "degree": hs[0].size},
-        "out": str(args.out),
-    }
-    exit_code = EXIT_OK
-    if args.check_bound_t is not None:
-        rng = SeededRng(args.seed)
-        check = _bound_check(g, hs[0], product, bound_of, args.check_bound_t, args.tol, args.bound_tol, rng)
-        report["bound_check"] = check
-        if not check["converged"]:
-            exit_code = EXIT_NONCONVERGED
-    _emit(report, args.report, args.csv)
-    return exit_code
-
-
-def _step_rng(seed: int, index: int) -> SeededRng:
-    return SeededRng(seed).child(index)
 
 
 _REQUIRED = object()
@@ -278,32 +218,38 @@ def _is_kind(value, kind: type) -> bool:
     return isinstance(value, kind)
 
 
-def _run_step(step: dict, index: int, seed: int, base: Path) -> dict:
+def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
+    """Run one step and return its result; `rng` draws every sample, product and start vector of the step."""
     f = _Step(step, index, base)
     kind = f.get("kind", str, None)
     name = f.get("name", str, f"step-{index}")
-    rng = _step_rng(seed, index)
     result: dict = {"name": name, "kind": kind}
 
     if kind == "sample":
-        e = sample_random_qtpe(f.get("dim", int), f.get("degree", int), rng, label=f.get("label", str, name))
-        save(
-            e,
-            f.path("out"),
-            sidecar={"seed": seed, "provenance": {"kind": "haar-sample"}, "bound_reference": 8.0 / math.sqrt(e.size)},
-        )
-        result.update({"members": e.size, "dim": e.dim, "pass": True})
+        dim, degree = f.get("dim", int), f.get("degree", int)
+        # an empty label takes the default haar-d{dim}-s{degree}
+        e = sample_random_qtpe(dim, degree, rng, label=f.get("label", str, name))
+        sidecar = {
+            "seed": rng.seed,
+            "provenance": {"kind": "haar-sample", "dim": dim, "degree": degree},
+            "bound_reference": 8.0 / math.sqrt(degree),
+        }
+        save(e, f.path("out"), sidecar=sidecar)
+        result.update({"members": e.size, "dim": e.dim, "label": e.label, "pass": True})
     elif kind == "double":
         e = hermitian_double(_load_checked(f.path("ensemble")))
         save(e, f.path("out"), sidecar={"provenance": {"kind": "double"}})
         result.update({"members": e.size, "dim": e.dim, "pass": True})
     elif kind == "lambda":
+        method = f.get("method", str, "auto")
+        if method not in METHODS:
+            raise f.bad("method", f"expected one of {', '.join(METHODS)}, got {method!r}")
         path = f.path("ensemble")
         e = _load_checked(path)
         rep = moments.lambda_report(
             e,
             f.get("t", int),
-            method=f.get("method", str, None),
+            method=None if method == "auto" else method,
             tol=f.get("tol", float, None),
             rng=rng,
             max_iters=f.get("max_iters", int, 5000),
@@ -323,9 +269,18 @@ def _run_step(step: dict, index: int, seed: int, base: Path) -> dict:
         g = _load_checked(f.path("g"))
         hs = [_load_checked(p) for p in f.paths("h")]
         zz_kind = f.get("zz_kind", str, "zigzag")
-        product, bound_of = _build_product(zz_kind, g, hs, f.get("k", int, None), GENZIGZAG_EPS)
-        save(product, f.path("out"), sidecar={"provenance": {"kind": zz_kind}})
-        result.update({"members": product.size, "dim": product.dim})
+        product, bound_of = _build_product(zz_kind, g, hs, f.get("k", int, None))
+        save(product, f.path("out"), sidecar={"provenance": {"kind": zz_kind, "g": step["g"], "h": step["h"]}})
+        result.update(
+            {
+                "zz_kind": zz_kind,
+                "members": product.size,
+                "dim": product.dim,
+                "outer": {"dim": g.dim, "degree": g.size},
+                "inner": {"dim": hs[0].dim, "degree": hs[0].size},
+                "out": f.get("out", str),
+            }
+        )
         ok = True
         t = f.get("check_bound_t", int, None)
         if t is not None:
@@ -354,9 +309,10 @@ def _run_step(step: dict, index: int, seed: int, base: Path) -> dict:
             result["worst_excess"] = max([0.0] + [float(err.max()) - b for err, b in zip(errors, bounds)])
             result["pass"] = all(bool((err <= b + tol).all()) for err, b in zip(errors, bounds))
     elif kind == "epsgood":
-        d, dprime = f.get("d", int), f.get("dprime", int)
+        d, dprime, k = f.get("d", int), f.get("dprime", int), f.get("k", int)
         mode = f.get("mode", str, "exhaustive")
-        us = [haar_unitary(d * dprime, rng.child(i)) for i in range(f.get("k", int))]
+        eg.check_tuple_size(k, d, dprime, mode)  # before the k draws
+        us = [haar_unitary(d * dprime, rng.child(i)) for i in range(k)]
         decision = eg.is_tuple_good(
             us,
             d,
@@ -387,6 +343,22 @@ def _run_step(step: dict, index: int, seed: int, base: Path) -> dict:
     return result
 
 
+# the parsed arguments that are not step fields: the seed becomes the step's rng, the rest pick the output
+_NOT_STEP_FIELDS = ("command", "func", "seed", "report", "csv")
+
+
+def cmd_step(args) -> int:
+    """Run a subcommand as a one-step certify run; the step result is its report."""
+    step = {key: value for key, value in vars(args).items() if key not in _NOT_STEP_FIELDS}
+    result = _run_step(dict(step, kind=args.command), 0, SeededRng(args.seed), Path("."))
+    if args.command == "sample":
+        print(f"sampled {result['label']}: {result['members']} unitaries of dimension {result['dim']} -> {args.out}")
+        return EXIT_OK
+    _emit(result, args.report, args.csv)
+    # a zigzag result holds its lambdas' convergence in bound_check, a lambda result at top level
+    return EXIT_OK if result.get("bound_check", result).get("converged", True) else EXIT_NONCONVERGED
+
+
 def cmd_certify(args) -> int:
     try:
         config = json.loads(Path(args.config).read_text())
@@ -415,7 +387,7 @@ def cmd_certify(args) -> int:
             print(f"config.steps[{i}]: expected an object", file=sys.stderr)
             return EXIT_USAGE
         try:
-            result = _run_step(step, i, seed, base)
+            result = _run_step(step, i, SeededRng(seed).child(i), base)
         except ConfigFieldError as exc:
             print(f"config.{exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -449,36 +421,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label", default="")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_step)
 
     p = sub.add_parser("lambda", help="second largest singular value of an ensemble at tensor power t")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--method", choices=["auto", "dense-svd", "power-iteration"], default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=float, default=None, help="closed-form reference bound to attach")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="report", default=None, help="report file (default: stdout)")
     p.add_argument("--csv", action="store_true", help="emit the flattened CSV serialisation")
-    p.set_defaults(func=cmd_lambda)
+    p.set_defaults(func=cmd_step)
 
     p = sub.add_parser("zigzag", help="build a zigzag-style product ensemble")
     p.add_argument("--g", required=True, help="outer ensemble file")
     p.add_argument("--h", action="append", required=True, help="inner ensemble file (repeatable)")
-    p.add_argument("--kind", choices=["zigzag", "derandomised", "generalised"], default="zigzag")
+    p.add_argument("--kind", dest="zz_kind", choices=["zigzag", "derandomised", "generalised"], default="zigzag")
     p.add_argument("--k", type=int, default=None, help="generalised: number of inner stages")
-    p.add_argument("--double-g", action="store_true", help="Hermitian-double g first if it has no involution")
-    p.add_argument("--double-h", action="store_true", help="Hermitian-double h first if it has no involution")
     p.add_argument("--check-bound-t", type=int, default=None, help="measure lambdas and compare to the bound at this t")
     p.add_argument("--bound-tol", type=float, default=1e-6)
-    p.add_argument("--eps", type=float, default=GENZIGZAG_EPS, help="generalised bound epsilon")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_zigzag)
+    p.set_defaults(func=cmd_step)
 
     p = sub.add_parser("certify", help="run a batch config and emit one consolidated report")
     p.add_argument("--config", required=True)
@@ -497,9 +465,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (PreconditionError, EnsembleFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except QtpeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -138,6 +138,15 @@ def sidecar_path(path: Path) -> Path:
     return path.with_suffix(".json")
 
 
+def read_sidecar(path: str | Path) -> dict:
+    """The JSON sidecar of an ensemble file; empty when it is absent, unreadable or not a JSON object."""
+    try:
+        meta = json.loads(sidecar_path(Path(path)).read_text())
+    except (OSError, ValueError):
+        return {}
+    return meta if isinstance(meta, dict) else {}
+
+
 def save(e: UnitaryEnsemble, path: str | Path, sidecar: dict | None = None) -> Path:
     """Write the bit-exact binary format plus a JSON sidecar with provenance.
 
@@ -203,11 +212,4 @@ def load(path: str | Path) -> UnitaryEnsemble:
     if off != len(raw):
         raise EnsembleFormatError("payload", f"{len(raw) - off} trailing bytes after payload")
     members = np.frombuffer(payload, dtype="<c16").astype(complex).reshape(count, dim, dim)
-    label = ""
-    side = sidecar_path(path)
-    if side.exists():
-        try:
-            label = str(json.loads(side.read_text()).get("label", ""))
-        except (json.JSONDecodeError, OSError):
-            label = ""
-    return UnitaryEnsemble(dim, members, involution, label)
+    return UnitaryEnsemble(dim, members, involution, str(read_sidecar(path).get("label", "")))

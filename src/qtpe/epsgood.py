@@ -52,13 +52,22 @@ def measure_first_factor(u: np.ndarray, x: np.ndarray, d: int, dprime: int) -> l
     y = (u @ x).reshape(d, dprime)
     outcomes = []
     for v in range(d):
-        p = float(np.sum(np.abs(y[v]) ** 2))
-        state = np.zeros(d * dprime, dtype=complex)
-        zero = p <= ZERO_PROBABILITY
-        if not zero:
-            state[v * dprime : (v + 1) * dprime] = y[v] / np.sqrt(p)
+        p, state = _branch(y, v)
+        zero = state is None
+        state = np.zeros(d * dprime, dtype=complex) if zero else state
         outcomes.append(ConditionedOutcome(outcome=v, probability=p, state=state, zero_probability=zero))
     return outcomes
+
+
+def _branch(y: np.ndarray, v: int) -> tuple[float, np.ndarray | None]:
+    """Probability of outcome v of the image y (shape (d, d')) and its renormalised
+    post-measurement state in the full space, or None for a dead branch."""
+    p = float(np.sum(np.abs(y[v]) ** 2))
+    if p <= ZERO_PROBABILITY:
+        return p, None
+    state = np.zeros(y.size, dtype=complex)
+    state[v * y.shape[1] : (v + 1) * y.shape[1]] = y[v] / np.sqrt(p)
+    return p, state
 
 
 @dataclass
@@ -148,15 +157,24 @@ def is_good_for_set(
     return GoodnessDecision(good=good, witness=witness, checks=checks)
 
 
-def _conditioned_state(u: np.ndarray, x: np.ndarray, outcome: int, d: int, dprime: int) -> np.ndarray | None:
-    """Post-measurement state for one branch, or None when the branch is dead."""
-    y = (u @ x).reshape(d, dprime)
-    p = float(np.sum(np.abs(y[outcome]) ** 2))
-    if p <= ZERO_PROBABILITY:
-        return None
-    state = np.zeros(d * dprime, dtype=complex)
-    state[outcome * dprime : (outcome + 1) * dprime] = y[outcome] / np.sqrt(p)
-    return state
+def check_tuple_size(k: int, d: int, dprime: int, mode: str) -> None:
+    """The argument and size checks of is_tuple_good, which need no unitaries.
+
+    Exhaustive mode enumerates d^(k-1)*(d*d') configurations at its top level.
+    """
+    if mode not in ("exhaustive", "sampled"):
+        raise PreconditionError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if k < 1:
+        raise PreconditionError("need at least one unitary")
+    if d < 1 or dprime < 1:
+        raise PreconditionError(f"d and d' must be >= 1, got d={d}, d'={dprime}")
+    # for d >= 2, d^64 alone exceeds the limit: the cap only keeps huge k cheap
+    size = d ** min(k - 1, 64) * d * dprime
+    if mode == "exhaustive" and size > EXHAUSTIVE_LIMIT:
+        raise SizeLimitError(
+            f"exhaustive enumeration d^(k-1)*(d*d') for k={k}, d={d}, d'={dprime} exceeds {EXHAUSTIVE_LIMIT}; "
+            "use sampled mode"
+        )
 
 
 def is_tuple_good(
@@ -180,13 +198,8 @@ def is_tuple_good(
     Gram computation, not an enumeration). Dead branches (probability below
     1e-12) are skipped as vacuously good.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise PreconditionError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     k = len(us)
-    if k < 1:
-        raise PreconditionError("need at least one unitary")
-    if d < 1 or dprime < 1:
-        raise PreconditionError(f"d and d' must be >= 1, got d={d}, d'={dprime}")
+    check_tuple_size(k, d, dprime, mode)
     n = d * dprime
     stacked = [np.asarray(u, dtype=complex) for u in us]
     for u in stacked:
@@ -195,10 +208,6 @@ def is_tuple_good(
 
     total = sum(n * d ** (j - 1) for j in range(2, k + 1))
     if mode == "exhaustive":
-        if d ** (k - 1) * n > EXHAUSTIVE_LIMIT:
-            raise SizeLimitError(
-                f"exhaustive enumeration d^(k-1)*(d*d') = {d**(k-1)*n} exceeds {EXHAUSTIVE_LIMIT}; use sampled mode"
-            )
         chosen = None  # everything
     else:
         if budget is None or budget < 1:
@@ -231,7 +240,7 @@ def is_tuple_good(
                 covered += 1
                 state: np.ndarray | None = basis[:, x0]
                 for level, outcome in enumerate(path):
-                    state = _conditioned_state(stacked[level], state, outcome, d, dprime)
+                    _, state = _branch((stacked[level] @ state).reshape(d, dprime), outcome)
                     if state is None:
                         break  # dead branch: vacuously good
                 if state is None:

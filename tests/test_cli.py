@@ -1,14 +1,16 @@
 """End-to-end CLI behaviour: files, reports, exit codes, determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from conftest import identity_ensemble, pauli_ensemble, raw_haar_ensemble
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from qtpe.cli import main
-from qtpe.ensemble import load, save
+from qtpe.ensemble import load, sample_random_qtpe, save
+from qtpe.linalg import SeededRng
 from qtpe.zigzag import bound_genzigzag, bound_zigzag, bound_zigzag_derandomised
 
 
@@ -95,6 +97,26 @@ class TestLambda:
         run("lambda", "--ensemble", str(out), "--t", "1", "--out", str(rep))
         assert json.loads(rep.read_text())["bound_reference"] == pytest.approx(4.0)
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        ["[1]", '{"bound_reference": "x"}', '{"bound_reference": 1e999}', '{"bound_reference": 1' + "0" * 400 + "}"],
+    )
+    def test_malformed_sidecar_gives_no_bound(self, tmp_path, sidecar):
+        out = tmp_path / "g.qtpe"
+        run("sample", "--dim", "2", "--degree", "4", "--out", str(out))
+        (tmp_path / "g.json").write_text(sidecar)
+        rep = tmp_path / "r.json"
+        assert run("lambda", "--ensemble", str(out), "--t", "1", "--out", str(rep)) == 0
+        assert json.loads(rep.read_text())["bound_reference"] is None
+
+    def test_report_is_the_step_result(self, tmp_path):
+        path = tmp_path / "pauli.qtpe"
+        save(pauli_ensemble(), path)
+        out = tmp_path / "r.json"
+        assert run("lambda", "--ensemble", str(path), "--t", "1", "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["name"], doc["kind"], doc["pass"]) == ("step-0", "lambda", True)
+
 
 class TestZigzagCommand:
     def _sample(self, tmp_path, name, dim, degree, seed):
@@ -131,6 +153,20 @@ class TestZigzagCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "5" in err and "4" in err
+
+    def test_report_is_the_step_result(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # relative paths resolve against the working directory
+        self._sample(tmp_path, "g.qtpe", 4, 4, 1)
+        self._sample(tmp_path, "h.qtpe", 4, 4, 2)
+        code = run("zigzag", "--g", "g.qtpe", "--h", "h.qtpe", "--kind", "derandomised", "--out", "gh.qtpe",
+                   "--report", "rep.json")
+        assert code == 0
+        assert load(tmp_path / "gh.qtpe").size == 64
+        doc = json.loads((tmp_path / "rep.json").read_text())
+        assert doc["kind"] == "zigzag" and doc["zz_kind"] == "derandomised"
+        assert doc["out"] == "gh.qtpe" and doc["members"] == 64
+        assert doc["outer"] == {"dim": 4, "degree": 4} and doc["inner"] == {"dim": 4, "degree": 4}
+        assert doc["pass"] and "bound_check" not in doc
 
     def test_bound_check_report(self, tmp_path):
         g = self._sample(tmp_path, "g.qtpe", 8, 4, 7)
@@ -248,6 +284,48 @@ class TestCertify:
         step = doc["steps"][2]
         assert step["members"] == 16
         assert step["bound_check"]["satisfied"]
+
+    @pytest.mark.parametrize("method", ["auto", "dense-svd", "power-iteration"])
+    def test_lambda_method_field(self, tmp_path, method):
+        steps = [
+            {"kind": "sample", "name": "g", "dim": 2, "degree": 4, "out": "g.qtpe"},
+            {"kind": "lambda", "name": "lam", "ensemble": "g.qtpe", "t": 1, "method": method, "tol": 1e-8},
+        ]
+        out = tmp_path / "r.json"
+        assert run("certify", "--config", str(self._write_config(tmp_path, steps)), "--out", str(out)) == 0
+        step = json.loads(out.read_text())["steps"][1]
+        assert step["method"] == ("dense-svd" if method == "auto" else method)
+
+    @pytest.mark.parametrize("method", ["svd", "", "Auto"])
+    def test_unknown_method_exit_2_before_the_basis(self, tmp_path, capsys, monkeypatch, method):
+        import qtpe.moments as m
+
+        def no_basis(*args, **kwargs):
+            raise AssertionError("the fixed-space basis was built")
+
+        monkeypatch.setattr(m, "fixed_space_basis", no_basis)
+        steps = [
+            {"kind": "sample", "name": "g", "dim": 2, "degree": 4, "out": "g.qtpe"},
+            {"kind": "lambda", "name": "lam", "ensemble": "g.qtpe", "t": 1, "method": method},
+        ]
+        assert run("certify", "--config", str(self._write_config(tmp_path, steps))) == 2
+        assert "config.steps[1].method: expected one of auto, dense-svd, power-iteration" in capsys.readouterr().err
+
+    def test_closeness_at_t1_passes(self, tmp_path):
+        steps = [{"kind": "closeness", "name": "c1", "D": 2, "d": 2, "t": 1}]
+        out = tmp_path / "r.json"
+        assert run("certify", "--config", str(self._write_config(tmp_path, steps)), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["steps"][0]["pass"]
+
+    def test_epsgood_size_checked_before_drawing(self, tmp_path, capsys, monkeypatch):
+        import qtpe.cli as cli
+
+        draws = []
+        monkeypatch.setattr(cli, "haar_unitary", lambda *args: draws.append(args))
+        steps = [{"kind": "epsgood", "name": "big", "d": 2, "dprime": 2, "k": 40, "eps": 0.2}]
+        assert run("certify", "--config", str(self._write_config(tmp_path, steps))) == 2
+        assert draws == []
+        assert "sampled mode" in capsys.readouterr().err
 
     def test_epsgood_step(self, tmp_path):
         steps = [
@@ -472,3 +550,74 @@ class TestUsage:
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = run("lambda", "--ensemble", str(tmp_path / "nope.qtpe"), "--t", "1")
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lambda", "--ensemble", "g.qtpe", "--t", "1", "--bound", "0.5"],
+            ["zigzag", "--g", "g.qtpe", "--h", "h.qtpe", "--out", "gh.qtpe", "--double-g"],
+            ["zigzag", "--g", "g.qtpe", "--h", "h.qtpe", "--out", "gh.qtpe", "--double-h"],
+            ["zigzag", "--g", "g.qtpe", "--h", "h.qtpe", "--out", "gh.qtpe", "--eps", "0.01"],
+        ],
+    )
+    def test_removed_flags_exit_2(self, argv):
+        assert run(*argv) == 2
+
+
+# magic 4 bytes, version 1, dim 4, count 4, involution flag 1
+_HEADER = 14
+_DIM, _COUNT = 2, 4
+_INVOLUTION = (2, 3, 0, 1)  # that of sample_random_qtpe at degree 4
+_PAYLOAD_FLOATS = 2 * _COUNT * _DIM * _DIM
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, _HEADER - 1), st.integers(1, 255)),
+    st.tuples(st.just("size"), st.sampled_from([5, 9]), st.integers(2**16, 2**32 - 1)),
+    st.tuples(st.just("truncate"), st.integers(0, _HEADER + 4 * _COUNT + 8 * _PAYLOAD_FLOATS - 1)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=32)),
+    st.tuples(st.just("nan"), st.integers(0, _PAYLOAD_FLOATS - 1)),
+    st.tuples(st.just("involution"), st.lists(st.integers(0, 2**32 - 1), min_size=_COUNT, max_size=_COUNT)),
+)
+
+
+def _mutate(raw: bytes, mutation) -> bytes:
+    kind, where, *rest = mutation
+    out = bytearray(raw)
+    if kind == "flip":
+        out[where] ^= rest[0]
+    elif kind == "size":  # dim at byte 5, count at byte 9
+        out[where : where + 4] = struct.pack("<I", rest[0])
+    elif kind == "truncate":
+        del out[where:]
+    elif kind == "append":
+        out += where
+    elif kind == "nan":
+        offset = len(raw) - 8 * _PAYLOAD_FLOATS + 8 * where
+        out[offset : offset + 8] = struct.pack("<d", float("nan"))
+    else:
+        assume(tuple(where) != _INVOLUTION)
+        out[_HEADER : _HEADER + 4 * _COUNT] = struct.pack(f"<{_COUNT}I", *where)
+    return bytes(out)
+
+
+def _valid_qtpe(folder) -> bytes:
+    path = folder / "valid.qtpe"
+    save(sample_random_qtpe(_DIM, _COUNT, SeededRng(0)), path)
+    return path.read_bytes()
+
+
+def test_unmutated_qtpe_is_accepted(tmp_path):
+    path = tmp_path / "m.qtpe"
+    path.write_bytes(_valid_qtpe(tmp_path))
+    assert run("lambda", "--ensemble", str(path), "--t", "1") == 0
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=_MUTATIONS)
+def test_mutated_qtpe_gives_exit_2_or_4(tmp_path_factory, capsys, mutation):
+    folder = tmp_path_factory.mktemp("qtpe")
+    path = folder / "m.qtpe"  # no sidecar: the binary file alone is read
+    path.write_bytes(_mutate(_valid_qtpe(folder), mutation))
+    capsys.readouterr()
+    assert run("lambda", "--ensemble", str(path), "--t", "1") in (2, 4)
+    assert "Traceback" not in capsys.readouterr().err

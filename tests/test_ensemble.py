@@ -8,6 +8,7 @@ from qtpe.ensemble import (
     UnitaryEnsemble,
     hermitian_double,
     load,
+    read_sidecar,
     sample_random_qtpe,
     save,
     square_compose,
@@ -217,6 +218,14 @@ class TestFileFormat:
         with pytest.raises(EnsembleFormatError) as info:
             load(path)
         assert info.value.field == "involution"
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json", "\"label\"", "\udcff"])
+    def test_malformed_sidecar_reads_as_empty(self, tmp_path, text):
+        path = tmp_path / "e.qtpe"
+        save(identity_ensemble(2), path, sidecar={"seed": 1})
+        (tmp_path / "e.json").write_text(text, errors="surrogateescape")
+        assert read_sidecar(path) == {}
+        assert load(path).label == ""
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "e.qtpe"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qtpe.epsgood import (
+    check_tuple_size,
     dprime_threshold,
     epsgood_failure_bound,
     is_good_for_set,
@@ -158,6 +159,14 @@ class TestTupleGood:
         with pytest.raises(SizeLimitError) as info:
             is_tuple_good(us, 8, 256, 0.1)
         assert "sampled" in str(info.value)
+
+    def test_size_check_needs_no_unitaries_and_stays_cheap(self):
+        with pytest.raises(SizeLimitError):
+            check_tuple_size(2**31 - 1, 2, 2, "exhaustive")
+        check_tuple_size(2**31 - 1, 1, 4, "exhaustive")  # d = 1: one path per level
+        check_tuple_size(40, 2, 2, "sampled")
+        with pytest.raises(PreconditionError):
+            check_tuple_size(2, 2, 2, "greedy")
 
     def test_dead_branches_skipped(self):
         # X on C^2 (x) C^1 sends e0 to e1: outcome 0 is a dead branch; with a

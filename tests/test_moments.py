@@ -489,6 +489,24 @@ class TestSubspaceCloseness:
             assert all(rep.claims.values())
         assert reports[8].w_to_wprime < reports[4].w_to_wprime
 
+    def test_t1_claims_hold_despite_roundoff(self):
+        # both bounds are exactly 0 at t=1 while the distances are ~2e-16
+        rep = subspace_closeness_report(2, 2, 1)
+        assert rep.bound_pair == 0.0 and rep.bound_perp == 0.0
+        assert 0.0 < rep.w_to_wprime <= 1e-15
+        assert all(rep.claims.values())
+
+    @pytest.mark.parametrize("inner", [2, 3, 4, 8])
+    def test_t2_claims_match_the_bare_comparison(self, inner):
+        rep = subspace_closeness_report(2, inner, 2)
+        bare = {
+            "pair_w": max(rep.w_to_wprime, rep.wprime_to_w) <= rep.bound_pair,
+            "pair_w2": rep.w2prime_to_w2 <= rep.bound_pair,
+            "perp_w": max(rep.perp_w_to_wprime, rep.perp_wprime_to_w) <= rep.bound_perp,
+            "perp_w2": rep.perp_w2prime_to_w2 <= rep.bound_perp,
+        }
+        assert rep.claims == bare
+
     def test_t2_d4_analytic_value(self):
         # distance from W into W' is sqrt(1 - (d)_t/d^t) for the pure generators:
         # at t=2, d=4 the deficit is 1/4 with Gram corrections pushing it to 0.57735
