@@ -2,12 +2,15 @@
 
 An ensemble is a degree-s set of n x n unitaries with uniform weights 1/s and
 an optional index involution `-` satisfying U_{-i} = U_i†. Constructors cover
-Haar-random sampling plus the doubling / squaring / tensoring operations.
+Haar-random sampling plus the doubling / squaring / tensoring operations. A
+product ensemble built in this process may also carry its factorisation into
+stages, which the moment operator applies one stage at a time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EnsembleFormatError, PreconditionError, SizeLimitError
-from .linalg import SeededRng, haar_unitary, kron
+from .linalg import ITERATIVE_AMBIENT_LIMIT, SeededRng, haar_unitary, kron
 
 MAGIC = b"QTPE"
 FORMAT_VERSION = 1
@@ -24,11 +27,37 @@ TENSOR_LIMIT = 4096
 
 
 @dataclass
+class Stage:
+    """One factor set of a product ensemble: the unitaries 1_outer (x) A_i.
+
+    `members` is an (s, m, m) stack of the A_i, acting on the inner axis of
+    C^outer (x) C^m; `outer` = 1 makes the A_i act on the whole space.
+    """
+
+    members: np.ndarray
+    outer: int = 1
+
+    def __post_init__(self):
+        self.members = np.ascontiguousarray(self.members, dtype=complex)
+        if self.members.ndim != 3 or self.members.shape[1] != self.members.shape[2] or self.outer < 1:
+            raise PreconditionError(f"a stage needs an (s, m, m) stack and outer >= 1, got {self.members.shape}")
+        self.members.setflags(write=False)
+
+    @property
+    def inner(self) -> int:
+        return self.members.shape[1]
+
+
+@dataclass
 class UnitaryEnsemble:
     """Degree-s set of dim x dim unitaries with optional Hermitian involution.
 
     `unitaries` is stored as an (s, dim, dim) complex array; `involution`
-    maps index i to -i (0-based) when present. Treated as immutable after
+    maps index i to -i (0-based) when present. `stages`, when present, is
+    the factorisation (S_1, ..., S_m) of a product ensemble: the members are
+    the products F_1 F_2 ... F_m of one factor from each stage, in
+    lexicographic order of the factor indices. Only the product constructors
+    attach it; it is never written to a file. Treated as immutable after
     construction.
     """
 
@@ -36,6 +65,7 @@ class UnitaryEnsemble:
     unitaries: np.ndarray
     involution: tuple[int, ...] | None = None
     label: str = ""
+    stages: tuple[Stage, ...] | None = None
 
     def __post_init__(self):
         self.unitaries = np.ascontiguousarray(self.unitaries, dtype=complex)
@@ -49,6 +79,12 @@ class UnitaryEnsemble:
             self.involution = tuple(int(i) for i in self.involution)
             if len(self.involution) != self.size:
                 raise PreconditionError("involution length must equal the degree")
+        if self.stages is not None:
+            self.stages = tuple(self.stages)
+            if any(st.outer * st.inner != self.dim for st in self.stages):
+                raise PreconditionError(f"every stage must act on dimension {self.dim}")
+            if math.prod(st.members.shape[0] for st in self.stages) != self.size:
+                raise PreconditionError("the stage sizes must multiply to the degree")
         self.unitaries.setflags(write=False)
 
     @property
@@ -96,12 +132,16 @@ def sample_random_qtpe(d: int, s: int, rng: SeededRng, label: str = "") -> Unita
     """Haar-random ensemble: s/2 independent Haar unitaries plus their adjoints.
 
     Requires even s >= 4. Involution is -i = (i + s/2) mod s, making the
-    result explicitly Hermitian.
+    result explicitly Hermitian. A dimension whose t=1 moment space d^2
+    already exceeds the iterative limit is refused before any draw, since
+    no lambda of such an ensemble can be measured at any t.
     """
     if s < 4 or s % 2 != 0:
         raise PreconditionError(f"degree must be an even integer >= 4, got {s}")
     if d < 1:
         raise PreconditionError(f"dimension must be >= 1, got {d}")
+    if d * d > ITERATIVE_AMBIENT_LIMIT:
+        raise SizeLimitError(f"dimension {d}: d^2 = {d * d} exceeds the iterative limit {ITERATIVE_AMBIENT_LIMIT}")
     half = np.stack([haar_unitary(d, rng.child(i)) for i in range(s // 2)])
     members = np.concatenate([half, half.conj().transpose(0, 2, 1)])
     involution = tuple((i + s // 2) % s for i in range(s))

@@ -10,7 +10,6 @@ inner-dimension-threshold formulas accompany the checkers.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -161,6 +160,8 @@ def check_tuple_size(k: int, d: int, dprime: int, mode: str) -> None:
     """The argument and size checks of is_tuple_good, which need no unitaries.
 
     Exhaustive mode enumerates d^(k-1)*(d*d') configurations at its top level.
+    Sampled mode draws from all sum_{j=2..k} d*d'*d^(j-1) of them, a count
+    that must fit the int64 the sampler takes.
     """
     if mode not in ("exhaustive", "sampled"):
         raise PreconditionError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
@@ -168,13 +169,39 @@ def check_tuple_size(k: int, d: int, dprime: int, mode: str) -> None:
         raise PreconditionError("need at least one unitary")
     if d < 1 or dprime < 1:
         raise PreconditionError(f"d and d' must be >= 1, got d={d}, d'={dprime}")
-    # for d >= 2, d^64 alone exceeds the limit: the cap only keeps huge k cheap
-    size = d ** min(k - 1, 64) * d * dprime
-    if mode == "exhaustive" and size > EXHAUSTIVE_LIMIT:
+    # for d >= 2, d^64 alone exceeds either limit: the caps only keep huge k cheap
+    if mode == "exhaustive" and d ** min(k - 1, 64) * d * dprime > EXHAUSTIVE_LIMIT:
         raise SizeLimitError(
             f"exhaustive enumeration d^(k-1)*(d*d') for k={k}, d={d}, d'={dprime} exceeds {EXHAUSTIVE_LIMIT}; "
             "use sampled mode"
         )
+    limit = np.iinfo(np.int64).max
+    if mode == "sampled" and _configuration_count(min(k, 65) if d > 1 else k, d, d * dprime) > limit:
+        raise SizeLimitError(
+            f"sampled configuration count for k={k}, d={d}, d'={dprime} exceeds {limit}, "
+            "the largest population the sampler draws from"
+        )
+
+
+def _configuration_count(k: int, d: int, n: int) -> int:
+    """sum_{j=2..k} n*d^(j-1): the (level, start, path) configurations of levels 2..k."""
+    return (k - 1) * n if d == 1 else n * (d**k - d) // (d - 1)
+
+
+def _configuration(flat: int, d: int, n: int) -> tuple[int, int, tuple[int, ...]]:
+    """The (level j, start x0, outcome path) at position `flat` of the walk order:
+    levels ascending, then starts, then paths lexicographically."""
+    j = 2
+    if d == 1:
+        j, flat = 2 + flat // n, flat % n
+    while flat >= n * d ** (j - 1):
+        flat -= n * d ** (j - 1)
+        j += 1
+    x0, rest = divmod(flat, d ** (j - 1))
+    path = [0] * (j - 1)
+    for pos in range(j - 2, -1, -1):
+        rest, path[pos] = divmod(rest, d)
+    return j, x0, tuple(path)
 
 
 def is_tuple_good(
@@ -206,19 +233,15 @@ def is_tuple_good(
         if u.shape != (n, n):
             raise PreconditionError(f"every unitary must be {n}x{n}, got {u.shape}")
 
-    total = sum(n * d ** (j - 1) for j in range(2, k + 1))
-    if mode == "exhaustive":
-        chosen = None  # everything
-    else:
+    total = _configuration_count(k, d, n)
+    flats: range | list[int] = range(total)  # every configuration, in walk order
+    if mode == "sampled":
         if budget is None or budget < 1:
             raise PreconditionError("sampled mode needs a positive budget")
         if rng is None:
             raise PreconditionError("sampled mode needs an rng")
-        if budget >= total:
-            chosen = None
-        else:
-            picks = rng.generator().choice(total, size=budget, replace=False)
-            chosen = set(int(p) for p in picks)
+        if budget < total:
+            flats = sorted(int(p) for p in rng.generator().choice(total, size=budget, replace=False))
 
     basis = np.eye(n, dtype=complex)
     level1 = is_good_for_set(stacked[0], [basis[:, i] for i in range(n)], d, dprime, eps)
@@ -228,31 +251,23 @@ def is_tuple_good(
         witness["level"] = 1
         return GoodnessDecision(good=False, witness=witness, coverage=1.0, checks=checks)
 
-    covered = 0
-    flat = 0
-    for j in range(2, k + 1):
-        for x0 in range(n):
-            for path in itertools.product(range(d), repeat=j - 1):
-                keep = chosen is None or flat in chosen
-                flat += 1
-                if not keep:
-                    continue
-                covered += 1
-                state: np.ndarray | None = basis[:, x0]
-                for level, outcome in enumerate(path):
-                    _, state = _branch((stacked[level] @ state).reshape(d, dprime), outcome)
-                    if state is None:
-                        break  # dead branch: vacuously good
-                if state is None:
-                    continue
-                decision = is_good_for_vector(stacked[j - 1], state, d, dprime, eps)
-                checks += decision.checks
-                if not decision.good:
-                    witness = dict(decision.witness or {})
-                    witness.update({"level": j, "start": x0, "path": list(path)})
-                    # a witness settles the conjunction: the decision is exact
-                    return GoodnessDecision(good=False, witness=witness, coverage=1.0, checks=checks)
-    coverage = 1.0 if (chosen is None or total == 0) else covered / total
+    for flat in flats:
+        j, x0, path = _configuration(flat, d, n)
+        state: np.ndarray | None = basis[:, x0]
+        for level, outcome in enumerate(path):
+            _, state = _branch((stacked[level] @ state).reshape(d, dprime), outcome)
+            if state is None:
+                break  # dead branch: vacuously good
+        if state is None:
+            continue
+        decision = is_good_for_vector(stacked[j - 1], state, d, dprime, eps)
+        checks += decision.checks
+        if not decision.good:
+            witness = dict(decision.witness or {})
+            witness.update({"level": j, "start": x0, "path": list(path)})
+            # a witness settles the conjunction: the decision is exact
+            return GoodnessDecision(good=False, witness=witness, coverage=1.0, checks=checks)
+    coverage = 1.0 if total == 0 else len(flats) / total
     return GoodnessDecision(good=True, witness=None, coverage=coverage, checks=checks)
 
 

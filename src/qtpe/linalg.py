@@ -17,6 +17,7 @@ import numpy as np
 from .errors import PreconditionError, SizeLimitError
 
 DEFAULT_DENSE_LIMIT = 4096
+ITERATIVE_AMBIENT_LIMIT = 10**7  # largest vector length a moment operator is applied to
 KRON_ENTRY_LIMIT = 2**31
 DEFAULT_TOL_DENSE = 1e-9
 DEFAULT_TOL_ITERATIVE = 1e-7

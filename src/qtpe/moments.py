@@ -28,6 +28,7 @@ import numpy as np
 from .ensemble import UnitaryEnsemble
 from .errors import PreconditionError, SizeLimitError
 from .linalg import (
+    ITERATIVE_AMBIENT_LIMIT,
     LinearMap,
     SeededRng,
     SpectralEstimate,
@@ -49,7 +50,6 @@ from .perms import (
     unitary_irrep_dim,
 )
 
-ITERATIVE_AMBIENT_LIMIT = 10**7
 MAX_T_LAMBDA = 4
 MAX_T_BASIS = 6
 _BATCH_BYTES = 2**27  # member batching budget for the contraction kernel
@@ -196,17 +196,21 @@ def fixed_space_basis(n: int, t: int) -> FixedSpaceBasis:
     return FixedSpaceBasis(t=t, local_dim=n, alphas=alphas, gram=gram, ortho=ortho, rank=rank)
 
 
-def _conjugation_average(members: np.ndarray, adjoint: bool, x: np.ndarray, n: int, t: int) -> np.ndarray:
+def _conjugation_average(
+    members: np.ndarray, adjoint: bool, x: np.ndarray, n: int, t: int, outer: int = 1
+) -> np.ndarray:
     """Average of tensor-power conjugations applied to vec(M), matrix-free.
 
-    Realises M -> (1/s) sum_i A_i^(x t) M (A_i†)^(x t) with A = U (or U† for
-    the adjoint map) as 2t mode contractions on a 2t-way tensor of side n,
-    batched over members within a memory budget. Partial sums reduce in fixed
-    member order for reproducibility.
+    Realises M -> (1/s) sum_i A_i^(x t) M (A_i†)^(x t) with A = 1_outer (x) U
+    (or 1_outer (x) U† for the adjoint map) as 2t mode contractions on a
+    2t-way tensor of side outer*n, each on the inner axis of one leg, batched
+    over members within a memory budget. Partial sums reduce in fixed member
+    order for reproducibility.
     """
     s = members.shape[0]
     stack = members if not adjoint else members.conj().transpose(0, 2, 1)
-    ambient = n ** (2 * t)
+    side = outer * n
+    ambient = side ** (2 * t)
     chunk = max(1, min(s, _BATCH_BYTES // max(1, 16 * ambient)))
     acc = np.zeros(ambient, dtype=complex)
     x = np.asarray(x, dtype=complex).reshape(-1)
@@ -214,10 +218,10 @@ def _conjugation_average(members: np.ndarray, adjoint: bool, x: np.ndarray, n: i
         mats = stack[start : start + chunk]
         conj = mats.conj()
         c = mats.shape[0]
-        view = np.broadcast_to(x.reshape((1,) + (n,) * (2 * t)), (c,) + (n,) * (2 * t))
+        view = np.broadcast_to(x.reshape((1,) + (side,) * (2 * t)), (c,) + (side,) * (2 * t))
         cur = view
         for mode in range(2 * t):
-            lead = n**mode
+            lead = side**mode * outer
             cur = np.matmul(mats[:, None] if mode < t else conj[:, None], cur.reshape(c, lead, n, -1))
         acc += np.add.reduce(cur.reshape(c, ambient), axis=0)
     return acc / s
@@ -225,7 +229,15 @@ def _conjugation_average(members: np.ndarray, adjoint: bool, x: np.ndarray, n: i
 
 @dataclass
 class MomentOperator:
-    """M -> (1/s) sum_i U_i^(x t) M (U_i†)^(x t) on matrices over (C^n)^(x t)."""
+    """M -> (1/s) sum_i U_i^(x t) M (U_i†)^(x t) on matrices over (C^n)^(x t).
+
+    For an ensemble with stages (S_1, ..., S_m) the operator is the
+    composition Phi_1 o ... o Phi_m of the stage averages, because every
+    member is one product F_1 ... F_m and the weights are uniform. The
+    applies run that composition, S_m first, so a zigzag product costs two
+    inner averages and one control conjugation instead of s^2 member
+    conjugations; the adjoint runs the adjoint stages from S_1 on.
+    """
 
     ensemble: UnitaryEnsemble
     t: int
@@ -251,10 +263,18 @@ class MomentOperator:
         return self.apply_vec(m.reshape(-1)).reshape(nt, nt)
 
     def apply_vec(self, x: np.ndarray) -> np.ndarray:
-        return _conjugation_average(self.ensemble.unitaries, False, x, self.local_dim, self.t)
+        return self._apply(x, adjoint=False)
 
     def adjoint_apply_vec(self, x: np.ndarray) -> np.ndarray:
-        return _conjugation_average(self.ensemble.unitaries, True, x, self.local_dim, self.t)
+        return self._apply(x, adjoint=True)
+
+    def _apply(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
+        stages = self.ensemble.stages
+        if stages is None:
+            return _conjugation_average(self.ensemble.unitaries, adjoint, x, self.local_dim, self.t)
+        for st in stages if adjoint else reversed(stages):
+            x = _conjugation_average(st.members, adjoint, x, st.inner, self.t, st.outer)
+        return x
 
     def dense(self) -> np.ndarray:
         if self.ambient > dense_limit():

@@ -2,9 +2,12 @@
 
 Three constructions: the two-ensemble zigzag product, its derandomised
 variant, and the generalised product interleaving k inner ensembles with a
-control unitary. Bound calculators evaluate the corresponding closed-form
-guarantees, flagging (never refusing) out-of-hypothesis parameters, since
-desk-scale experiments intentionally run outside the guaranteed regimes.
+control unitary. Each product also carries its factorisation into stages
+(the lifted 1 (x) V factor sets and the control unitary), so its moment
+operator is applied stage by stage. Bound calculators evaluate the
+corresponding closed-form guarantees, flagging (never refusing)
+out-of-hypothesis parameters, since desk-scale experiments intentionally
+run outside the guaranteed regimes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import UnitaryEnsemble
+from .ensemble import Stage, UnitaryEnsemble
 from .epsgood import dprime_threshold
 from .errors import PreconditionError, SizeLimitError
 
@@ -48,7 +51,8 @@ def zigzag(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemble:
     """Zigzag product: the s^2 unitaries (1 (x) V_i) Gdot (1 (x) V_j) on C^(D*d).
 
     Members are ordered row-major in (i, j). When both inputs are explicitly
-    Hermitian the output carries the involution -(i,j) = (-j,-i).
+    Hermitian the output carries the involution -(i,j) = (-j,-i). The stages
+    are (lifted h, Gdot, lifted h).
     """
     if h.dim != g.size:
         raise PreconditionError(
@@ -64,7 +68,8 @@ def zigzag(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemble:
         hinv = h.involution
         involution = tuple(hinv[j] * s + hinv[i] for i in range(s) for j in range(s))
     label = f"zigzag({g.label},{h.label})"
-    return UnitaryEnsemble(big, members, involution, label)
+    stages = (Stage(h.unitaries, g.dim), Stage(dot[None]), Stage(h.unitaries, g.dim))
+    return UnitaryEnsemble(big, members, involution, label, stages)
 
 
 def zigzag_derandomised(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemble:
@@ -72,7 +77,8 @@ def zigzag_derandomised(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemb
 
     Defined for explicitly Hermitian inputs only. The inner block
     (1xV_j†) Gdot (1xV_j) is self-adjoint, so the output is closed under
-    adjoints via -(i,j,k) = (-k, j, -i), attached as its involution.
+    adjoints via -(i,j,k) = (-k, j, -i), attached as its involution. The
+    stages are (lifted h, the s middle factors (1xV_j†) Gdot (1xV_j), lifted h).
     """
     if g.involution is None or h.involution is None:
         raise PreconditionError("derandomised zigzag needs explicitly Hermitian inputs (both involutions)")
@@ -97,7 +103,9 @@ def zigzag_derandomised(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemb
     involution = tuple(
         (hinv[k] * s + j) * s + hinv[i] for i in range(s) for j in range(s) for k in range(s)
     )
-    return UnitaryEnsemble(big, members, involution, f"zigzag'({g.label},{h.label})")
+    middle = np.stack([lifted[hinv[j]] @ dot @ lifted[j] for j in range(s)])
+    stages = (Stage(h.unitaries, g.dim), Stage(middle), Stage(h.unitaries, g.dim))
+    return UnitaryEnsemble(big, members, involution, f"zigzag'({g.label},{h.label})", stages)
 
 
 def g_dot_general(g: UnitaryEnsemble, d: int, dprime: int) -> np.ndarray:
@@ -125,7 +133,8 @@ def zigzag_generalised(g: UnitaryEnsemble, h_list: list[UnitaryEnsemble], d: int
     (1 x V_{i_1}(1)) -- no leading or trailing control factor, so k = 1 yields
     the lifted inner members alone. Output order is lexicographic in
     (i_k, ..., i_1). No involution: the inner ensembles are unrelated, so the
-    product is in general not Hermitian.
+    product is in general not Hermitian. The stages alternate lifted inner
+    ensembles (H_k first) with Gdot.
     """
     k = len(h_list)
     if k < 1:
@@ -151,7 +160,10 @@ def zigzag_generalised(g: UnitaryEnsemble, h_list: list[UnitaryEnsemble], d: int
             word = word @ dot @ lifted[level][tup[level]]
         members[pos] = word
     labels = ",".join(h.label for h in h_list)
-    return UnitaryEnsemble(big, members, None, f"genzigzag({g.label};{labels})")
+    stages = [Stage(h_list[0].unitaries, g.dim)]
+    for h in h_list[1:]:
+        stages += [Stage(dot[None]), Stage(h.unitaries, g.dim)]
+    return UnitaryEnsemble(big, members, None, f"genzigzag({g.label};{labels})", tuple(stages))
 
 
 @dataclass(frozen=True)

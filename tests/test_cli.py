@@ -39,6 +39,17 @@ class TestSample:
         assert code == 2
         assert "even" in capsys.readouterr().err
 
+    def test_huge_dim_exit_2_before_drawing(self, tmp_path, capsys, monkeypatch):
+        import qtpe.ensemble as ens
+
+        draws = []
+        monkeypatch.setattr(ens, "haar_unitary", lambda *args: draws.append(args))
+        code = run("sample", "--dim", "100000", "--degree", "4", "--out", str(tmp_path / "x.qtpe"))
+        assert code == 2
+        assert draws == []
+        assert "iterative limit" in capsys.readouterr().err
+        assert not (tmp_path / "x.qtpe").exists()
+
 
 class TestLambda:
     def test_pauli_t1_zero(self, tmp_path, capsys):
@@ -326,6 +337,38 @@ class TestCertify:
         assert run("certify", "--config", str(self._write_config(tmp_path, steps))) == 2
         assert draws == []
         assert "sampled mode" in capsys.readouterr().err
+
+    def test_epsgood_sampled_count_checked_before_drawing(self, tmp_path, capsys, monkeypatch):
+        import qtpe.cli as cli
+
+        draws = []
+        monkeypatch.setattr(cli, "haar_unitary", lambda *args: draws.append(args))
+        steps = [
+            {"kind": "epsgood", "name": "big", "d": 2, "dprime": 2, "k": 5000, "eps": 0.2, "mode": "sampled", "budget": 5}
+        ]
+        assert run("certify", "--config", str(self._write_config(tmp_path, steps))) == 2
+        assert draws == []
+        assert "config.steps[0]: sampled configuration count" in capsys.readouterr().err
+
+    def test_epsgood_sampled_long_tuple_runs(self, tmp_path):
+        # 4*(2^40 - 2) configurations, of which the step visits only the 5 picks
+        steps = [
+            {"kind": "epsgood", "name": "long", "d": 2, "dprime": 2, "k": 40, "eps": 0.9, "mode": "sampled", "budget": 5}
+        ]
+        out = tmp_path / "r.json"
+        assert run("certify", "--config", str(self._write_config(tmp_path, steps)), "--out", str(out)) == 0
+        step = json.loads(out.read_text())["steps"][0]
+        assert step["good"] and step["coverage"] == pytest.approx(5 / (4 * (2**40 - 2)), rel=1e-12)
+
+    def test_sample_step_huge_dim_exit_2_before_drawing(self, tmp_path, capsys, monkeypatch):
+        import qtpe.ensemble as ens
+
+        draws = []
+        monkeypatch.setattr(ens, "haar_unitary", lambda *args: draws.append(args))
+        steps = [{"kind": "sample", "name": "g", "dim": 100000, "degree": 4, "out": "g.qtpe"}]
+        assert run("certify", "--config", str(self._write_config(tmp_path, steps))) == 2
+        assert draws == []
+        assert "config.steps[0]: dimension 100000" in capsys.readouterr().err
 
     def test_epsgood_step(self, tmp_path):
         steps = [

@@ -1,5 +1,6 @@
 """Measurement-goodness checkers and their closed-form companions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -168,6 +169,44 @@ class TestTupleGood:
         with pytest.raises(PreconditionError):
             check_tuple_size(2, 2, 2, "greedy")
 
+    @pytest.mark.parametrize(
+        "k,d,dprime,eps,budget,seed",
+        [
+            (3, 2, 2, 0.9, 5, 1),
+            (3, 2, 2, 0.9, 19, 2),
+            (4, 2, 2, 0.6, 7, 3),
+            (3, 3, 2, 0.5, 10, 4),
+            (4, 2, 3, 0.3, 12, 5),
+            (4, 1, 3, 0.5, 4, 6),
+            (3, 2, 2, 0.9, 10**6, 7),
+            (4, 2, 2, 0.3, 9, 8),
+        ],
+    )
+    @pytest.mark.parametrize("last", ["haar", "identity"])
+    def test_sampled_matches_the_full_walk(self, k, d, dprime, eps, budget, seed, last):
+        # an identity last factor fails at level k, after the picks of lower levels
+        us = [haar_unitary(d * dprime, SeededRng(seed, i)) for i in range(k)]
+        if last == "identity":
+            us[-1] = np.eye(d * dprime, dtype=complex)
+        args = (us, d, dprime, eps)
+        decision = is_tuple_good(*args, mode="sampled", budget=budget, rng=SeededRng(seed))
+        assert decision == full_walk(*args, budget=budget, rng=SeededRng(seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("last", ["haar", "identity"])
+    def test_exhaustive_matches_the_full_walk(self, seed, last):
+        us = [haar_unitary(4, SeededRng(60 + seed, i)) for i in range(4)]
+        if last == "identity":
+            us[-1] = np.eye(4, dtype=complex)
+        assert is_tuple_good(us, 2, 2, 0.3) == full_walk(us, 2, 2, 0.3, budget=None, rng=None)
+
+    def test_sampled_count_must_fit_the_sampler(self):
+        check_tuple_size(61, 2, 2, "sampled")  # 4*(2^61 - 2) < 2^63
+        for k in (62, 5000, 2**31 - 1):
+            with pytest.raises(SizeLimitError):
+                check_tuple_size(k, 2, 2, "sampled")
+        check_tuple_size(2**31 - 1, 1, 4, "sampled")  # d = 1: one path per level
+
     def test_dead_branches_skipped(self):
         # X on C^2 (x) C^1 sends e0 to e1: outcome 0 is a dead branch; with a
         # window wide enough to allow it the tuple is vacuously good
@@ -235,3 +274,43 @@ class TestDprimeThreshold:
         nat = dprime_threshold(4, 100, 1, 0.01).value
         base2 = dprime_threshold(4, 100, 1, 0.01, log_base=2).value
         assert base2 > nat
+
+
+def full_walk(us, d, dprime, eps, budget, rng):
+    """is_tuple_good as it walked before: every configuration of levels 2..k in
+    order, checking the sampled ones. The reference for the decoded walk."""
+    from qtpe.epsgood import GoodnessDecision, _branch
+
+    k, n = len(us), d * dprime
+    total = sum(n * d ** (j - 1) for j in range(2, k + 1))
+    chosen = None
+    if budget is not None and budget < total:
+        chosen = set(int(p) for p in rng.generator().choice(total, size=budget, replace=False))
+    basis = np.eye(n, dtype=complex)
+    level1 = is_good_for_set(us[0], [basis[:, i] for i in range(n)], d, dprime, eps)
+    checks = level1.checks
+    if not level1.good:
+        return GoodnessDecision(False, dict(level1.witness, level=1), 1.0, checks)
+    covered = flat = 0
+    for j in range(2, k + 1):
+        for x0 in range(n):
+            for path in itertools.product(range(d), repeat=j - 1):
+                keep = chosen is None or flat in chosen
+                flat += 1
+                if not keep:
+                    continue
+                covered += 1
+                state = basis[:, x0]
+                for level, outcome in enumerate(path):
+                    _, state = _branch((us[level] @ state).reshape(d, dprime), outcome)
+                    if state is None:
+                        break
+                if state is None:
+                    continue
+                decision = is_good_for_vector(us[j - 1], state, d, dprime, eps)
+                checks += decision.checks
+                if not decision.good:
+                    witness = dict(decision.witness, level=j, start=x0, path=list(path))
+                    return GoodnessDecision(False, witness, 1.0, checks)
+    coverage = 1.0 if (chosen is None or total == 0) else covered / total
+    return GoodnessDecision(True, None, coverage, checks)

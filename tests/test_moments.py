@@ -1,12 +1,13 @@
 """Moment operator, fixed space, spectra, design errors, subspace closeness."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from conftest import dense_lambda, hermitian_ensemble, identity_ensemble, pauli_ensemble, raw_haar_ensemble
-from qtpe.ensemble import sample_random_qtpe
+from qtpe.ensemble import load, sample_random_qtpe, save
 from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.linalg import SeededRng, haar_unitary
 from qtpe.moments import (
@@ -36,7 +37,7 @@ from qtpe.perms import (
     partitions,
     unitary_irrep_dim,
 )
-from qtpe.zigzag import zigzag
+from qtpe.zigzag import zigzag, zigzag_derandomised, zigzag_generalised
 
 
 class TestShuffleOperator:
@@ -216,6 +217,62 @@ class TestMomentOperatorApply:
         out = phi.apply(m)
         assert abs(np.trace(out) - np.trace(m)) <= 1e-9
         assert np.linalg.norm(out) <= np.linalg.norm(m) + 1e-9
+
+
+def small_product(kind):
+    """A small product of each kind, built in-process, so it carries its stages."""
+    if kind == "zigzag":
+        return zigzag(sample_random_qtpe(3, 4, SeededRng(80)), raw_haar_ensemble(4, 3, seed=81))
+    if kind == "derandomised":
+        return zigzag_derandomised(sample_random_qtpe(2, 4, SeededRng(82)), sample_random_qtpe(4, 4, SeededRng(83)))
+    k = int(kind[-1])  # generalised-k: d = 2, d' = 2
+    hs = [raw_haar_ensemble(4, 3, seed=84 + i) for i in range(k)]
+    return zigzag_generalised(raw_haar_ensemble(2, 2, seed=90), hs, 2, 2)
+
+
+def without_stages(e):
+    """The same members without the factorisation: the member kernel's input."""
+    return dataclasses.replace(e, stages=None)
+
+
+PRODUCT_KINDS = ["zigzag", "derandomised", "generalised-2", "generalised-3"]
+
+
+class TestFactoredProducts:
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("kind", PRODUCT_KINDS)
+    def test_factored_applies_match_the_member_kernel(self, kind, t):
+        product = small_product(kind)
+        assert product.stages is not None
+        factored = MomentOperator(product, t)
+        members = MomentOperator(without_stages(product), t)
+        g = SeededRng(t, len(kind)).generator()
+        x = g.standard_normal(factored.ambient) + 1j * g.standard_normal(factored.ambient)
+        assert np.max(np.abs(factored.apply_vec(x) - members.apply_vec(x))) <= 1e-12
+        assert np.max(np.abs(factored.adjoint_apply_vec(x) - members.adjoint_apply_vec(x))) <= 1e-12
+
+    @pytest.mark.parametrize("kind", PRODUCT_KINDS)
+    def test_lambda_matches_the_saved_product(self, kind, tmp_path):
+        product = small_product(kind)
+        save(product, tmp_path / "p.qtpe")
+        loaded = load(tmp_path / "p.qtpe")
+        assert loaded.stages is None
+        kwargs = dict(method="power-iteration", tol=1e-10, rng=SeededRng(5), max_iters=4000)
+        factored = lambda_report(product, 1, **kwargs)
+        members = lambda_report(loaded, 1, **kwargs)
+        assert factored.converged and members.converged
+        assert abs(factored.lambda_ - members.lambda_) <= 1e-10
+
+    def test_inner_stage_is_the_lifted_member_kernel(self):
+        from qtpe.moments import _conjugation_average
+
+        h = raw_haar_ensemble(2, 3, seed=14)
+        lifted = np.stack([np.kron(np.eye(3), v) for v in h.unitaries])
+        x = SeededRng(15).generator().standard_normal(6**4) + 0j
+        for adjoint in (False, True):
+            inner = _conjugation_average(h.unitaries, adjoint, x, 2, 2, outer=3)
+            full = _conjugation_average(lifted, adjoint, x, 6, 2)
+            assert np.max(np.abs(inner - full)) <= 1e-12
 
 
 class TestIdealApply:

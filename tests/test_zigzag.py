@@ -1,10 +1,12 @@
 """Product constructions and closed-form bound calculators."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import dense_lambda, hermitian_ensemble, identity_ensemble, raw_haar_ensemble
-from qtpe.ensemble import UnitaryEnsemble, sample_random_qtpe, validate
+from qtpe.ensemble import Stage, UnitaryEnsemble, hermitian_double, load, sample_random_qtpe, save, validate
 from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.linalg import SeededRng, haar_unitary
 from qtpe.moments import MomentOperator
@@ -216,6 +218,55 @@ class TestZigzagGeneralised:
         h = raw_haar_ensemble(4, 9, seed=32)
         with pytest.raises(SizeLimitError):
             zigzag_generalised(g, [h, h, h, h], 2, 2)
+
+
+def stage_products(e):
+    """Every product of one factor 1_outer (x) A from each stage, in lexicographic order."""
+    factors = [[np.kron(np.eye(st.outer), a) for a in st.members] for st in e.stages]
+    out = []
+    for word in itertools.product(*factors):
+        m = np.eye(e.dim, dtype=complex)
+        for f in word:
+            m = m @ f
+        out.append(m)
+    return np.stack(out)
+
+
+class TestStages:
+    def products(self):
+        g = sample_random_qtpe(3, 4, SeededRng(50))
+        h = sample_random_qtpe(4, 4, SeededRng(51))
+        g2 = raw_haar_ensemble(2, 2, seed=52)
+        hs = [raw_haar_ensemble(6, 3, seed=53 + i) for i in range(3)]  # d = 2, d' = 3
+        gen = [zigzag_generalised(g2, hs, 2, 3), zigzag_generalised(g2, hs[:1], 2, 3)]
+        return [zigzag(g, h), zigzag_derandomised(g, h)] + gen
+
+    def test_members_are_the_stage_products(self):
+        for product in self.products():
+            assert np.max(np.abs(product.unitaries - stage_products(product))) <= 1e-12
+
+    def test_stage_shapes(self):
+        zz, der, gen3, gen1 = self.products()
+        assert [(st.members.shape[0], st.outer, st.inner) for st in zz.stages] == [(4, 3, 4), (1, 1, 12), (4, 3, 4)]
+        assert [st.members.shape[0] for st in der.stages] == [4, 4, 4]
+        assert [st.outer for st in gen3.stages] == [2, 1, 2, 1, 2]
+        assert len(gen1.stages) == 1
+
+    def test_load_and_double_carry_no_stages(self, tmp_path):
+        product = self.products()[0]
+        save(product, tmp_path / "p.qtpe")
+        assert load(tmp_path / "p.qtpe").stages is None
+        assert hermitian_double(product).stages is None
+        assert sample_random_qtpe(2, 4, SeededRng(1)).stages is None
+
+    def test_inconsistent_stages_rejected(self):
+        product = self.products()[0]
+        with pytest.raises(PreconditionError):
+            UnitaryEnsemble(product.dim, product.unitaries, None, "", product.stages[:2])
+        with pytest.raises(PreconditionError):
+            UnitaryEnsemble(product.dim, product.unitaries, None, "", (Stage(np.eye(5)[None]),) + product.stages[1:])
+        with pytest.raises(PreconditionError):
+            Stage(np.eye(4)[None], outer=0)
 
 
 class TestSuperoperatorIdentity:
