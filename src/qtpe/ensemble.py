@@ -2,9 +2,11 @@
 
 An ensemble is a degree-s set of n x n unitaries with uniform weights 1/s and
 an optional index involution `-` satisfying U_{-i} = U_i†. Constructors cover
-Haar-random sampling plus the doubling / squaring / tensoring operations. A
-product ensemble built in this process may also carry its factorisation into
-stages, which the moment operator applies one stage at a time.
+Haar-random sampling plus the doubling / squaring / tensoring operations.
+Every product ensemble (the square here, the zigzag products in zigzag.py) is
+declared as a list of stages and formed by product_ensemble, the one place
+that forms product members and guards their number. The ensemble keeps its
+stages, and the moment operator applies them one stage at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from .linalg import ITERATIVE_AMBIENT_LIMIT, SeededRng, haar_unitary, kron
 
 MAGIC = b"QTPE"
 FORMAT_VERSION = 1
-SQUARE_DEGREE_LIMIT = 4096
+PRODUCT_DEGREE_LIMIT = 4096
 TENSOR_LIMIT = 4096
 
 
@@ -44,8 +46,19 @@ class Stage:
         self.members.setflags(write=False)
 
     @property
+    def size(self) -> int:
+        return self.members.shape[0]
+
+    @property
     def inner(self) -> int:
         return self.members.shape[1]
+
+    def factors(self) -> np.ndarray:
+        """The (s, outer*m, outer*m) stack of lifted factors 1_outer (x) A_i."""
+        if self.outer == 1:
+            return self.members
+        eye = np.eye(self.outer)
+        return np.stack([np.kron(eye, a) for a in self.members])
 
 
 @dataclass
@@ -56,8 +69,9 @@ class UnitaryEnsemble:
     maps index i to -i (0-based) when present. `stages`, when present, is
     the factorisation (S_1, ..., S_m) of a product ensemble: the members are
     the products F_1 F_2 ... F_m of one factor from each stage, in
-    lexicographic order of the factor indices. Only the product constructors
-    attach it; it is never written to a file. Treated as immutable after
+    lexicographic order of the factor indices. product_ensemble forms those
+    members from the stages and attaches them; no other constructor does,
+    and stages are never written to a file. Treated as immutable after
     construction.
     """
 
@@ -83,7 +97,7 @@ class UnitaryEnsemble:
             self.stages = tuple(self.stages)
             if any(st.outer * st.inner != self.dim for st in self.stages):
                 raise PreconditionError(f"every stage must act on dimension {self.dim}")
-            if math.prod(st.members.shape[0] for st in self.stages) != self.size:
+            if math.prod(st.size for st in self.stages) != self.size:
                 raise PreconditionError("the stage sizes must multiply to the degree")
         self.unitaries.setflags(write=False)
 
@@ -143,9 +157,7 @@ def sample_random_qtpe(d: int, s: int, rng: SeededRng, label: str = "") -> Unita
     if d * d > ITERATIVE_AMBIENT_LIMIT:
         raise SizeLimitError(f"dimension {d}: d^2 = {d * d} exceeds the iterative limit {ITERATIVE_AMBIENT_LIMIT}")
     half = np.stack([haar_unitary(d, rng.child(i)) for i in range(s // 2)])
-    members = np.concatenate([half, half.conj().transpose(0, 2, 1)])
-    involution = tuple((i + s // 2) % s for i in range(s))
-    return UnitaryEnsemble(d, members, involution, label or f"haar-d{d}-s{s}")
+    return replace(hermitian_double(UnitaryEnsemble(d, half)), label=label or f"haar-d{d}-s{s}")
 
 
 def hermitian_double(e: UnitaryEnsemble) -> UnitaryEnsemble:
@@ -156,19 +168,38 @@ def hermitian_double(e: UnitaryEnsemble) -> UnitaryEnsemble:
     return UnitaryEnsemble(e.dim, members, involution, f"double({e.label})" if e.label else "double")
 
 
+def product_ensemble(stages: list[Stage], involution: tuple[int, ...] | None, label: str) -> UnitaryEnsemble:
+    """Every product F_1 ... F_m of one lifted factor 1_outer (x) A per stage.
+
+    The only place product members are formed: in lexicographic order of
+    the factor indices, left to right with one broadcast matmul per stage.
+    The degree is refused above PRODUCT_DEGREE_LIMIT before anything is
+    allocated. The result carries `stages`.
+    """
+    check_product_degree([st.size for st in stages])
+    members = stages[0].factors()
+    for st in stages[1:]:
+        f = st.factors()
+        members = np.matmul(members[:, None], f[None]).reshape(-1, *f.shape[1:])
+    return UnitaryEnsemble(members.shape[1], members, involution, label, stages)
+
+
+def check_product_degree(sizes: list[int]) -> None:
+    """Refuse a product of stages of these sizes whose degree prod |S_i| exceeds the guard."""
+    if math.prod(sizes) > PRODUCT_DEGREE_LIMIT:
+        raise SizeLimitError(f"product degree {math.prod(sizes)} exceeds guard {PRODUCT_DEGREE_LIMIT}")
+
+
 def square_compose(e: UnitaryEnsemble) -> UnitaryEnsemble:
     """All s^2 products U_i U_j in row-major (i, j) order; no involution attached."""
-    s = e.size
-    if s * s > SQUARE_DEGREE_LIMIT:
-        raise SizeLimitError(f"squared degree {s*s} exceeds guard {SQUARE_DEGREE_LIMIT}")
-    prods = np.matmul(e.unitaries[:, None], e.unitaries[None, :]).reshape(s * s, e.dim, e.dim)
-    return UnitaryEnsemble(e.dim, prods, None, f"square({e.label})" if e.label else "square")
+    stage = Stage(e.unitaries)
+    return product_ensemble([stage, stage], None, f"square({e.label})" if e.label else "square")
 
 
 def tensor_ensemble(e: UnitaryEnsemble) -> UnitaryEnsemble:
     """All s^2 tensor products U_i (x) U_j on dimension dim^2."""
     s = e.size
-    if s * s > SQUARE_DEGREE_LIMIT or e.dim * e.dim > TENSOR_LIMIT:
+    if s * s > PRODUCT_DEGREE_LIMIT or e.dim * e.dim > TENSOR_LIMIT:
         raise SizeLimitError(f"tensor ensemble size (s^2={s*s}, dim^2={e.dim**2}) exceeds guards")
     members = np.stack([kron(a, b) for a in e.unitaries for b in e.unitaries])
     return UnitaryEnsemble(e.dim * e.dim, members, None, f"tensor({e.label})" if e.label else "tensor")

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import PreconditionError, SizeLimitError
 from .linalg import SeededRng
 
-EXHAUSTIVE_LIMIT = 10**5
+EXHAUSTIVE_LIMIT = 10**5  # outcome-path steps of one exhaustive tuple walk
 ZERO_PROBABILITY = 1e-12
 
 
@@ -159,9 +159,11 @@ def is_good_for_set(
 def check_tuple_size(k: int, d: int, dprime: int, mode: str) -> None:
     """The argument and size checks of is_tuple_good, which need no unitaries.
 
-    Exhaustive mode enumerates d^(k-1)*(d*d') configurations at its top level.
-    Sampled mode draws from all sum_{j=2..k} d*d'*d^(j-1) of them, a count
-    that must fit the int64 the sampler takes.
+    Exhaustive mode walks all sum_{j=2..k} d*d'*d^(j-1) configurations, each
+    along an outcome path of length j-1; the guard bounds the total number of
+    path steps, which is quadratic in k even at d = 1. Sampled mode draws
+    from all the configurations, a count that must fit the int64 the
+    sampler takes.
     """
     if mode not in ("exhaustive", "sampled"):
         raise PreconditionError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
@@ -170,10 +172,9 @@ def check_tuple_size(k: int, d: int, dprime: int, mode: str) -> None:
     if d < 1 or dprime < 1:
         raise PreconditionError(f"d and d' must be >= 1, got d={d}, d'={dprime}")
     # for d >= 2, d^64 alone exceeds either limit: the caps only keep huge k cheap
-    if mode == "exhaustive" and d ** min(k - 1, 64) * d * dprime > EXHAUSTIVE_LIMIT:
+    if mode == "exhaustive" and _path_steps(min(k, 65) if d > 1 else k, d, d * dprime) > EXHAUSTIVE_LIMIT:
         raise SizeLimitError(
-            f"exhaustive enumeration d^(k-1)*(d*d') for k={k}, d={d}, d'={dprime} exceeds {EXHAUSTIVE_LIMIT}; "
-            "use sampled mode"
+            f"exhaustive walk for k={k}, d={d}, d'={dprime} exceeds {EXHAUSTIVE_LIMIT} path steps; use sampled mode"
         )
     limit = np.iinfo(np.int64).max
     if mode == "sampled" and _configuration_count(min(k, 65) if d > 1 else k, d, d * dprime) > limit:
@@ -186,6 +187,11 @@ def check_tuple_size(k: int, d: int, dprime: int, mode: str) -> None:
 def _configuration_count(k: int, d: int, n: int) -> int:
     """sum_{j=2..k} n*d^(j-1): the (level, start, path) configurations of levels 2..k."""
     return (k - 1) * n if d == 1 else n * (d**k - d) // (d - 1)
+
+
+def _path_steps(k: int, d: int, n: int) -> int:
+    """sum_{j=2..k} (j-1)*n*d^(j-1): the outcome-path steps of the exhaustive walk."""
+    return n * k * (k - 1) // 2 if d == 1 else n * sum(m * d**m for m in range(1, k))
 
 
 def _configuration(flat: int, d: int, n: int) -> tuple[int, int, tuple[int, ...]]:

@@ -8,7 +8,6 @@ with windowed Rayleigh-Ritz extraction above it).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
 
-DEFAULT_DENSE_LIMIT = 4096
+DENSE_LIMIT = 4096  # largest dimension the dense path materialises
 ITERATIVE_AMBIENT_LIMIT = 10**7  # largest vector length a moment operator is applied to
 KRON_ENTRY_LIMIT = 2**31
 DEFAULT_TOL_DENSE = 1e-9
@@ -25,17 +24,6 @@ DEFAULT_MAX_ITERS = 5000
 
 _RITZ_WINDOW = 24
 _RITZ_KEEP = 2
-
-
-def dense_limit() -> int:
-    """Dense-path size threshold; env var QTPE_DENSE_LIMIT overrides."""
-    raw = os.environ.get("QTPE_DENSE_LIMIT")
-    if raw is None:
-        return DEFAULT_DENSE_LIMIT
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise PreconditionError(f"QTPE_DENSE_LIMIT must be an integer, got {raw!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -151,7 +139,7 @@ def spectral_norm(
 ) -> SpectralEstimate:
     """Largest singular value of a linear map.
 
-    Dense path (dim <= dense_limit() and a materialiser is available): exact
+    Dense path (dim <= DENSE_LIMIT and a materialiser is available): exact
     SVD. Iterative path: power iteration on op†∘op from a seeded random start,
     with a windowed Rayleigh-Ritz extraction over recent iterates so clustered
     spectral edges still converge quickly. Convergence requires the relative
@@ -169,7 +157,7 @@ def spectral_norm(
     if method not in (None, "dense-svd", "power-iteration"):
         raise PreconditionError(f"unknown method {method!r}")
     if method is None:
-        method = "dense-svd" if (op.dim <= dense_limit() and op.dense is not None) else "power-iteration"
+        method = "dense-svd" if (op.dim <= DENSE_LIMIT and op.dense is not None) else "power-iteration"
 
     if method == "dense-svd":
         if op.dense is None:

@@ -25,14 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import UnitaryEnsemble
+from .ensemble import Stage, UnitaryEnsemble
 from .errors import PreconditionError, SizeLimitError
 from .linalg import (
+    DENSE_LIMIT,
     ITERATIVE_AMBIENT_LIMIT,
     LinearMap,
     SeededRng,
     SpectralEstimate,
-    dense_limit,
     kron,
     max_principal_sine,
     orthonormalize,
@@ -68,8 +68,8 @@ def shuffle_operator(sigma: Permutation, n: int, t: int) -> np.ndarray:
     if sigma.size != t:
         raise PreconditionError(f"permutation size {sigma.size} != t = {t}")
     nt = n**t
-    if nt > dense_limit():
-        raise SizeLimitError(f"shuffle operator of size {nt} exceeds dense limit {dense_limit()}")
+    if nt > DENSE_LIMIT:
+        raise SizeLimitError(f"shuffle operator of size {nt} exceeds dense limit {DENSE_LIMIT}")
     inv = sigma.inverse().map
     idx = np.arange(nt)
     digits = np.array(np.unravel_index(idx, (n,) * t))
@@ -236,7 +236,8 @@ class MomentOperator:
     member is one product F_1 ... F_m and the weights are uniform. The
     applies run that composition, S_m first, so a zigzag product costs two
     inner averages and one control conjugation instead of s^2 member
-    conjugations; the adjoint runs the adjoint stages from S_1 on.
+    conjugations; the adjoint runs the adjoint stages from S_1 on. An
+    ensemble without stages is its own single stage.
     """
 
     ensemble: UnitaryEnsemble
@@ -269,16 +270,14 @@ class MomentOperator:
         return self._apply(x, adjoint=True)
 
     def _apply(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
-        stages = self.ensemble.stages
-        if stages is None:
-            return _conjugation_average(self.ensemble.unitaries, adjoint, x, self.local_dim, self.t)
+        stages = self.ensemble.stages or (Stage(self.ensemble.unitaries),)
         for st in stages if adjoint else reversed(stages):
             x = _conjugation_average(st.members, adjoint, x, st.inner, self.t, st.outer)
         return x
 
     def dense(self) -> np.ndarray:
-        if self.ambient > dense_limit():
-            raise SizeLimitError(f"ambient {self.ambient} exceeds dense limit {dense_limit()}")
+        if self.ambient > DENSE_LIMIT:
+            raise SizeLimitError(f"ambient {self.ambient} exceeds dense limit {DENSE_LIMIT}")
         n = self.local_dim
         acc = np.zeros((self.ambient, self.ambient), dtype=complex)
         for u in self.ensemble.unitaries:
@@ -466,13 +465,13 @@ def lambda_report(
     if t > MAX_T_LAMBDA:
         raise SizeLimitError(f"t={t} exceeds lambda guard {MAX_T_LAMBDA}")
     ambient = e.dim ** (2 * t)
-    if method == "dense-svd" and ambient > dense_limit():
-        raise SizeLimitError(f"ambient {ambient} exceeds dense limit {dense_limit()}")
+    if method == "dense-svd" and ambient > DENSE_LIMIT:
+        raise SizeLimitError(f"ambient {ambient} exceeds dense limit {DENSE_LIMIT}")
     if ambient > ITERATIVE_AMBIENT_LIMIT:
         raise SizeLimitError(f"ambient {ambient} exceeds iterative limit {ITERATIVE_AMBIENT_LIMIT}")
     rng = SeededRng(0, 0) if rng is None else rng
     if method is None:
-        method = "dense-svd" if ambient <= dense_limit() else "power-iteration"
+        method = "dense-svd" if ambient <= DENSE_LIMIT else "power-iteration"
     if method == "dense-svd":
         est = SpectralEstimate(value=sector_lambda(e, t), residual=0.0, iterations=0, method="dense-svd")
     else:
@@ -580,8 +579,9 @@ class ClosenessReport:
     """Directed principal-angle distances between the exact and distinct-tuple
     fixed-space families, plus the bounds they are checked against.
 
-    The perpendicular-space numbers reuse the projector identity implemented
-    by complement_closeness, so no complement basis is ever built.
+    The perpendicular-space numbers are the directed distances swapped: the
+    distance from one complement into the other equals the reversed distance
+    of the spaces themselves, so no complement basis is ever built.
     """
 
     outer_dim: int
@@ -651,13 +651,11 @@ def subspace_closeness_report(outer_dim: int, inner_dim: int, t: int) -> Closene
     w2_cols = []
     w2p_cols = []
     for sig in perms:
-        a1 = alpha_sigma(sig, outer_dim, t)
         a2 = alpha_sigma(sig, inner_dim, t)
-        a2p = alpha_prime_inner(sig, inner_dim, t)
-        w_cols.append(kron(a1, a2).reshape(-1))
-        wp_cols.append(kron(a1, a2p).reshape(-1))
+        w_cols.append(kron(alpha_sigma(sig, outer_dim, t), a2).reshape(-1))
+        wp_cols.append(alpha_prime_sigma(sig, (outer_dim, inner_dim), t).reshape(-1))
         w2_cols.append(a2.reshape(-1))
-        w2p_cols.append(a2p.reshape(-1))
+        w2p_cols.append(alpha_prime_inner(sig, inner_dim, t).reshape(-1))
     qw, _ = orthonormalize(w_cols)
     qwp, _ = orthonormalize(wp_cols)
     q2, _ = orthonormalize(w2_cols)

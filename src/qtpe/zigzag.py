@@ -2,27 +2,25 @@
 
 Three constructions: the two-ensemble zigzag product, its derandomised
 variant, and the generalised product interleaving k inner ensembles with a
-control unitary. Each product also carries its factorisation into stages
-(the lifted 1 (x) V factor sets and the control unitary), so its moment
-operator is applied stage by stage. Bound calculators evaluate the
-corresponding closed-form guarantees, flagging (never refusing)
-out-of-hypothesis parameters, since desk-scale experiments intentionally
-run outside the guaranteed regimes.
+control unitary. Each constructor only declares its stages (the lifted
+1 (x) V factor sets and the control unitary), involution and label;
+ensemble.product_ensemble forms the members from the stages, guards the
+degree, and attaches the stages, so the moment operator is applied stage by
+stage. Bound calculators evaluate the corresponding closed-form guarantees,
+flagging (never refusing) out-of-hypothesis parameters, since desk-scale
+experiments intentionally run outside the guaranteed regimes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Stage, UnitaryEnsemble
+from .ensemble import Stage, UnitaryEnsemble, check_product_degree, product_ensemble
 from .epsgood import dprime_threshold
-from .errors import PreconditionError, SizeLimitError
-
-GENERALISED_DEGREE_LIMIT = 4096
+from .errors import PreconditionError
 
 
 def _outer_involution(g: UnitaryEnsemble) -> tuple[int, ...]:
@@ -58,18 +56,13 @@ def zigzag(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemble:
         raise PreconditionError(
             f"inner dimension must equal outer degree: dim(h) = {h.dim}, degree(g) = {g.size}"
         )
-    dot = g_dot(g)
-    big = g.dim * g.size
     s = h.size
-    lifted = np.stack([np.kron(np.eye(g.dim), v) for v in h.unitaries])
-    members = np.matmul(np.matmul(lifted[:, None], dot[None, None]), lifted[None, :]).reshape(s * s, big, big)
     involution = None
     if g.involution is not None and h.involution is not None:
         hinv = h.involution
         involution = tuple(hinv[j] * s + hinv[i] for i in range(s) for j in range(s))
-    label = f"zigzag({g.label},{h.label})"
-    stages = (Stage(h.unitaries, g.dim), Stage(dot[None]), Stage(h.unitaries, g.dim))
-    return UnitaryEnsemble(big, members, involution, label, stages)
+    lifted = Stage(h.unitaries, g.dim)
+    return product_ensemble([lifted, Stage(g_dot(g)[None]), lifted], involution, f"zigzag({g.label},{h.label})")
 
 
 def zigzag_derandomised(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemble:
@@ -86,26 +79,16 @@ def zigzag_derandomised(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemb
         raise PreconditionError(
             f"inner dimension must equal outer degree: dim(h) = {h.dim}, degree(g) = {g.size}"
         )
-    dot = g_dot(g)
-    big = g.dim * g.size
     s = h.size
-    eye = np.eye(g.dim)
-    lifted = [np.kron(eye, v) for v in h.unitaries]
+    check_product_degree([s] * 3)  # before the s middle factors are formed
     hinv = h.involution
-    members = np.empty((s * s * s, big, big), dtype=complex)
-    pos = 0
-    for i in range(s):
-        for j in range(s):
-            core = lifted[i] @ lifted[hinv[j]] @ dot @ lifted[j]
-            for k in range(s):
-                members[pos] = core @ lifted[k]
-                pos += 1
     involution = tuple(
         (hinv[k] * s + j) * s + hinv[i] for i in range(s) for j in range(s) for k in range(s)
     )
-    middle = np.stack([lifted[hinv[j]] @ dot @ lifted[j] for j in range(s)])
-    stages = (Stage(h.unitaries, g.dim), Stage(middle), Stage(h.unitaries, g.dim))
-    return UnitaryEnsemble(big, members, involution, f"zigzag'({g.label},{h.label})", stages)
+    inner = Stage(h.unitaries, g.dim)
+    lifted = inner.factors()
+    middle = Stage(np.matmul(lifted[list(hinv)] @ g_dot(g), lifted))
+    return product_ensemble([inner, middle, inner], involution, f"zigzag'({g.label},{h.label})")
 
 
 def g_dot_general(g: UnitaryEnsemble, d: int, dprime: int) -> np.ndarray:
@@ -146,24 +129,13 @@ def zigzag_generalised(g: UnitaryEnsemble, h_list: list[UnitaryEnsemble], d: int
     if dims != {d * dprime}:
         raise PreconditionError(f"inner dimensions must all equal d*d' = {d*dprime}, got {sorted(dims)}")
     s = next(iter(sizes))
-    if s**k > GENERALISED_DEGREE_LIMIT:
-        raise SizeLimitError(f"degree s^k = {s**k} exceeds guard {GENERALISED_DEGREE_LIMIT}")
-    dot = g_dot_general(g, d, dprime)
-    big = g.dim * d * dprime
-    eye = np.eye(g.dim)
-    lifted = [np.stack([np.kron(eye, v) for v in h.unitaries]) for h in h_list]
-    members = np.empty((s**k, big, big), dtype=complex)
-    for pos, tup in enumerate(itertools.product(range(s), repeat=k)):
-        # tup = (i_k, ..., i_1) lexicographic; h_list is likewise (H_k, ..., H_1)
-        word = lifted[0][tup[0]]
-        for level in range(1, k):
-            word = word @ dot @ lifted[level][tup[level]]
-        members[pos] = word
-    labels = ",".join(h.label for h in h_list)
+    check_product_degree([s] * k)
+    dot = Stage(g_dot_general(g, d, dprime)[None])
     stages = [Stage(h_list[0].unitaries, g.dim)]
     for h in h_list[1:]:
-        stages += [Stage(dot[None]), Stage(h.unitaries, g.dim)]
-    return UnitaryEnsemble(big, members, None, f"genzigzag({g.label};{labels})", tuple(stages))
+        stages += [dot, Stage(h.unitaries, g.dim)]
+    labels = ",".join(h.label for h in h_list)
+    return product_ensemble(stages, None, f"genzigzag({g.label};{labels})")
 
 
 @dataclass(frozen=True)

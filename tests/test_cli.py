@@ -84,12 +84,11 @@ class TestLambda:
         assert code == 3
         assert json.loads((tmp_path / "r.json").read_text())["converged"] is False
 
-    def test_dense_limit_env_override(self, tmp_path, monkeypatch):
+    def test_auto_is_iterative_above_the_dense_limit(self, tmp_path):
         path = tmp_path / "h.qtpe"
-        save(raw_haar_ensemble(4, 3, seed=3), path)
+        save(raw_haar_ensemble(65, 2, seed=3), path)  # t=1 ambient 65^2 = 4225 > 4096
         out = tmp_path / "r.json"
-        monkeypatch.setenv("QTPE_DENSE_LIMIT", "4")
-        assert run("lambda", "--ensemble", str(path), "--t", "1", "--out", str(out)) == 0
+        assert run("lambda", "--ensemble", str(path), "--t", "1", "--max-iters", "2", "--out", str(out)) == 3
         assert json.loads(out.read_text())["method"] == "power-iteration"
 
     def test_csv_serialisation(self, tmp_path):
@@ -178,6 +177,15 @@ class TestZigzagCommand:
         assert doc["out"] == "gh.qtpe" and doc["members"] == 64
         assert doc["outer"] == {"dim": 4, "degree": 4} and doc["inner"] == {"dim": 4, "degree": 4}
         assert doc["pass"] and "bound_check" not in doc
+
+    def test_derandomised_degree_guard_exit_2(self, tmp_path, capsys):
+        g = self._sample(tmp_path, "g.qtpe", 2, 20, 9)
+        h = self._sample(tmp_path, "h.qtpe", 20, 20, 10)
+        out = tmp_path / "gh.qtpe"
+        code = run("zigzag", "--g", str(g), "--h", str(h), "--kind", "derandomised", "--out", str(out))
+        assert code == 2  # 20^3 = 8000 members
+        assert "guard" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bound_check_report(self, tmp_path):
         g = self._sample(tmp_path, "g.qtpe", 8, 4, 7)

@@ -164,7 +164,9 @@ class TestTupleGood:
     def test_size_check_needs_no_unitaries_and_stays_cheap(self):
         with pytest.raises(SizeLimitError):
             check_tuple_size(2**31 - 1, 2, 2, "exhaustive")
-        check_tuple_size(2**31 - 1, 1, 4, "exhaustive")  # d = 1: one path per level
+        with pytest.raises(SizeLimitError):
+            check_tuple_size(2**31 - 1, 1, 4, "exhaustive")  # d = 1: paths of length up to k-1
+        check_tuple_size(200, 1, 4, "exhaustive")  # 4 * 200 * 199 / 2 = 79600 path steps
         check_tuple_size(40, 2, 2, "sampled")
         with pytest.raises(PreconditionError):
             check_tuple_size(2, 2, 2, "greedy")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_lambda, hermitian_ensemble, identity_ensemble, pauli_ensemble, raw_haar_ensemble
-from qtpe.ensemble import load, sample_random_qtpe, save
+from qtpe.ensemble import load, sample_random_qtpe, save, square_compose
 from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.linalg import SeededRng, haar_unitary
 from qtpe.moments import (
@@ -225,6 +225,8 @@ def small_product(kind):
         return zigzag(sample_random_qtpe(3, 4, SeededRng(80)), raw_haar_ensemble(4, 3, seed=81))
     if kind == "derandomised":
         return zigzag_derandomised(sample_random_qtpe(2, 4, SeededRng(82)), sample_random_qtpe(4, 4, SeededRng(83)))
+    if kind == "square":
+        return square_compose(raw_haar_ensemble(4, 3, seed=91))
     k = int(kind[-1])  # generalised-k: d = 2, d' = 2
     hs = [raw_haar_ensemble(4, 3, seed=84 + i) for i in range(k)]
     return zigzag_generalised(raw_haar_ensemble(2, 2, seed=90), hs, 2, 2)
@@ -235,7 +237,7 @@ def without_stages(e):
     return dataclasses.replace(e, stages=None)
 
 
-PRODUCT_KINDS = ["zigzag", "derandomised", "generalised-2", "generalised-3"]
+PRODUCT_KINDS = ["zigzag", "derandomised", "generalised-2", "generalised-3", "square"]
 
 
 class TestFactoredProducts:
@@ -321,8 +323,6 @@ class TestLambda:
 
     def test_hermitian_power_lambda(self):
         # iterating a self-adjoint ensemble squares and cubes its deviation norm
-        from qtpe.ensemble import square_compose
-
         e = hermitian_ensemble(3, 4, seed=11)
         lam = dense_lambda(e, 1)
         sq = square_compose(e)

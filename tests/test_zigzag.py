@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import dense_lambda, hermitian_ensemble, identity_ensemble, raw_haar_ensemble
-from qtpe.ensemble import Stage, UnitaryEnsemble, hermitian_double, load, sample_random_qtpe, save, validate
+from qtpe.ensemble import (
+    Stage,
+    UnitaryEnsemble,
+    hermitian_double,
+    load,
+    sample_random_qtpe,
+    save,
+    square_compose,
+    validate,
+)
 from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.linalg import SeededRng, haar_unitary
 from qtpe.moments import MomentOperator
@@ -89,8 +98,6 @@ class TestZigzag:
 
     def test_trivial_outer_reduces_to_square(self):
         # outer dimension 1: members collapse to V_i V_j, the squared ensemble
-        from qtpe.ensemble import square_compose
-
         g = identity_ensemble(1, copies=2)
         h = raw_haar_ensemble(2, 2, seed=9)
         product = zigzag(g, h)
@@ -239,18 +246,19 @@ class TestStages:
         g2 = raw_haar_ensemble(2, 2, seed=52)
         hs = [raw_haar_ensemble(6, 3, seed=53 + i) for i in range(3)]  # d = 2, d' = 3
         gen = [zigzag_generalised(g2, hs, 2, 3), zigzag_generalised(g2, hs[:1], 2, 3)]
-        return [zigzag(g, h), zigzag_derandomised(g, h)] + gen
+        return [zigzag(g, h), zigzag_derandomised(g, h)] + gen + [square_compose(hs[0])]
 
     def test_members_are_the_stage_products(self):
         for product in self.products():
             assert np.max(np.abs(product.unitaries - stage_products(product))) <= 1e-12
 
     def test_stage_shapes(self):
-        zz, der, gen3, gen1 = self.products()
+        zz, der, gen3, gen1, sq = self.products()
         assert [(st.members.shape[0], st.outer, st.inner) for st in zz.stages] == [(4, 3, 4), (1, 1, 12), (4, 3, 4)]
         assert [st.members.shape[0] for st in der.stages] == [4, 4, 4]
         assert [st.outer for st in gen3.stages] == [2, 1, 2, 1, 2]
         assert len(gen1.stages) == 1
+        assert [(st.members.shape[0], st.outer, st.inner) for st in sq.stages] == [(3, 1, 6), (3, 1, 6)]
 
     def test_load_and_double_carry_no_stages(self, tmp_path):
         product = self.products()[0]
