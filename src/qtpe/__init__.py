@@ -35,7 +35,6 @@ from .linalg import (
     haar_unitary,
     kron,
     max_principal_sine,
-    mode_apply,
     orthonormalize,
     spectral_norm,
 )
@@ -50,7 +49,6 @@ from .moments import (
     design_errors,
     design_iterations_needed,
     fixed_space_basis,
-    ideal_apply,
     lambda_report,
     sector_lambda,
     shuffle_operator,

@@ -310,8 +310,8 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
             result["pass"] = all(bool((err <= b + tol).all()) for err, b in zip(errors, bounds))
     elif kind == "epsgood":
         d, dprime, k = f.get("d", int), f.get("dprime", int), f.get("k", int)
-        mode = f.get("mode", str, "exhaustive")
-        eg.check_tuple_size(k, d, dprime, mode)  # before the k draws
+        mode, budget = f.get("mode", str, "exhaustive"), f.get("budget", int, None)
+        eg.check_tuple_size(k, d, dprime, mode, budget)  # before the k draws
         us = [haar_unitary(d * dprime, rng.child(i)) for i in range(k)]
         decision = eg.is_tuple_good(
             us,
@@ -319,7 +319,7 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
             dprime,
             f.get("eps", float),
             mode=mode,
-            budget=f.get("budget", int, None),
+            budget=budget,
             rng=rng.child(99) if mode == "sampled" else None,
         )
         result.update({"good": decision.good, "coverage": decision.coverage, "witness": decision.witness})

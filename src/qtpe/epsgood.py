@@ -19,7 +19,9 @@ import numpy as np
 from .errors import PreconditionError, SizeLimitError
 from .linalg import SeededRng
 
-EXHAUSTIVE_LIMIT = 10**5  # outcome-path steps of one exhaustive tuple walk
+# work of one tuple walk: its outcome-path steps when exhaustive, its unitary
+# draws plus the path steps of its picks when sampled
+EXHAUSTIVE_LIMIT = 10**5
 ZERO_PROBABILITY = 1e-12
 
 
@@ -156,14 +158,17 @@ def is_good_for_set(
     return GoodnessDecision(good=good, witness=witness, checks=checks)
 
 
-def check_tuple_size(k: int, d: int, dprime: int, mode: str) -> None:
+def check_tuple_size(k: int, d: int, dprime: int, mode: str, budget: int | None = None) -> None:
     """The argument and size checks of is_tuple_good, which need no unitaries.
 
     Exhaustive mode walks all sum_{j=2..k} d*d'*d^(j-1) configurations, each
     along an outcome path of length j-1; the guard bounds the total number of
-    path steps, which is quadratic in k even at d = 1. Sampled mode draws
-    from all the configurations, a count that must fit the int64 the
-    sampler takes.
+    path steps, which is quadratic in k even at d = 1. Sampled mode picks
+    `budget` of the configurations, whose count must fit the int64 the
+    sampler takes. Its picks can fall at any level, so the guard bounds the
+    k unitary draws plus up to k-1 path steps per pick; at d = 1, where the
+    count is only (k-1)*d', that bound is what keeps a long tuple from
+    drawing all k unitaries for a handful of picks.
     """
     if mode not in ("exhaustive", "sampled"):
         raise PreconditionError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
@@ -172,15 +177,26 @@ def check_tuple_size(k: int, d: int, dprime: int, mode: str) -> None:
     if d < 1 or dprime < 1:
         raise PreconditionError(f"d and d' must be >= 1, got d={d}, d'={dprime}")
     # for d >= 2, d^64 alone exceeds either limit: the caps only keep huge k cheap
-    if mode == "exhaustive" and _path_steps(min(k, 65) if d > 1 else k, d, d * dprime) > EXHAUSTIVE_LIMIT:
-        raise SizeLimitError(
-            f"exhaustive walk for k={k}, d={d}, d'={dprime} exceeds {EXHAUSTIVE_LIMIT} path steps; use sampled mode"
-        )
+    if mode == "exhaustive":
+        if _path_steps(min(k, 65) if d > 1 else k, d, d * dprime) > EXHAUSTIVE_LIMIT:
+            raise SizeLimitError(
+                f"exhaustive walk for k={k}, d={d}, d'={dprime} exceeds {EXHAUSTIVE_LIMIT} path steps; use sampled mode"
+            )
+        return
+    if budget is None or budget < 1:
+        raise PreconditionError("sampled mode needs a positive budget")
     limit = np.iinfo(np.int64).max
-    if mode == "sampled" and _configuration_count(min(k, 65) if d > 1 else k, d, d * dprime) > limit:
+    total = _configuration_count(min(k, 65) if d > 1 else k, d, d * dprime)
+    if total > limit:
         raise SizeLimitError(
             f"sampled configuration count for k={k}, d={d}, d'={dprime} exceeds {limit}, "
             "the largest population the sampler draws from"
+        )
+    work = k + min(budget, total) * (k - 1)
+    if work > EXHAUSTIVE_LIMIT:
+        raise SizeLimitError(
+            f"sampled walk for k={k}, d={d}, d'={dprime}, budget {budget} needs up to {work} "
+            f"unitary draws and path steps (> {EXHAUSTIVE_LIMIT})"
         )
 
 
@@ -232,7 +248,7 @@ def is_tuple_good(
     1e-12) are skipped as vacuously good.
     """
     k = len(us)
-    check_tuple_size(k, d, dprime, mode)
+    check_tuple_size(k, d, dprime, mode, budget)
     n = d * dprime
     stacked = [np.asarray(u, dtype=complex) for u in us]
     for u in stacked:
@@ -242,8 +258,6 @@ def is_tuple_good(
     total = _configuration_count(k, d, n)
     flats: range | list[int] = range(total)  # every configuration, in walk order
     if mode == "sampled":
-        if budget is None or budget < 1:
-            raise PreconditionError("sampled mode needs a positive budget")
         if rng is None:
             raise PreconditionError("sampled mode needs an rng")
         if budget < total:

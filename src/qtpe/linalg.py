@@ -1,9 +1,11 @@
 """Complex dense linear algebra substrate.
 
-Seeded Haar-random unitary sampling, Kronecker/tensor-mode contraction
-kernels, orthonormalisation, principal-angle distances, and largest-singular-
-value estimation (dense SVD below a size threshold, seeded power iteration
-with windowed Rayleigh-Ritz extraction above it).
+Seeded Haar-random unitary sampling, Kronecker products,
+orthonormalisation, principal-angle distances, and the matrix-free
+largest-singular-value solver: seeded power iteration with windowed
+Rayleigh-Ritz extraction and optional deflation of an invariant subspace.
+Which lambda path runs, dense or iterative, is decided in
+moments.lambda_report, not here.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .errors import PreconditionError, SizeLimitError
 DENSE_LIMIT = 4096  # largest dimension the dense path materialises
 ITERATIVE_AMBIENT_LIMIT = 10**7  # largest vector length a moment operator is applied to
 KRON_ENTRY_LIMIT = 2**31
-DEFAULT_TOL_DENSE = 1e-9
 DEFAULT_TOL_ITERATIVE = 1e-7
 DEFAULT_MAX_ITERS = 5000
 
@@ -76,46 +77,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def mode_apply(u: np.ndarray, x: np.ndarray, mode: int, n: int, m: int) -> np.ndarray:
-    """Apply u to tensor factor `mode` of x viewed as an m-way tensor of side n.
-
-    Matrix-free building block for tensor-power conjugations: equals the dense
-    (I ⊗ ... ⊗ u ⊗ ... ⊗ I) x without materialising the n^m x n^m operator.
-    """
-    u = np.asarray(u)
-    x = np.asarray(x)
-    if u.shape != (n, n):
-        raise PreconditionError(f"u must be {n}x{n}, got {u.shape}")
-    if not 0 <= mode < m:
-        raise PreconditionError(f"mode {mode} outside range(0, {m})")
-    if x.shape != (n**m,):
-        raise PreconditionError(f"x must have length n^m = {n**m}, got {x.shape}")
-    lead = n**mode
-    view = x.reshape(lead, n, -1)
-    return np.matmul(u, view).reshape(-1)
-
-
 @dataclass
 class LinearMap:
-    """Matrix-free linear map handle on C^dim with apply/adjoint-apply.
-
-    `dense` optionally materialises the matrix for the dense SVD path.
-    """
+    """Matrix-free linear map handle on C^dim with apply/adjoint-apply."""
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
-    dense: Callable[[], np.ndarray] | None = None
-
-    @classmethod
-    def from_matrix(cls, a: np.ndarray) -> "LinearMap":
-        a = np.asarray(a, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise PreconditionError(f"expected a square matrix, got shape {a.shape}")
-        # a^H x as conj(a^T conj(x)), so no conjugated copy of a is stored
-        return cls(
-            dim=a.shape[0], apply=lambda x: a @ x, adjoint_apply=lambda x: (a.T @ x.conj()).conj(), dense=lambda: a
-        )
 
 
 @dataclass
@@ -125,52 +93,7 @@ class SpectralEstimate:
     value: float
     residual: float
     iterations: int
-    method: str  # "dense-svd" | "power-iteration"
     converged: bool = True
-
-
-def spectral_norm(
-    op: LinearMap | np.ndarray,
-    tol: float | None = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    rng: SeededRng | None = None,
-    method: str | None = None,
-    deflate: np.ndarray | None = None,
-) -> SpectralEstimate:
-    """Largest singular value of a linear map.
-
-    Dense path (dim <= DENSE_LIMIT and a materialiser is available): exact
-    SVD. Iterative path: power iteration on op†∘op from a seeded random start,
-    with a windowed Rayleigh-Ritz extraction over recent iterates so clustered
-    spectral edges still converge quickly. Convergence requires the relative
-    value change to stay <= tol over 3 consecutive steps AND the residual
-    ||op†op v - value^2 v|| / value^2 <= tol. Non-convergence is reported
-    explicitly, never silently dropped.
-
-    `deflate` takes orthonormal columns spanning a known invariant subspace;
-    every iterate is re-projected onto its complement.
-    """
-    if isinstance(op, np.ndarray):
-        op = LinearMap.from_matrix(op)
-    if op.dim < 1:
-        raise PreconditionError("operator dimension must be >= 1")
-    if method not in (None, "dense-svd", "power-iteration"):
-        raise PreconditionError(f"unknown method {method!r}")
-    if method is None:
-        method = "dense-svd" if (op.dim <= DENSE_LIMIT and op.dense is not None) else "power-iteration"
-
-    if method == "dense-svd":
-        if op.dense is None:
-            raise PreconditionError("dense-svd requested but the map has no dense materialiser")
-        mat = np.asarray(op.dense(), dtype=complex)
-        if deflate is not None and deflate.size:
-            mat = mat - (mat @ deflate) @ deflate.conj().T
-        value = float(np.linalg.svd(mat, compute_uv=False)[0]) if mat.size else 0.0
-        return SpectralEstimate(value=value, residual=0.0, iterations=0, method="dense-svd")
-
-    tol = DEFAULT_TOL_ITERATIVE if tol is None else float(tol)
-    rng = SeededRng(0, 0) if rng is None else rng
-    return _power_iteration_ritz(op, tol, max_iters, rng, deflate)
 
 
 def _project_out(q: np.ndarray | None, x: np.ndarray) -> np.ndarray:
@@ -179,13 +102,30 @@ def _project_out(q: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     return x - q @ (q.conj().T @ x)
 
 
-def _power_iteration_ritz(
+def spectral_norm(
     op: LinearMap,
-    tol: float,
-    max_iters: int,
-    rng: SeededRng,
-    deflate: np.ndarray | None,
+    tol: float | None = None,
+    max_iters: int = DEFAULT_MAX_ITERS,
+    rng: SeededRng | None = None,
+    deflate: np.ndarray | None = None,
 ) -> SpectralEstimate:
+    """Largest singular value of a matrix-free linear map.
+
+    Power iteration on op†∘op from a seeded random start, with a windowed
+    Rayleigh-Ritz extraction over recent iterates so clustered spectral edges
+    still converge quickly. Convergence requires the relative value change to
+    stay <= tol over 3 consecutive steps AND the residual
+    ||op†op v - value^2 v|| / value^2 <= tol. Non-convergence is reported
+    explicitly, never silently dropped.
+
+    `deflate` takes orthonormal columns spanning a subspace W that op and
+    op† both map into itself; every iterate is projected onto W^perp, which
+    is then invariant too, so the result is the norm of op restricted to W^perp.
+    """
+    if op.dim < 1:
+        raise PreconditionError("operator dimension must be >= 1")
+    tol = DEFAULT_TOL_ITERATIVE if tol is None else float(tol)
+    rng = SeededRng(0, 0) if rng is None else rng
     n = op.dim
     g = rng.generator()
 
@@ -199,7 +139,7 @@ def _power_iteration_ritz(
     v = _project_out(deflate, v)
     nrm = np.linalg.norm(v)
     if nrm < 1e-300:  # deflation removed everything
-        return SpectralEstimate(value=0.0, residual=0.0, iterations=0, method="power-iteration")
+        return SpectralEstimate(value=0.0, residual=0.0, iterations=0)
     v /= nrm
 
     full_dim = n - (deflate.shape[1] if deflate is not None and deflate.size else 0)
@@ -209,7 +149,7 @@ def _power_iteration_ritz(
     images: list[np.ndarray] = []
     value_prev = None
     stable_steps = 0
-    best = SpectralEstimate(value=0.0, residual=np.inf, iterations=0, method="power-iteration", converged=False)
+    best = SpectralEstimate(value=0.0, residual=np.inf, iterations=0, converged=False)
 
     for iteration in range(1, max_iters + 1):
         images.append(b_apply(basis[-1]))
@@ -226,7 +166,7 @@ def _power_iteration_ritz(
         value = float(np.sqrt(theta))
 
         if residual < best.residual:
-            best = SpectralEstimate(value, residual, iteration, "power-iteration", converged=False)
+            best = SpectralEstimate(value, residual, iteration, converged=False)
 
         if value_prev is not None and abs(value - value_prev) <= tol * max(value, 1e-12):
             stable_steps += 1
@@ -235,12 +175,12 @@ def _power_iteration_ritz(
         value_prev = value
 
         if stable_steps >= 3 and residual <= tol:
-            return SpectralEstimate(value, residual, iteration, "power-iteration", converged=True)
+            return SpectralEstimate(value, residual, iteration, converged=True)
 
         if len(basis) >= full_dim:
             # The basis spans the whole deflated space: the Ritz extraction is
             # an exact eigendecomposition and nothing can improve it.
-            return SpectralEstimate(value, residual, iteration, "power-iteration", converged=residual <= tol)
+            return SpectralEstimate(value, residual, iteration, converged=residual <= tol)
 
         if len(basis) >= window:
             keep = min(_RITZ_KEEP, len(basis))
@@ -263,7 +203,7 @@ def _power_iteration_ritz(
             nxt = nxt - vm @ (vm.conj().T @ nxt)
             nrm = np.linalg.norm(nxt)
             if nrm < 1e-8 * raw:  # space exhausted up to roundoff
-                return SpectralEstimate(value, residual, iteration, "power-iteration", converged=residual <= tol)
+                return SpectralEstimate(value, residual, iteration, converged=residual <= tol)
         basis.append(nxt / nrm)
 
     return best
@@ -317,12 +257,3 @@ def max_principal_sine(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     value = float(np.linalg.svd(resid, compute_uv=False)[0])
     return min(max(value, 0.0), 1.0)
 
-
-def complement_closeness(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
-    """Directed distance from span(A)^perp into span(B)^perp.
-
-    Uses the projector identity ||P_B P_{A^perp}|| = ||P_{A^perp} P_B||: the
-    orthogonal-complement closeness equals the reversed directed distance of
-    the original spaces, so no complement basis is ever materialised.
-    """
-    return max_principal_sine(basis_b, basis_a)

@@ -6,12 +6,15 @@ ensemble; the ideal operator is the orthogonal projection onto the span of
 the register-shuffle matrices, and the second largest singular value of their
 difference is the quantity every construction is judged by.
 
-Two exact ways to that value exist. The iterative one applies the moment
-operator matrix-free and deflates the fixed space from every iterate. The
-dense one never materialises the n^2t x n^2t operator: by Schur-Weyl duality
-(C^n)^(x t) splits into U(n) irreps V_lambda, lambda a partition of t with at
-most n rows, each repeated f_lambda times, and the moment operator is block
-diagonal over pairs (lambda, mu). Each block acts on d_lambda x d_mu
+Two exact ways to that value exist, and lambda_report alone picks between
+them. The iterative one hands the moment operator, matrix-free, to
+linalg.spectral_norm, which deflates the fixed space W from every iterate
+once: the operator and its adjoint both fix W, so W^perp is invariant, and
+there the operator equals its difference with the projector. The dense
+one never materialises the n^2t x n^2t operator: by Schur-Weyl duality
+(C^n)^(x t) splits into U(n) irreps V_lambda, lambda a partition of t with
+at most n rows, each repeated f_lambda times, and the moment operator is
+block diagonal over pairs (lambda, mu). Each block acts on d_lambda x d_mu
 matrices as X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)†, the Haar projector
 is vec(I)vec(I)†/d_lambda on the diagonal blocks and 0 elsewhere, and
 lambda is the largest top singular value over the blocks.
@@ -79,12 +82,6 @@ def shuffle_operator(sigma: Permutation, n: int, t: int) -> np.ndarray:
     return out
 
 
-def shuffle_vector(sigma: Permutation, x: np.ndarray, n: int, t: int) -> np.ndarray:
-    """Matrix-free shuffle: same action as shuffle_operator without building it."""
-    inv = sigma.inverse().map
-    return x.reshape((n,) * t).transpose(inv).reshape(-1)
-
-
 def alpha_sigma(sigma: Permutation, n: int, t: int) -> np.ndarray:
     """Fixed-space generator: register shuffle times the normalised identity.
 
@@ -118,30 +115,6 @@ def alpha_prime_sigma(sigma: Permutation, split: tuple[int, int], t: int) -> np.
     with the distinct-tuple alpha on the inner factor."""
     outer_dim, inner_dim = split
     return kron(alpha_sigma(sigma, outer_dim, t), alpha_prime_inner(sigma, inner_dim, t))
-
-
-def regroup_indices(outer_dim: int, inner_dim: int, t: int) -> np.ndarray:
-    """Index permutation from interleaved (C^D x C^d)^(x t) to grouped
-    (C^D)^(x t) x (C^d)^(x t) register order."""
-    n = outer_dim * inner_dim
-    idx = np.arange(n**t)
-    digits = np.array(np.unravel_index(idx, (n,) * t))
-    outer = digits // inner_dim
-    inner = digits % inner_dim
-    grouped = np.zeros_like(idx)
-    for r in range(t):
-        grouped = grouped * outer_dim + outer[r]
-    for r in range(t):
-        grouped = grouped * inner_dim + inner[r]
-    return grouped
-
-
-def regroup_matrix_vec(m: np.ndarray, outer_dim: int, inner_dim: int, t: int) -> np.ndarray:
-    """Conjugate a matrix on the interleaved layout into the grouped layout."""
-    g = regroup_indices(outer_dim, inner_dim, t)
-    out = np.empty_like(m)
-    out[np.ix_(g, g)] = m
-    return out
 
 
 @dataclass
@@ -384,17 +357,8 @@ def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
                 d = a.shape[1]
                 diag = np.arange(d) * (d + 1)  # where vec(I) is 1
                 block[np.ix_(diag, diag)] -= 1.0 / d
-            value = max(value, spectral_norm(block, method="dense-svd").value)
+            value = max(value, float(np.linalg.svd(block, compute_uv=False)[0]))
     return value
-
-
-def ideal_apply(basis: FixedSpaceBasis, m: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the fixed space (the Haar average)."""
-    nt = basis.local_dim**basis.t
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (nt, nt):
-        raise PreconditionError(f"expected a {nt}x{nt} matrix, got {m.shape}")
-    return basis.project_vec(m.reshape(-1)).reshape(nt, nt)
 
 
 @dataclass
@@ -428,21 +392,6 @@ class SpectralReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def deviation_map(e: UnitaryEnsemble, t: int) -> tuple[LinearMap, FixedSpaceBasis]:
-    """The moment operator minus the fixed-space projector, as a LinearMap."""
-    phi = MomentOperator(e, t)
-    basis = fixed_space_basis(e.dim, t)
-    ortho = basis.ortho
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return phi.apply_vec(x) - ortho @ (ortho.conj().T @ x)
-
-    def adjoint(x: np.ndarray) -> np.ndarray:
-        return phi.adjoint_apply_vec(x) - ortho @ (ortho.conj().T @ x)
-
-    return LinearMap(dim=phi.ambient, apply=apply, adjoint_apply=adjoint), basis
-
-
 def lambda_report(
     e: UnitaryEnsemble,
     t: int,
@@ -454,16 +403,24 @@ def lambda_report(
 ) -> SpectralReport:
     """Second largest singular value of the moment operator vs the Haar projector.
 
-    The dense method is exact: it takes the SVD of every Schur-Weyl block
-    (sector_lambda) instead of the n^2t x n^2t superoperator, and still obeys
-    the dense limit on n^2t. The iterative method is matrix-free with
-    fixed-space deflation of every iterate. Non-convergence is surfaced in
-    the report, never silently dropped.
+    The one place that picks the solver path: `method` None takes the dense
+    one up to the dense limit on n^2t and the iterative one above it. The
+    dense method is exact: it takes the SVD of every Schur-Weyl block
+    (sector_lambda) instead of the n^2t x n^2t superoperator. The iterative
+    method is matrix-free with fixed-space deflation of every iterate. The
+    solver settings are checked whichever path runs. Non-convergence is
+    surfaced in the report, never silently dropped.
     """
+    if method not in (None, "dense-svd", "power-iteration"):
+        raise PreconditionError(f"unknown method {method!r}")
     if t < 1:
         raise PreconditionError(f"t must be >= 1, got {t}")
     if t > MAX_T_LAMBDA:
         raise SizeLimitError(f"t={t} exceeds lambda guard {MAX_T_LAMBDA}")
+    if max_iters < 1:
+        raise PreconditionError(f"max_iters must be >= 1, got {max_iters}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise PreconditionError(f"tol must be a finite number > 0, got {tol}")
     ambient = e.dim ** (2 * t)
     if method == "dense-svd" and ambient > DENSE_LIMIT:
         raise SizeLimitError(f"ambient {ambient} exceeds dense limit {DENSE_LIMIT}")
@@ -473,20 +430,22 @@ def lambda_report(
     if method is None:
         method = "dense-svd" if ambient <= DENSE_LIMIT else "power-iteration"
     if method == "dense-svd":
-        est = SpectralEstimate(value=sector_lambda(e, t), residual=0.0, iterations=0, method="dense-svd")
+        est = SpectralEstimate(value=sector_lambda(e, t), residual=0.0, iterations=0)
     else:
-        op, basis = deviation_map(e, t)
+        phi = MomentOperator(e, t)
+        # Phi and Phi† both fix W (every U^(x t) commutes with it), so W^perp is
+        # invariant under both and Phi - P is 0 on W and Phi on W^perp: the
+        # norm of Phi on the deflated iterates is exactly lambda.
         est = spectral_norm(
-            op,
+            LinearMap(phi.ambient, phi.apply_vec, phi.adjoint_apply_vec),
             tol=tol,
             max_iters=max_iters,
             rng=rng,
-            method=method,
-            deflate=basis.ortho,
+            deflate=fixed_space_basis(e.dim, t).ortho,
         )
     return SpectralReport(
         lambda_=est.value,
-        method=est.method,
+        method=method,
         iterations=est.iterations,
         residual=est.residual,
         seed=rng.seed,

@@ -53,9 +53,6 @@ class Permutation:
             raise PreconditionError("size mismatch in composition")
         return Permutation(tuple(self.map[other.map[a]] for a in range(self.size)))
 
-    def is_identity(self) -> bool:
-        return all(self.map[a] == a for a in range(self.size))
-
 
 def identity(t: int) -> Permutation:
     return Permutation(tuple(range(t)))

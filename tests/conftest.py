@@ -41,15 +41,37 @@ def pauli_ensemble():
     return UnitaryEnsemble(2, paulis, (0, 1, 2, 3), "pauli")
 
 
+def regroup_indices(outer_dim, inner_dim, t):
+    """Index permutation from interleaved (C^D x C^d)^(x t) to grouped
+    (C^D)^(x t) x (C^d)^(x t) register order."""
+    n = outer_dim * inner_dim
+    idx = np.arange(n**t)
+    digits = np.array(np.unravel_index(idx, (n,) * t))
+    outer = digits // inner_dim
+    inner = digits % inner_dim
+    grouped = np.zeros_like(idx)
+    for r in range(t):
+        grouped = grouped * outer_dim + outer[r]
+    for r in range(t):
+        grouped = grouped * inner_dim + inner[r]
+    return grouped
+
+
 def regroup_vec_permutation(outer_dim, inner_dim, t):
     """Permutation on the n^2t vec space induced by register regrouping."""
-    from qtpe.moments import regroup_indices
-
     g = regroup_indices(outer_dim, inner_dim, t)
     nt = (outer_dim * inner_dim) ** t
     idx = np.arange(nt * nt)
     rows, cols = idx // nt, idx % nt
     return g[rows] * nt + g[cols]
+
+
+def regroup_matrix_vec(m, outer_dim, inner_dim, t):
+    """Conjugate a matrix on the interleaved layout into the grouped layout."""
+    g = regroup_indices(outer_dim, inner_dim, t)
+    out = np.empty_like(m)
+    out[np.ix_(g, g)] = m
+    return out
 
 
 def conjugation_superop(w):
@@ -64,7 +86,7 @@ def zigzag_superop_sides(g, h, t):
     into the grouped register layout, and the composition
     (inner average) o (lifted control conjugation) o (inner average).
     """
-    from qtpe.moments import MomentOperator, regroup_matrix_vec
+    from qtpe.moments import MomentOperator
     from qtpe.zigzag import g_dot, zigzag
 
     D, d = g.dim, h.dim

@@ -84,6 +84,25 @@ class TestLambda:
         assert code == 3
         assert json.loads((tmp_path / "r.json").read_text())["converged"] is False
 
+    @pytest.mark.parametrize(
+        "method,setting",
+        [
+            ("power-iteration", ("--max-iters", "0")),
+            ("power-iteration", ("--max-iters", "-5")),
+            ("power-iteration", ("--tol", "0")),
+            ("power-iteration", ("--tol", "-1")),
+            ("dense-svd", ("--tol", "-1")),
+            ("dense-svd", ("--max-iters", "0")),
+        ],
+    )
+    def test_malformed_solver_settings_exit_2(self, tmp_path, capsys, method, setting):
+        path = tmp_path / "h.qtpe"
+        save(raw_haar_ensemble(3, 3, seed=3), path)
+        out = tmp_path / "r.json"
+        assert run("lambda", "--ensemble", str(path), "--t", "2", "--method", method, *setting, "--out", str(out)) == 2
+        assert not out.exists()
+        assert ("max_iters" if setting[0] == "--max-iters" else "tol") in capsys.readouterr().err
+
     def test_auto_is_iterative_above_the_dense_limit(self, tmp_path):
         path = tmp_path / "h.qtpe"
         save(raw_haar_ensemble(65, 2, seed=3), path)  # t=1 ambient 65^2 = 4225 > 4096
@@ -186,6 +205,17 @@ class TestZigzagCommand:
         assert code == 2  # 20^3 = 8000 members
         assert "guard" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bound_check_malformed_tol_exit_2(self, tmp_path, capsys):
+        g = self._sample(tmp_path, "g.qtpe", 2, 4, 1)
+        h = self._sample(tmp_path, "h.qtpe", 4, 4, 2)
+        code = run(
+            "zigzag", "--g", str(g), "--h", str(h), "--check-bound-t", "1", "--tol", "0",
+            "--out", str(tmp_path / "z.qtpe"), "--report", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert not (tmp_path / "r.json").exists()
+        assert "tol must be a finite number > 0" in capsys.readouterr().err
 
     def test_bound_check_report(self, tmp_path):
         g = self._sample(tmp_path, "g.qtpe", 8, 4, 7)
@@ -346,17 +376,26 @@ class TestCertify:
         assert draws == []
         assert "sampled mode" in capsys.readouterr().err
 
-    def test_epsgood_sampled_count_checked_before_drawing(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "d,k,message",
+        [
+            (2, 5000, "sampled configuration count"),
+            # d = 1: 2 * 79999 configurations fit the sampler, but 5 picks may walk 79999 steps each
+            (1, 80000, "sampled walk"),
+        ],
+        ids=["count", "walk"],
+    )
+    def test_epsgood_sampled_count_checked_before_drawing(self, tmp_path, capsys, monkeypatch, d, k, message):
         import qtpe.cli as cli
 
         draws = []
         monkeypatch.setattr(cli, "haar_unitary", lambda *args: draws.append(args))
         steps = [
-            {"kind": "epsgood", "name": "big", "d": 2, "dprime": 2, "k": 5000, "eps": 0.2, "mode": "sampled", "budget": 5}
+            {"kind": "epsgood", "name": "big", "d": d, "dprime": 2, "k": k, "eps": 0.2, "mode": "sampled", "budget": 5}
         ]
         assert run("certify", "--config", str(self._write_config(tmp_path, steps))) == 2
         assert draws == []
-        assert "config.steps[0]: sampled configuration count" in capsys.readouterr().err
+        assert f"config.steps[0]: {message}" in capsys.readouterr().err
 
     def test_epsgood_sampled_long_tuple_runs(self, tmp_path):
         # 4*(2^40 - 2) configurations, of which the step visits only the 5 picks

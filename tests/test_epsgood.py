@@ -167,7 +167,7 @@ class TestTupleGood:
         with pytest.raises(SizeLimitError):
             check_tuple_size(2**31 - 1, 1, 4, "exhaustive")  # d = 1: paths of length up to k-1
         check_tuple_size(200, 1, 4, "exhaustive")  # 4 * 200 * 199 / 2 = 79600 path steps
-        check_tuple_size(40, 2, 2, "sampled")
+        check_tuple_size(40, 2, 2, "sampled", budget=5)
         with pytest.raises(PreconditionError):
             check_tuple_size(2, 2, 2, "greedy")
 
@@ -203,11 +203,21 @@ class TestTupleGood:
         assert is_tuple_good(us, 2, 2, 0.3) == full_walk(us, 2, 2, 0.3, budget=None, rng=None)
 
     def test_sampled_count_must_fit_the_sampler(self):
-        check_tuple_size(61, 2, 2, "sampled")  # 4*(2^61 - 2) < 2^63
+        check_tuple_size(61, 2, 2, "sampled", budget=5)  # 4*(2^61 - 2) < 2^63
         for k in (62, 5000, 2**31 - 1):
-            with pytest.raises(SizeLimitError):
-                check_tuple_size(k, 2, 2, "sampled")
-        check_tuple_size(2**31 - 1, 1, 4, "sampled")  # d = 1: one path per level
+            with pytest.raises(SizeLimitError, match="configuration count"):
+                check_tuple_size(k, 2, 2, "sampled", budget=5)
+
+    def test_sampled_work_is_bounded(self):
+        # d = 1: the count (k-1)*d' always fits, but a pick at level j walks j-1 steps
+        check_tuple_size(16667, 1, 2, "sampled", budget=5)  # 16667 + 5 * 16666 = 99997
+        for k in (16668, 80000, 2**31 - 1):
+            with pytest.raises(SizeLimitError, match="draws and path steps"):
+                check_tuple_size(k, 1, 2, "sampled", budget=5)
+        # a budget above the configuration count counts only the configurations
+        check_tuple_size(3, 2, 2, "sampled", budget=10**6)
+        with pytest.raises(PreconditionError, match="budget"):
+            check_tuple_size(3, 2, 2, "sampled")
 
     def test_dead_branches_skipped(self):
         # X on C^2 (x) C^1 sends e0 to e1: outcome 0 is a dead branch; with a

@@ -6,7 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import dense_lambda, hermitian_ensemble, identity_ensemble, pauli_ensemble, raw_haar_ensemble
+from conftest import (
+    dense_lambda,
+    hermitian_ensemble,
+    identity_ensemble,
+    pauli_ensemble,
+    raw_haar_ensemble,
+    regroup_indices,
+)
 from qtpe.ensemble import load, sample_random_qtpe, save, square_compose
 from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.linalg import SeededRng, haar_unitary
@@ -22,9 +29,7 @@ from qtpe.moments import (
     design_error_monomial,
     design_iterations_needed,
     fixed_space_basis,
-    ideal_apply,
     lambda_report,
-    regroup_indices,
     shuffle_operator,
     subspace_closeness_report,
 )
@@ -63,14 +68,6 @@ class TestShuffleOperator:
         lhs = shuffle_operator(a, 2, 3) @ shuffle_operator(b, 2, 3)
         rhs = shuffle_operator(a.compose(b), 2, 3)
         assert np.allclose(lhs, rhs)
-
-    def test_matrix_free_shuffle_matches(self):
-        from qtpe.moments import shuffle_vector
-
-        g = SeededRng(9).generator()
-        x = g.standard_normal(27) + 1j * g.standard_normal(27)
-        for sig in all_permutations(3):
-            assert np.allclose(shuffle_vector(sig, x, 3, 3), shuffle_operator(sig, 3, 3) @ x)
 
 
 class TestAlphaSigma:
@@ -278,23 +275,25 @@ class TestFactoredProducts:
 
 
 class TestIdealApply:
+    """FixedSpaceBasis.project_vec is the Haar average: the projection onto W."""
+
     def test_fixes_alphas(self):
         basis = fixed_space_basis(2, 2)
         for a in basis.alphas:
-            assert np.allclose(ideal_apply(basis, a), a, atol=1e-10)
+            assert np.allclose(basis.project_vec(a.reshape(-1)), a.reshape(-1), atol=1e-10)
 
     def test_kills_traceless_offdiagonal_t1(self):
         basis = fixed_space_basis(3, 1)
         m = np.zeros((3, 3), dtype=complex)
         m[0, 1] = 1.0
-        assert np.allclose(ideal_apply(basis, m), 0.0, atol=1e-12)
+        assert np.allclose(basis.project_vec(m.reshape(-1)), 0.0, atol=1e-12)
 
     def test_idempotent(self):
         basis = fixed_space_basis(2, 3)
         g = SeededRng(7).generator()
-        m = g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8))
-        once = ideal_apply(basis, m)
-        assert np.allclose(ideal_apply(basis, once), once, atol=1e-10)
+        x = g.standard_normal(64) + 1j * g.standard_normal(64)
+        once = basis.project_vec(x)
+        assert np.allclose(basis.project_vec(once), once, atol=1e-10)
 
 
 class TestLambda:
@@ -307,9 +306,30 @@ class TestLambda:
     def test_pauli_t2_one(self):
         assert dense_lambda(pauli_ensemble(), 2) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("d,t,seed", [(3, 1, 0), (4, 1, 1), (2, 2, 2), (3, 2, 3), (2, 3, 4)])
-    def test_dense_vs_iterative(self, d, t, seed):
-        e = hermitian_ensemble(d, 4, seed)
+    @pytest.mark.parametrize(
+        "family,d,t,seed",
+        [
+            ("hermitian", 3, 1, 0),
+            ("hermitian", 4, 1, 1),
+            ("hermitian", 2, 2, 2),
+            ("hermitian", 3, 2, 3),
+            ("hermitian", 2, 3, 4),
+            ("raw", 3, 2, 5),
+            ("generalised", 8, 1, 6),
+        ],
+        ids=["3-1-0", "4-1-1", "2-2-2", "3-2-3", "2-3-4", "raw-3-2-5", "generalised-8-1-6"],
+    )
+    def test_dense_vs_iterative(self, family, d, t, seed):
+        # the non-Hermitian inputs check the single deflation, which rests on
+        # Phi and Phi† both fixing W where Phi is not self-adjoint
+        if family == "hermitian":
+            e = hermitian_ensemble(d, 4, seed)
+        elif family == "raw":
+            e = raw_haar_ensemble(d, 3, seed)
+        else:  # k = 2, control of degree 4 on C^2, inner on C^4 (d' = 1)
+            hs = [raw_haar_ensemble(4, 3, seed + 1 + i) for i in range(2)]
+            e = zigzag_generalised(raw_haar_ensemble(2, 4, seed), hs, 4, 1)
+        assert e.dim == d
         dense = lambda_report(e, t, method="dense-svd")
         it = lambda_report(e, t, method="power-iteration", tol=1e-9, rng=SeededRng(seed), max_iters=20000)
         assert it.converged
@@ -356,6 +376,14 @@ class TestLambda:
             lambda_report(e, 5)
         with pytest.raises(PreconditionError):
             lambda_report(e, 0)
+        with pytest.raises(PreconditionError):
+            lambda_report(e, 1, method="svd")
+
+    @pytest.mark.parametrize("method", [None, "dense-svd", "power-iteration"])
+    @pytest.mark.parametrize("setting", [{"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0}, {"tol": float("inf")}])
+    def test_solver_settings_checked_on_every_path(self, method, setting):
+        with pytest.raises(PreconditionError):
+            lambda_report(hermitian_ensemble(2, 4, seed=0), 1, method=method, **setting)
 
 
 class TestDesignError:
