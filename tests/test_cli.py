@@ -376,16 +376,7 @@ class TestCertify:
         assert draws == []
         assert "sampled mode" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "d,k,message",
-        [
-            (2, 5000, "sampled configuration count"),
-            # d = 1: 2 * 79999 configurations fit the sampler, but 5 picks may walk 79999 steps each
-            (1, 80000, "sampled walk"),
-        ],
-        ids=["count", "walk"],
-    )
-    def test_epsgood_sampled_count_checked_before_drawing(self, tmp_path, capsys, monkeypatch, d, k, message):
+    def _sampled_step_refused_before_drawing(self, tmp_path, capsys, monkeypatch, d, k):
         import qtpe.cli as cli
 
         draws = []
@@ -395,7 +386,16 @@ class TestCertify:
         ]
         assert run("certify", "--config", str(self._write_config(tmp_path, steps))) == 2
         assert draws == []
-        assert f"config.steps[0]: {message}" in capsys.readouterr().err
+        return capsys.readouterr().err
+
+    def test_epsgood_sampled_count_checked_before_drawing(self, tmp_path, capsys, monkeypatch):
+        err = self._sampled_step_refused_before_drawing(tmp_path, capsys, monkeypatch, 2, 5000)
+        assert "config.steps[0]: sampled configuration count" in err
+
+    def test_epsgood_sampled_walk_checked_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # d = 1: 2 * 79999 configurations fit the sampler, but 5 picks may walk 79999 steps each
+        err = self._sampled_step_refused_before_drawing(tmp_path, capsys, monkeypatch, 1, 80000)
+        assert "config.steps[0]: sampled walk" in err
 
     def test_epsgood_sampled_long_tuple_runs(self, tmp_path):
         # 4*(2^40 - 2) configurations, of which the step visits only the 5 picks

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtpe.ensemble import UnitaryEnsemble
 from qtpe.errors import PreconditionError
 from qtpe.linalg import (
     LinearMap,
@@ -14,6 +15,7 @@ from qtpe.linalg import (
     orthonormalize,
     spectral_norm,
 )
+from qtpe.moments import MomentOperator
 
 
 def unitarity_defect(u):
@@ -87,6 +89,51 @@ class TestKron:
         out = kron(e1, e2)
         assert out[0 * d2 + 1, 0 * d2 + 1] == 1.0
         assert out.sum() == 1.0
+
+
+class TestModeApply:
+    """The mode contractions of the matrix-free moment apply.
+
+    MomentOperator.apply_vec views vec(M) as a 2t-way tensor and contracts
+    each leg with U or conj(U) in turn; a one-member ensemble pins that
+    contraction against explicit Kronecker products.
+    """
+
+    @staticmethod
+    def single(u):
+        return UnitaryEnsemble(u.shape[0], u[None], None, "single")
+
+    def test_identity_leaves_input(self):
+        g = SeededRng(1).generator()
+        x = g.standard_normal(64) + 1j * g.standard_normal(64)
+        out = MomentOperator(self.single(np.eye(2, dtype=complex)), 3).apply_vec(x)
+        assert np.allclose(out, x)
+
+    def test_single_mode_is_matvec(self):
+        g = SeededRng(2).generator()
+        u = haar_unitary(4, SeededRng(2, 1))
+        m = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+        phi = MomentOperator(self.single(u), 1)
+        assert np.allclose(phi.apply(m), u @ m @ u.conj().T)
+        assert np.allclose(phi.apply_vec(m.reshape(-1)), np.kron(u, u.conj()) @ m.reshape(-1))
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_all_modes_equal_kron_oracle(self, n, m):
+        g = SeededRng(100 + 10 * n + m).generator()
+        u = haar_unitary(n, SeededRng(100 + 10 * n + m, 1))
+        x = g.standard_normal(n ** (2 * m)) + 1j * g.standard_normal(n ** (2 * m))
+        out = MomentOperator(self.single(u), m).apply_vec(x)
+        power = np.eye(1)
+        for _ in range(m):
+            power = np.kron(power, u)
+        assert np.allclose(out, np.kron(power, power.conj()) @ x, atol=1e-10)
+
+    def test_shape_errors(self):
+        e = self.single(np.eye(2, dtype=complex))
+        with pytest.raises(PreconditionError):
+            MomentOperator(e, 0)
+        with pytest.raises(PreconditionError):
+            MomentOperator(e, 2).apply(np.zeros((8, 8)))
 
 
 def as_map(a):

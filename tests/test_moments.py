@@ -69,6 +69,14 @@ class TestShuffleOperator:
         rhs = shuffle_operator(a.compose(b), 2, 3)
         assert np.allclose(lhs, rhs)
 
+    def test_matrix_free_shuffle_matches(self):
+        # the same action as a transpose of the t tensor legs, without the matrix
+        g = SeededRng(9).generator()
+        x = g.standard_normal(27) + 1j * g.standard_normal(27)
+        for sig in all_permutations(3):
+            moved = x.reshape((3,) * 3).transpose(sig.inverse().map).reshape(-1)
+            assert np.allclose(moved, shuffle_operator(sig, 3, 3) @ x)
+
 
 class TestAlphaSigma:
     def test_identity_is_normalised_identity(self):
