@@ -270,6 +270,11 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
         hs = [_load_checked(p) for p in f.paths("h")]
         zz_kind = f.get("zz_kind", str, "zigzag")
         product, bound_of = _build_product(zz_kind, g, hs, f.get("k", int, None))
+        t = f.get("check_bound_t", int, None)
+        if t is not None:
+            tol, bound_tol = f.get("tol", float, None), f.get("bound_tol", float, 1e-6)
+            # the product's lambda has the largest ambient size of the three
+            moments.check_solver_settings(product.dim, t, tol=tol)  # before the product is written
         save(product, f.path("out"), sidecar={"provenance": {"kind": zz_kind, "g": step["g"], "h": step["h"]}})
         result.update(
             {
@@ -282,9 +287,7 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
             }
         )
         ok = True
-        t = f.get("check_bound_t", int, None)
         if t is not None:
-            tol, bound_tol = f.get("tol", float, None), f.get("bound_tol", float, 1e-6)
             check = _bound_check(g, hs[0], product, bound_of, t, tol, bound_tol, rng)
             result["bound_check"] = check
             ok = check["satisfied"] and check["converged"]

@@ -10,21 +10,26 @@ Two exact ways to that value exist, and lambda_report alone picks between
 them. The iterative one hands the moment operator, matrix-free, to
 linalg.spectral_norm, which deflates the fixed space W from every iterate
 once: the operator and its adjoint both fix W, so W^perp is invariant, and
-there the operator equals its difference with the projector. The dense
+there the operator equals its difference with the projector. Each apply
+runs one conjugation kernel per stage: a GEMM by the stacked members on the
+first leg of vec(M), per-member contractions on the middle legs, and a GEMM
+by the stacked adjoints on the last leg that also sums over the members;
+the stacks are laid out once per MomentOperator. The dense
 one never materialises the n^2t x n^2t operator: by Schur-Weyl duality
 (C^n)^(x t) splits into U(n) irreps V_lambda, lambda a partition of t with
 at most n rows, each repeated f_lambda times, and the moment operator is
 block diagonal over pairs (lambda, mu). Each block acts on d_lambda x d_mu
 matrices as X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)†, the Haar projector
 is vec(I)vec(I)†/d_lambda on the diagonal blocks and 0 elsewhere, and
-lambda is the largest top singular value over the blocks.
+lambda is the largest top singular value over the blocks, read from
+eigvalsh when an involution makes the blocks Hermitian.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,10 +60,16 @@ from .perms import (
 
 MAX_T_LAMBDA = 4
 MAX_T_BASIS = 6
-_BATCH_BYTES = 2**27  # member batching budget for the contraction kernel
+# bound on the stacked (c*ambient) complex intermediate of one kernel chunk of
+# c members; every benchmark shape and criteria 1 and 2 fit in one chunk, but
+# at the 10^7 iterative limit one member's intermediate alone is 160 MB
+_BATCH_BYTES = 2**27
 # roundoff allowed on top of a closeness bound: at t=1 the bounds are exactly 0
 # and the measured distances ~1e-16; at t >= 2 a bound is at least 2*sqrt(2/d)
 CLOSENESS_ROUNDOFF = 1e-12
+# entrywise |B - B†| up to which a sector block of an ensemble with an
+# involution counts as Hermitian; measured defects are ~1e-17
+HERMITIAN_DEFECT = 1e-12
 
 
 def shuffle_operator(sigma: Permutation, n: int, t: int) -> np.ndarray:
@@ -170,34 +181,43 @@ def fixed_space_basis(n: int, t: int) -> FixedSpaceBasis:
 
 
 def _conjugation_average(
-    members: np.ndarray, adjoint: bool, x: np.ndarray, n: int, t: int, outer: int = 1
+    left: np.ndarray, right: np.ndarray, cols: np.ndarray | None, x: np.ndarray, t: int, outer: int
 ) -> np.ndarray:
     """Average of tensor-power conjugations applied to vec(M), matrix-free.
 
-    Realises M -> (1/s) sum_i A_i^(x t) M (A_i†)^(x t) with A = 1_outer (x) U
-    (or 1_outer (x) U† for the adjoint map) as 2t mode contractions on a
-    2t-way tensor of side outer*n, each on the inner axis of one leg, batched
-    over members within a memory budget. Partial sums reduce in fixed member
-    order for reproducibility.
+    Realises M -> (1/s) sum_i A_i^(x t) M B_i^(x t) with A_i = 1_outer (x)
+    left[i] and B_i = 1_outer (x) right[i]; the moment operator passes right[i]
+    = left[i]†. vec(M) is a 2t-way tensor of side outer*m, and each leg is
+    contracted on its inner axis. The first leg is one GEMM by the stacked
+    left members [L_1; ...; L_s] (s*m x m), broadcast over the outer axis. The
+    middle legs (t >= 2) are batched per-member contractions, by left[i] on
+    the row legs and by cols[i] = right[i]^T on the column legs. The last leg
+    puts the member axis beside the last axis and makes one GEMM by the stacked
+    right members, so the member sum is the GEMM's inner dimension. Members
+    run in chunks whose stacked intermediate fits _BATCH_BYTES, and the chunk
+    sums add in fixed member order, so reruns are bit-identical.
     """
-    s = members.shape[0]
-    stack = members if not adjoint else members.conj().transpose(0, 2, 1)
-    side = outer * n
+    s, m, _ = left.shape
+    side = outer * m
     ambient = side ** (2 * t)
-    chunk = max(1, min(s, _BATCH_BYTES // max(1, 16 * ambient)))
-    acc = np.zeros(ambient, dtype=complex)
-    x = np.asarray(x, dtype=complex).reshape(-1)
+    chunk = max(1, min(s, _BATCH_BYTES // (16 * ambient)))
+    x = np.asarray(x, dtype=complex).reshape(outer, m, -1)
+    lefts, rights = left.reshape(s * m, m), right.reshape(s * m, m)
+    acc = None
     for start in range(0, s, chunk):
-        mats = stack[start : start + chunk]
-        conj = mats.conj()
-        c = mats.shape[0]
-        view = np.broadcast_to(x.reshape((1,) + (side,) * (2 * t)), (c,) + (side,) * (2 * t))
-        cur = view
-        for mode in range(2 * t):
-            lead = side**mode * outer
-            cur = np.matmul(mats[:, None] if mode < t else conj[:, None], cur.reshape(c, lead, n, -1))
-        acc += np.add.reduce(cur.reshape(c, ambient), axis=0)
-    return acc / s
+        c = min(chunk, s - start)
+        cur = np.matmul(lefts[start * m : (start + c) * m], x)
+        for mode in range(1, 2 * t - 1):
+            mats = (left if mode < t else cols)[start : start + c, None]
+            cur = np.matmul(mats, cur.reshape(outer, c, m * side ** (mode - 1) * outer, m, -1))
+        cur = cur.reshape(outer, c, -1, m).transpose(0, 2, 1, 3).reshape(-1, c * m)
+        part = cur @ rights[start * m : (start + c) * m]
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+    acc /= s
+    return acc.reshape(ambient)
 
 
 @dataclass
@@ -211,14 +231,29 @@ class MomentOperator:
     inner averages and one control conjugation instead of s^2 member
     conjugations; the adjoint runs the adjoint stages from S_1 on. An
     ensemble without stages is its own single stage.
+
+    The kernel operands of every stage are laid out once, here, not once per
+    apply: the member stacks A_i and A_i†, which the forward and the adjoint
+    map use in swapped roles, and for t >= 2 the contiguous conj(A_i) and
+    A_i^T that the middle column legs multiply by.
     """
 
     ensemble: UnitaryEnsemble
     t: int
+    _kernels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t < 1:
             raise PreconditionError(f"t must be >= 1, got {self.t}")
+        middle = self.t >= 2
+        kernels = []
+        for st in self.ensemble.stages or (Stage(self.ensemble.unitaries),):
+            a, conj = st.members, st.members.conj()
+            a_dag = np.ascontiguousarray(conj.transpose(0, 2, 1))
+            forward = (a, a_dag, conj if middle else None)
+            backward = (a_dag, a, np.ascontiguousarray(a.transpose(0, 2, 1)) if middle else None)
+            kernels.append((st.outer, forward, backward))
+        self._kernels = tuple(kernels)
 
     @property
     def local_dim(self) -> int:
@@ -243,9 +278,8 @@ class MomentOperator:
         return self._apply(x, adjoint=True)
 
     def _apply(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
-        stages = self.ensemble.stages or (Stage(self.ensemble.unitaries),)
-        for st in stages if adjoint else reversed(stages):
-            x = _conjugation_average(st.members, adjoint, x, st.inner, self.t, st.outer)
+        for outer, forward, backward in self._kernels if adjoint else reversed(self._kernels):
+            x = _conjugation_average(*(backward if adjoint else forward), x, self.t, outer)
         return x
 
     def dense(self) -> np.ndarray:
@@ -347,7 +381,12 @@ def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
     lose their fixed vector vec(I)/sqrt(d_lambda). Each unordered pair is
     computed once: the (mu, lambda) block equals J (lambda, mu) J with the
     antiunitary J: X -> X†, so both have the same singular values.
+
+    With an involution (U_{-i} = U_i†) every block, the projector-corrected
+    ones too, is Hermitian, so its norm is max |eigenvalue|: eigvalsh is used
+    once the block's Hermitian defect is checked, and the SVD otherwise.
     """
+    hermitian = e.involution is not None
     reps = [irrep_action(e.unitaries, b.basis, e.dim, t) for b in irrep_bases(e.dim, t)]
     value = 0.0
     for i, a in enumerate(reps):
@@ -357,8 +396,15 @@ def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
                 d = a.shape[1]
                 diag = np.arange(d) * (d + 1)  # where vec(I) is 1
                 block[np.ix_(diag, diag)] -= 1.0 / d
-            value = max(value, float(np.linalg.svd(block, compute_uv=False)[0]))
+            value = max(value, _block_norm(block, hermitian))
     return value
+
+
+def _block_norm(block: np.ndarray, hermitian: bool) -> float:
+    """Spectral norm of one sector block; eigvalsh when it is Hermitian to HERMITIAN_DEFECT."""
+    if hermitian and np.max(np.abs(block - block.conj().T)) <= HERMITIAN_DEFECT:
+        return float(np.max(np.abs(np.linalg.eigvalsh(block))))
+    return float(np.linalg.svd(block, compute_uv=False)[0])
 
 
 @dataclass
@@ -392,6 +438,33 @@ class SpectralReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
+def check_solver_settings(
+    dim: int, t: int, method: str | None = None, tol: float | None = None, max_iters: int = 5000
+) -> None:
+    """Refuse, before any work, settings lambda_report cannot run with on an
+    ensemble of dimension `dim`.
+
+    An unknown method, t < 1, max_iters < 1 or a tol that is not finite and
+    > 0 raise PreconditionError; t above MAX_T_LAMBDA, or an ambient size
+    dim^2t above the limit of the path asked for, raises SizeLimitError.
+    """
+    if method not in (None, "dense-svd", "power-iteration"):
+        raise PreconditionError(f"unknown method {method!r}")
+    if t < 1:
+        raise PreconditionError(f"t must be >= 1, got {t}")
+    if t > MAX_T_LAMBDA:
+        raise SizeLimitError(f"t={t} exceeds lambda guard {MAX_T_LAMBDA}")
+    if max_iters < 1:
+        raise PreconditionError(f"max_iters must be >= 1, got {max_iters}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise PreconditionError(f"tol must be a finite number > 0, got {tol}")
+    ambient = dim ** (2 * t)
+    if method == "dense-svd" and ambient > DENSE_LIMIT:
+        raise SizeLimitError(f"ambient {ambient} exceeds dense limit {DENSE_LIMIT}")
+    if ambient > ITERATIVE_AMBIENT_LIMIT:
+        raise SizeLimitError(f"ambient {ambient} exceeds iterative limit {ITERATIVE_AMBIENT_LIMIT}")
+
+
 def lambda_report(
     e: UnitaryEnsemble,
     t: int,
@@ -408,27 +481,13 @@ def lambda_report(
     dense method is exact: it takes the SVD of every Schur-Weyl block
     (sector_lambda) instead of the n^2t x n^2t superoperator. The iterative
     method is matrix-free with fixed-space deflation of every iterate. The
-    solver settings are checked whichever path runs. Non-convergence is
-    surfaced in the report, never silently dropped.
+    solver settings are checked whichever path runs (check_solver_settings).
+    Non-convergence is surfaced in the report, never silently dropped.
     """
-    if method not in (None, "dense-svd", "power-iteration"):
-        raise PreconditionError(f"unknown method {method!r}")
-    if t < 1:
-        raise PreconditionError(f"t must be >= 1, got {t}")
-    if t > MAX_T_LAMBDA:
-        raise SizeLimitError(f"t={t} exceeds lambda guard {MAX_T_LAMBDA}")
-    if max_iters < 1:
-        raise PreconditionError(f"max_iters must be >= 1, got {max_iters}")
-    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-        raise PreconditionError(f"tol must be a finite number > 0, got {tol}")
-    ambient = e.dim ** (2 * t)
-    if method == "dense-svd" and ambient > DENSE_LIMIT:
-        raise SizeLimitError(f"ambient {ambient} exceeds dense limit {DENSE_LIMIT}")
-    if ambient > ITERATIVE_AMBIENT_LIMIT:
-        raise SizeLimitError(f"ambient {ambient} exceeds iterative limit {ITERATIVE_AMBIENT_LIMIT}")
+    check_solver_settings(e.dim, t, method, tol, max_iters)
     rng = SeededRng(0, 0) if rng is None else rng
     if method is None:
-        method = "dense-svd" if ambient <= DENSE_LIMIT else "power-iteration"
+        method = "dense-svd" if e.dim ** (2 * t) <= DENSE_LIMIT else "power-iteration"
     if method == "dense-svd":
         est = SpectralEstimate(value=sector_lambda(e, t), residual=0.0, iterations=0)
     else:

@@ -215,7 +215,19 @@ class TestZigzagCommand:
         )
         assert code == 2
         assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "z.qtpe").exists() and not (tmp_path / "z.json").exists()
         assert "tol must be a finite number > 0" in capsys.readouterr().err
+
+    def test_bound_check_size_refused_before_save(self, tmp_path, capsys):
+        g = self._sample(tmp_path, "g.qtpe", 8, 4, 1)
+        h = self._sample(tmp_path, "h.qtpe", 4, 4, 2)
+        code = run(
+            "zigzag", "--g", str(g), "--h", str(h), "--check-bound-t", "3",
+            "--out", str(tmp_path / "z.qtpe"), "--report", str(tmp_path / "r.json"),
+        )
+        assert code == 2  # product dim 32: 32^6 exceeds the iterative limit
+        assert "exceeds iterative limit" in capsys.readouterr().err
+        assert not any((tmp_path / name).exists() for name in ("r.json", "z.qtpe", "z.json"))
 
     def test_bound_check_report(self, tmp_path):
         g = self._sample(tmp_path, "g.qtpe", 8, 4, 7)

@@ -14,7 +14,7 @@ from conftest import (
     raw_haar_ensemble,
     regroup_indices,
 )
-from qtpe.ensemble import load, sample_random_qtpe, save, square_compose
+from qtpe.ensemble import Stage, UnitaryEnsemble, load, product_ensemble, sample_random_qtpe, save, square_compose
 from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.linalg import SeededRng, haar_unitary
 from qtpe.moments import (
@@ -181,6 +181,22 @@ class TestFixedSpaceBasis:
         assert np.max(np.abs(gram - np.eye(basis.rank))) <= 1e-10
 
 
+def assert_matches_dense(phi):
+    """The matrix-free apply and adjoint apply against the materialised operator, to 1e-10; returns the input."""
+    dense = phi.dense()
+    g = SeededRng(5, phi.t).generator()
+    x = g.standard_normal(phi.ambient) + 1j * g.standard_normal(phi.ambient)
+    assert np.max(np.abs(phi.apply_vec(x) - dense @ x)) <= 1e-10
+    assert np.max(np.abs(phi.adjoint_apply_vec(x) - dense.conj().T @ x)) <= 1e-10
+    return x
+
+
+def staged_product():
+    """A two-stage product on C^2 (x) C^2: (1_2 (x) A_i) B_j, the first stage with outer = 2."""
+    a, b = raw_haar_ensemble(2, 3, seed=18), raw_haar_ensemble(4, 2, seed=19)
+    return product_ensemble([Stage(a.unitaries, outer=2), Stage(b.unitaries)], None, "staged")
+
+
 class TestMomentOperatorApply:
     def test_identity_ensemble_is_identity_map(self):
         phi = MomentOperator(identity_ensemble(2), 2)
@@ -196,13 +212,31 @@ class TestMomentOperatorApply:
 
     def test_matrix_free_matches_dense_superoperator(self):
         e = raw_haar_ensemble(2, 3, seed=6)
-        for t in (1, 2):
+        for t in (1, 2, 3):
+            assert_matches_dense(MomentOperator(e, t))
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_hermitian_family_matches_dense_superoperator(self, t):
+        assert_matches_dense(MomentOperator(hermitian_ensemble(2, 4, seed=16), t))
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_staged_product_with_outer_matches_dense_superoperator(self, t):
+        phi = MomentOperator(staged_product(), t)
+        assert [st.outer for st in phi.ensemble.stages] == [2, 1]
+        assert_matches_dense(phi)
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_chunked_kernel_matches_dense_and_reruns_bit_identical(self, monkeypatch, chunk, t):
+        import qtpe.moments as m
+
+        raw, staged = raw_haar_ensemble(2, 5, seed=17), staged_product()  # 5 and 3 members: 2 divides neither
+        for e in (raw, staged):
             phi = MomentOperator(e, t)
-            dense = phi.dense()
-            g = SeededRng(5, t).generator()
-            x = g.standard_normal(phi.ambient) + 1j * g.standard_normal(phi.ambient)
-            assert np.allclose(phi.apply_vec(x), dense @ x, atol=1e-10)
-            assert np.allclose(phi.adjoint_apply_vec(x), dense.conj().T @ x, atol=1e-10)
+            monkeypatch.setattr(m, "_BATCH_BYTES", 16 * phi.ambient * chunk)
+            x = assert_matches_dense(phi)
+            assert np.array_equal(phi.apply_vec(x), phi.apply_vec(x))
+            assert np.array_equal(phi.adjoint_apply_vec(x), phi.adjoint_apply_vec(x))
 
     @pytest.mark.parametrize("n,t,seed", [(2, 2, 0), (2, 2, 1), (2, 2, 2), (3, 2, 0), (2, 3, 0), (3, 3, 0)])
     def test_fixed_space_invariance(self, n, t, seed):
@@ -271,15 +305,13 @@ class TestFactoredProducts:
         assert abs(factored.lambda_ - members.lambda_) <= 1e-10
 
     def test_inner_stage_is_the_lifted_member_kernel(self):
-        from qtpe.moments import _conjugation_average
-
         h = raw_haar_ensemble(2, 3, seed=14)
         lifted = np.stack([np.kron(np.eye(3), v) for v in h.unitaries])
+        inner = MomentOperator(UnitaryEnsemble(6, lifted, stages=(Stage(h.unitaries, outer=3),)), 2)
+        full = MomentOperator(UnitaryEnsemble(6, lifted), 2)
         x = SeededRng(15).generator().standard_normal(6**4) + 0j
-        for adjoint in (False, True):
-            inner = _conjugation_average(h.unitaries, adjoint, x, 2, 2, outer=3)
-            full = _conjugation_average(lifted, adjoint, x, 6, 2)
-            assert np.max(np.abs(inner - full)) <= 1e-12
+        assert np.max(np.abs(inner.apply_vec(x) - full.apply_vec(x))) <= 1e-12
+        assert np.max(np.abs(inner.adjoint_apply_vec(x) - full.adjoint_apply_vec(x))) <= 1e-12
 
 
 class TestIdealApply:
@@ -530,6 +562,12 @@ class TestSchurWeylSectors:
     def test_oracle_on_zigzag_products(self, outer_dim, t):
         product = small_zigzag(outer_dim, 70 + outer_dim)
         assert abs(sector_lambda(product, t) - full_dense_lambda(product, t)) <= 1e-10
+
+    @pytest.mark.parametrize("n,t", [(2, 2), (3, 2), (2, 3)])
+    def test_false_involution_falls_back_to_the_svd(self, n, t):
+        raw = raw_haar_ensemble(n, 3, 30 + n)
+        claimed = dataclasses.replace(raw, involution=(1, 0, 2))  # U_1 != U_0†, so the blocks are not Hermitian
+        assert abs(sector_lambda(claimed, t) - full_dense_lambda(raw, t)) <= 1e-10
 
     def test_pauli_exact(self):
         assert sector_lambda(pauli_ensemble(), 1) == 0.0
