@@ -301,6 +301,11 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
         t = f.get("t", int)
         tol = f.get("tol", float, 1e-9)
         ks = f.ints("ks", [1])
+        moments.check_solver_settings(e.dim, t)  # first, so a bad t is not reported as a bad ks
+        try:
+            moments.check_design_powers(e.dim, t, ks)  # before the lambda solve
+        except PreconditionError as exc:
+            raise f.bad("ks", str(exc)) from None
         rep = moments.lambda_report(e, t, rng=rng)
         result.update({"lambda": rep.lambda_, "converged": rep.converged})
         if not rep.converged:

@@ -4,6 +4,9 @@ Seeded Haar-random unitary sampling, Kronecker products,
 orthonormalisation, principal-angle distances, and the matrix-free
 largest-singular-value solver: seeded power iteration with windowed
 Rayleigh-Ritz extraction and optional deflation of an invariant subspace.
+The solver allocates its window of iterates once per call and grows the
+Rayleigh quotient by one row and one column per step, so a step costs a few
+matrix-vector products with the window and no copy of it.
 Which lambda path runs, dense or iterative, is decided in
 moments.lambda_report, not here.
 """
@@ -96,12 +99,6 @@ class SpectralEstimate:
     converged: bool = True
 
 
-def _project_out(q: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    if q is None or q.size == 0:
-        return x
-    return x - q @ (q.conj().T @ x)
-
-
 def spectral_norm(
     op: LinearMap,
     tol: float | None = None,
@@ -118,6 +115,11 @@ def spectral_norm(
     ||op†op v - value^2 v|| / value^2 <= tol. Non-convergence is reported
     explicitly, never silently dropped.
 
+    The window of iterates and their images is allocated once per call, one
+    vector per row, and the Rayleigh quotient V†W is grown by one row and one
+    column per step; a thick restart keeps the top Ritz vectors in place and
+    recomputes only their block.
+
     `deflate` takes orthonormal columns spanning a subspace W that op and
     op† both map into itself; every iterate is projected onto W^perp, which
     is then invariant too, so the result is the norm of op restricted to W^perp.
@@ -128,40 +130,50 @@ def spectral_norm(
     rng = SeededRng(0, 0) if rng is None else rng
     n = op.dim
     g = rng.generator()
+    if deflate is not None and deflate.size == 0:
+        deflate = None
+    deflate_h = None if deflate is None else deflate.conj().T
+
+    def project_out(x: np.ndarray) -> np.ndarray:
+        return x if deflate is None else x - deflate @ (deflate_h @ x)
 
     def b_apply(x: np.ndarray) -> np.ndarray:
-        x = _project_out(deflate, x)
-        y = op.apply(x)
-        z = op.adjoint_apply(y)
-        return _project_out(deflate, z)
+        return project_out(op.adjoint_apply(op.apply(project_out(x))))
+
+    def reorthogonalise(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        for _ in range(2):  # the second pass restores what rounding lost in the first
+            x = x - np.conj(rows @ np.conj(x)) @ rows
+        return x
 
     v = g.standard_normal(n) + 1j * g.standard_normal(n)
-    v = _project_out(deflate, v)
+    v = project_out(v)
     nrm = np.linalg.norm(v)
     if nrm < 1e-300:  # deflation removed everything
         return SpectralEstimate(value=0.0, residual=0.0, iterations=0)
-    v /= nrm
 
-    full_dim = n - (deflate.shape[1] if deflate is not None and deflate.size else 0)
+    full_dim = n - (0 if deflate is None else deflate.shape[1])
     # Window cap keeps basis memory bounded for very large ambient dimensions.
     window = max(3, min(_RITZ_WINDOW, (2**27) // max(1, 16 * n)))
-    basis = [v]
-    images: list[np.ndarray] = []
+    basis = np.empty((window, n), dtype=complex)
+    images = np.empty((window, n), dtype=complex)
+    quotient = np.empty((window, window), dtype=complex)  # basis† images, row i column j = <v_i, w_j>
+    basis[0] = v / nrm
+    m = 1  # rows of the window in use
     value_prev = None
     stable_steps = 0
     best = SpectralEstimate(value=0.0, residual=np.inf, iterations=0, converged=False)
 
     for iteration in range(1, max_iters + 1):
-        images.append(b_apply(basis[-1]))
-        vm = np.stack(basis, axis=1)
-        wm = np.stack(images, axis=1)
-        h = vm.conj().T @ wm
-        h = 0.5 * (h + h.conj().T)
-        evals, evecs = np.linalg.eigh(h)
+        vs, ws = basis[:m], images[:m]
+        ws[-1] = b_apply(vs[-1])
+        quotient[:m, m - 1] = np.conj(vs @ np.conj(ws[-1]))
+        quotient[m - 1, :m] = ws @ np.conj(vs[-1])
+        h = quotient[:m, :m]
+        evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
         theta = float(max(evals[-1], 0.0))
         y = evecs[:, -1]
-        ritz = vm @ y
-        resid_vec = wm @ y - theta * ritz
+        ritz = y @ vs
+        resid_vec = y @ ws - theta * ritz
         residual = float(np.linalg.norm(resid_vec) / max(theta, 1e-24))
         value = float(np.sqrt(theta))
 
@@ -177,34 +189,31 @@ def spectral_norm(
         if stable_steps >= 3 and residual <= tol:
             return SpectralEstimate(value, residual, iteration, converged=True)
 
-        if len(basis) >= full_dim:
+        if m >= full_dim:
             # The basis spans the whole deflated space: the Ritz extraction is
             # an exact eigendecomposition and nothing can improve it.
             return SpectralEstimate(value, residual, iteration, converged=residual <= tol)
 
-        if len(basis) >= window:
-            keep = min(_RITZ_KEEP, len(basis))
-            yk = evecs[:, -keep:]
-            vm = vm @ yk
-            wm = wm @ yk
-            basis = [vm[:, i] for i in range(keep)]
-            images = [wm[:, i] for i in range(keep)]
-            vm = np.stack(basis, axis=1)
+        if m >= window:
+            keep = min(_RITZ_KEEP, m)
+            yk = evecs[:, -keep:].T
+            basis[:keep] = yk @ vs
+            images[:keep] = yk @ ws
+            m = keep
+            vs, ws = basis[:m], images[:m]
+            quotient[:m, :m] = vs.conj() @ ws.T
 
-        nxt = resid_vec
-        nxt = nxt - vm @ (vm.conj().T @ nxt)
-        nxt = nxt - vm @ (vm.conj().T @ nxt)  # second pass for orthogonality
+        nxt = reorthogonalise(resid_vec, vs)
         nrm = np.linalg.norm(nxt)
         if nrm < 1e-14:
             fresh = g.standard_normal(n) + 1j * g.standard_normal(n)
             raw = np.linalg.norm(fresh)
-            nxt = _project_out(deflate, fresh)
-            nxt = nxt - vm @ (vm.conj().T @ nxt)
-            nxt = nxt - vm @ (vm.conj().T @ nxt)
+            nxt = reorthogonalise(project_out(fresh), vs)
             nrm = np.linalg.norm(nxt)
             if nrm < 1e-8 * raw:  # space exhausted up to roundoff
                 return SpectralEstimate(value, residual, iteration, converged=residual <= tol)
-        basis.append(nxt / nrm)
+        basis[m] = nxt / nrm
+        m += 1
 
     return best
 

@@ -59,6 +59,8 @@ from .perms import (
 )
 
 MAX_T_LAMBDA = 4
+# most applies of the moment operator one design_errors call makes, n^t max(ks)
+DESIGN_APPLY_LIMIT = 10**5
 MAX_T_BASIS = 6
 # bound on the stacked (c*ambient) complex intermediate of one kernel chunk of
 # c members; every benchmark shape and criteria 1 and 2 fit in one chunk, but
@@ -546,16 +548,36 @@ def design_error_monomial(
     return float(deviations[0][flat_i])
 
 
+def check_design_powers(dim: int, t: int, ks: list[int]) -> None:
+    """Refuse, before any work, powers design_errors cannot run with on an
+    ensemble of dimension `dim`.
+
+    The errors are compared with lambda^k, so t must pass
+    check_solver_settings. An empty `ks` or a k < 1 raises PreconditionError,
+    and more than DESIGN_APPLY_LIMIT applies of Phi, dim^t max(ks), raise
+    SizeLimitError.
+    """
+    check_solver_settings(dim, t)
+    if not ks or min(ks) < 1:
+        raise PreconditionError(f"every k must be >= 1, got {ks}")
+    applies = dim**t * max(ks)
+    if applies > DESIGN_APPLY_LIMIT:
+        raise SizeLimitError(
+            f"design errors at dim {dim}, t={t}, k up to {max(ks)} need {applies} applies "
+            f"of the moment operator (> {DESIGN_APPLY_LIMIT})"
+        )
+
+
 def design_errors(e: UnitaryEnsemble, t: int, ks: list[int]) -> list[np.ndarray]:
     """design_error_monomial for every row and column tuple at once.
 
     Returns one n^t x n^t array per k in `ks`, indexed by the flat (row-major)
     row tuple and column tuple. The fixed-space basis and the moment operator
     are built once, and each column tuple costs max(ks) applies of Phi whose
-    image is read at every row tuple: n^t max(ks) applies in all.
+    image is read at every row tuple: n^t max(ks) applies in all, at most
+    DESIGN_APPLY_LIMIT (check_design_powers).
     """
-    if not ks or min(ks) < 1:
-        raise PreconditionError(f"every k must be >= 1, got {ks}")
+    check_design_powers(e.dim, t, ks)
     phi = MomentOperator(e, t)
     basis = fixed_space_basis(e.dim, t)
     columns = [_monomial_deviations(phi, basis, ks, flat_j) for flat_j in range(e.dim**t)]

@@ -593,10 +593,10 @@ def test_fuzzed_seed_gives_documented_exit_codes(tmp_path_factory, seed):
 
 
 class TestDesignErrorStep:
-    def _config(self, tmp_path, ks=(1, 2)):
+    def _config(self, tmp_path, ks=(1, 2), dim=2, t=2):
         steps = [
-            {"kind": "sample", "name": "g", "dim": 2, "degree": 4, "out": "g.qtpe"},
-            {"kind": "design_error", "name": "de", "ensemble": "g.qtpe", "t": 2, "ks": list(ks)},
+            {"kind": "sample", "name": "g", "dim": dim, "degree": 4, "out": "g.qtpe"},
+            {"kind": "design_error", "name": "de", "ensemble": "g.qtpe", "t": t, "ks": list(ks)},
         ]
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"schema_version": 1, "seed": 5, "steps": steps}))
@@ -640,6 +640,17 @@ class TestDesignErrorStep:
 
     def test_nonpositive_k_exit_2(self, tmp_path):
         assert run("certify", "--config", str(self._config(tmp_path, ks=(1, 0)))) == 2
+
+    @pytest.mark.parametrize("ks", [(0,), (2**31 - 1,)], ids=["zero", "huge"])
+    def test_powers_checked_before_lambda(self, tmp_path, capsys, monkeypatch, ks):
+        # 3 * (2^31 - 1) applies would run for hours; k = 0 bounds nothing
+        import qtpe.moments as m
+
+        solves = []
+        monkeypatch.setattr(m, "lambda_report", lambda *args, **kwargs: solves.append(args))
+        assert run("certify", "--config", str(self._config(tmp_path, ks, dim=3, t=1))) == 2
+        assert solves == []
+        assert "config.steps[1].ks: " in capsys.readouterr().err
 
 
 class TestUsage:

@@ -1,5 +1,7 @@
 """Numerical substrate tests: Haar sampling, contractions, spectral estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qtpe.ensemble import UnitaryEnsemble
 from qtpe.errors import PreconditionError
 from qtpe.linalg import (
+    _RITZ_WINDOW,
     LinearMap,
     SeededRng,
     haar_unitary,
@@ -189,6 +192,73 @@ class TestSpectralNorm:
         q = np.zeros((3, 1), dtype=complex); q[0, 0] = 1.0
         est = spectral_norm(as_map(a), rng=SeededRng(2), deflate=q)
         assert est.value == pytest.approx(2.0, abs=1e-7)
+
+    @staticmethod
+    def normal_with_invariant_space(n, fixed, seed):
+        """A normal matrix Q diag(s) Q† whose first `fixed` columns of Q span a
+        space it and its adjoint both fix, with the top of s inside that space."""
+        q = haar_unitary(n, SeededRng(seed))
+        g = SeededRng(seed, 1).generator()
+        s = np.concatenate([[10.0] * fixed, [3.0, 2.8], 2.8 * g.random(n - fixed - 2)])
+        s = s * np.exp(2j * np.pi * g.random(n))
+        return q @ np.diag(s) @ q.conj().T, q[:, :fixed]
+
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_restarts_match_svd_of_deflated_matrix(self, monkeypatch, window):
+        import qtpe.linalg as la
+
+        # a window this small restarts the Ritz extraction every few steps
+        monkeypatch.setattr(la, "_RITZ_WINDOW", window)
+        a, w = self.normal_with_invariant_space(40, 3, seed=window)
+        p = np.eye(40) - w @ w.conj().T
+        est = spectral_norm(as_map(a), tol=1e-12, rng=SeededRng(4), deflate=w)
+        assert est.converged and est.iterations > 4 * window
+        assert abs(est.value - top_singular_value(p @ a @ p)) <= 1e-10
+
+    def test_full_space_exit(self):
+        # at tol 1e-14 the value keeps moving until the basis spans the
+        # 6-dimensional deflated space, where the extraction is exact
+        q = haar_unitary(8, SeededRng(10))
+        w = q[:, :2]
+        a = q @ np.diag([4.0, 4.0, 1.0, 0.8, 0.6, 0.4, 0.3, 0.2]) @ q.conj().T
+        est = spectral_norm(as_map(a), tol=1e-14, rng=SeededRng(3), deflate=w)
+        assert est.converged and est.iterations == 6
+        assert abs(est.value - 1.0) <= 1e-12
+
+    def test_rank_one_takes_fresh_vectors(self):
+        # two steps span the range of a rank-1 operator; every later residual
+        # vanishes, so each further basis vector is a fresh random one
+        g = SeededRng(6).generator()
+        u, v = g.standard_normal(10) + 1j * g.standard_normal(10), g.standard_normal(10) + 0j
+        est = spectral_norm(as_map(np.outer(u, v.conj())), tol=1e-10, rng=SeededRng(1))
+        assert est.converged and est.iterations == 5
+        assert est.value == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
+
+    def test_same_seed_bit_identical(self):
+        a, w = self.normal_with_invariant_space(60, 2, seed=11)
+        runs = [spectral_norm(as_map(a), tol=1e-11, rng=SeededRng(5), deflate=w) for _ in range(2)]
+        assert runs[0].iterations > _RITZ_WINDOW
+        assert runs[0] == runs[1]
+
+    def test_window_allocated_once(self):
+        # n is the ambient size of the certify_zigzag product; a spread top
+        # spectrum keeps the solver restarting for all max_iters steps
+        n, steps = 5184, 60
+        d = np.linspace(0.0, 1.0, n)
+        q = np.zeros((n, 1), dtype=complex)
+        q[-1, 0] = 1.0
+        applies = []
+        op = LinearMap(n, lambda x: applies.append(1) or d * x, lambda x: d * x)
+        tracemalloc.start()
+        try:
+            est = spectral_norm(op, tol=1e-12, max_iters=steps, rng=SeededRng(3), deflate=q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not est.converged and len(applies) == steps
+        # the basis and image windows take 2 * window vectors of n complex
+        # entries; everything else a step allocates must fit in one more window
+        assert peak < 3 * _RITZ_WINDOW * n * 16
 
 
 class TestOrthonormalize:

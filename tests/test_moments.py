@@ -493,6 +493,19 @@ class TestDesignErrors:
         with pytest.raises(PreconditionError):
             design_errors(pauli_ensemble(), 1, [1, 0])
 
+    def test_apply_count_bounded(self, monkeypatch):
+        import qtpe.moments as m
+
+        applies = []
+        monkeypatch.setattr(m.MomentOperator, "apply_vec", lambda self, x: applies.append(1) or x)
+        limit = m.DESIGN_APPLY_LIMIT
+        # pauli_ensemble acts on C^2: at t = 1 two column tuples take max(ks) applies each
+        design_errors(pauli_ensemble(), 1, [1, limit // 2])
+        assert len(applies) == limit
+        with pytest.raises(SizeLimitError):
+            design_errors(pauli_ensemble(), 1, [limit // 2 + 1])
+        assert len(applies) == limit
+
 
 def full_dense_lambda(e, t):
     """The oracle: top singular value of the materialised moment operator minus the Haar projector."""
