@@ -4,9 +4,9 @@
 a step dict with the certify field names, the step runs through the same
 executor as a certify step, and the step result is the report.
 
-Exit codes: 0 success, 1 a certify check failed, 2 usage or precondition
-violation (a certify message names the offending field), 3 numerical
-non-convergence, 4 I/O failure. Every command is deterministic given its
+Exit codes: 0 success, 1 a certify check failed, 2 usage, precondition or
+numeric-range violation (a certify message names the offending field), 3
+numerical non-convergence, 4 I/O failure. Every command is deterministic given its
 seed; reports carry no timestamps so reruns are byte-identical.
 """
 
@@ -32,8 +32,8 @@ from .zigzag import (
     zigzag_derandomised,
     zigzag_generalised,
 )
-from .errors import EnsembleFormatError, PreconditionError, QtpeError
-from .linalg import SeededRng, haar_unitary
+from .errors import PreconditionError, QtpeError
+from .linalg import DEFAULT_MAX_ITERS, SeededRng, haar_unitary
 
 SCHEMA_VERSION = 1
 
@@ -44,6 +44,7 @@ EXIT_IO = 4
 
 GENZIGZAG_EPS = 1e-3  # epsilon of the generalised product bound
 METHODS = ("auto", "dense-svd", "power-iteration")
+PRODUCT_KINDS = ("zigzag", "derandomised", "generalised")
 
 
 def _flatten(prefix: str, obj, out: dict) -> None:
@@ -100,14 +101,14 @@ def _build_product(kind: str, g: UnitaryEnsemble, hs: list[UnitaryEnsemble], k: 
     The bound is a function of (lambda_1 of g, lambda_2 of the first inner
     ensemble, t), so every caller checks a product against its own formula.
     """
-    if kind in ("zigzag", "derandomised"):
+    if kind not in PRODUCT_KINDS:
+        raise PreconditionError(f"unknown product kind {kind!r}")
+    if kind != "generalised":
         if len(hs) != 1:
             raise PreconditionError(f"{kind} takes exactly one inner ensemble, got {len(hs)}")
         if kind == "zigzag":
             return zigzag(g, hs[0]), lambda l1, l2, t: bound_zigzag(l1, l2, t, g.size)
         return zigzag_derandomised(g, hs[0]), lambda l1, l2, t: bound_zigzag_derandomised(l1, l2, t, g.size)
-    if kind != "generalised":
-        raise PreconditionError(f"unknown product kind {kind!r}")
     k = len(hs) if k is None else k
     if len(hs) == 1 and k > 1:
         hs = hs * k
@@ -252,7 +253,7 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
             method=None if method == "auto" else method,
             tol=f.get("tol", float, None),
             rng=rng,
-            max_iters=f.get("max_iters", int, 5000),
+            max_iters=f.get("max_iters", int, DEFAULT_MAX_ITERS),
             bound_reference=_sidecar_bound(path),
         )
         result.update(rep.to_json_dict())
@@ -355,6 +356,16 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
 _NOT_STEP_FIELDS = ("command", "func", "seed", "report", "csv")
 
 
+_REFUSED = (QtpeError, ArithmeticError)  # exit 2; an ArithmeticError is a closed form overflowing
+
+
+def _refuse(prefix: str, exc: Exception) -> int:
+    """Print the one stderr line of a refused input, after `prefix`, and return exit 2."""
+    detail = f"numeric inputs out of range: {exc}" if isinstance(exc, ArithmeticError) else str(exc)
+    print(prefix + detail, file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_step(args) -> int:
     """Run a subcommand as a one-step certify run; the step result is its report."""
     step = {key: value for key, value in vars(args).items() if key not in _NOT_STEP_FIELDS}
@@ -396,15 +407,8 @@ def cmd_certify(args) -> int:
             return EXIT_USAGE
         try:
             result = _run_step(step, i, SeededRng(seed).child(i), base)
-        except ConfigFieldError as exc:
-            print(f"config.{exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except (PreconditionError, EnsembleFormatError) as exc:
-            print(f"config.steps[{i}]: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except ArithmeticError as exc:  # a closed form overflowed on out-of-range inputs
-            print(f"config.steps[{i}]: numeric inputs out of range: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        except _REFUSED as exc:  # a field error already reads steps[i].field
+            return _refuse("config." if isinstance(exc, ConfigFieldError) else f"config.steps[{i}]: ", exc)
         results.append(result)
         if not result.get("pass", True):
             failures.append(result["name"])
@@ -434,9 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="second largest singular value of an ensemble at tensor power t")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--method", choices=METHODS, default="auto")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=5000)
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="report", default=None, help="report file (default: stdout)")
     p.add_argument("--csv", action="store_true", help="emit the flattened CSV serialisation")
@@ -445,11 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zigzag", help="build a zigzag-style product ensemble")
     p.add_argument("--g", required=True, help="outer ensemble file")
     p.add_argument("--h", action="append", required=True, help="inner ensemble file (repeatable)")
-    p.add_argument("--kind", dest="zz_kind", choices=["zigzag", "derandomised", "generalised"], default="zigzag")
-    p.add_argument("--k", type=int, default=None, help="generalised: number of inner stages")
-    p.add_argument("--check-bound-t", type=int, default=None, help="measure lambdas and compare to the bound at this t")
-    p.add_argument("--bound-tol", type=float, default=1e-6)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--kind", dest="zz_kind", choices=PRODUCT_KINDS)
+    p.add_argument("--k", type=int, help="generalised: number of inner stages")
+    p.add_argument("--check-bound-t", type=int, help="measure lambdas and compare to the bound at this t")
+    p.add_argument("--bound-tol", type=float)
+    p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
@@ -473,9 +477,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except QtpeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except _REFUSED as exc:
+        return _refuse("error: ", exc)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -25,7 +25,7 @@ from .linalg import ITERATIVE_AMBIENT_LIMIT, SeededRng, haar_unitary, kron
 MAGIC = b"QTPE"
 FORMAT_VERSION = 1
 PRODUCT_DEGREE_LIMIT = 4096
-TENSOR_LIMIT = 4096
+PRODUCT_ENTRY_LIMIT = 2**26  # degree * dim^2 complex entries of one product's members: 1 GiB
 
 
 @dataclass
@@ -173,10 +173,10 @@ def product_ensemble(stages: list[Stage], involution: tuple[int, ...] | None, la
 
     The only place product members are formed: in lexicographic order of
     the factor indices, left to right with one broadcast matmul per stage.
-    The degree is refused above PRODUCT_DEGREE_LIMIT before anything is
-    allocated. The result carries `stages`.
+    Too large a product is refused (check_product_degree) before anything
+    is allocated. The result carries `stages`.
     """
-    check_product_degree([st.size for st in stages])
+    check_product_degree([st.size for st in stages], stages[0].outer * stages[0].inner)
     members = stages[0].factors()
     for st in stages[1:]:
         f = st.factors()
@@ -184,10 +184,16 @@ def product_ensemble(stages: list[Stage], involution: tuple[int, ...] | None, la
     return UnitaryEnsemble(members.shape[1], members, involution, label, stages)
 
 
-def check_product_degree(sizes: list[int]) -> None:
-    """Refuse a product of stages of these sizes whose degree prod |S_i| exceeds the guard."""
-    if math.prod(sizes) > PRODUCT_DEGREE_LIMIT:
-        raise SizeLimitError(f"product degree {math.prod(sizes)} exceeds guard {PRODUCT_DEGREE_LIMIT}")
+def check_product_degree(sizes: list[int], dim: int) -> None:
+    """Refuse a product on C^dim of stages of these sizes whose degree prod |S_i|
+    exceeds PRODUCT_DEGREE_LIMIT, or whose members would hold more than
+    PRODUCT_ENTRY_LIMIT entries (degree * dim^2)."""
+    degree = math.prod(sizes)
+    if degree > PRODUCT_DEGREE_LIMIT:
+        raise SizeLimitError(f"product degree {degree} exceeds guard {PRODUCT_DEGREE_LIMIT}")
+    entries = degree * dim * dim
+    if entries > PRODUCT_ENTRY_LIMIT:
+        raise SizeLimitError(f"{entries} product member entries exceed guard PRODUCT_ENTRY_LIMIT {PRODUCT_ENTRY_LIMIT}")
 
 
 def square_compose(e: UnitaryEnsemble) -> UnitaryEnsemble:
@@ -198,9 +204,7 @@ def square_compose(e: UnitaryEnsemble) -> UnitaryEnsemble:
 
 def tensor_ensemble(e: UnitaryEnsemble) -> UnitaryEnsemble:
     """All s^2 tensor products U_i (x) U_j on dimension dim^2."""
-    s = e.size
-    if s * s > PRODUCT_DEGREE_LIMIT or e.dim * e.dim > TENSOR_LIMIT:
-        raise SizeLimitError(f"tensor ensemble size (s^2={s*s}, dim^2={e.dim**2}) exceeds guards")
+    check_product_degree([e.size, e.size], e.dim * e.dim)
     members = np.stack([kron(a, b) for a in e.unitaries for b in e.unitaries])
     return UnitaryEnsemble(e.dim * e.dim, members, None, f"tensor({e.label})" if e.label else "tensor")
 

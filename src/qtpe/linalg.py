@@ -121,8 +121,10 @@ def spectral_norm(
     recomputes only their block.
 
     `deflate` takes orthonormal columns spanning a subspace W that op and
-    op† both map into itself; every iterate is projected onto W^perp, which
-    is then invariant too, so the result is the norm of op restricted to W^perp.
+    op† both map into itself; every iterate and every new basis vector is
+    projected onto W^perp, which is then invariant too, so the result is the
+    norm of op restricted to W^perp. Projecting the new basis vectors keeps
+    rounding in W from growing by 1/residual at every step.
     """
     if op.dim < 1:
         raise PreconditionError("operator dimension must be >= 1")
@@ -203,7 +205,7 @@ def spectral_norm(
             vs, ws = basis[:m], images[:m]
             quotient[:m, :m] = vs.conj() @ ws.T
 
-        nxt = reorthogonalise(resid_vec, vs)
+        nxt = reorthogonalise(project_out(resid_vec), vs)
         nrm = np.linalg.norm(nxt)
         if nrm < 1e-14:
             fresh = g.standard_normal(n) + 1j * g.standard_normal(n)

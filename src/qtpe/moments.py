@@ -36,6 +36,7 @@ import numpy as np
 from .ensemble import Stage, UnitaryEnsemble
 from .errors import PreconditionError, SizeLimitError
 from .linalg import (
+    DEFAULT_MAX_ITERS,
     DENSE_LIMIT,
     ITERATIVE_AMBIENT_LIMIT,
     LinearMap,
@@ -152,10 +153,10 @@ class FixedSpaceBasis:
 def fixed_space_basis(n: int, t: int) -> FixedSpaceBasis:
     """Build the fixed space of all tensor-power conjugations on (C^n)^(x t).
 
-    The Gram matrix is computed exactly from the cycle formula; the
-    orthonormal basis uses the Gram inverse square root (Loewdin) when the
-    family is full rank and an SVD-based orthonormalisation when t > n makes
-    it rank-deficient.
+    The Gram matrix is computed exactly from the cycle formula. The
+    orthonormal basis is the SVD orthonormalisation of the stacked family,
+    which also covers t > n, where the family is rank-deficient; only its
+    span is used (to deflate W and to project onto it).
     """
     if t > MAX_T_BASIS:
         raise SizeLimitError(f"t={t} exceeds basis guard {MAX_T_BASIS}")
@@ -169,16 +170,7 @@ def fixed_space_basis(n: int, t: int) -> FixedSpaceBasis:
         inv = sig.inverse()
         for j, sig_p in enumerate(perms):
             gram[i, j] = float(n) ** (cycle_count(inv.compose(sig_p)) - t)
-    stacked = np.stack([a.reshape(-1) for a in alphas], axis=1)
-    evals = np.linalg.eigvalsh(gram)
-    if evals[0] > 1e-8 * evals[-1]:
-        # Loewdin: continuous in n, keeps the permutation labelling symmetric
-        w, v = np.linalg.eigh(gram)
-        inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-        ortho = stacked @ inv_sqrt
-        rank = len(perms)
-    else:
-        ortho, rank = orthonormalize(stacked, rank_tol=1e-8)
+    ortho, rank = orthonormalize([a.reshape(-1) for a in alphas], rank_tol=1e-8)
     return FixedSpaceBasis(t=t, local_dim=n, alphas=alphas, gram=gram, ortho=ortho, rank=rank)
 
 
@@ -441,7 +433,7 @@ class SpectralReport:
 
 
 def check_solver_settings(
-    dim: int, t: int, method: str | None = None, tol: float | None = None, max_iters: int = 5000
+    dim: int, t: int, method: str | None = None, tol: float | None = None, max_iters: int = DEFAULT_MAX_ITERS
 ) -> None:
     """Refuse, before any work, settings lambda_report cannot run with on an
     ensemble of dimension `dim`.
@@ -473,7 +465,7 @@ def lambda_report(
     method: str | None = None,
     tol: float | None = None,
     rng: SeededRng | None = None,
-    max_iters: int = 5000,
+    max_iters: int = DEFAULT_MAX_ITERS,
     bound_reference: float | None = None,
 ) -> SpectralReport:
     """Second largest singular value of the moment operator vs the Haar projector.

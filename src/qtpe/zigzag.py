@@ -23,10 +23,14 @@ from .epsgood import dprime_threshold
 from .errors import PreconditionError
 
 
-def _outer_involution(g: UnitaryEnsemble) -> tuple[int, ...]:
-    if g.involution is not None:
-        return g.involution
-    return tuple(range(g.size))  # identity map when no involution is attached
+def _control_unitary(g: UnitaryEnsemble, relabel, trailing: int) -> np.ndarray:
+    """e_a (x) e_b (x) e_c -> (U_b e_a) (x) e_{relabel[b]} (x) e_c on C^(D*s*trailing), the one Gdot builder."""
+    dd, s = g.dim, g.size
+    out = np.zeros((dd, s, trailing, dd, s, trailing), dtype=complex)
+    for b in range(s):
+        for c in range(trailing):
+            out[:, relabel[b], c, :, b, c] = g.member(b)
+    return out.reshape(dd * s * trailing, -1)
 
 
 def g_dot(g: UnitaryEnsemble) -> np.ndarray:
@@ -35,14 +39,7 @@ def g_dot(g: UnitaryEnsemble) -> np.ndarray:
     Uses g's involution for the relabelling, or the identity map when none is
     attached. For an explicitly Hermitian g the result is an involution.
     """
-    dd = g.dim
-    s = g.size
-    inv = _outer_involution(g)
-    out = np.zeros((dd * s, dd * s), dtype=complex)
-    rows = np.arange(dd)
-    for b in range(s):
-        out[np.ix_(rows * s + inv[b], rows * s + b)] = g.member(b)
-    return out
+    return _control_unitary(g, g.involution or range(g.size), 1)
 
 
 def zigzag(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemble:
@@ -57,6 +54,7 @@ def zigzag(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemble:
             f"inner dimension must equal outer degree: dim(h) = {h.dim}, degree(g) = {g.size}"
         )
     s = h.size
+    check_product_degree([s, s], g.dim * g.size)  # before Gdot is formed
     involution = None
     if g.involution is not None and h.involution is not None:
         hinv = h.involution
@@ -80,7 +78,7 @@ def zigzag_derandomised(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemb
             f"inner dimension must equal outer degree: dim(h) = {h.dim}, degree(g) = {g.size}"
         )
     s = h.size
-    check_product_degree([s] * 3)  # before the s middle factors are formed
+    check_product_degree([s] * 3, g.dim * g.size)  # before the s middle factors are formed
     hinv = h.involution
     involution = tuple(
         (hinv[k] * s + j) * s + hinv[i] for i in range(s) for j in range(s) for k in range(s)
@@ -94,18 +92,12 @@ def zigzag_derandomised(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemb
 def g_dot_general(g: UnitaryEnsemble, d: int, dprime: int) -> np.ndarray:
     """Control unitary on C^(D*d*d'): e_a (x) e_b (x) e_b' -> (U_b e_a) (x) e_b (x) e_b'.
 
-    Acts only through the middle index; no involution relabelling is applied.
+    Acts only through the middle index: it is g_dot with the identity
+    relabelling, tensored with 1_{d'}.
     """
     if g.size != d:
         raise PreconditionError(f"outer degree {g.size} must equal d = {d}")
-    big = g.dim * d * dprime
-    out = np.zeros((big, big), dtype=complex)
-    rows = np.arange(g.dim)
-    for b in range(d):
-        for bp in range(dprime):
-            cols = rows * (d * dprime) + b * dprime + bp
-            out[np.ix_(cols, cols)] = g.member(b)
-    return out
+    return _control_unitary(g, range(d), dprime)
 
 
 def zigzag_generalised(g: UnitaryEnsemble, h_list: list[UnitaryEnsemble], d: int, dprime: int) -> UnitaryEnsemble:
@@ -129,7 +121,7 @@ def zigzag_generalised(g: UnitaryEnsemble, h_list: list[UnitaryEnsemble], d: int
     if dims != {d * dprime}:
         raise PreconditionError(f"inner dimensions must all equal d*d' = {d*dprime}, got {sorted(dims)}")
     s = next(iter(sizes))
-    check_product_degree([s] * k)
+    check_product_degree([s] * k, g.dim * d * dprime)  # before Gdot is formed
     dot = Stage(g_dot_general(g, d, dprime)[None])
     stages = [Stage(h_list[0].unitaries, g.dim)]
     for h in h_list[1:]:
@@ -156,10 +148,19 @@ def _closeness_term(t: int, d: float) -> float:
     return (t * (t - 1) / d) ** 0.25
 
 
+def _hypothesis_flags(t: int, d: int) -> tuple[str, ...]:
+    return () if d >= 10 * t * t else (f"hypothesis d >= 10 t^2 violated (d={d}, t={t})",)
+
+
+def _mus(l1: float, l2: float, t: int, d: int) -> tuple[float, float, float]:
+    """mu_1 and mu_2 of the improved and derandomised bounds, and (t(t-1)/d)^(1/4)."""
+    eps4 = _closeness_term(t, d)
+    return l1 + 9.0 * math.sqrt(t * (t - 1) / d), l2 + 2.0 * eps4, eps4
+
+
 def bound_zigzag(l1: float, l2: float, t: int, d: int) -> BoundValue:
     """lambda_1 + lambda_2 + lambda_2^2 + 24 (t(t-1)/d)^(1/4)."""
-    flags = () if d >= 10 * t * t else (f"hypothesis d >= 10 t^2 violated (d={d}, t={t})",)
-    return BoundValue(l1 + l2 + l2 * l2 + 24.0 * _closeness_term(t, d), flags)
+    return BoundValue(l1 + l2 + l2 * l2 + 24.0 * _closeness_term(t, d), _hypothesis_flags(t, d))
 
 
 def bound_zigzag_improved(l1: float, l2: float, t: int, d: int, variant: str = "as-printed") -> BoundValue:
@@ -167,22 +168,16 @@ def bound_zigzag_improved(l1: float, l2: float, t: int, d: int, variant: str = "
     printed form and the classical squared form, so both are exposed."""
     if variant not in ("as-printed", "squared"):
         raise PreconditionError(f"variant must be 'as-printed' or 'squared', got {variant!r}")
-    eps4 = _closeness_term(t, d)
-    mu1 = l1 + 9.0 * math.sqrt(t * (t - 1) / d)
-    mu2 = l2 + 2.0 * eps4
+    mu1, mu2, eps4 = _mus(l1, l2, t, d)
     inner = (1.0 - mu2**2) * mu1**2 if variant == "as-printed" else ((1.0 - mu2**2) * mu1) ** 2
     value = 0.5 * (1.0 - mu2**2) * mu1 + 0.5 * math.sqrt(max(inner + 4.0 * mu2**2, 0.0)) + 2.0 * eps4
-    flags = () if d >= 10 * t * t else (f"hypothesis d >= 10 t^2 violated (d={d}, t={t})",)
-    return BoundValue(value, flags)
+    return BoundValue(value, _hypothesis_flags(t, d))
 
 
 def bound_zigzag_derandomised(l1: float, l2: float, t: int, d: int) -> BoundValue:
     """mu_1 + 2 mu_2^2 + 2 (t(t-1)/d)^(1/4) with the improved-bound mu's."""
-    eps4 = _closeness_term(t, d)
-    mu1 = l1 + 9.0 * math.sqrt(t * (t - 1) / d)
-    mu2 = l2 + 2.0 * eps4
-    flags = () if d >= 10 * t * t else (f"hypothesis d >= 10 t^2 violated (d={d}, t={t})",)
-    return BoundValue(mu1 + 2.0 * mu2**2 + 2.0 * eps4, flags)
+    mu1, mu2, eps4 = _mus(l1, l2, t, d)
+    return BoundValue(mu1 + 2.0 * mu2**2 + 2.0 * eps4, _hypothesis_flags(t, d))
 
 
 @dataclass(frozen=True)

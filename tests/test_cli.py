@@ -1,7 +1,9 @@
 """End-to-end CLI behaviour: files, reports, exit codes, determinism."""
 
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +208,27 @@ class TestZigzagCommand:
         assert "guard" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_member_entry_guard_exit_2(self, tmp_path, capsys):
+        g, h, out = tmp_path / "g.qtpe", tmp_path / "h.qtpe", tmp_path / "gh.qtpe"
+        save(sample_random_qtpe(64, 8, SeededRng(1)), g)
+        save(sample_random_qtpe(8, 64, SeededRng(2)), h)
+        code = run("zigzag", "--g", str(g), "--h", str(h), "--out", str(out))
+        assert code == 2  # 4096 members of 512 x 512 would take 16 GiB
+        assert "PRODUCT_ENTRY_LIMIT" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_bound_exit_2(self, tmp_path, capsys):
+        g, h = tmp_path / "g.qtpe", tmp_path / "h.qtpe"
+        save(sample_random_qtpe(2, 4, SeededRng(1)), g)
+        save(identity_ensemble(4), h)
+        code = run(
+            "zigzag", "--g", str(g), "--h", str(h), "--kind", "generalised", "--k", "600",
+            "--check-bound-t", "1", "--out", str(tmp_path / "p.qtpe"),
+        )
+        assert code == 2  # the d' threshold of the generalised bound needs 4^1201
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: numeric inputs out of range")
+
     def test_bound_check_malformed_tol_exit_2(self, tmp_path, capsys):
         g = self._sample(tmp_path, "g.qtpe", 2, 4, 1)
         h = self._sample(tmp_path, "h.qtpe", 4, 4, 2)
@@ -270,6 +293,16 @@ class TestCertify:
         doc = json.loads(out.read_text())
         assert doc["pass"] and doc["failures"] == []
         assert doc["steps"][2]["bound_check"]["satisfied"]
+
+    def test_readme_config_passes(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert len(blocks) == 1
+        cfg = tmp_path / "config.json"
+        cfg.write_text(blocks[0])
+        out = tmp_path / "report.json"
+        assert run("certify", "--config", str(cfg), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["pass"]
 
     def test_vacuous_bound_flagged_but_passes(self, tmp_path):
         steps = [{"kind": "bound", "name": "vac", "bound": "zigzag", "l1": 0.0, "l2": 0.0, "t": 2, "d": 40}]

@@ -6,6 +6,7 @@ import pytest
 from conftest import dense_lambda, hermitian_ensemble, identity_ensemble, raw_haar_ensemble
 from qtpe.ensemble import (
     UnitaryEnsemble,
+    check_product_degree,
     hermitian_double,
     load,
     read_sidecar,
@@ -143,6 +144,19 @@ class TestTensorEnsemble:
     def test_lambda_preserved_t1(self, seed):
         e = raw_haar_ensemble(3, 4, seed)
         assert dense_lambda(tensor_ensemble(e), 1) == pytest.approx(dense_lambda(e, 1), abs=1e-7)
+
+    def test_entry_guard_before_any_member(self, monkeypatch):
+        import qtpe.ensemble as ens
+
+        monkeypatch.setattr(ens, "kron", lambda *args: pytest.fail("a member was formed"))
+        with pytest.raises(SizeLimitError, match="PRODUCT_ENTRY_LIMIT"):
+            tensor_ensemble(raw_haar_ensemble(64, 4, seed=0))  # 16 members of 4096 x 4096: 4 GiB
+
+
+def test_product_entry_guard():
+    check_product_degree([16, 16], 512)  # 256 * 512^2 = 2^26 entries, at the guard
+    with pytest.raises(SizeLimitError, match="PRODUCT_ENTRY_LIMIT"):
+        check_product_degree([16, 16], 513)
 
 
 class TestTracingOut:

@@ -225,6 +225,17 @@ class TestSpectralNorm:
         assert est.converged and est.iterations == 6
         assert abs(est.value - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("tol", [1e-14, 1e-10, 1e-7])
+    def test_new_basis_vectors_stay_in_deflated_space(self, tol):
+        # a clustered tail divides the residual down at every step; without
+        # projecting each new basis vector, rounding in W grew to 2e-3 and the
+        # full-space exit returned unconverged with lambda off by 1.2e-8
+        q = haar_unitary(8, SeededRng(10))
+        a = q @ np.diag([4.0, 4.0, 1.0, 0.999, 0.998, 0.997, 0.996, 0.995]) @ q.conj().T
+        est = spectral_norm(as_map(a), tol=tol, rng=SeededRng(3), deflate=q[:, :2])
+        assert est.converged and est.iterations <= 6
+        assert abs(est.value - 1.0) <= 1e-14
+
     def test_rank_one_takes_fresh_vectors(self):
         # two steps span the range of a rank-1 operator; every later residual
         # vanishes, so each further basis vector is a fresh random one
