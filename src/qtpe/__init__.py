@@ -18,14 +18,12 @@ from .ensemble import (
     validate,
 )
 from .epsgood import (
-    ConditionedOutcome,
     GoodnessDecision,
     dprime_threshold,
     epsgood_failure_bound,
     is_good_for_set,
     is_good_for_vector,
     is_tuple_good,
-    measure_first_factor,
 )
 from .errors import EnsembleFormatError, PreconditionError, QtpeError, SizeLimitError
 from .linalg import (
@@ -43,7 +41,6 @@ from .moments import (
     FixedSpaceBasis,
     MomentOperator,
     SpectralReport,
-    alpha_prime_sigma,
     alpha_sigma,
     design_error_monomial,
     design_errors,
@@ -70,7 +67,6 @@ from .perms import (
 )
 from .zigzag import (
     BoundValue,
-    GenZigzagBound,
     bound_genzigzag,
     bound_zigzag,
     bound_zigzag_derandomised,

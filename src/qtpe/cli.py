@@ -125,9 +125,11 @@ def _build_product(kind: str, g: UnitaryEnsemble, hs: list[UnitaryEnsemble], k: 
 def _bound_check(g, h, product, bound_of, t: int, tol: float | None, bound_tol: float, rng: SeededRng) -> dict:
     """Measure lambda_1 (g, t=1), lambda_2 (h, t) and the product's lambda, and
     compare the last with the product's closed-form bound."""
+    # the product's lambda first: its ambient size is the largest of the three,
+    # so a refused size or tol costs no solve
+    rep = moments.lambda_report(product, t, tol=tol, rng=rng.child(3))
     rep1 = moments.lambda_report(g, 1, tol=tol, rng=rng.child(1))
     rep2 = moments.lambda_report(h, t, tol=tol, rng=rng.child(2))
-    rep = moments.lambda_report(product, t, tol=tol, rng=rng.child(3))
     bound = bound_of(rep1.lambda_, rep2.lambda_, t)
     return {
         "t": t,
@@ -254,7 +256,6 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
             tol=f.get("tol", float, None),
             rng=rng,
             max_iters=f.get("max_iters", int, DEFAULT_MAX_ITERS),
-            bound_reference=_sidecar_bound(path),
         )
         result.update(rep.to_json_dict())
         ok = rep.converged
@@ -263,8 +264,9 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
             below = rep.lambda_ < threshold
             result["assert_below"] = {"threshold": threshold, "satisfied": below}
             ok = ok and below
-        if rep.bound_reference is not None:
-            result["vacuous_bound"] = rep.bound_reference >= 1.0
+        result["bound_reference"] = bound = _sidecar_bound(path)
+        if bound is not None:
+            result["vacuous_bound"] = bound >= 1.0
         result["pass"] = ok
     elif kind == "zigzag":
         g = _load_checked(f.path("g"))
@@ -274,9 +276,7 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
         t = f.get("check_bound_t", int, None)
         if t is not None:
             tol, bound_tol = f.get("tol", float, None), f.get("bound_tol", float, 1e-6)
-            # the product's lambda has the largest ambient size of the three
-            moments.check_solver_settings(product.dim, t, tol=tol)  # before the product is written
-        save(product, f.path("out"), sidecar={"provenance": {"kind": zz_kind, "g": step["g"], "h": step["h"]}})
+        out = f.path("out")
         result.update(
             {
                 "zz_kind": zz_kind,
@@ -292,6 +292,8 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
             check = _bound_check(g, hs[0], product, bound_of, t, tol, bound_tol, rng)
             result["bound_check"] = check
             ok = check["satisfied"] and check["converged"]
+        # written last, so a refused bound check leaves no file behind
+        save(product, out, sidecar={"provenance": {"kind": zz_kind, "g": step["g"], "h": step["h"]}})
         result["pass"] = ok
     elif kind == "closeness":
         rep = moments.subspace_closeness_report(f.get("D", int), f.get("d", int), f.get("t", int))
@@ -321,12 +323,15 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
         d, dprime, k = f.get("d", int), f.get("dprime", int), f.get("k", int)
         mode, budget = f.get("mode", str, "exhaustive"), f.get("budget", int, None)
         eg.check_tuple_size(k, d, dprime, mode, budget)  # before the k draws
+        eps = f.get("eps", float)
+        if eps <= 0:  # is_good_for_set refuses it too, but only after the draws
+            raise PreconditionError(f"eps must be positive, got {eps}")
         us = [haar_unitary(d * dprime, rng.child(i)) for i in range(k)]
         decision = eg.is_tuple_good(
             us,
             d,
             dprime,
-            f.get("eps", float),
+            eps,
             mode=mode,
             budget=budget,
             rng=rng.child(99) if mode == "sampled" else None,

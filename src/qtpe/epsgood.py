@@ -10,7 +10,6 @@ inner-dimension-threshold formulas accompany the checkers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,41 +22,6 @@ from .linalg import SeededRng
 # draws plus the path steps of its picks when sampled
 EXHAUSTIVE_LIMIT = 10**5
 ZERO_PROBABILITY = 1e-12
-
-
-@dataclass
-class ConditionedOutcome:
-    """One measurement branch: outcome index, probability, conditioned state.
-
-    The state is the renormalised post-measurement vector in the full
-    bipartite space; a zero-probability branch keeps the zero vector and is
-    flagged.
-    """
-
-    outcome: int
-    probability: float
-    state: np.ndarray
-    zero_probability: bool = False
-
-
-def measure_first_factor(u: np.ndarray, x: np.ndarray, d: int, dprime: int) -> list[ConditionedOutcome]:
-    """Measure the first tensor factor of u @ x in the computational basis."""
-    u = np.asarray(u, dtype=complex)
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if u.shape != (d * dprime, d * dprime):
-        raise PreconditionError(f"u must be {d*dprime}x{d*dprime}, got {u.shape}")
-    if x.shape != (d * dprime,):
-        raise PreconditionError(f"x must have length {d*dprime}, got {x.shape}")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-10:
-        raise PreconditionError(f"x must be a unit vector, got norm {np.linalg.norm(x)}")
-    y = (u @ x).reshape(d, dprime)
-    outcomes = []
-    for v in range(d):
-        p, state = _branch(y, v)
-        zero = state is None
-        state = np.zeros(d * dprime, dtype=complex) if zero else state
-        outcomes.append(ConditionedOutcome(outcome=v, probability=p, state=state, zero_probability=zero))
-    return outcomes
 
 
 def _branch(y: np.ndarray, v: int) -> tuple[float, np.ndarray | None]:
@@ -80,18 +44,9 @@ class GoodnessDecision:
     coverage: float = 1.0
     checks: int = 0
 
-    def to_json(self) -> str:
-        payload = {"good": self.good, "witness": self.witness, "coverage": self.coverage, "checks": self.checks}
-        return json.dumps(payload, indent=2, sort_keys=True)
-
 
 def _probability_window(d: int, eps: float) -> tuple[float, float]:
     return (1.0 - 3.0 * eps) / d, (1.0 + 3.0 * eps) / d
-
-
-def _vector_probabilities(u: np.ndarray, x: np.ndarray, d: int, dprime: int) -> np.ndarray:
-    y = (u @ x).reshape(d, dprime)
-    return np.sum(np.abs(y) ** 2, axis=1)
 
 
 def is_good_for_vector(u: np.ndarray, x: np.ndarray, d: int, dprime: int, eps: float) -> GoodnessDecision:
@@ -102,7 +57,8 @@ def is_good_for_vector(u: np.ndarray, x: np.ndarray, d: int, dprime: int, eps: f
     if abs(np.linalg.norm(x) - 1.0) > 1e-10:
         raise PreconditionError(f"x must be a unit vector, got norm {np.linalg.norm(x)}")
     lo, hi = _probability_window(d, eps)
-    probs = _vector_probabilities(np.asarray(u, dtype=complex), x, d, dprime)
+    y = (np.asarray(u, dtype=complex) @ x).reshape(d, dprime)
+    probs = np.sum(np.abs(y) ** 2, axis=1)
     dev = np.maximum(lo - probs, probs - hi)
     worst = int(np.argmax(dev))
     good = bool(dev[worst] <= 0.0)
@@ -119,6 +75,8 @@ def is_good_for_set(
     satisfy |<U x | v, U x' | v>| <= 8 eps. Zero-probability branches carry no
     conditioned state and are skipped as vacuously good.
     """
+    if eps <= 0:
+        raise PreconditionError(f"eps must be positive, got {eps}")
     u = np.asarray(u, dtype=complex)
     xmat = np.stack([np.asarray(x, dtype=complex).reshape(-1) for x in xs], axis=1)
     m = xmat.shape[1]
@@ -311,12 +269,13 @@ class ThresholdReport:
     flags: tuple[str, ...] = ()
 
 
-def dprime_threshold(s: int, d: int, k: int, eps: float, log_base: float = math.e) -> ThresholdReport:
-    """Threshold 30 log(s) (log(s) + log(d)) d^(2k+1) eps^-2 on the inner dimension.
+def dprime_threshold(s: int, d: int, k: int, eps: float) -> ThresholdReport:
+    """Threshold 30 ln(s) (ln(s) + ln(d)) d^(2k+1) eps^-2 on the inner dimension.
 
-    Logs default to natural with a base switch exposed (the base is not
-    pinned by the source formula). Flags record s >= 4 and d >= 100
-    hypothesis violations instead of refusing.
+    The generalised zigzag bound holds when d' meets it; no bound or report
+    evaluates it. Natural logs; d^(2k+1) overflows a float, raising
+    OverflowError, once it passes about 1.8e308. Flags record s >= 4 and
+    d >= 100 hypothesis violations instead of refusing.
     """
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
@@ -327,7 +286,7 @@ def dprime_threshold(s: int, d: int, k: int, eps: float, log_base: float = math.
         flags.append(f"hypothesis s >= 4 violated (s={s})")
     if d < 100:
         flags.append(f"hypothesis d >= 100 violated (d={d})")
-    ls = math.log(s, log_base)
-    ld = math.log(d, log_base)
+    ls = math.log(s)
+    ld = math.log(d)
     value = 30.0 * ls * (ls + ld) * float(d) ** (2 * k + 1) / (eps * eps)
     return ThresholdReport(value, tuple(flags))

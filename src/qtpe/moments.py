@@ -27,7 +27,6 @@ eigvalsh when an involution makes the blocks Hermitian.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -51,7 +50,6 @@ from .perms import (
     Permutation,
     all_permutations,
     column_group,
-    cycle_count,
     partitions,
     row_group,
     sign,
@@ -109,40 +107,30 @@ def alpha_sigma(sigma: Permutation, n: int, t: int) -> np.ndarray:
 def alpha_prime_inner(sigma: Permutation, d: int, t: int) -> np.ndarray:
     """Distinct-tuple variant of the inner fixed-space generator.
 
-    Keeps only the diagonal entries whose index tuple has t distinct values
-    before shuffling; squared norm is (d)_t / d^t.
+    alpha_sigma with only the columns whose index tuple has t distinct values
+    kept; squared norm is (d)_t / d^t.
     """
     if t > d:
         raise PreconditionError(f"distinct tuples need t <= d, got t={t}, d={d}")
-    nt = d**t
-    digits = np.array(np.unravel_index(np.arange(nt), (d,) * t))
-    distinct = np.ones(nt, dtype=bool)
+    digits = np.array(np.unravel_index(np.arange(d**t), (d,) * t))
+    distinct = np.ones(d**t, dtype=bool)
     for a in range(t):
         for b in range(a + 1, t):
             distinct &= digits[a] != digits[b]
-    base = np.diag(distinct.astype(complex)) / float(d) ** (t / 2.0)
-    return shuffle_operator(sigma, d, t) @ base
-
-
-def alpha_prime_sigma(sigma: Permutation, split: tuple[int, int], t: int) -> np.ndarray:
-    """Grouped-layout product generator: full alpha on the outer factor tensored
-    with the distinct-tuple alpha on the inner factor."""
-    outer_dim, inner_dim = split
-    return kron(alpha_sigma(sigma, outer_dim, t), alpha_prime_inner(sigma, inner_dim, t))
+    return alpha_sigma(sigma, d, t) * distinct
 
 
 @dataclass
 class FixedSpaceBasis:
-    """The shuffle-generator family, its Gram matrix, and an orthonormal basis.
+    """The shuffle-generator family and an orthonormal basis of its span.
 
     `alphas` follow the lexicographic permutation ordering; `ortho` holds
-    orthonormal columns spanning the same space in vectorised form.
+    `rank` orthonormal columns spanning the same space in vectorised form.
+    The family's Gram matrix has entries n^(cycles(sigma^-1 sigma') - t),
+    I + perms.cycle_gram_matrix(t, n) for n > t^2.
     """
 
-    t: int
-    local_dim: int
     alphas: list[np.ndarray]
-    gram: np.ndarray
     ortho: np.ndarray
     rank: int
 
@@ -153,8 +141,7 @@ class FixedSpaceBasis:
 def fixed_space_basis(n: int, t: int) -> FixedSpaceBasis:
     """Build the fixed space of all tensor-power conjugations on (C^n)^(x t).
 
-    The Gram matrix is computed exactly from the cycle formula. The
-    orthonormal basis is the SVD orthonormalisation of the stacked family,
+    The orthonormal basis is the SVD orthonormalisation of the stacked family,
     which also covers t > n, where the family is rank-deficient; only its
     span is used (to deflate W and to project onto it).
     """
@@ -163,15 +150,9 @@ def fixed_space_basis(n: int, t: int) -> FixedSpaceBasis:
     ambient = n ** (2 * t)
     if ambient > ITERATIVE_AMBIENT_LIMIT:
         raise SizeLimitError(f"ambient dimension {ambient} exceeds vector limit {ITERATIVE_AMBIENT_LIMIT}")
-    perms = all_permutations(t)
-    alphas = [alpha_sigma(sig, n, t) for sig in perms]
-    gram = np.empty((len(perms), len(perms)))
-    for i, sig in enumerate(perms):
-        inv = sig.inverse()
-        for j, sig_p in enumerate(perms):
-            gram[i, j] = float(n) ** (cycle_count(inv.compose(sig_p)) - t)
+    alphas = [alpha_sigma(sig, n, t) for sig in all_permutations(t)]
     ortho, rank = orthonormalize([a.reshape(-1) for a in alphas], rank_tol=1e-8)
-    return FixedSpaceBasis(t=t, local_dim=n, alphas=alphas, gram=gram, ortho=ortho, rank=rank)
+    return FixedSpaceBasis(alphas, ortho, rank)
 
 
 def _conjugation_average(
@@ -279,7 +260,6 @@ class MomentOperator:
     def dense(self) -> np.ndarray:
         if self.ambient > DENSE_LIMIT:
             raise SizeLimitError(f"ambient {self.ambient} exceeds dense limit {DENSE_LIMIT}")
-        n = self.local_dim
         acc = np.zeros((self.ambient, self.ambient), dtype=complex)
         for u in self.ensemble.unitaries:
             ut = u
@@ -412,7 +392,6 @@ class SpectralReport:
     seed: int
     t: int
     label: str = ""
-    bound_reference: float | None = None
     converged: bool = True
 
     def to_json_dict(self) -> dict:
@@ -421,15 +400,11 @@ class SpectralReport:
             "method": self.method,
             "iterations": self.iterations,
             "residual": self.residual,
-            "bound_reference": self.bound_reference,
             "seed": self.seed,
             "ensemble-label": self.label,
             "t": self.t,
             "converged": self.converged,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def check_solver_settings(
@@ -466,7 +441,6 @@ def lambda_report(
     tol: float | None = None,
     rng: SeededRng | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
-    bound_reference: float | None = None,
 ) -> SpectralReport:
     """Second largest singular value of the moment operator vs the Haar projector.
 
@@ -504,7 +478,6 @@ def lambda_report(
         seed=rng.seed,
         t=t,
         label=e.label,
-        bound_reference=bound_reference,
         converged=est.converged,
     )
 
@@ -683,11 +656,12 @@ def subspace_closeness_report(outer_dim: int, inner_dim: int, t: int) -> Closene
     w2_cols = []
     w2p_cols = []
     for sig in perms:
-        a2 = alpha_sigma(sig, inner_dim, t)
-        w_cols.append(kron(alpha_sigma(sig, outer_dim, t), a2).reshape(-1))
-        wp_cols.append(alpha_prime_sigma(sig, (outer_dim, inner_dim), t).reshape(-1))
+        a1, a2 = alpha_sigma(sig, outer_dim, t), alpha_sigma(sig, inner_dim, t)
+        a2p = alpha_prime_inner(sig, inner_dim, t)
+        w_cols.append(kron(a1, a2).reshape(-1))
+        wp_cols.append(kron(a1, a2p).reshape(-1))
         w2_cols.append(a2.reshape(-1))
-        w2p_cols.append(alpha_prime_inner(sig, inner_dim, t).reshape(-1))
+        w2p_cols.append(a2p.reshape(-1))
     qw, _ = orthonormalize(w_cols)
     qwp, _ = orthonormalize(wp_cols)
     q2, _ = orthonormalize(w2_cols)

@@ -38,9 +38,6 @@ class Permutation:
     def size(self) -> int:
         return len(self.map)
 
-    def __call__(self, a: int) -> int:
-        return self.map[a]
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.size
         for a, b in enumerate(self.map):
@@ -52,10 +49,6 @@ class Permutation:
         if other.size != self.size:
             raise PreconditionError("size mismatch in composition")
         return Permutation(tuple(self.map[other.map[a]] for a in range(self.size)))
-
-
-def identity(t: int) -> Permutation:
-    return Permutation(tuple(range(t)))
 
 
 def all_permutations(t: int) -> list[Permutation]:

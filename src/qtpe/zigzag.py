@@ -8,7 +8,9 @@ ensemble.product_ensemble forms the members from the stages, guards the
 degree, and attaches the stages, so the moment operator is applied stage by
 stage. Bound calculators evaluate the corresponding closed-form guarantees,
 flagging (never refusing) out-of-hypothesis parameters, since desk-scale
-experiments intentionally run outside the guaranteed regimes.
+experiments intentionally run outside the guaranteed regimes. The generalised
+product's inner-dimension threshold is a separate calculator,
+epsgood.dprime_threshold, that no bound evaluates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Stage, UnitaryEnsemble, check_product_degree, product_ensemble
-from .epsgood import dprime_threshold
 from .errors import PreconditionError
 
 
@@ -180,26 +181,13 @@ def bound_zigzag_derandomised(l1: float, l2: float, t: int, d: int) -> BoundValu
     return BoundValue(mu1 + 2.0 * mu2**2 + 2.0 * eps4, _hypothesis_flags(t, d))
 
 
-@dataclass(frozen=True)
-class GenZigzagBound:
-    """Generalised-product bound with the inner-dimension feasibility report."""
-
-    value: float
-    flags: tuple[str, ...]
-    dprime_threshold: float
-    dprime_feasible: bool
-
-    @property
-    def vacuous(self) -> bool:
-        return self.value >= 1.0
-
-
-def bound_genzigzag(l1: float, l2: float, k: int, t: int, d: int, dprime: int, eps: float) -> GenZigzagBound:
+def bound_genzigzag(l1: float, l2: float, k: int, t: int, d: int, dprime: int, eps: float) -> BoundValue:
     """8(lambda_1 + 7 eps) + lambda_2^(k-1) + lambda_2^k + 47 (t(t-1)/(dd'))^(1/4).
 
-    Also evaluates the inner-dimension threshold d' >= 30 ln(s)(ln(s)+ln(d))
-    d^(2k+1) eps^-2 as a feasibility statement, using s = 4 (the smallest
-    admissible degree) when no degree accompanies the call.
+    The guarantee also needs d' >= 30 ln(s)(ln(s)+ln(d)) d^(2k+1) eps^-2
+    (epsgood.dprime_threshold). The bound does not evaluate that threshold,
+    so a large k overflows only through lambda_2^k, when lambda_2 > 1.
+    k < 1, eps <= 0 and d or d' < 1 are refused.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
@@ -211,5 +199,9 @@ def bound_genzigzag(l1: float, l2: float, k: int, t: int, d: int, dprime: int, e
     if not 0.0 < eps < 1e-2:
         flags.append(f"hypothesis 0 < eps < 1e-2 violated (eps={eps})")
     value = 8.0 * (l1 + 7.0 * eps) + l2 ** (k - 1) + l2**k + 47.0 * _closeness_term(t, d * dprime)
-    threshold = dprime_threshold(4, d, k, eps)
-    return GenZigzagBound(value, tuple(flags), threshold.value, dprime >= threshold.value)
+    # checked after the value, so an overflow or a refused t keeps its own message
+    if eps <= 0:
+        raise PreconditionError(f"eps must be positive, got {eps}")
+    if min(d, dprime) < 1:  # _closeness_term refused dd' < 1, so both are negative here
+        raise PreconditionError(f"d and d' must be >= 1, got d={d}, d'={dprime}")
+    return BoundValue(value, tuple(flags))

@@ -6,6 +6,12 @@ import pytest
 from qtpe.ensemble import UnitaryEnsemble, sample_random_qtpe
 from qtpe.linalg import SeededRng, haar_unitary
 from qtpe.moments import lambda_report
+from qtpe.perms import Permutation
+
+
+def identity(t):
+    """The identity permutation of range(t)."""
+    return Permutation(tuple(range(t)))
 
 
 def dense_lambda(e, t):

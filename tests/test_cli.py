@@ -217,17 +217,19 @@ class TestZigzagCommand:
         assert "PRODUCT_ENTRY_LIMIT" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_overflowing_bound_exit_2(self, tmp_path, capsys):
-        g, h = tmp_path / "g.qtpe", tmp_path / "h.qtpe"
+    def test_generalised_bound_at_large_k(self, tmp_path, capsys):
+        g, h, out = tmp_path / "g.qtpe", tmp_path / "h.qtpe", tmp_path / "p.qtpe"
         save(sample_random_qtpe(2, 4, SeededRng(1)), g)
         save(identity_ensemble(4), h)
         code = run(
             "zigzag", "--g", str(g), "--h", str(h), "--kind", "generalised", "--k", "600",
-            "--check-bound-t", "1", "--out", str(tmp_path / "p.qtpe"),
+            "--check-bound-t", "1", "--out", str(out),
         )
-        assert code == 2  # the d' threshold of the generalised bound needs 4^1201
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: numeric inputs out of range")
+        # the bound does not evaluate the d' threshold, whose d^(2k+1) = 4^1201 overflows
+        assert code == 0
+        check = json.loads(capsys.readouterr().out)["bound_check"]
+        assert np.isfinite(check["bound"]) and check["vacuous"]
+        assert load(out).size == 1  # s^k members with s = 1
 
     def test_bound_check_malformed_tol_exit_2(self, tmp_path, capsys):
         g = self._sample(tmp_path, "g.qtpe", 2, 4, 1)
@@ -251,6 +253,18 @@ class TestZigzagCommand:
         assert code == 2  # product dim 32: 32^6 exceeds the iterative limit
         assert "exceeds iterative limit" in capsys.readouterr().err
         assert not any((tmp_path / name).exists() for name in ("r.json", "z.qtpe", "z.json"))
+
+    def test_bound_check_refused_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        import qtpe.moments as mom
+
+        solves = []
+        monkeypatch.setattr(mom, "sector_lambda", lambda *args: solves.append(args))
+        monkeypatch.setattr(mom, "spectral_norm", lambda *args, **kwargs: solves.append(args))
+        g = self._sample(tmp_path, "g.qtpe", 8, 4, 1)
+        h = self._sample(tmp_path, "h.qtpe", 4, 4, 2)
+        code = run("zigzag", "--g", str(g), "--h", str(h), "--check-bound-t", "3", "--out", str(tmp_path / "z.qtpe"))
+        assert code == 2  # product dim 32: 32^6 exceeds the iterative limit
+        assert solves == []
 
     def test_bound_check_report(self, tmp_path):
         g = self._sample(tmp_path, "g.qtpe", 8, 4, 7)
@@ -461,6 +475,52 @@ class TestCertify:
         assert run("certify", "--config", str(self._write_config(tmp_path, steps))) == 2
         assert draws == []
         assert "config.steps[0]: dimension 100000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"bound": "generalised", "l1": 0.1, "l2": 2.0, "k": 2000, "t": 1, "d": 2, "dprime": 2, "eps": 1e-3},
+            {"bound": "improved", "l1": 1e200, "l2": 0.2, "t": 1, "d": 8},
+        ],
+    )
+    def test_overflowing_bound_exit_2(self, tmp_path, capsys, step):
+        cfg = self._write_config(tmp_path, [dict(step, kind="bound")])
+        assert run("certify", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config.steps[0]: numeric inputs out of range")
+
+    def test_generalised_bound_at_large_k(self, tmp_path):
+        step = {"kind": "bound", "bound": "generalised", "l1": 0.1, "l2": 0.2, "k": 600, "t": 1, "d": 4, "dprime": 1,
+                "eps": 1e-3}
+        out = tmp_path / "r.json"
+        assert run("certify", "--config", str(self._write_config(tmp_path, [step])), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["steps"][0]["value"] == pytest.approx(8 * 0.107, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"eps": -1.0}, "eps must be positive"),
+            ({"eps": 0.0}, "eps must be positive"),
+            ({"d": -1, "dprime": -1}, "d and d' must be >= 1"),
+        ],
+        ids=["eps-negative", "eps-zero", "d-negative"],
+    )
+    def test_generalised_bound_bad_input_exit_2(self, tmp_path, capsys, fields, message):
+        step = {"kind": "bound", "bound": "generalised", "l1": 0.1, "l2": 0.2, "k": 2, "t": 1, "d": 8, "dprime": 8,
+                "eps": 1e-3}
+        assert run("certify", "--config", str(self._write_config(tmp_path, [dict(step, **fields)]))) == 2
+        assert f"config.steps[0]: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d,dprime,k,eps", [(2, 2, 2, -0.1), (1, 4, 3, 0.0)])
+    def test_epsgood_nonpositive_eps_exit_2(self, tmp_path, capsys, monkeypatch, d, dprime, k, eps):
+        import qtpe.cli as cli
+
+        draws = []
+        monkeypatch.setattr(cli, "haar_unitary", lambda *args: draws.append(args))
+        step = {"kind": "epsgood", "d": d, "dprime": dprime, "k": k, "eps": eps, "expect_good": False}
+        assert run("certify", "--config", str(self._write_config(tmp_path, [step]))) == 2
+        assert draws == []  # refused before the k draws
+        assert "config.steps[0]: eps must be positive" in capsys.readouterr().err
 
     def test_epsgood_step(self, tmp_path):
         steps = [
@@ -708,6 +768,17 @@ class TestUsage:
     )
     def test_removed_flags_exit_2(self, argv):
         assert run(*argv) == 2
+
+    def test_subcommand_overflow_exit_2(self, capsys, monkeypatch):
+        import qtpe.cli as cli
+
+        def overflow(*args):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr(cli, "_run_step", overflow)
+        assert run("lambda", "--ensemble", "g.qtpe", "--t", "1") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: numeric inputs out of range")
 
 
 # magic 4 bytes, version 1, dim 4, count 4, involution flag 1

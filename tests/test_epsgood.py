@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from qtpe.epsgood import (
+    _branch,
     check_tuple_size,
     dprime_threshold,
     epsgood_failure_bound,
     is_good_for_set,
     is_good_for_vector,
     is_tuple_good,
-    measure_first_factor,
 )
 from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.linalg import SeededRng, haar_unitary
@@ -30,13 +30,20 @@ def basis_vector(n, i):
     return v
 
 
+def measure(u, x, d, dprime):
+    """(probability, conditioned state or None) of every outcome of the first factor of u @ x."""
+    y = (u @ x).reshape(d, dprime)
+    return [_branch(y, v) for v in range(d)]
+
+
 class TestMeasureFirstFactor:
     def test_identity_on_product_state(self):
         x = np.kron(basis_vector(2, 0), basis_vector(3, 0))
-        outcomes = measure_first_factor(np.eye(6, dtype=complex), x, 2, 3)
-        assert outcomes[0].probability == pytest.approx(1.0)
-        assert outcomes[1].probability == pytest.approx(0.0)
-        assert outcomes[1].zero_probability
+        (p0, state0), (p1, state1) = measure(np.eye(6, dtype=complex), x, 2, 3)
+        assert p0 == pytest.approx(1.0)
+        assert np.allclose(state0, x)
+        assert p1 == pytest.approx(0.0)
+        assert state1 is None
 
     def test_uniform_superposition(self):
         d, dprime = 4, 3
@@ -44,23 +51,22 @@ class TestMeasureFirstFactor:
         for v in range(d):
             x += np.kron(basis_vector(d, v), basis_vector(dprime, 0))
         x /= np.linalg.norm(x)
-        outcomes = measure_first_factor(np.eye(d * dprime, dtype=complex), x, d, dprime)
-        for out in outcomes:
-            assert out.probability == pytest.approx(1.0 / d, abs=1e-12)
+        for p, _ in measure(np.eye(d * dprime, dtype=complex), x, d, dprime):
+            assert p == pytest.approx(1.0 / d, abs=1e-12)
 
     def test_probabilities_sum_to_one_and_states_unit(self):
         d, dprime = 3, 4
         u = haar_unitary(d * dprime, SeededRng(5))
         x = basis_vector(d * dprime, 7)
-        outcomes = measure_first_factor(u, x, d, dprime)
-        assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-10)
-        for o in outcomes:
-            if not o.zero_probability:
-                assert np.linalg.norm(o.state) == pytest.approx(1.0, abs=1e-10)
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(PreconditionError):
-            measure_first_factor(np.eye(4, dtype=complex), np.ones(4, dtype=complex), 2, 2)
+        outcomes = measure(u, x, d, dprime)
+        assert sum(p for p, _ in outcomes) == pytest.approx(1.0, abs=1e-10)
+        for v, (_, state) in enumerate(outcomes):
+            if state is not None:
+                assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
+                # the conditioned state lives on the block of its outcome
+                block = np.zeros(d * dprime, dtype=bool)
+                block[v * dprime : (v + 1) * dprime] = True
+                assert not state[~block].any()
 
 
 class TestGoodForVector:
@@ -88,6 +94,10 @@ class TestGoodForVector:
                 if eps >= threshold:
                     assert is_good_for_vector(u, x, 2, 4, eps).good
 
+    def test_non_unit_rejected(self):
+        with pytest.raises(PreconditionError):
+            is_good_for_vector(np.eye(4, dtype=complex), np.ones(4, dtype=complex), 2, 2, 0.1)
+
     def test_haar_acceptance_rate_meets_calibration(self):
         accepted = 0
         trials = 50
@@ -114,6 +124,12 @@ class TestGoodForSet:
         xs = [basis_vector(4, 0), basis_vector(4, 0)]
         with pytest.raises(PreconditionError):
             is_good_for_set(np.eye(4, dtype=complex), xs, 2, 2, 0.1)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_nonpositive_eps_rejected(self, eps):
+        xs = [basis_vector(4, i) for i in range(4)]
+        with pytest.raises(PreconditionError, match="eps must be positive"):
+            is_good_for_set(haar_unitary(4, SeededRng(2)), xs, 2, 2, eps)
 
     def test_haar_small_set_mostly_good(self):
         accepted = 0
@@ -234,18 +250,6 @@ class TestTupleGood:
         assert accepted >= 4
 
 
-class TestDecisionSerialisation:
-    def test_witness_details_in_json(self):
-        import json
-
-        x = np.kron(basis_vector(2, 0), basis_vector(2, 0))
-        decision = is_good_for_vector(np.eye(4, dtype=complex), x, 2, 2, eps=0.1)
-        doc = json.loads(decision.to_json())
-        assert doc["good"] is False
-        assert doc["witness"]["probability"] == pytest.approx(1.0)
-        assert doc["coverage"] == 1.0
-
-
 class TestFailureBound:
     def test_example_value(self):
         value = epsgood_failure_bound(1, 2, 2, 10**4, 0.1)
@@ -281,11 +285,6 @@ class TestDprimeThreshold:
     def test_hypothesis_flags(self):
         assert dprime_threshold(2, 100, 1, 0.01).flags
         assert dprime_threshold(4, 50, 1, 0.01).flags
-
-    def test_log2_variant_larger(self):
-        nat = dprime_threshold(4, 100, 1, 0.01).value
-        base2 = dprime_threshold(4, 100, 1, 0.01, log_base=2).value
-        assert base2 > nat
 
 
 def full_walk(us, d, dprime, eps, budget, rng):

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     dense_lambda,
     hermitian_ensemble,
+    identity,
     identity_ensemble,
     pauli_ensemble,
     raw_haar_ensemble,
@@ -24,7 +25,6 @@ from qtpe.moments import (
     irrep_bases,
     sector_lambda,
     alpha_prime_inner,
-    alpha_prime_sigma,
     alpha_sigma,
     design_error_monomial,
     design_iterations_needed,
@@ -38,7 +38,6 @@ from qtpe.perms import (
     all_permutations,
     cycle_count,
     cycle_gram_matrix,
-    identity,
     partitions,
     unitary_irrep_dim,
 )
@@ -118,7 +117,6 @@ class TestAlphaPrime:
     def test_t1_equals_alpha(self):
         sig = identity(1)
         assert np.allclose(alpha_prime_inner(sig, 3, 1), alpha_sigma(sig, 3, 1))
-        assert np.allclose(alpha_prime_sigma(sig, (2, 3), 1), alpha_sigma(sig, 6, 1))
 
     def test_norm_is_falling_factorial_fraction(self):
         sig = identity(2)
@@ -153,6 +151,12 @@ class TestRegroup:
             assert np.allclose(regrouped, grouped, atol=1e-12)
 
 
+def numeric_gram(basis):
+    """<alpha_sigma, alpha_sigma'> over the basis' family, in permutation order."""
+    stacked = np.stack([a.reshape(-1) for a in basis.alphas], axis=1)
+    return stacked.conj().T @ stacked
+
+
 class TestFixedSpaceBasis:
     @pytest.mark.parametrize("n,t,rank", [(3, 2, 2), (4, 2, 2), (3, 3, 6), (2, 3, 5), (2, 1, 1)])
     def test_ranks(self, n, t, rank):
@@ -164,16 +168,17 @@ class TestFixedSpaceBasis:
 
     @pytest.mark.parametrize("n,t", [(2, 2), (3, 2), (2, 3)])
     def test_gram_matches_inner_products(self, n, t):
+        # the family's coordinates in `ortho` keep every inner product, so the
+        # basis spans the whole family, rank-deficient (2, 3) included
         basis = fixed_space_basis(n, t)
-        stacked = np.stack([a.reshape(-1) for a in basis.alphas], axis=1)
-        gram = (stacked.conj().T @ stacked).real
-        assert np.max(np.abs(gram - basis.gram)) <= 1e-10
+        coords = basis.ortho.conj().T @ np.stack([a.reshape(-1) for a in basis.alphas], axis=1)
+        assert np.max(np.abs(coords.conj().T @ coords - numeric_gram(basis))) <= 1e-10
 
     @pytest.mark.parametrize("n,t", [(5, 2), (10, 3)])
     def test_gram_equals_identity_plus_cycle_matrix(self, n, t):
-        basis = fixed_space_basis(n, t)
-        expected = np.eye(basis.gram.shape[0]) + cycle_gram_matrix(t, n)
-        assert np.max(np.abs(basis.gram - expected)) <= 1e-12
+        gram = numeric_gram(fixed_space_basis(n, t))
+        expected = np.eye(gram.shape[0]) + cycle_gram_matrix(t, n)
+        assert np.max(np.abs(gram - expected)) <= 1e-12
 
     def test_ortho_columns_orthonormal(self):
         basis = fixed_space_basis(2, 3)  # rank-deficient path
@@ -394,21 +399,18 @@ class TestLambda:
         assert dense_lambda(cube, 1) == pytest.approx(lam**3, abs=1e-6)
 
     def test_report_serialisation_fields(self):
-        rep = lambda_report(pauli_ensemble(), 1, bound_reference=0.5)
-        doc = json.loads(rep.to_json())
+        doc = json.loads(json.dumps(lambda_report(pauli_ensemble(), 1).to_json_dict()))
         assert set(doc) == {
             "lambda",
             "method",
             "iterations",
             "residual",
-            "bound_reference",
             "seed",
             "ensemble-label",
             "t",
             "converged",
         }
         assert doc["ensemble-label"] == "pauli"
-        assert doc["bound_reference"] == 0.5
 
     def test_guards(self):
         e = hermitian_ensemble(2, 4, seed=0)

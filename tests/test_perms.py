@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from conftest import identity
 from hypothesis import given, strategies as st
-
 from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.perms import (
     Permutation,
@@ -18,7 +18,6 @@ from qtpe.perms import (
     falling_factorial,
     fixed_point_count,
     fixed_point_matrix,
-    identity,
     partitions,
     row_group,
     sign,

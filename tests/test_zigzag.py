@@ -358,11 +358,6 @@ class TestBoundCalculators:
         assert b.value >= 47.0 * (2.0 / 10**4) ** 0.25
         assert b.vacuous
 
-    def test_genzigzag_dprime_feasibility(self):
-        b = bound_genzigzag(0.01, 0.1, 2, 1, 100, 100, 0.001)
-        assert b.dprime_threshold > 100
-        assert not b.dprime_feasible
-
     def test_out_of_domain_arguments_rejected(self):
         for call in (
             lambda: bound_zigzag(0.1, 0.1, 1, 0),
@@ -370,6 +365,9 @@ class TestBoundCalculators:
             lambda: bound_zigzag_improved(0.1, 0.1, 1, -4),
             lambda: bound_genzigzag(0.1, 0.0, 0, 1, 100, 100, 0.001),
             lambda: bound_genzigzag(0.1, 0.1, 2, 1, 100, 0, 0.001),
+            lambda: bound_genzigzag(0.1, 0.1, 2, 1, 100, 100, 0.0),
+            lambda: bound_genzigzag(0.1, 0.1, 2, 1, 100, 100, -0.1),
+            lambda: bound_genzigzag(0.1, 0.1, 2, 1, -1, -1, 0.001),
         ):
             with pytest.raises(PreconditionError):
                 call()
