@@ -10,19 +10,22 @@ Two exact ways to that value exist, and lambda_report alone picks between
 them. The iterative one hands the moment operator, matrix-free, to
 linalg.spectral_norm, which deflates the fixed space W from every iterate
 once: the operator and its adjoint both fix W, so W^perp is invariant, and
-there the operator equals its difference with the projector. Each apply
-runs one conjugation kernel per stage: a GEMM by the stacked members on the
-first leg of vec(M), per-member contractions on the middle legs, and a GEMM
-by the stacked adjoints on the last leg that also sums over the members;
-the stacks are laid out once per MomentOperator. The dense
-one never materialises the n^2t x n^2t operator: by Schur-Weyl duality
-(C^n)^(x t) splits into U(n) irreps V_lambda, lambda a partition of t with
-at most n rows, each repeated f_lambda times, and the moment operator is
-block diagonal over pairs (lambda, mu). Each block acts on d_lambda x d_mu
-matrices as X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)†, the Haar projector
-is vec(I)vec(I)†/d_lambda on the diagonal blocks and 0 elsewhere, and
-lambda is the largest top singular value over the blocks, read from
-eigvalsh when an involution makes the blocks Hermitian.
+there the operator equals its difference with the projector. Each apply runs
+one conjugation kernel per stage: a GEMM by the stacked members on the first
+leg of vec(M), per-member contractions on the middle legs, and a GEMM by the
+stacked adjoints on the last leg that also sums over the members; the stacks
+are laid out once per MomentOperator, and the stacked intermediates live in
+a two-row workspace that the operator allocates at its first apply and
+reuses, at most 2 * _BATCH_BYTES, so one MomentOperator must not be applied
+from two threads at once. The dense one never materialises the n^2t x n^2t
+operator: by Schur-Weyl duality (C^n)^(x t) splits into U(n) irreps
+V_lambda, lambda a partition of t with at most n rows, each repeated
+f_lambda times, and the moment operator is block diagonal over pairs
+(lambda, mu). Each block acts on d_lambda x d_mu matrices as X -> (1/s)
+sum_i R_lambda(U_i) X R_mu(U_i)†, the Haar projector is
+vec(I)vec(I)†/d_lambda on the diagonal blocks and 0 elsewhere, and lambda is
+the largest top singular value over the blocks, read from eigvalsh when an
+involution makes the blocks Hermitian.
 """
 
 from __future__ import annotations
@@ -156,7 +159,13 @@ def fixed_space_basis(n: int, t: int) -> FixedSpaceBasis:
 
 
 def _conjugation_average(
-    left: np.ndarray, right: np.ndarray, cols: np.ndarray | None, x: np.ndarray, t: int, outer: int
+    left: np.ndarray,
+    right: np.ndarray,
+    cols: np.ndarray | None,
+    x: np.ndarray,
+    t: int,
+    outer: int,
+    work: np.ndarray,
 ) -> np.ndarray:
     """Average of tensor-power conjugations applied to vec(M), matrix-free.
 
@@ -168,29 +177,39 @@ def _conjugation_average(
     middle legs (t >= 2) are batched per-member contractions, by left[i] on
     the row legs and by cols[i] = right[i]^T on the column legs. The last leg
     puts the member axis beside the last axis and makes one GEMM by the stacked
-    right members, so the member sum is the GEMM's inner dimension. Members
-    run in chunks whose stacked intermediate fits _BATCH_BYTES, and the chunk
-    sums add in fixed member order, so reruns are bit-identical.
+    right members, so the member sum is the GEMM's inner dimension.
+
+    Every stacked (c*ambient) intermediate of a chunk of c members lives in
+    the two rows of `work` (MomentOperator's workspace): the first-leg GEMM
+    writes one row, each middle leg writes the other and swaps them, the
+    transpose before the last leg is copied into the free row, and the
+    partial sums of later chunks reuse the row it came from. Only the result
+    is a fresh array, as callers keep it. A chunk holds as many members as
+    one row has room for, and the chunk sums add in fixed member order, so
+    reruns are bit-identical.
     """
     s, m, _ = left.shape
     side = outer * m
     ambient = side ** (2 * t)
-    chunk = max(1, min(s, _BATCH_BYTES // (16 * ambient)))
+    chunk = min(s, work.shape[1] // ambient)
     x = np.asarray(x, dtype=complex).reshape(outer, m, -1)
     lefts, rights = left.reshape(s * m, m), right.reshape(s * m, m)
     acc = None
     for start in range(0, s, chunk):
         c = min(chunk, s - start)
-        cur = np.matmul(lefts[start * m : (start + c) * m], x)
+        cur, free = work[0, : c * ambient], work[1, : c * ambient]
+        np.matmul(lefts[start * m : (start + c) * m], x, out=cur.reshape(outer, c * m, -1))
         for mode in range(1, 2 * t - 1):
             mats = (left if mode < t else cols)[start : start + c, None]
-            cur = np.matmul(mats, cur.reshape(outer, c, m * side ** (mode - 1) * outer, m, -1))
-        cur = cur.reshape(outer, c, -1, m).transpose(0, 2, 1, 3).reshape(-1, c * m)
-        part = cur @ rights[start * m : (start + c) * m]
+            shape = (outer, c, m * side ** (mode - 1) * outer, m, -1)
+            np.matmul(mats, cur.reshape(shape), out=free.reshape(shape))
+            cur, free = free, cur
+        np.copyto(free.reshape(outer, -1, c, m), cur.reshape(outer, c, -1, m).transpose(0, 2, 1, 3))
+        stacked, block = free.reshape(-1, c * m), rights[start * m : (start + c) * m]
         if acc is None:
-            acc = part
+            acc = stacked @ block
         else:
-            acc += part
+            acc += np.matmul(stacked, block, out=cur[:ambient].reshape(-1, m))
     acc /= s
     return acc.reshape(ambient)
 
@@ -211,11 +230,20 @@ class MomentOperator:
     apply: the member stacks A_i and A_i†, which the forward and the adjoint
     map use in swapped roles, and for t >= 2 the contiguous conj(A_i) and
     A_i^T that the middle column legs multiply by.
+
+    The kernel's stacked intermediates live in one workspace of two rows,
+    allocated at the first apply and reused by every later one. A row holds
+    the largest chunk*ambient of the stages, the chunk being the most members
+    whose intermediate fits _BATCH_BYTES, so an operator holds at most
+    2 * _BATCH_BYTES; construction and dense() allocate none. Because the
+    applies share the workspace, one MomentOperator must not be applied from
+    two threads at once.
     """
 
     ensemble: UnitaryEnsemble
     t: int
     _kernels: tuple = field(init=False, repr=False, compare=False)
+    _work: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t < 1:
@@ -253,8 +281,13 @@ class MomentOperator:
         return self._apply(x, adjoint=True)
 
     def _apply(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
+        if self._work is None:
+            ambient = self.ambient
+            members = max(forward[0].shape[0] for _, forward, _ in self._kernels)
+            chunk = max(1, min(members, _BATCH_BYTES // (16 * ambient)))
+            self._work = np.empty((2, chunk * ambient), dtype=complex)
         for outer, forward, backward in self._kernels if adjoint else reversed(self._kernels):
-            x = _conjugation_average(*(backward if adjoint else forward), x, self.t, outer)
+            x = _conjugation_average(*(backward if adjoint else forward), x, self.t, outer, self._work)
         return x
 
     def dense(self) -> np.ndarray:
@@ -446,10 +479,12 @@ def lambda_report(
 
     The one place that picks the solver path: `method` None takes the dense
     one up to the dense limit on n^2t and the iterative one above it. The
-    dense method is exact: it takes the SVD of every Schur-Weyl block
-    (sector_lambda) instead of the n^2t x n^2t superoperator. The iterative
-    method is matrix-free with fixed-space deflation of every iterate. The
-    solver settings are checked whichever path runs (check_solver_settings).
+    dense method is exact: it takes the norm of every Schur-Weyl block
+    (sector_lambda) instead of the n^2t x n^2t superoperator, from eigvalsh
+    when an involution makes the blocks Hermitian and from the SVD
+    otherwise. The iterative method is matrix-free with fixed-space
+    deflation of every iterate. The solver settings are checked whichever
+    path runs (check_solver_settings).
     Non-convergence is surfaced in the report, never silently dropped.
     """
     check_solver_settings(e.dim, t, method, tol, max_iters)

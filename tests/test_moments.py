@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,7 @@ class TestMomentOperatorApply:
             phi = MomentOperator(e, t)
             monkeypatch.setattr(m, "_BATCH_BYTES", 16 * phi.ambient * chunk)
             x = assert_matches_dense(phi)
+            assert phi._work.shape == (2, chunk * phi.ambient)  # sized at the first apply, not at construction
             assert np.array_equal(phi.apply_vec(x), phi.apply_vec(x))
             assert np.array_equal(phi.adjoint_apply_vec(x), phi.adjoint_apply_vec(x))
 
@@ -261,6 +263,58 @@ class TestMomentOperatorApply:
         out = phi.apply(m)
         assert abs(np.trace(out) - np.trace(m)) <= 1e-9
         assert np.linalg.norm(out) <= np.linalg.norm(m) + 1e-9
+
+
+WORKSPACE_CASES = [("raw", 1), ("raw", 2), ("raw", 3), ("staged", 1), ("staged", 2), ("staged", 3)]
+
+
+def workspace_case(kind, t):
+    """A MomentOperator and two random inputs: 5 Haar members on C^2, or the staged product with outer = 2."""
+    phi = MomentOperator(raw_haar_ensemble(2, 5, seed=17) if kind == "raw" else staged_product(), t)
+    g = SeededRng(7, t).generator()
+    x, y = (g.standard_normal(phi.ambient) + 1j * g.standard_normal(phi.ambient) for _ in range(2))
+    return phi, x, y
+
+
+class TestKernelWorkspace:
+    @pytest.mark.parametrize("kind,t", WORKSPACE_CASES)
+    def test_results_never_alias_the_workspace(self, kind, t):
+        phi, x, y = workspace_case(kind, t)
+        forward, backward = phi.apply_vec(x), phi.adjoint_apply_vec(x)
+        kept = forward.copy(), backward.copy()
+        phi.apply_vec(y)
+        phi.adjoint_apply_vec(y)
+        assert np.array_equal(forward, kept[0]) and np.array_equal(backward, kept[1])
+
+    @pytest.mark.parametrize("kind,t", WORKSPACE_CASES)
+    def test_reapply_after_another_input_is_bit_identical(self, kind, t):
+        phi, x, y = workspace_case(kind, t)
+        first = phi.apply_vec(x), phi.adjoint_apply_vec(x)
+        phi.apply_vec(y)
+        phi.adjoint_apply_vec(y)
+        assert np.array_equal(phi.apply_vec(x), first[0])
+        assert np.array_equal(phi.adjoint_apply_vec(x), first[1])
+
+    @pytest.mark.parametrize("kind,t", WORKSPACE_CASES[:-1])  # staged t=3 would materialise 4096 x 4096
+    def test_construction_and_dense_allocate_no_workspace(self, kind, t):
+        phi, _, _ = workspace_case(kind, t)
+        assert phi._work is None
+        phi.dense()
+        assert phi._work is None
+
+    def test_applies_after_the_first_allocate_no_stacked_intermediate(self):
+        # the haar_t1 benchmark shape: one stacked s*ambient intermediate is 16 * 32 * 1600 B = 819 KB
+        phi = MomentOperator(sample_random_qtpe(40, 32, SeededRng(0)), 1)
+        x = SeededRng(8).generator().standard_normal(phi.ambient) + 0j
+        phi.apply_vec(x)
+        tracemalloc.start()
+        try:
+            phi.apply_vec(x)
+            phi.adjoint_apply_vec(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 32 * phi.ambient
 
 
 def small_product(kind):
