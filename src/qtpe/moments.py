@@ -12,9 +12,9 @@ linalg.spectral_norm, which deflates the fixed space W from every iterate
 once: the operator and its adjoint both fix W, so W^perp is invariant, and
 there the operator equals its difference with the projector. Each apply runs
 one conjugation kernel per stage: a GEMM by the stacked members on the first
-leg of vec(M), per-member contractions on the middle legs, and a GEMM by the
-stacked adjoints on the last leg that also sums over the members; the stacks
-are laid out once per MomentOperator, and the stacked intermediates live in
+leg of vec(M), per-member GEMMs that rotate each middle leg to the end, and a
+GEMM by the stacked adjoints on the last leg that also sums over the members;
+the stacks are laid out once per MomentOperator, the stacked intermediates in
 a two-row workspace that the operator allocates at its first apply and
 reuses, at most 2 * _BATCH_BYTES, so one MomentOperator must not be applied
 from two threads at once. The dense one never materialises the n^2t x n^2t
@@ -161,7 +161,6 @@ def fixed_space_basis(n: int, t: int) -> FixedSpaceBasis:
 def _conjugation_average(
     left: np.ndarray,
     right: np.ndarray,
-    cols: np.ndarray | None,
     x: np.ndarray,
     t: int,
     outer: int,
@@ -173,16 +172,20 @@ def _conjugation_average(
     left[i] and B_i = 1_outer (x) right[i]; the moment operator passes right[i]
     = left[i]†. vec(M) is a 2t-way tensor of side outer*m, and each leg is
     contracted on its inner axis. The first leg is one GEMM by the stacked
-    left members [L_1; ...; L_s] (s*m x m), broadcast over the outer axis. The
-    middle legs (t >= 2) are batched per-member contractions, by left[i] on
-    the row legs and by cols[i] = right[i]^T on the column legs. The last leg
-    puts the member axis beside the last axis and makes one GEMM by the stacked
-    right members, so the member sum is the GEMM's inner dimension.
+    left members [L_1; ...; L_s] (s*m x m), broadcast over the outer axis.
+    Each middle leg (t >= 2) is contracted and rotated to the end (de Boor's
+    shuffle) by outer^2*c*m GEMMs, one per outer index and row of the first
+    leg, member and outer index of the leg: the rest of the tensor, with the
+    leg's inner axis last, times the view left[i]^T on the row legs and
+    right[i] on the column legs, written into a strided view of the free row
+    (ldc = outer*m). That leaves legs 1, 2t, 2, ..., 2t-1; the copy before
+    the last leg restores leg order with the member axis beside the last
+    inner axis, and one GEMM by the stacked right members sums over them.
 
     Every stacked (c*ambient) intermediate of a chunk of c members lives in
     the two rows of `work` (MomentOperator's workspace): the first-leg GEMM
     writes one row, each middle leg writes the other and swaps them, the
-    transpose before the last leg is copied into the free row, and the
+    reordering copy before the last leg goes into the free row, and the
     partial sums of later chunks reuse the row it came from. Only the result
     is a fresh array, as callers keep it. A chunk holds as many members as
     one row has room for, and the chunk sums add in fixed member order, so
@@ -191,6 +194,7 @@ def _conjugation_average(
     s, m, _ = left.shape
     side = outer * m
     ambient = side ** (2 * t)
+    rest = side ** (2 * t - 2)
     chunk = min(s, work.shape[1] // ambient)
     x = np.asarray(x, dtype=complex).reshape(outer, m, -1)
     lefts, rights = left.reshape(s * m, m), right.reshape(s * m, m)
@@ -199,12 +203,13 @@ def _conjugation_average(
         c = min(chunk, s - start)
         cur, free = work[0, : c * ambient], work[1, : c * ambient]
         np.matmul(lefts[start * m : (start + c) * m], x, out=cur.reshape(outer, c * m, -1))
+        rows, cols = left[start : start + c, None, None].swapaxes(-1, -2), right[start : start + c, None, None]
         for mode in range(1, 2 * t - 1):
-            mats = (left if mode < t else cols)[start : start + c, None]
-            shape = (outer, c, m * side ** (mode - 1) * outer, m, -1)
-            np.matmul(mats, cur.reshape(shape), out=free.reshape(shape))
+            src = cur.reshape(outer, c, m, outer, m, rest).swapaxes(-1, -2)
+            np.matmul(src, rows if mode < t else cols, out=free.reshape(outer, c, m, rest, outer, m).swapaxes(3, 4))
             cur, free = free, cur
-        np.copyto(free.reshape(outer, -1, c, m), cur.reshape(outer, c, -1, m).transpose(0, 2, 1, 3))
+        legs = cur.reshape(outer, c, m, outer, m, rest).transpose(0, 2, 5, 3, 1, 4)
+        np.copyto(free.reshape(outer, m, rest, outer, c, m), legs)
         stacked, block = free.reshape(-1, c * m), rights[start * m : (start + c) * m]
         if acc is None:
             acc = stacked @ block
@@ -228,8 +233,9 @@ class MomentOperator:
 
     The kernel operands of every stage are laid out once, here, not once per
     apply: the member stacks A_i and A_i†, which the forward and the adjoint
-    map use in swapped roles, and for t >= 2 the contiguous conj(A_i) and
-    A_i^T that the middle column legs multiply by.
+    map use in swapped roles; the middle legs (t >= 2) read them in place,
+    the row legs through a transposed view, so a kernel entry is (outer,
+    (A, A†), (A†, A)).
 
     The kernel's stacked intermediates live in one workspace of two rows,
     allocated at the first apply and reused by every later one. A row holds
@@ -248,14 +254,11 @@ class MomentOperator:
     def __post_init__(self):
         if self.t < 1:
             raise PreconditionError(f"t must be >= 1, got {self.t}")
-        middle = self.t >= 2
         kernels = []
         for st in self.ensemble.stages or (Stage(self.ensemble.unitaries),):
-            a, conj = st.members, st.members.conj()
-            a_dag = np.ascontiguousarray(conj.transpose(0, 2, 1))
-            forward = (a, a_dag, conj if middle else None)
-            backward = (a_dag, a, np.ascontiguousarray(a.transpose(0, 2, 1)) if middle else None)
-            kernels.append((st.outer, forward, backward))
+            a = st.members
+            a_dag = np.ascontiguousarray(a.conj().transpose(0, 2, 1))
+            kernels.append((st.outer, (a, a_dag), (a_dag, a)))
         self._kernels = tuple(kernels)
 
     @property
