@@ -38,12 +38,12 @@ from .linalg import DEFAULT_MAX_ITERS, SeededRng, haar_unitary
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
+EXIT_FAILED = 1  # certify ran every step, and a check failed
 EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 EXIT_IO = 4
 
 GENZIGZAG_EPS = 1e-3  # epsilon of the generalised product bound
-METHODS = ("auto", "dense-svd", "power-iteration")
 PRODUCT_KINDS = ("zigzag", "derandomised", "generalised")
 
 
@@ -149,7 +149,8 @@ _TYPE_NAMES = {int: "a 32-bit integer", float: "a finite number", str: "a string
 
 
 class ConfigFieldError(PreconditionError):
-    """A certify step field that is missing or malformed; reads 'steps[i].field: ...'."""
+    """A certify config field that is missing or malformed; reads 'field: ...',
+    the field named by its path below config, such as steps[i].dim or seed."""
 
 
 class _Step:
@@ -177,6 +178,13 @@ class _Step:
         if not _is_kind(value, kind):
             raise self.bad(name, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
         return float(value) if kind is float else value
+
+    def margin(self, name: str, default: float) -> float:
+        """A float field added to a bound; a negative one would fail a check that holds."""
+        value = self.get(name, float, default)
+        if value < 0:
+            raise self.bad(name, f"expected a number >= 0, got {value!r}")
+        return value
 
     def ints(self, name: str, default: list[int]) -> list[int]:
         value = self.step.get(name)
@@ -224,7 +232,7 @@ def _is_kind(value, kind: type) -> bool:
 def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
     """Run one step and return its result; `rng` draws every sample, product and start vector of the step."""
     f = _Step(step, index, base)
-    kind = f.get("kind", str, None)
+    kind = f.get("kind", str)
     name = f.get("name", str, f"step-{index}")
     result: dict = {"name": name, "kind": kind}
 
@@ -245,14 +253,14 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
         result.update({"members": e.size, "dim": e.dim, "pass": True})
     elif kind == "lambda":
         method = f.get("method", str, "auto")
-        if method not in METHODS:
-            raise f.bad("method", f"expected one of {', '.join(METHODS)}, got {method!r}")
+        if method not in moments.METHODS:
+            raise f.bad("method", f"expected one of {', '.join(moments.METHODS)}, got {method!r}")
         path = f.path("ensemble")
         e = _load_checked(path)
         rep = moments.lambda_report(
             e,
             f.get("t", int),
-            method=None if method == "auto" else method,
+            method=method,
             tol=f.get("tol", float, None),
             rng=rng,
             max_iters=f.get("max_iters", int, DEFAULT_MAX_ITERS),
@@ -274,8 +282,6 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
         zz_kind = f.get("zz_kind", str, "zigzag")
         product, bound_of = _build_product(zz_kind, g, hs, f.get("k", int, None))
         t = f.get("check_bound_t", int, None)
-        if t is not None:
-            tol, bound_tol = f.get("tol", float, None), f.get("bound_tol", float, 1e-6)
         out = f.path("out")
         result.update(
             {
@@ -287,14 +293,13 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
                 "out": f.get("out", str),
             }
         )
-        ok = True
+        result["pass"] = True
         if t is not None:
-            check = _bound_check(g, hs[0], product, bound_of, t, tol, bound_tol, rng)
-            result["bound_check"] = check
-            ok = check["satisfied"] and check["converged"]
+            tol, bound_tol = f.get("tol", float, None), f.margin("bound_tol", 1e-6)
+            result["bound_check"] = check = _bound_check(g, hs[0], product, bound_of, t, tol, bound_tol, rng)
+            result["pass"] = check["satisfied"] and check["converged"]
         # written last, so a refused bound check leaves no file behind
         save(product, out, sidecar={"provenance": {"kind": zz_kind, "g": step["g"], "h": step["h"]}})
-        result["pass"] = ok
     elif kind == "closeness":
         rep = moments.subspace_closeness_report(f.get("D", int), f.get("d", int), f.get("t", int))
         result.update(rep.to_json_dict())
@@ -302,7 +307,7 @@ def _run_step(step: dict, index: int, rng: SeededRng, base: Path) -> dict:
     elif kind == "design_error":
         e = _load_checked(f.path("ensemble"))
         t = f.get("t", int)
-        tol = f.get("tol", float, 1e-9)
+        tol = f.margin("tol", 1e-9)
         ks = f.ints("ks", [1])
         moments.check_solver_settings(e.dim, t)  # first, so a bad t is not reported as a bad ks
         try:
@@ -384,39 +389,36 @@ def cmd_step(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    """Run the steps of a config in order and emit one report of them all.
+
+    A refusal prints one stderr line and exits 2: config.<field>: for a field
+    error, config: for the config as a whole, config.steps[i]: for step i."""
+    index = None  # the step running, if any
     try:
-        config = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        print(f"config: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not isinstance(config, dict):
-        print("config: top level must be an object", file=sys.stderr)
-        return EXIT_USAGE
-    if config.get("schema_version") != SCHEMA_VERSION:
-        print(f"config.schema_version: expected {SCHEMA_VERSION}, got {config.get('schema_version')!r}", file=sys.stderr)
-        return EXIT_USAGE
-    steps = config.get("steps")
-    if not isinstance(steps, list) or not steps:
-        print("config.steps: expected a nonempty list", file=sys.stderr)
-        return EXIT_USAGE
-    seed = config.get("seed", 0)
-    if not _is_kind(seed, int) or seed < 0:
-        print(f"config.seed: expected a nonnegative integer, got {seed!r}", file=sys.stderr)
-        return EXIT_USAGE
-    base = Path(args.config).resolve().parent
-    results = []
-    failures = []
-    for i, step in enumerate(steps):
-        if not isinstance(step, dict):
-            print(f"config.steps[{i}]: expected an object", file=sys.stderr)
-            return EXIT_USAGE
         try:
-            result = _run_step(step, i, SeededRng(seed).child(i), base)
-        except _REFUSED as exc:  # a field error already reads steps[i].field
-            return _refuse("config." if isinstance(exc, ConfigFieldError) else f"config.steps[{i}]: ", exc)
-        results.append(result)
-        if not result.get("pass", True):
-            failures.append(result["name"])
+            config = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise PreconditionError(f"config: malformed JSON: {exc}") from None
+        if not isinstance(config, dict):
+            raise PreconditionError("config: top level must be an object")
+        if config.get("schema_version") != SCHEMA_VERSION:
+            raise ConfigFieldError(f"schema_version: expected {SCHEMA_VERSION}, got {config.get('schema_version')!r}")
+        steps = config.get("steps")
+        if not isinstance(steps, list) or not steps:
+            raise ConfigFieldError("steps: expected a nonempty list")
+        seed = config.get("seed", 0)
+        if not _is_kind(seed, int) or seed < 0:
+            raise ConfigFieldError(f"seed: expected a nonnegative integer, got {seed!r}")
+        base = Path(args.config).resolve().parent
+        results = []
+        for index, step in enumerate(steps):
+            if not isinstance(step, dict):
+                raise ConfigFieldError(f"steps[{index}]: expected an object")
+            results.append(_run_step(step, index, SeededRng(seed).child(index), base))
+    except _REFUSED as exc:
+        field = isinstance(exc, ConfigFieldError)
+        return _refuse("config." if field else "" if index is None else f"config.steps[{index}]: ", exc)
+    failures = [result["name"] for result in results if not result.get("pass", True)]
     report = {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
@@ -425,7 +427,7 @@ def cmd_certify(args) -> int:
         "pass": not failures,
     }
     _emit(report, args.out, args.csv)
-    return EXIT_OK if not failures else 1
+    return EXIT_OK if not failures else EXIT_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="second largest singular value of an ensemble at tensor power t")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--method", choices=moments.METHODS)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iters", type=int)
     p.add_argument("--seed", type=int, default=0)
@@ -479,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
     except _REFUSED as exc:

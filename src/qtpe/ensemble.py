@@ -125,19 +125,22 @@ class ValidationReport:
         return self.unitarity_defect <= self.tol and self.involution_defect <= self.tol
 
 
+def _is_involution(inv: tuple[int, ...]) -> bool:
+    """Whether i -> inv[i] is a bijective involution of range(len(inv))."""
+    return sorted(inv) == list(range(len(inv))) and all(inv[j] == i for i, j in enumerate(inv))
+
+
 def validate(e: UnitaryEnsemble, tol: float = 1e-10) -> ValidationReport:
-    """Report unitarity and involution consistency."""
+    """Report unitarity and involution consistency; an involution that is not
+    a bijective involution of the indices has an infinite defect."""
     eye = np.eye(e.dim)
     gram = np.matmul(e.adjoints(), e.unitaries)
     unitarity = float(np.sqrt(np.sum(np.abs(gram - eye) ** 2, axis=(1, 2))).max())
     involution = 0.0
     if e.involution is not None:
-        inv = e.involution
-        structural = sorted(inv) == list(range(e.size)) and all(inv[inv[i]] == i for i in range(e.size))
-        if not structural:
-            involution = np.inf
-        else:
-            diffs = e.unitaries[list(inv)] - e.adjoints()
+        involution = np.inf
+        if _is_involution(e.involution):
+            diffs = e.unitaries[list(e.involution)] - e.adjoints()
             involution = float(np.sqrt(np.sum(np.abs(diffs) ** 2, axis=(1, 2))).max())
     return ValidationReport(unitarity, involution, tol=tol)
 
@@ -232,20 +235,13 @@ def save(e: UnitaryEnsemble, path: str | Path, sidecar: dict | None = None) -> P
     numerics.
     """
     path = Path(path)
-    blob = bytearray()
-    blob += MAGIC
-    blob += bytes([FORMAT_VERSION])
-    blob += struct.pack("<II", e.dim, e.size)
+    blob = bytearray(MAGIC + bytes([FORMAT_VERSION]) + struct.pack("<II", e.dim, e.size))
+    blob += bytes([e.involution is not None])
     if e.involution is not None:
-        blob += bytes([1])
         blob += struct.pack(f"<{e.size}I", *e.involution)
-    else:
-        blob += bytes([0])
     blob += np.ascontiguousarray(e.unitaries).astype("<c16").tobytes()
     path.write_bytes(bytes(blob))
-    meta = {"label": e.label}
-    if sidecar:
-        meta.update(sidecar)
+    meta = {"label": e.label, **(sidecar or {})}
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -280,7 +276,7 @@ def load(path: str | Path) -> UnitaryEnsemble:
     involution = None
     if flag:
         vals = struct.unpack(f"<{count}I", take(4 * count, "involution"))
-        if sorted(vals) != list(range(count)) or any(vals[vals[i]] != i for i in range(count)):
+        if not _is_involution(vals):
             raise EnsembleFormatError("involution", "not a bijective involution on the index set")
         involution = tuple(vals)
     payload = take(count * dim * dim * 16, "payload")

@@ -42,7 +42,6 @@ class GoodnessDecision:
     good: bool
     witness: dict | None = None
     coverage: float = 1.0
-    checks: int = 0
 
 
 def _probability_window(d: int, eps: float) -> tuple[float, float]:
@@ -63,7 +62,7 @@ def is_good_for_vector(u: np.ndarray, x: np.ndarray, d: int, dprime: int, eps: f
     worst = int(np.argmax(dev))
     good = bool(dev[worst] <= 0.0)
     witness = {"outcome": worst, "probability": float(probs[worst]), "window": [lo, hi]}
-    return GoodnessDecision(good=good, witness=witness, checks=d)
+    return GoodnessDecision(good=good, witness=witness)
 
 
 def is_good_for_set(
@@ -87,13 +86,12 @@ def is_good_for_set(
     y = (u @ xmat).reshape(d, dprime, m)
     probs = np.sum(np.abs(y) ** 2, axis=1)  # (d, m)
     dev = np.maximum(lo - probs, probs - hi)
-    checks = d * m
     if np.max(dev) > 0.0:
         v, col = np.unravel_index(int(np.argmax(dev)), dev.shape)
         witness = {"kind": "probability", "vector": int(col), "outcome": int(v), "probability": float(probs[v, col])}
-        return GoodnessDecision(good=False, witness=witness, checks=checks)
+        return GoodnessDecision(good=False, witness=witness)
     worst_pair = 0.0
-    witness = None
+    witness = {"kind": "overlap", "overlap": worst_pair}  # unless two live conditioned states overlap
     for v in range(d):
         block = y[v]  # (dprime, m)
         norms = np.sqrt(probs[v])
@@ -103,17 +101,13 @@ def is_good_for_set(
         cols = block[:, live] / norms[live]
         overlaps = np.abs(cols.conj().T @ cols)
         np.fill_diagonal(overlaps, 0.0)
-        checks += overlaps.size
         peak = float(np.max(overlaps))
         if peak > worst_pair:
             worst_pair = peak
             i, j = np.unravel_index(int(np.argmax(overlaps)), overlaps.shape)
             idx = np.flatnonzero(live)
             witness = {"kind": "overlap", "outcome": v, "pair": [int(idx[i]), int(idx[j])], "overlap": peak}
-    good = worst_pair <= 8.0 * eps
-    if witness is None:
-        witness = {"kind": "overlap", "overlap": worst_pair}
-    return GoodnessDecision(good=good, witness=witness, checks=checks)
+    return GoodnessDecision(good=worst_pair <= 8.0 * eps, witness=witness)
 
 
 def check_tuple_size(k: int, d: int, dprime: int, mode: str, budget: int | None = None) -> None:
@@ -223,11 +217,8 @@ def is_tuple_good(
 
     basis = np.eye(n, dtype=complex)
     level1 = is_good_for_set(stacked[0], [basis[:, i] for i in range(n)], d, dprime, eps)
-    checks = level1.checks
     if not level1.good:
-        witness = dict(level1.witness or {})
-        witness["level"] = 1
-        return GoodnessDecision(good=False, witness=witness, coverage=1.0, checks=checks)
+        return GoodnessDecision(good=False, witness=dict(level1.witness or {}, level=1))
 
     for flat in flats:
         j, x0, path = _configuration(flat, d, n)
@@ -239,14 +230,12 @@ def is_tuple_good(
         if state is None:
             continue
         decision = is_good_for_vector(stacked[j - 1], state, d, dprime, eps)
-        checks += decision.checks
         if not decision.good:
-            witness = dict(decision.witness or {})
-            witness.update({"level": j, "start": x0, "path": list(path)})
+            witness = dict(decision.witness or {}, level=j, start=x0, path=list(path))
             # a witness settles the conjunction: the decision is exact
-            return GoodnessDecision(good=False, witness=witness, coverage=1.0, checks=checks)
+            return GoodnessDecision(good=False, witness=witness)
     coverage = 1.0 if total == 0 else len(flats) / total
-    return GoodnessDecision(good=True, witness=None, coverage=coverage, checks=checks)
+    return GoodnessDecision(good=True, witness=None, coverage=coverage)
 
 
 def epsgood_failure_bound(k: int, s: int, d: int, dprime: int, eps: float) -> float:

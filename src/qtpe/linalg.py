@@ -28,6 +28,10 @@ DEFAULT_MAX_ITERS = 5000
 
 _RITZ_WINDOW = 24
 _RITZ_KEEP = 2
+# relative singular-value cut of orthonormalize; the shuffle families and the
+# Young symmetrisers have ratios below 4e-15 or above 0.16, so no rank depends
+# on where in that gap the cut lies
+_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -220,10 +224,10 @@ def spectral_norm(
     return best
 
 
-def orthonormalize(vectors: Sequence[np.ndarray] | np.ndarray, rank_tol: float = 1e-10) -> tuple[np.ndarray, int]:
+def orthonormalize(vectors: Sequence[np.ndarray] | np.ndarray) -> tuple[np.ndarray, int]:
     """Orthonormal basis (as columns) of the span, with its numerical rank.
 
-    Rank counts singular values above rank_tol times the largest one; an
+    Rank counts singular values above _RANK_TOL times the largest one; an
     all-zero input yields rank 0 and an empty basis.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
@@ -236,7 +240,7 @@ def orthonormalize(vectors: Sequence[np.ndarray] | np.ndarray, rank_tol: float =
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((a.shape[0], 0), dtype=complex), 0
-    rank = int(np.sum(s > rank_tol * s[0]))
+    rank = int(np.sum(s > _RANK_TOL * s[0]))
     return u[:, :rank], rank
 
 

@@ -31,7 +31,7 @@ involution makes the blocks Hermitian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .perms import (
 )
 
 MAX_T_LAMBDA = 4
+METHODS = ("auto", "dense-svd", "power-iteration")  # the lambda paths; auto picks one by size
 # most applies of the moment operator one design_errors call makes, n^t max(ks)
 DESIGN_APPLY_LIMIT = 10**5
 MAX_T_BASIS = 6
@@ -154,7 +155,7 @@ def fixed_space_basis(n: int, t: int) -> FixedSpaceBasis:
     if ambient > ITERATIVE_AMBIENT_LIMIT:
         raise SizeLimitError(f"ambient dimension {ambient} exceeds vector limit {ITERATIVE_AMBIENT_LIMIT}")
     alphas = [alpha_sigma(sig, n, t) for sig in all_permutations(t)]
-    ortho, rank = orthonormalize([a.reshape(-1) for a in alphas], rank_tol=1e-8)
+    ortho, rank = orthonormalize(alphas)
     return FixedSpaceBasis(alphas, ortho, rank)
 
 
@@ -294,15 +295,23 @@ class MomentOperator:
         return x
 
     def dense(self) -> np.ndarray:
+        """The n^2t x n^2t matrix, the applies' oracle. Each member's term
+        V (x) conj(V), V = U^(x t), is added as n^2t scaled copies V[a, j] conj(V)
+        in place, so beyond the result only one n^t x n^t copy is held."""
         if self.ambient > DENSE_LIMIT:
             raise SizeLimitError(f"ambient {self.ambient} exceeds dense limit {DENSE_LIMIT}")
         acc = np.zeros((self.ambient, self.ambient), dtype=complex)
+        nt = self.local_dim**self.t
+        terms = acc.reshape(nt, nt, nt, nt)  # [a, k, j, m] of (V (x) conj(V))[a*nt + k, j*nt + m]
         for u in self.ensemble.unitaries:
             ut = u
             for _ in range(self.t - 1):
                 ut = np.kron(ut, u)
-            acc += np.kron(ut, ut.conj())
-        return acc / self.ensemble.size
+            conj = ut.conj()
+            for (a, j), v in np.ndenumerate(ut):
+                terms[a, :, j] += v * conj
+        acc /= self.ensemble.size
+        return acc
 
 
 @dataclass
@@ -346,7 +355,7 @@ def irrep_bases(n: int, t: int) -> list[IrrepBasis]:
         else:
             rows = sum(shuffle_operator(p, n, t) for p in row_group(shape))
             cols = sum(sign(q) * shuffle_operator(q, n, t) for q in column_group(shape))
-            basis, rank = orthonormalize(rows @ cols, rank_tol=1e-8)
+            basis, rank = orthonormalize(rows @ cols)
             if rank != dim:
                 raise AssertionError(f"Young symmetriser {shape} has rank {rank}, hook-content formula gives {dim}")
         out.append(IrrepBasis(shape, symmetric_irrep_dim(shape), basis))
@@ -431,29 +440,23 @@ class SpectralReport:
     converged: bool = True
 
     def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lambda_,
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "seed": self.seed,
-            "ensemble-label": self.label,
-            "t": self.t,
-            "converged": self.converged,
-        }
+        """The fields under their report names: lambda_ reads lambda, label ensemble-label."""
+        doc = asdict(self)
+        doc["lambda"], doc["ensemble-label"] = doc.pop("lambda_"), doc.pop("label")
+        return doc
 
 
 def check_solver_settings(
-    dim: int, t: int, method: str | None = None, tol: float | None = None, max_iters: int = DEFAULT_MAX_ITERS
+    dim: int, t: int, method: str = "auto", tol: float | None = None, max_iters: int = DEFAULT_MAX_ITERS
 ) -> None:
     """Refuse, before any work, settings lambda_report cannot run with on an
     ensemble of dimension `dim`.
 
-    An unknown method, t < 1, max_iters < 1 or a tol that is not finite and
+    A method not in METHODS, t < 1, max_iters < 1 or a tol that is not finite and
     > 0 raise PreconditionError; t above MAX_T_LAMBDA, or an ambient size
     dim^2t above the limit of the path asked for, raises SizeLimitError.
     """
-    if method not in (None, "dense-svd", "power-iteration"):
+    if method not in METHODS:
         raise PreconditionError(f"unknown method {method!r}")
     if t < 1:
         raise PreconditionError(f"t must be >= 1, got {t}")
@@ -473,14 +476,14 @@ def check_solver_settings(
 def lambda_report(
     e: UnitaryEnsemble,
     t: int,
-    method: str | None = None,
+    method: str = "auto",
     tol: float | None = None,
     rng: SeededRng | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> SpectralReport:
     """Second largest singular value of the moment operator vs the Haar projector.
 
-    The one place that picks the solver path: `method` None takes the dense
+    The one place that picks the solver path: `method` "auto" takes the dense
     one up to the dense limit on n^2t and the iterative one above it. The
     dense method is exact: it takes the norm of every Schur-Weyl block
     (sector_lambda) instead of the n^2t x n^2t superoperator, from eigvalsh
@@ -492,7 +495,7 @@ def lambda_report(
     """
     check_solver_settings(e.dim, t, method, tol, max_iters)
     rng = SeededRng(0, 0) if rng is None else rng
-    if method is None:
+    if method == "auto":
         method = "dense-svd" if e.dim ** (2 * t) <= DENSE_LIMIT else "power-iteration"
     if method == "dense-svd":
         est = SpectralEstimate(value=sector_lambda(e, t), residual=0.0, iterations=0)
@@ -541,12 +544,7 @@ def design_error_monomial(
     for tup in (row_indices, col_indices):
         if any(not 0 <= j < n for j in tup):
             raise PreconditionError(f"indices must lie in range(0, {n}): {tup}")
-    flat_j = 0
-    for j in col_indices:
-        flat_j = flat_j * n + j
-    flat_i = 0
-    for i in row_indices:
-        flat_i = flat_i * n + i
+    flat_i, flat_j = (int(np.ravel_multi_index(tup, (n,) * t)) for tup in (row_indices, col_indices))
     deviations = _monomial_deviations(MomentOperator(e, t), fixed_space_basis(n, t), [k], flat_j)
     return float(deviations[0][flat_i])
 
@@ -660,18 +658,8 @@ class ClosenessReport:
         }
 
     def to_json_dict(self) -> dict:
-        return {
-            "outer_dim": self.outer_dim,
-            "inner_dim": self.inner_dim,
-            "t": self.t,
-            "w_to_wprime": self.w_to_wprime,
-            "wprime_to_w": self.wprime_to_w,
-            "w2prime_to_w2": self.w2prime_to_w2,
-            "w2_to_w2prime": self.w2_to_w2prime,
-            "bound_pair": self.bound_pair,
-            "bound_perp": self.bound_perp,
-            "claims": self.claims,
-        }
+        """The fields and the claims checked against them."""
+        return dict(asdict(self), claims=self.claims)
 
 
 def subspace_closeness_report(outer_dim: int, inner_dim: int, t: int) -> ClosenessReport:
@@ -689,21 +677,11 @@ def subspace_closeness_report(outer_dim: int, inner_dim: int, t: int) -> Closene
     if ambient > ITERATIVE_AMBIENT_LIMIT:
         raise SizeLimitError(f"ambient {ambient} exceeds vector limit {ITERATIVE_AMBIENT_LIMIT}")
     perms = all_permutations(t)
-    w_cols = []
-    wp_cols = []
-    w2_cols = []
-    w2p_cols = []
-    for sig in perms:
-        a1, a2 = alpha_sigma(sig, outer_dim, t), alpha_sigma(sig, inner_dim, t)
-        a2p = alpha_prime_inner(sig, inner_dim, t)
-        w_cols.append(kron(a1, a2).reshape(-1))
-        wp_cols.append(kron(a1, a2p).reshape(-1))
-        w2_cols.append(a2.reshape(-1))
-        w2p_cols.append(a2p.reshape(-1))
-    qw, _ = orthonormalize(w_cols)
-    qwp, _ = orthonormalize(wp_cols)
-    q2, _ = orthonormalize(w2_cols)
-    q2p, _ = orthonormalize(w2p_cols)
+    a1s = [alpha_sigma(sig, outer_dim, t) for sig in perms]
+    a2s = [alpha_sigma(sig, inner_dim, t) for sig in perms]
+    a2ps = [alpha_prime_inner(sig, inner_dim, t) for sig in perms]
+    # W, W', and their inner factors W_2, W_2'
+    qw, qwp, q2, q2p = (orthonormalize(f)[0] for f in (map(kron, a1s, a2s), map(kron, a1s, a2ps), a2s, a2ps))
     tt = t * (t - 1) / inner_dim
     return ClosenessReport(
         outer_dim=outer_dim,

@@ -43,6 +43,15 @@ def g_dot(g: UnitaryEnsemble) -> np.ndarray:
     return _control_unitary(g, g.involution or range(g.size), 1)
 
 
+def _inner_degree(g: UnitaryEnsemble, h: UnitaryEnsemble, stages: int) -> int:
+    """The degree of h, after the checks a product of `stages` h-stages with g
+    makes before Gdot is formed: dim(h) = degree(g), and check_product_degree."""
+    if h.dim != g.size:
+        raise PreconditionError(f"inner dimension must equal outer degree: dim(h) = {h.dim}, degree(g) = {g.size}")
+    check_product_degree([h.size] * stages, g.dim * g.size)
+    return h.size
+
+
 def zigzag(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemble:
     """Zigzag product: the s^2 unitaries (1 (x) V_i) Gdot (1 (x) V_j) on C^(D*d).
 
@@ -50,12 +59,7 @@ def zigzag(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemble:
     Hermitian the output carries the involution -(i,j) = (-j,-i). The stages
     are (lifted h, Gdot, lifted h).
     """
-    if h.dim != g.size:
-        raise PreconditionError(
-            f"inner dimension must equal outer degree: dim(h) = {h.dim}, degree(g) = {g.size}"
-        )
-    s = h.size
-    check_product_degree([s, s], g.dim * g.size)  # before Gdot is formed
+    s = _inner_degree(g, h, 2)
     involution = None
     if g.involution is not None and h.involution is not None:
         hinv = h.involution
@@ -74,12 +78,7 @@ def zigzag_derandomised(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemb
     """
     if g.involution is None or h.involution is None:
         raise PreconditionError("derandomised zigzag needs explicitly Hermitian inputs (both involutions)")
-    if h.dim != g.size:
-        raise PreconditionError(
-            f"inner dimension must equal outer degree: dim(h) = {h.dim}, degree(g) = {g.size}"
-        )
-    s = h.size
-    check_product_degree([s] * 3, g.dim * g.size)  # before the s middle factors are formed
+    s = _inner_degree(g, h, 3)  # before the s middle factors are formed
     hinv = h.involution
     involution = tuple(
         (hinv[k] * s + j) * s + hinv[i] for i in range(s) for j in range(s) for k in range(s)

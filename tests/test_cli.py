@@ -266,6 +266,21 @@ class TestZigzagCommand:
         assert code == 2  # product dim 32: 32^6 exceeds the iterative limit
         assert solves == []
 
+    def test_negative_bound_tol_exit_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        import qtpe.moments as m
+
+        solves = []
+        monkeypatch.setattr(m, "lambda_report", lambda *args, **kwargs: solves.append(args))
+        g = self._sample(tmp_path, "g.qtpe", 2, 4, 1)
+        h = self._sample(tmp_path, "h.qtpe", 4, 4, 2)
+        out = tmp_path / "z.qtpe"
+        code = run(
+            "zigzag", "--g", str(g), "--h", str(h), "--check-bound-t", "1", "--bound-tol=-1e-3", "--out", str(out)
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: steps[0].bound_tol: expected a number >= 0, got -0.001\n"
+        assert solves == [] and not out.exists()
+
     def test_bound_check_report(self, tmp_path):
         g = self._sample(tmp_path, "g.qtpe", 8, 4, 7)
         h = self._sample(tmp_path, "h.qtpe", 4, 4, 8)
@@ -618,6 +633,34 @@ class TestCertifyFields:
         cfg = self._config(tmp_path, [{"kind": "bound", "bound": "zigzag", "l1": 0.1, "t": 1, "d": 8}])
         assert run("certify", "--config", str(cfg)) == 2
         assert "config.steps[0].l2: missing field" in capsys.readouterr().err
+
+    def test_missing_kind_names_field(self, tmp_path, capsys):
+        assert run("certify", "--config", str(self._config(tmp_path, [{"name": "x", "dim": 2}]))) == 2
+        assert capsys.readouterr().err == "config.steps[0].kind: missing field\n"
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"kind": "design_error", "ensemble": "g.qtpe", "t": 1, "tol": -5},
+            {"kind": "zigzag", "g": "g.qtpe", "h": "h.qtpe", "out": "gh.qtpe", "check_bound_t": 1, "bound_tol": -5},
+        ],
+        ids=["design_error-tol", "zigzag-bound_tol"],
+    )
+    def test_negative_margin_exit_2_before_any_solve(self, tmp_path, capsys, monkeypatch, step):
+        # a check passes when a measured value is at most its bound plus the margin:
+        # a negative margin would fail a check that holds
+        import qtpe.moments as m
+
+        solves = []
+        monkeypatch.setattr(m, "lambda_report", lambda *args, **kwargs: solves.append(args))
+        samples = [
+            {"kind": "sample", "dim": 2, "degree": 4, "out": "g.qtpe"},
+            {"kind": "sample", "dim": 4, "degree": 4, "out": "h.qtpe"},
+        ]
+        assert run("certify", "--config", str(self._config(tmp_path, samples + [step]))) == 2
+        field = "tol" if step["kind"] == "design_error" else "bound_tol"
+        assert capsys.readouterr().err == f"config.steps[2].{field}: expected a number >= 0, got -5.0\n"
+        assert solves == [] and not (tmp_path / "gh.qtpe").exists()
 
     @pytest.mark.parametrize("seed", ["7", -1, 1.5])
     def test_bad_seed_exit_2(self, tmp_path, capsys, seed):

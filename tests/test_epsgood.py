@@ -299,9 +299,8 @@ def full_walk(us, d, dprime, eps, budget, rng):
         chosen = set(int(p) for p in rng.generator().choice(total, size=budget, replace=False))
     basis = np.eye(n, dtype=complex)
     level1 = is_good_for_set(us[0], [basis[:, i] for i in range(n)], d, dprime, eps)
-    checks = level1.checks
     if not level1.good:
-        return GoodnessDecision(False, dict(level1.witness, level=1), 1.0, checks)
+        return GoodnessDecision(False, dict(level1.witness, level=1), 1.0)
     covered = flat = 0
     for j in range(2, k + 1):
         for x0 in range(n):
@@ -319,9 +318,8 @@ def full_walk(us, d, dprime, eps, budget, rng):
                 if state is None:
                     continue
                 decision = is_good_for_vector(us[j - 1], state, d, dprime, eps)
-                checks += decision.checks
                 if not decision.good:
                     witness = dict(decision.witness, level=j, start=x0, path=list(path))
-                    return GoodnessDecision(False, witness, 1.0, checks)
+                    return GoodnessDecision(False, witness, 1.0)
     coverage = 1.0 if (chosen is None or total == 0) else covered / total
-    return GoodnessDecision(True, None, coverage, checks)
+    return GoodnessDecision(True, None, coverage)

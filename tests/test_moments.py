@@ -1,6 +1,7 @@
 """Moment operator, fixed space, spectra, design errors, subspace closeness."""
 
 import dataclasses
+import functools
 import json
 import tracemalloc
 
@@ -321,6 +322,20 @@ class TestKernelWorkspace:
         phi = MomentOperator(sample_random_qtpe(40, 32, SeededRng(0)), 1)
         assert apply_peak_bytes(phi) < 16 * 32 * phi.ambient
 
+    @pytest.mark.parametrize("n,t", [(3, 3), (4, 2)])
+    def test_dense_holds_one_result_and_matches_the_member_kronecker_sum(self, n, t):
+        # each member's n^2t x n^2t Kronecker product is added a block of rows at a time, never formed whole
+        phi = MomentOperator(raw_haar_ensemble(n, 3, seed=20), t)
+        tracemalloc.start()
+        try:
+            dense = phi.dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * dense.nbytes
+        powers = [functools.reduce(np.kron, [u] * t) for u in phi.ensemble.unitaries]
+        assert np.array_equal(dense, sum(np.kron(p, p.conj()) for p in powers) / len(powers))
+
     @pytest.mark.parametrize("kind", ["haar_t3", "staged"])
     def test_rotated_middle_legs_write_into_the_workspace(self, kind):
         # the middle legs' GEMMs write strided views of the workspace; a buffered
@@ -490,7 +505,7 @@ class TestLambda:
         with pytest.raises(PreconditionError):
             lambda_report(e, 1, method="svd")
 
-    @pytest.mark.parametrize("method", [None, "dense-svd", "power-iteration"])
+    @pytest.mark.parametrize("method", ["auto", "dense-svd", "power-iteration"])
     @pytest.mark.parametrize("setting", [{"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0}, {"tol": float("inf")}])
     def test_solver_settings_checked_on_every_path(self, method, setting):
         with pytest.raises(PreconditionError):
