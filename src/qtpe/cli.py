@@ -397,7 +397,7 @@ def cmd_certify(args) -> int:
     try:
         try:
             config = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep, or an over-long integer
             raise PreconditionError(f"config: malformed JSON: {exc}") from None
         if not isinstance(config, dict):
             raise PreconditionError("config: top level must be an object")

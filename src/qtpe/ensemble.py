@@ -130,19 +130,22 @@ def _is_involution(inv: tuple[int, ...]) -> bool:
     return sorted(inv) == list(range(len(inv))) and all(inv[j] == i for i, j in enumerate(inv))
 
 
+def involution_defect(e: UnitaryEnsemble) -> float:
+    """max_i ||U_{-i} - U_i†||_F: 0 when the involution holds exactly, infinite
+    without one or when it is not a bijective involution of the indices."""
+    if e.involution is None or not _is_involution(e.involution):
+        return math.inf
+    diffs = e.unitaries[list(e.involution)] - e.adjoints()
+    return float(np.sqrt(np.sum(np.abs(diffs) ** 2, axis=(1, 2))).max())
+
+
 def validate(e: UnitaryEnsemble, tol: float = 1e-10) -> ValidationReport:
-    """Report unitarity and involution consistency; an involution that is not
-    a bijective involution of the indices has an infinite defect."""
+    """Report unitarity and involution consistency; an ensemble without an
+    involution has none to break, so its involution defect is 0."""
     eye = np.eye(e.dim)
     gram = np.matmul(e.adjoints(), e.unitaries)
     unitarity = float(np.sqrt(np.sum(np.abs(gram - eye) ** 2, axis=(1, 2))).max())
-    involution = 0.0
-    if e.involution is not None:
-        involution = np.inf
-        if _is_involution(e.involution):
-            diffs = e.unitaries[list(e.involution)] - e.adjoints()
-            involution = float(np.sqrt(np.sum(np.abs(diffs) ** 2, axis=(1, 2))).max())
-    return ValidationReport(unitarity, involution, tol=tol)
+    return ValidationReport(unitarity, 0.0 if e.involution is None else involution_defect(e), tol=tol)
 
 
 def sample_random_qtpe(d: int, s: int, rng: SeededRng, label: str = "") -> UnitaryEnsemble:
@@ -220,7 +223,7 @@ def read_sidecar(path: str | Path) -> dict:
     """The JSON sidecar of an ensemble file; empty when it is absent, unreadable or not a JSON object."""
     try:
         meta = json.loads(sidecar_path(Path(path)).read_text())
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return {}
     return meta if isinstance(meta, dict) else {}
 

@@ -2,17 +2,18 @@
 
 Seeded Haar-random unitary sampling, Kronecker products,
 orthonormalisation, principal-angle distances, and the matrix-free
-largest-singular-value solver: seeded power iteration with windowed
-Rayleigh-Ritz extraction and optional deflation of an invariant subspace.
-The solver allocates its window of iterates once per call and grows the
-Rayleigh quotient by one row and one column per step, so a step costs a few
-matrix-vector products with the window and no copy of it.
+largest-singular-value solver: seeded plain Lanczos, on the map itself when
+it is Hermitian and on op†∘op otherwise, with optional deflation of an
+invariant subspace. The solver keeps three vectors and the coefficients of
+its tridiagonal matrix, whose Ritz values it reads at checkpoints that
+thin out as the step count grows.
 Which lambda path runs, dense or iterative, is decided in
 moments.lambda_report, not here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,8 +27,6 @@ KRON_ENTRY_LIMIT = 2**31
 DEFAULT_TOL_ITERATIVE = 1e-7
 DEFAULT_MAX_ITERS = 5000
 
-_RITZ_WINDOW = 24
-_RITZ_KEEP = 2
 # relative singular-value cut of orthonormalize; the shuffle families and the
 # Young symmetrisers have ratios below 4e-15 or above 0.16, so no rank depends
 # on where in that gap the cut lies
@@ -86,7 +85,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LinearMap:
-    """Matrix-free linear map handle on C^dim with apply/adjoint-apply."""
+    """Matrix-free linear map handle on C^dim with apply/adjoint-apply.
+
+    Each call returns a new array, which the caller may overwrite."""
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
@@ -103,135 +104,150 @@ class SpectralEstimate:
     converged: bool = True
 
 
+def _next_check(k: int) -> int:
+    """The step after k at which the Ritz values are read: every step up to 32,
+    then every k // 16 steps, so a solve of k steps makes O(log k) checks."""
+    return k + max(1, k // 16)
+
+
+def _last_component(alphas: list[float], betas: list[float], sigma: float) -> float:
+    """|s_k|, the last entry of the unit eigenvector of the tridiagonal T_k
+    (diagonal alphas, off-diagonal betas) for its eigenvalue next to sigma.
+
+    Two steps of inverse iteration from the all-ones vector. sigma lies just
+    outside the spectrum, so T_k - sigma I is definite and its LU without
+    pivoting (the Thomas recurrence) is stable.
+    """
+    k = len(alphas)
+    pivots, ratios = [0.0] * k, [0.0] * k
+    for i in range(k):
+        pivots[i] = alphas[i] - sigma - (betas[i - 1] * ratios[i - 1] if i else 0.0)
+        ratios[i] = betas[i] / pivots[i] if i < k - 1 else 0.0
+    x = [1.0] * k
+    for _ in range(2):
+        for i in range(k):
+            x[i] = (x[i] - (betas[i - 1] * x[i - 1] if i else 0.0)) / pivots[i]
+        for i in range(k - 2, -1, -1):
+            x[i] -= ratios[i] * x[i + 1]
+        scale = max(map(abs, x))
+        x = [v / scale for v in x]
+    return abs(x[-1]) / math.sqrt(sum(v * v for v in x))
+
+
 def spectral_norm(
     op: LinearMap,
     tol: float | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     rng: SeededRng | None = None,
     deflate: np.ndarray | None = None,
+    hermitian: bool = False,
 ) -> SpectralEstimate:
-    """Largest singular value of a matrix-free linear map.
+    """Largest singular value of a matrix-free linear map, by plain Lanczos.
 
-    Power iteration on op†∘op from a seeded random start, with a windowed
-    Rayleigh-Ritz extraction over recent iterates so clustered spectral edges
-    still converge quickly. Convergence requires the relative value change to
-    stay <= tol over 3 consecutive steps AND the residual
-    ||op†op v - value^2 v|| / value^2 <= tol. Non-convergence is reported
-    explicitly, never silently dropped.
+    The three-term recurrence runs from a seeded random start on B = op when
+    `hermitian` (op† = op, one apply per step), and on B = op† o op
+    otherwise (two applies per step). It keeps only the last two Lanczos
+    vectors and the coefficients alpha_i, beta_i of the tridiagonal T_k;
+    without reorthogonalisation the extreme Ritz values of T_k and their
+    residual estimates stay reliable (Paige 1980). The value is
+    max(|theta_min|, theta_max) of T_k on the Hermitian path, so both ends
+    of the spectrum count, and sqrt(theta_max) otherwise. The residual is
+    beta_k |s_k| / |theta|, s_k the last component of theta's eigenvector of
+    T_k: ||op v - theta v|| / |theta| on the Hermitian path and
+    ||op†op v - theta v|| / theta otherwise, for the Ritz vector v.
 
-    The window of iterates and their images is allocated once per call, one
-    vector per row, and the Rayleigh quotient V†W is grown by one row and one
-    column per step; a thick restart keeps the top Ritz vectors in place and
-    recomputes only their block.
+    The Ritz values come from eigvalsh(T_k) at checkpoints only: every step
+    up to k = 32, then every k // 16 steps (_next_check). Convergence
+    requires the value to stay within tol (relative) over at least 3 steps
+    AND the residual to be <= tol. When the Krylov space is exhausted (beta_k
+    ~ 0 or k reaches the dimension) the value is exact; when max_iters runs
+    out, the last check is reported with converged False.
 
     `deflate` takes orthonormal columns spanning a subspace W that op and
-    op† both map into itself; every iterate and every new basis vector is
+    op† both map into itself; the start and every new Lanczos vector are
     projected onto W^perp, which is then invariant too, so the result is the
-    norm of op restricted to W^perp. Projecting the new basis vectors keeps
-    rounding in W from growing by 1/residual at every step.
+    norm of op restricted to W^perp. Projecting once per step keeps rounding
+    in W from growing.
     """
-    if op.dim < 1:
-        raise PreconditionError("operator dimension must be >= 1")
+    if op.dim < 1 or max_iters < 1:
+        raise PreconditionError(f"operator dimension and max_iters must be >= 1, got {op.dim} and {max_iters}")
     tol = DEFAULT_TOL_ITERATIVE if tol is None else float(tol)
     rng = SeededRng(0, 0) if rng is None else rng
     n = op.dim
     g = rng.generator()
-    if deflate is not None and deflate.size == 0:
-        deflate = None
-    deflate_h = None if deflate is None else deflate.conj().T
+    rows = None if deflate is None or deflate.size == 0 else np.ascontiguousarray(deflate.T)
 
     def project_out(x: np.ndarray) -> np.ndarray:
-        return x if deflate is None else x - deflate @ (deflate_h @ x)
-
-    def b_apply(x: np.ndarray) -> np.ndarray:
-        return project_out(op.adjoint_apply(op.apply(project_out(x))))
-
-    def reorthogonalise(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        for _ in range(2):  # the second pass restores what rounding lost in the first
-            x = x - np.conj(rows @ np.conj(x)) @ rows
+        if rows is not None:
+            x -= np.conj(rows @ np.conj(x)) @ rows
         return x
 
-    v = g.standard_normal(n) + 1j * g.standard_normal(n)
-    v = project_out(v)
+    def b_apply(x: np.ndarray) -> np.ndarray:
+        return op.apply(x) if hermitian else op.adjoint_apply(op.apply(x))
+
+    v = project_out(g.standard_normal(n) + 1j * g.standard_normal(n))
     nrm = np.linalg.norm(v)
     if nrm < 1e-300:  # deflation removed everything
         return SpectralEstimate(value=0.0, residual=0.0, iterations=0)
-
-    full_dim = n - (0 if deflate is None else deflate.shape[1])
-    # Window cap keeps basis memory bounded for very large ambient dimensions.
-    window = max(3, min(_RITZ_WINDOW, (2**27) // max(1, 16 * n)))
-    basis = np.empty((window, n), dtype=complex)
-    images = np.empty((window, n), dtype=complex)
-    quotient = np.empty((window, window), dtype=complex)  # basis† images, row i column j = <v_i, w_j>
-    basis[0] = v / nrm
-    m = 1  # rows of the window in use
+    v *= 1.0 / nrm
+    full_dim = n - (0 if rows is None else rows.shape[0])
+    v_prev = None
+    alphas: list[float] = []
+    betas: list[float] = []
+    scale = 0.0  # largest |alpha_i|, beta_i: the size of T_k
+    check = 1
     value_prev = None
-    stable_steps = 0
-    best = SpectralEstimate(value=0.0, residual=np.inf, iterations=0, converged=False)
+    stable_from = 0  # the step from which the value has been stable
 
-    for iteration in range(1, max_iters + 1):
-        vs, ws = basis[:m], images[:m]
-        ws[-1] = b_apply(vs[-1])
-        quotient[:m, m - 1] = np.conj(vs @ np.conj(ws[-1]))
-        quotient[m - 1, :m] = ws @ np.conj(vs[-1])
-        h = quotient[:m, :m]
-        evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
-        theta = float(max(evals[-1], 0.0))
-        y = evecs[:, -1]
-        ritz = y @ vs
-        resid_vec = y @ ws - theta * ritz
-        residual = float(np.linalg.norm(resid_vec) / max(theta, 1e-24))
-        value = float(np.sqrt(theta))
+    for k in range(1, max_iters + 1):
+        w = np.asarray(b_apply(v), dtype=complex)
+        if v_prev is not None:
+            w -= betas[-1] * v_prev
+        alpha = float(np.vdot(v, w).real)
+        w -= alpha * v
+        project_out(w)
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        scale = max(scale, abs(alpha), beta)
+        # beta_k at the rounding level of T_k: K_k is invariant and T_k exact
+        exhausted = beta <= 1e-12 * scale or k >= full_dim
+        if k == check or exhausted or k == max_iters:
+            check = _next_check(k)
+            t_k = np.zeros((k, k))
+            t_k.flat[:: k + 1] = alphas
+            t_k.flat[1 :: k + 1] = t_k.flat[k :: k + 1] = betas[:-1]
+            ritz = np.linalg.eigvalsh(t_k)
+            if hermitian:
+                theta = float(ritz[-1] if ritz[-1] >= -ritz[0] else ritz[0])
+            else:
+                theta = max(float(ritz[-1]), 0.0)
+            value = abs(theta) if hermitian else math.sqrt(theta)
+            if value_prev is None or abs(value - value_prev) > tol * max(value, 1e-12):
+                stable_from = k
+            value_prev = value
+            # the residual is read only where it can end the solve or is reported
+            if exhausted or k == max_iters or k - stable_from >= 3:
+                shift = math.copysign(1e-10 * scale, theta)  # past theta, so outside T_k's spectrum
+                s_k = _last_component(alphas, betas, theta + shift) if beta > 0.0 else 0.0
+                residual = beta * s_k / max(abs(theta), 1e-24)
+                if exhausted or (k - stable_from >= 3 and residual <= tol):
+                    return SpectralEstimate(value, residual, k, converged=True)
+        w *= 1.0 / beta  # several times cheaper than dividing complex entries by beta
+        v_prev, v = v, w
 
-        if residual < best.residual:
-            best = SpectralEstimate(value, residual, iteration, converged=False)
-
-        if value_prev is not None and abs(value - value_prev) <= tol * max(value, 1e-12):
-            stable_steps += 1
-        else:
-            stable_steps = 0
-        value_prev = value
-
-        if stable_steps >= 3 and residual <= tol:
-            return SpectralEstimate(value, residual, iteration, converged=True)
-
-        if m >= full_dim:
-            # The basis spans the whole deflated space: the Ritz extraction is
-            # an exact eigendecomposition and nothing can improve it.
-            return SpectralEstimate(value, residual, iteration, converged=residual <= tol)
-
-        if m >= window:
-            keep = min(_RITZ_KEEP, m)
-            yk = evecs[:, -keep:].T
-            basis[:keep] = yk @ vs
-            images[:keep] = yk @ ws
-            m = keep
-            vs, ws = basis[:m], images[:m]
-            quotient[:m, :m] = vs.conj() @ ws.T
-
-        nxt = reorthogonalise(project_out(resid_vec), vs)
-        nrm = np.linalg.norm(nxt)
-        if nrm < 1e-14:
-            fresh = g.standard_normal(n) + 1j * g.standard_normal(n)
-            raw = np.linalg.norm(fresh)
-            nxt = reorthogonalise(project_out(fresh), vs)
-            nrm = np.linalg.norm(nxt)
-            if nrm < 1e-8 * raw:  # space exhausted up to roundoff
-                return SpectralEstimate(value, residual, iteration, converged=residual <= tol)
-        basis[m] = nxt / nrm
-        m += 1
-
-    return best
+    return SpectralEstimate(value, residual, max_iters, converged=False)
 
 
 def orthonormalize(vectors: Sequence[np.ndarray] | np.ndarray) -> tuple[np.ndarray, int]:
     """Orthonormal basis (as columns) of the span, with its numerical rank.
 
     Rank counts singular values above _RANK_TOL times the largest one; an
-    all-zero input yields rank 0 and an empty basis.
+    all-zero input yields rank 0 and an empty basis. A real 2-D array of
+    columns gets a real basis; any other input a complex one.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        a = np.asarray(vectors, dtype=complex)
+        a = np.asarray(vectors, dtype=float if np.isrealobj(vectors) else complex)
     else:
         seq = list(vectors)
         if not seq:
@@ -239,7 +255,7 @@ def orthonormalize(vectors: Sequence[np.ndarray] | np.ndarray) -> tuple[np.ndarr
         a = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in seq], axis=1)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex), 0
+        return np.zeros((a.shape[0], 0), dtype=a.dtype), 0
     rank = int(np.sum(s > _RANK_TOL * s[0]))
     return u[:, :rank], rank
 

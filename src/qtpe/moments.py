@@ -8,17 +8,20 @@ difference is the quantity every construction is judged by.
 
 Two exact ways to that value exist, and lambda_report alone picks between
 them. The iterative one hands the moment operator, matrix-free, to
-linalg.spectral_norm, which deflates the fixed space W from every iterate
-once: the operator and its adjoint both fix W, so W^perp is invariant, and
-there the operator equals its difference with the projector. Each apply runs
-one conjugation kernel per stage: a GEMM by the stacked members on the first
-leg of vec(M), per-member GEMMs that rotate each middle leg to the end, and a
-GEMM by the stacked adjoints on the last leg that also sums over the members;
-the stacks are laid out once per MomentOperator, the stacked intermediates in
-a two-row workspace that the operator allocates at its first apply and
-reuses, at most 2 * _BATCH_BYTES, so one MomentOperator must not be applied
-from two threads at once. The dense one never materialises the n^2t x n^2t
-operator: by Schur-Weyl duality (C^n)^(x t) splits into U(n) irreps
+linalg.spectral_norm, which deflates the fixed space W from every Lanczos
+vector once: the operator and its adjoint both fix W, so W^perp is
+invariant, and there the operator equals its difference with the
+projector. With an involution the operator is Hermitian and Lanczos runs on
+it directly; without one it runs on the operator's adjoint times it. Each
+apply runs one conjugation kernel per stage: a GEMM by the stacked members
+on the first leg of vec(M), per-member GEMMs that rotate each middle leg to
+the end, and a GEMM by the stacked adjoints on the last leg that also sums
+over the members; the stacks are laid out once per MomentOperator, the
+stacked intermediates in a two-row workspace that the operator allocates at
+its first apply and reuses, at most 2 * _BATCH_BYTES, so one MomentOperator
+must not be applied from two threads at once. The dense one never
+materialises the n^2t x n^2t operator: by Schur-Weyl duality (C^n)^(x t)
+splits into U(n) irreps
 V_lambda, lambda a partition of t with at most n rows, each repeated
 f_lambda times, and the moment operator is block diagonal over pairs
 (lambda, mu). Each block acts on d_lambda x d_mu matrices as X -> (1/s)
@@ -35,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ensemble import Stage, UnitaryEnsemble
+from .ensemble import Stage, UnitaryEnsemble, involution_defect
 from .errors import PreconditionError, SizeLimitError
 from .linalg import (
     DEFAULT_MAX_ITERS,
@@ -44,7 +47,6 @@ from .linalg import (
     LinearMap,
     SeededRng,
     SpectralEstimate,
-    kron,
     max_principal_sine,
     orthonormalize,
     spectral_norm,
@@ -72,8 +74,12 @@ _BATCH_BYTES = 2**27
 # roundoff allowed on top of a closeness bound: at t=1 the bounds are exactly 0
 # and the measured distances ~1e-16; at t >= 2 a bound is at least 2*sqrt(2/d)
 CLOSENESS_ROUNDOFF = 1e-12
-# entrywise |B - B†| up to which a sector block of an ensemble with an
-# involution counts as Hermitian; measured defects are ~1e-17
+# how far from Hermitian an ensemble's moment operator may be and still be
+# treated as Hermitian: the members' involution defect (ensemble.
+# involution_defect) gates both lambda paths, and on the dense path each
+# sector block's entrywise |B - B†| is checked against it too. Sampled and
+# product ensembles measure 0 to ~1e-14; a loaded file may pass validation
+# with up to 1e-8 * dim, and then takes the paths for non-Hermitian operators
 HERMITIAN_DEFECT = 1e-12
 
 
@@ -401,11 +407,12 @@ def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
     computed once: the (mu, lambda) block equals J (lambda, mu) J with the
     antiunitary J: X -> X†, so both have the same singular values.
 
-    With an involution (U_{-i} = U_i†) every block, the projector-corrected
-    ones too, is Hermitian, so its norm is max |eigenvalue|: eigvalsh is used
-    once the block's Hermitian defect is checked, and the SVD otherwise.
+    With an involution (U_{-i} = U_i†, to HERMITIAN_DEFECT) every block, the
+    projector-corrected ones too, is Hermitian, so its norm is max
+    |eigenvalue|: eigvalsh is used once the block's Hermitian defect is
+    checked, and the SVD otherwise.
     """
-    hermitian = e.involution is not None
+    hermitian = involution_defect(e) <= HERMITIAN_DEFECT
     reps = [irrep_action(e.unitaries, b.basis, e.dim, t) for b in irrep_bases(e.dim, t)]
     value = 0.0
     for i, a in enumerate(reps):
@@ -433,6 +440,7 @@ class SpectralReport:
     lambda_: float
     method: str
     iterations: int
+    applies: int  # of the moment operator or its adjoint; 0 on the dense path
     residual: float
     seed: int
     t: int
@@ -488,9 +496,11 @@ def lambda_report(
     dense method is exact: it takes the norm of every Schur-Weyl block
     (sector_lambda) instead of the n^2t x n^2t superoperator, from eigvalsh
     when an involution makes the blocks Hermitian and from the SVD
-    otherwise. The iterative method is matrix-free with fixed-space
-    deflation of every iterate. The solver settings are checked whichever
-    path runs (check_solver_settings).
+    otherwise. The iterative method (named "power-iteration") is Lanczos,
+    matrix-free, with fixed-space deflation: on Phi itself, one apply per
+    step, when the members' involution defect is at most HERMITIAN_DEFECT,
+    and on Phi†Phi, two applies per step, otherwise. The solver settings are
+    checked whichever path runs (check_solver_settings).
     Non-convergence is surfaced in the report, never silently dropped.
     """
     check_solver_settings(e.dim, t, method, tol, max_iters)
@@ -498,23 +508,28 @@ def lambda_report(
     if method == "auto":
         method = "dense-svd" if e.dim ** (2 * t) <= DENSE_LIMIT else "power-iteration"
     if method == "dense-svd":
-        est = SpectralEstimate(value=sector_lambda(e, t), residual=0.0, iterations=0)
+        est, applies = SpectralEstimate(value=sector_lambda(e, t), residual=0.0, iterations=0), 0
     else:
         phi = MomentOperator(e, t)
         # Phi and Phi† both fix W (every U^(x t) commutes with it), so W^perp is
         # invariant under both and Phi - P is 0 on W and Phi on W^perp: the
-        # norm of Phi on the deflated iterates is exactly lambda.
+        # norm of Phi on the deflated iterates is exactly lambda. With an
+        # involution Phi† = Phi, so its norm there is its largest |eigenvalue|.
+        hermitian = involution_defect(e) <= HERMITIAN_DEFECT
         est = spectral_norm(
             LinearMap(phi.ambient, phi.apply_vec, phi.adjoint_apply_vec),
             tol=tol,
             max_iters=max_iters,
             rng=rng,
             deflate=fixed_space_basis(e.dim, t).ortho,
+            hermitian=hermitian,
         )
+        applies = est.iterations * (1 if hermitian else 2)
     return SpectralReport(
         lambda_=est.value,
         method=method,
         iterations=est.iterations,
+        applies=applies,
         residual=est.residual,
         seed=rng.seed,
         t=t,
@@ -662,6 +677,14 @@ class ClosenessReport:
         return dict(asdict(self), claims=self.claims)
 
 
+def _real_columns(columns, rows: int, count: int) -> np.ndarray:
+    """A preallocated real (rows x count) matrix whose column j is columns[j] flattened."""
+    out = np.empty((rows, count))
+    for j, column in enumerate(columns):
+        out[:, j] = column.reshape(-1)
+    return out
+
+
 def subspace_closeness_report(outer_dim: int, inner_dim: int, t: int) -> ClosenessReport:
     """Measure how close the product fixed space is to its distinct-tuple proxy.
 
@@ -677,11 +700,21 @@ def subspace_closeness_report(outer_dim: int, inner_dim: int, t: int) -> Closene
     if ambient > ITERATIVE_AMBIENT_LIMIT:
         raise SizeLimitError(f"ambient {ambient} exceeds vector limit {ITERATIVE_AMBIENT_LIMIT}")
     perms = all_permutations(t)
-    a1s = [alpha_sigma(sig, outer_dim, t) for sig in perms]
-    a2s = [alpha_sigma(sig, inner_dim, t) for sig in perms]
-    a2ps = [alpha_prime_inner(sig, inner_dim, t) for sig in perms]
+    # the generators are real, and so are the families and their bases
+    a1s = [alpha_sigma(sig, outer_dim, t).real for sig in perms]
+    a2s = [alpha_sigma(sig, inner_dim, t).real for sig in perms]
+    a2ps = [alpha_prime_inner(sig, inner_dim, t).real for sig in perms]
+    inner = inner_dim ** (2 * t)
     # W, W', and their inner factors W_2, W_2'
-    qw, qwp, q2, q2p = (orthonormalize(f)[0] for f in (map(kron, a1s, a2s), map(kron, a1s, a2ps), a2s, a2ps))
+    qw, qwp, q2, q2p = (
+        orthonormalize(_real_columns(columns, rows, len(perms)))[0]
+        for columns, rows in (
+            (map(np.kron, a1s, a2s), ambient),
+            (map(np.kron, a1s, a2ps), ambient),
+            (a2s, inner),
+            (a2ps, inner),
+        )
+    )
     tt = t * (t - 1) / inner_dim
     return ClosenessReport(
         outer_dim=outer_dim,

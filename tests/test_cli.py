@@ -140,6 +140,16 @@ class TestLambda:
         assert run("lambda", "--ensemble", str(out), "--t", "1", "--out", str(rep)) == 0
         assert json.loads(rep.read_text())["bound_reference"] is None
 
+    def test_too_deep_sidecar_is_unreadable(self, tmp_path):
+        # json raises RecursionError, not ValueError, on nesting this deep
+        out = tmp_path / "g.qtpe"
+        run("sample", "--dim", "2", "--degree", "4", "--out", str(out))
+        (tmp_path / "g.json").write_text("[" * 100000)
+        rep = tmp_path / "r.json"
+        assert run("lambda", "--ensemble", str(out), "--t", "1", "--out", str(rep)) == 0
+        doc = json.loads(rep.read_text())
+        assert doc["bound_reference"] is None and doc["ensemble-label"] == ""
+
     def test_report_is_the_step_result(self, tmp_path):
         path = tmp_path / "pauli.qtpe"
         save(pauli_ensemble(), path)
@@ -357,6 +367,17 @@ class TestCertify:
         cfg.write_text("{not json")
         assert run("certify", "--config", str(cfg)) == 2
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b'{"schema_version": 1, "steps": ["\xff"]}', b"[" * 100000, b'{"seed": 1' + b"0" * 5000 + b"}"],
+        ids=["not-utf8", "too-deep", "long-integer"],
+    )
+    def test_unparsable_config_exit_2(self, tmp_path, capsys, payload):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(payload)
+        assert run("certify", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("config: malformed JSON: ")
 
     def test_missing_field_named(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, [{"kind": "sample", "name": "g", "dim": 2}])

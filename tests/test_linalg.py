@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from qtpe.ensemble import UnitaryEnsemble
 from qtpe.errors import PreconditionError
 from qtpe.linalg import (
-    _RITZ_WINDOW,
     LinearMap,
     SeededRng,
     haar_unitary,
@@ -203,21 +202,19 @@ class TestSpectralNorm:
         s = s * np.exp(2j * np.pi * g.random(n))
         return q @ np.diag(s) @ q.conj().T, q[:, :fixed]
 
-    @pytest.mark.parametrize("window", [3, 5])
-    def test_restarts_match_svd_of_deflated_matrix(self, monkeypatch, window):
-        import qtpe.linalg as la
-
-        # a window this small restarts the Ritz extraction every few steps
-        monkeypatch.setattr(la, "_RITZ_WINDOW", window)
-        a, w = self.normal_with_invariant_space(40, 3, seed=window)
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_restarts_match_svd_of_deflated_matrix(self, seed):
+        # a top spectrum clustered at 3.0, 2.8, ... keeps plain Lanczos on
+        # A†A running past the every-step checks into the sparse ones
+        a, w = self.normal_with_invariant_space(40, 3, seed=seed)
         p = np.eye(40) - w @ w.conj().T
         est = spectral_norm(as_map(a), tol=1e-12, rng=SeededRng(4), deflate=w)
-        assert est.converged and est.iterations > 4 * window
+        assert est.converged
         assert abs(est.value - top_singular_value(p @ a @ p)) <= 1e-10
 
     def test_full_space_exit(self):
-        # at tol 1e-14 the value keeps moving until the basis spans the
-        # 6-dimensional deflated space, where the extraction is exact
+        # at tol 1e-14 the value keeps moving until the Krylov space spans the
+        # 6-dimensional deflated space, where T_k's Ritz values are exact
         q = haar_unitary(8, SeededRng(10))
         w = q[:, :2]
         a = q @ np.diag([4.0, 4.0, 1.0, 0.8, 0.6, 0.4, 0.3, 0.2]) @ q.conj().T
@@ -227,49 +224,143 @@ class TestSpectralNorm:
 
     @pytest.mark.parametrize("tol", [1e-14, 1e-10, 1e-7])
     def test_new_basis_vectors_stay_in_deflated_space(self, tol):
-        # a clustered tail divides the residual down at every step; without
-        # projecting each new basis vector, rounding in W grew to 2e-3 and the
-        # full-space exit returned unconverged with lambda off by 1.2e-8
+        # a clustered tail divides each new Lanczos vector by a small beta;
+        # without projecting it, rounding in W grows at every step
         q = haar_unitary(8, SeededRng(10))
         a = q @ np.diag([4.0, 4.0, 1.0, 0.999, 0.998, 0.997, 0.996, 0.995]) @ q.conj().T
         est = spectral_norm(as_map(a), tol=tol, rng=SeededRng(3), deflate=q[:, :2])
         assert est.converged and est.iterations <= 6
         assert abs(est.value - 1.0) <= 1e-14
 
-    def test_rank_one_takes_fresh_vectors(self):
-        # two steps span the range of a rank-1 operator; every later residual
-        # vanishes, so each further basis vector is a fresh random one
+    def test_rank_one_exhausts_exactly(self):
+        # two Lanczos vectors span an invariant space of A†A for a rank-1 A,
+        # so beta_2 vanishes and the Ritz value of T_2 is the exact norm
         g = SeededRng(6).generator()
         u, v = g.standard_normal(10) + 1j * g.standard_normal(10), g.standard_normal(10) + 0j
         est = spectral_norm(as_map(np.outer(u, v.conj())), tol=1e-10, rng=SeededRng(1))
-        assert est.converged and est.iterations == 5
-        assert est.value == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
+        assert est.converged and est.iterations == 2
+        assert est.value == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-14)
 
     def test_same_seed_bit_identical(self):
         a, w = self.normal_with_invariant_space(60, 2, seed=11)
-        runs = [spectral_norm(as_map(a), tol=1e-11, rng=SeededRng(5), deflate=w) for _ in range(2)]
-        assert runs[0].iterations > _RITZ_WINDOW
-        assert runs[0] == runs[1]
+        for hermitian in (False, True):
+            runs = [
+                spectral_norm(as_map(a + a.conj().T if hermitian else a), tol=1e-11, rng=SeededRng(5), deflate=w, hermitian=hermitian)
+                for _ in range(2)
+            ]
+            assert runs[0].iterations > 32  # past the every-step checks
+            assert runs[0] == runs[1]
 
-    def test_window_allocated_once(self):
-        # n is the ambient size of the certify_zigzag product; a spread top
-        # spectrum keeps the solver restarting for all max_iters steps
-        n, steps = 5184, 60
+    @staticmethod
+    def spread_diagonal_map(n, applies):
+        """A diagonal map on C^n with a spread spectrum, whose top the solver
+        never resolves to tol 1e-12 in a few hundred steps; `applies` counts
+        forward applies."""
         d = np.linspace(0.0, 1.0, n)
         q = np.zeros((n, 1), dtype=complex)
         q[-1, 0] = 1.0
-        applies = []
-        op = LinearMap(n, lambda x: applies.append(1) or d * x, lambda x: d * x)
+        return LinearMap(n, lambda x: applies.append(1) or d * x, lambda x: d * x), q
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_solver_holds_at_most_eight_vectors(self, hermitian):
+        # n is the ambient size of the certify_zigzag product; the recurrence
+        # keeps two Lanczos vectors and the new one, plus the temporaries of
+        # one step, whatever the number of steps
+        n, steps, applies = 5184, 60, []
+        op, q = self.spread_diagonal_map(n, applies)
         tracemalloc.start()
         try:
-            est = spectral_norm(op, tol=1e-12, max_iters=steps, rng=SeededRng(3), deflate=q)
+            est = spectral_norm(op, tol=1e-12, max_iters=steps, rng=SeededRng(3), deflate=q, hermitian=hermitian)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not est.converged and len(applies) == steps
-        # the basis and image windows take 2 * window vectors of n complex
-        # entries; everything else a step allocates must fit in one more window
-        assert peak < 3 * _RITZ_WINDOW * n * 16
+        assert not est.converged and est.iterations == steps and len(applies) == steps
+        assert peak <= 8 * n * 16
+
+    def test_ritz_checks_grow_like_log_k(self, monkeypatch):
+        # eigvalsh(T_k) runs at every step up to 32, then every k // 16 steps:
+        # 32 + 16 ln(k / 32) checks, plus a few for the rounding down of k // 16
+        # and the last step, against k steps
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or real(a))
+        counts = {}
+        for steps in (100, 400):
+            calls.clear()
+            op, q = self.spread_diagonal_map(5184, [])
+            est = spectral_norm(op, tol=1e-14, max_iters=steps, rng=SeededRng(3), deflate=q, hermitian=True)
+            assert not est.converged and calls[-1] == steps
+            counts[steps] = len(calls)
+        for steps, count in counts.items():
+            assert count <= 40 + 16 * np.log(steps / 32)
+        assert counts[400] - counts[100] <= 16 * np.log(4) + 4
+
+
+def deflated_dense(a, w):
+    """The matrix of a restricted to the orthogonal complement of w's columns."""
+    p = np.eye(a.shape[0]) - w @ w.conj().T
+    return p @ a @ p
+
+
+class TestHermitianLanczos:
+    """spectral_norm with hermitian=True runs the recurrence on the map itself:
+    its value is the largest |eigenvalue| on W^perp, from either end."""
+
+    @staticmethod
+    def hermitian_with_invariant_space(n, fixed, spectrum, seed):
+        q = haar_unitary(n, SeededRng(seed))
+        return q @ np.diag(np.concatenate([[5.0] * fixed, spectrum])) @ q.conj().T, q[:, :fixed]
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            np.linspace(-0.5, 0.9, 38),  # the top end wins
+            np.linspace(-0.95, 0.6, 38),  # the bottom end wins: the largest |eigenvalue| is negative
+            np.concatenate([[-0.8, 0.8], np.linspace(-0.7, 0.7, 36)]),  # both ends tie
+        ],
+        ids=["top", "bottom", "tie"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_eigvalsh_of_deflated_matrix(self, spectrum, seed):
+        a, w = self.hermitian_with_invariant_space(40, 2, spectrum, seed)
+        est = spectral_norm(as_map(a), tol=1e-12, rng=SeededRng(seed), deflate=w, hermitian=True)
+        assert est.converged
+        exact = float(np.max(np.abs(np.linalg.eigvalsh(deflated_dense(a, w)))))
+        assert abs(est.value - exact) <= 1e-10
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_random_hermitian_grid(self, n):
+        for trial in range(10):
+            g = SeededRng(2000 + n, trial).generator()
+            a = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+            a = (a + a.conj().T) / np.sqrt(8 * n)
+            est = spectral_norm(as_map(a), tol=1e-10, rng=SeededRng(trial), hermitian=True)
+            assert est.converged, f"n={n} trial={trial} residual={est.residual}"
+            assert abs(est.value - float(np.max(np.abs(np.linalg.eigvalsh(a))))) <= 1e-10
+
+    def test_one_apply_per_step_and_no_adjoint(self):
+        a, w = self.hermitian_with_invariant_space(40, 2, np.linspace(-0.5, 0.9, 38), 3)
+        forward, adjoint = [], []
+        op = LinearMap(40, lambda x: forward.append(1) or a @ x, lambda x: adjoint.append(1) or a @ x)
+        est = spectral_norm(op, tol=1e-10, rng=SeededRng(1), deflate=w, hermitian=True)
+        assert est.converged and len(forward) == est.iterations and not adjoint
+
+    def test_residual_bounds_the_eigenvalue_error(self):
+        # for a Hermitian map, a Ritz pair with ||A y - theta y|| = r |theta|
+        # has an eigenvalue within r |theta| of theta
+        a, w = self.hermitian_with_invariant_space(40, 2, np.linspace(-0.95, 0.6, 38), 4)
+        est = spectral_norm(as_map(a), tol=1e-6, rng=SeededRng(2), deflate=w, hermitian=True)
+        assert est.converged and est.residual <= 1e-6
+        exact = float(np.max(np.abs(np.linalg.eigvalsh(deflated_dense(a, w)))))
+        assert abs(est.value - exact) <= est.residual * est.value + 1e-12
+
+    def test_zero_and_exhausted(self):
+        zero = spectral_norm(as_map(np.zeros((5, 5))), rng=SeededRng(0), hermitian=True)
+        assert (zero.value, zero.residual, zero.iterations, zero.converged) == (0.0, 0.0, 1, True)
+        a = np.diag([0.5, -2.0, 1.0])
+        est = spectral_norm(as_map(a), tol=1e-15, rng=SeededRng(1), hermitian=True)
+        assert est.converged and est.iterations == 3
+        assert est.value == pytest.approx(2.0, abs=1e-14)
 
 
 class TestOrthonormalize:

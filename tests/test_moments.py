@@ -17,7 +17,7 @@ from conftest import (
     raw_haar_ensemble,
     regroup_indices,
 )
-from qtpe.ensemble import Stage, UnitaryEnsemble, load, product_ensemble, sample_random_qtpe, save, square_compose
+from qtpe.ensemble import Stage, UnitaryEnsemble, involution_defect, load, product_ensemble, sample_random_qtpe, save, square_compose
 from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.linalg import SeededRng, haar_unitary
 from qtpe.moments import (
@@ -31,6 +31,7 @@ from qtpe.moments import (
     design_error_monomial,
     design_iterations_needed,
     fixed_space_basis,
+    HERMITIAN_DEFECT,
     lambda_report,
     shuffle_operator,
     subspace_closeness_report,
@@ -488,6 +489,7 @@ class TestLambda:
             "lambda",
             "method",
             "iterations",
+            "applies",
             "residual",
             "seed",
             "ensemble-label",
@@ -510,6 +512,90 @@ class TestLambda:
     def test_solver_settings_checked_on_every_path(self, method, setting):
         with pytest.raises(PreconditionError):
             lambda_report(hermitian_ensemble(2, 4, seed=0), 1, method=method, **setting)
+
+
+def deflated_dense_deviation(e, t):
+    """Phi - P as a dense matrix: Phi on W^perp, 0 on W."""
+    basis = fixed_space_basis(e.dim, t)
+    return MomentOperator(e, t).dense() - basis.ortho @ basis.ortho.conj().T
+
+
+def count_applies(monkeypatch):
+    """Count MomentOperator's forward and adjoint applies into a dict."""
+    counts = {"apply": 0, "adjoint": 0}
+    for name, key in (("apply_vec", "apply"), ("adjoint_apply_vec", "adjoint")):
+        real = getattr(MomentOperator, name)
+
+        def counted(self, x, real=real, key=key):
+            counts[key] += 1
+            return real(self, x)
+
+        monkeypatch.setattr(MomentOperator, name, counted)
+    return counts
+
+
+class TestLanczosPaths:
+    """The iterative path runs Lanczos on Phi when the members' involution
+    defect is at most HERMITIAN_DEFECT, and on Phi†Phi otherwise."""
+
+    @pytest.mark.parametrize(
+        "kind,t",
+        [("hermitian", 1), ("hermitian", 2), ("zigzag", 1), ("derandomised", 1)],
+    )
+    def test_hermitian_path_matches_eigvalsh_of_the_deflated_operator(self, kind, t):
+        if kind == "hermitian":
+            e = hermitian_ensemble(3, 6, 40 + t)
+        else:
+            g, h = sample_random_qtpe(2, 4, SeededRng(41)), sample_random_qtpe(4, 4, SeededRng(42))
+            e = zigzag(g, h) if kind == "zigzag" else zigzag_derandomised(g, h)
+        rep = lambda_report(e, t, method="power-iteration", tol=1e-12, rng=SeededRng(t))
+        exact = float(np.max(np.abs(np.linalg.eigvalsh(deflated_dense_deviation(e, t)))))
+        assert rep.converged and abs(rep.lambda_ - exact) <= 1e-10
+
+    def test_negative_end_counts(self):
+        # the Paulis X, Y, Z (each its own adjoint) average to X -> (tr X) I/2 - X/3
+        # on traceless X at t = 1: Phi - P has the single eigenvalue -1/3 on W^perp
+        paulis = pauli_ensemble().unitaries[1:]
+        e = UnitaryEnsemble(2, paulis, (0, 1, 2), "xyz")
+        rep = lambda_report(e, 1, method="power-iteration", tol=1e-12)
+        assert np.allclose(np.linalg.eigvalsh(deflated_dense_deviation(e, 1)), [-1 / 3] * 3 + [0.0])
+        assert rep.converged and abs(rep.lambda_ - 1 / 3) <= 1e-12
+
+    def test_hermitian_ensemble_makes_no_adjoint_apply(self, monkeypatch):
+        counts = count_applies(monkeypatch)
+        rep = lambda_report(hermitian_ensemble(4, 6, 7), 2, method="power-iteration", rng=SeededRng(3))
+        assert rep.converged and counts == {"apply": rep.iterations, "adjoint": 0}
+        assert rep.applies == rep.iterations > 0
+
+    def test_ensemble_without_involution_applies_twice_per_step(self, monkeypatch):
+        counts = count_applies(monkeypatch)
+        rep = lambda_report(raw_haar_ensemble(4, 3, 7), 2, method="power-iteration", rng=SeededRng(3))
+        assert rep.converged and counts == {"apply": rep.iterations, "adjoint": rep.iterations}
+        assert rep.applies == 2 * rep.iterations > 0
+
+    def test_involution_defect_above_the_gate_takes_the_adjoint_path(self, monkeypatch, tmp_path):
+        # a file may pass validation with an involution defect up to 1e-8 * dim;
+        # its Phi is Hermitian only to that defect, so Phi†Phi is solved
+        e = hermitian_ensemble(3, 4, 8)
+        members = e.unitaries.copy()
+        members[0, 0, 0] += 1e-10
+        noisy = UnitaryEnsemble(3, members, e.involution, "noisy")
+        save(noisy, tmp_path / "noisy.qtpe")
+        loaded = load(tmp_path / "noisy.qtpe")
+        assert HERMITIAN_DEFECT < involution_defect(loaded) <= 1e-8
+        counts = count_applies(monkeypatch)
+        rep = lambda_report(loaded, 1, method="power-iteration", tol=1e-10, rng=SeededRng(1))
+        assert rep.converged and counts["adjoint"] == rep.iterations and rep.applies == 2 * rep.iterations
+        assert abs(rep.lambda_ - lambda_report(loaded, 1, method="dense-svd").lambda_) <= 1e-8
+
+    def test_dense_path_counts_no_applies(self):
+        assert lambda_report(hermitian_ensemble(3, 4, 2), 2, method="dense-svd").applies == 0
+
+    @pytest.mark.parametrize("kind", ["hermitian", "raw"])
+    def test_rerun_identical(self, kind):
+        e = hermitian_ensemble(4, 6, 9) if kind == "hermitian" else raw_haar_ensemble(4, 3, 9)
+        runs = [lambda_report(e, 2, method="power-iteration", rng=SeededRng(5)) for _ in range(2)]
+        assert runs[0] == runs[1]
 
 
 class TestDesignError:
