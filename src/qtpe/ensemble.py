@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,9 @@ class UnitaryEnsemble:
     lexicographic order of the factor indices. product_ensemble forms those
     members from the stages and attaches them; no other constructor does,
     and stages are never written to a file. Treated as immutable after
-    construction.
+    construction, which lets involution_defect keep its value on the
+    ensemble; dataclasses.replace builds a new ensemble, which measures its
+    own.
     """
 
     dim: int
@@ -80,6 +82,7 @@ class UnitaryEnsemble:
     involution: tuple[int, ...] | None = None
     label: str = ""
     stages: tuple[Stage, ...] | None = None
+    _involution_defect: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.unitaries = np.ascontiguousarray(self.unitaries, dtype=complex)
@@ -132,7 +135,15 @@ def _is_involution(inv: tuple[int, ...]) -> bool:
 
 def involution_defect(e: UnitaryEnsemble) -> float:
     """max_i ||U_{-i} - U_i†||_F: 0 when the involution holds exactly, infinite
-    without one or when it is not a bijective involution of the indices."""
+    without one or when it is not a bijective involution of the indices.
+    Measured once per ensemble (validate and both lambda paths read it) and
+    kept on it."""
+    if e._involution_defect is None:
+        e._involution_defect = _measure_involution_defect(e)
+    return e._involution_defect
+
+
+def _measure_involution_defect(e: UnitaryEnsemble) -> float:
     if e.involution is None or not _is_involution(e.involution):
         return math.inf
     diffs = e.unitaries[list(e.involution)] - e.adjoints()

@@ -28,7 +28,10 @@ f_lambda times, and the moment operator is block diagonal over pairs
 sum_i R_lambda(U_i) X R_mu(U_i)†, the Haar projector is
 vec(I)vec(I)†/d_lambda on the diagonal blocks and 0 elsewhere, and lambda is
 the largest top singular value over the blocks, read from eigvalsh when an
-involution makes the blocks Hermitian.
+involution makes the blocks Hermitian. The moment operator maps Hermitian
+matrices to Hermitian ones, so each diagonal block is solved as a real
+matrix in an orthonormal basis of Herm(V_lambda); the off-diagonal blocks
+stay complex.
 """
 
 from __future__ import annotations
@@ -74,12 +77,17 @@ _BATCH_BYTES = 2**27
 # roundoff allowed on top of a closeness bound: at t=1 the bounds are exactly 0
 # and the measured distances ~1e-16; at t >= 2 a bound is at least 2*sqrt(2/d)
 CLOSENESS_ROUNDOFF = 1e-12
+# bound on the complex rows of a diagonal sector block that
+# hermitian_sector_block gathers at once: 37 rows of the 441 block at t=2, n=6
+_CHUNK_BYTES = 2**18
 # how far from Hermitian an ensemble's moment operator may be and still be
 # treated as Hermitian: the members' involution defect (ensemble.
 # involution_defect) gates both lambda paths, and on the dense path each
-# sector block's entrywise |B - B†| is checked against it too. Sampled and
-# product ensembles measure 0 to ~1e-14; a loaded file may pass validation
-# with up to 1e-8 * dim, and then takes the paths for non-Hermitian operators
+# sector block's entrywise |B - B†| is checked against it too: the real form
+# of a diagonal block (hermitian_sector_block), and the complex off-diagonal
+# blocks. Sampled and product ensembles measure 0 to ~1e-14; a loaded file may
+# pass validation with up to 1e-8 * dim, and then takes the paths for
+# non-Hermitian operators
 HERMITIAN_DEFECT = 1e-12
 
 
@@ -398,17 +406,68 @@ def sector_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
+def hermitian_sector_block(r: np.ndarray) -> np.ndarray:
+    """The diagonal block sector_block(R, R) minus vec(I)vec(I)†/d, as a real
+    d^2 x d^2 matrix in the orthonormal basis of Herm(C^d): E_jj, then
+    (E_jk + E_kj)/sqrt(2) and then i(E_jk - E_kj)/sqrt(2) for j < k in
+    row-major order.
+
+    X -> (1/s) sum_i R_i X R_i† maps Hermitian matrices to Hermitian ones, so
+    with T the unitary whose columns are that basis, T† B T is real, and it
+    has the spectrum and the singular values of the complex block B. Its
+    entries are pair sums and differences of the real and imaginary parts of
+    B, read through a strided view of the sector_block GEMM and written a
+    chunk of _CHUNK_BYTES of B's rows at a time; the imaginary part of T† B T,
+    roundoff, is never formed. The complex GEMM result is released on return,
+    before any eigensolver runs. The projector is 1/d on the E_jj x E_kk
+    corner.
+    """
+    s, d, _ = r.shape
+    flat = r.reshape(s, -1)
+    m = flat.T @ flat.conj()
+    m /= s
+    b = m.reshape(d, d, d, d).transpose(0, 2, 1, 3)  # b[a, a', c, c'] = B[(a, a'), (c, c')]
+    diag, (j, k) = np.arange(d), np.triu_indices(d, 1)
+    u = j.size
+    out = np.empty((d * d, d * d))
+    step = max(1, _CHUNK_BYTES // (16 * d * d))
+    # rows of one basis kind, from B's rows (p, q), plus or minus (q, p) for a pair
+    for first, kind, p, q in ((0, "diag", diag, diag), (d, "sym", j, k), (d + u, "anti", j, k)):
+        for lo in range(0, p.size, step):
+            pp, qq = p[lo : lo + step], q[lo : lo + step]
+            z = b[pp, qq]
+            if kind == "sym":
+                z += b[qq, pp]
+            elif kind == "anti":
+                z -= b[qq, pp]
+            # T† multiplies the antisymmetric rows by -i: their real part is
+            # z.imag and their imaginary part -z.real, whose sign the column
+            # difference below takes up by its operand order
+            re, im = (z.imag, z.real) if kind == "anti" else (z.real, z.imag)
+            minuend, subtrahend = (im[:, j, k], im[:, k, j]) if kind == "anti" else (im[:, k, j], im[:, j, k])
+            rows = out[first + lo : first + lo + pp.size]
+            rows[:, :d] = re[:, diag, diag]
+            np.add(re[:, j, k], re[:, k, j], out=rows[:, d : d + u])
+            np.subtract(minuend, subtrahend, out=rows[:, d + u :])
+    out[d:] *= math.sqrt(0.5)
+    out[:, d:] *= math.sqrt(0.5)
+    out[:d, :d] -= 1.0 / d
+    return out
+
+
 def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
     """Largest singular value of the moment operator minus the Haar projector,
     exactly, from its Schur-Weyl blocks.
 
-    The (lambda, mu) block is sector_block(R_lambda, R_mu); the diagonal ones
-    lose their fixed vector vec(I)/sqrt(d_lambda). Each unordered pair is
-    computed once: the (mu, lambda) block equals J (lambda, mu) J with the
-    antiunitary J: X -> X†, so both have the same singular values.
+    The (lambda, mu) block is sector_block(R_lambda, R_mu). Each unordered
+    pair is computed once: the (mu, lambda) block equals J (lambda, mu) J with
+    the antiunitary J: X -> X†, so both have the same singular values. J maps
+    each diagonal block to itself, so that one is real in Hermitian
+    coordinates (hermitian_sector_block, which also removes the fixed vector
+    vec(I)/sqrt(d_lambda)); the off-diagonal ones stay complex.
 
-    With an involution (U_{-i} = U_i†, to HERMITIAN_DEFECT) every block, the
-    projector-corrected ones too, is Hermitian, so its norm is max
+    With an involution (U_{-i} = U_i†, to HERMITIAN_DEFECT) every block is
+    Hermitian, the diagonal ones real symmetric, so its norm is max
     |eigenvalue|: eigvalsh is used once the block's Hermitian defect is
     checked, and the SVD otherwise.
     """
@@ -416,18 +475,16 @@ def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
     reps = [irrep_action(e.unitaries, b.basis, e.dim, t) for b in irrep_bases(e.dim, t)]
     value = 0.0
     for i, a in enumerate(reps):
-        for j in range(i, len(reps)):
-            block = sector_block(a, reps[j])
-            if i == j:
-                d = a.shape[1]
-                diag = np.arange(d) * (d + 1)  # where vec(I) is 1
-                block[np.ix_(diag, diag)] -= 1.0 / d
-            value = max(value, _block_norm(block, hermitian))
+        value = max(value, _block_norm(hermitian_sector_block(a), hermitian))
+        for b in reps[i + 1 :]:
+            value = max(value, _block_norm(sector_block(a, b), hermitian))
     return value
 
 
 def _block_norm(block: np.ndarray, hermitian: bool) -> float:
-    """Spectral norm of one sector block; eigvalsh when it is Hermitian to HERMITIAN_DEFECT."""
+    """Spectral norm of one sector block, real or complex: max |eigenvalue|
+    from eigvalsh when the block's entrywise |B - B†| is at most
+    HERMITIAN_DEFECT, the top singular value otherwise."""
     if hermitian and np.max(np.abs(block - block.conj().T)) <= HERMITIAN_DEFECT:
         return float(np.max(np.abs(np.linalg.eigvalsh(block))))
     return float(np.linalg.svd(block, compute_uv=False)[0])

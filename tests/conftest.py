@@ -9,6 +9,14 @@ from qtpe.moments import lambda_report
 from qtpe.perms import Permutation
 
 
+def pytest_configure(config):
+    """Make numpy's ComplexWarning, an implicit complex -> real cast, an error
+    as RuntimeWarning is (pyproject.toml). numpy 1.24 has the class at the top
+    level, numpy >= 1.25 in numpy.exceptions, so it is looked up here."""
+    warning = getattr(np, "exceptions", np).ComplexWarning
+    config.addinivalue_line("filterwarnings", f"error::{warning.__module__}.{warning.__qualname__}")
+
+
 def identity(t):
     """The identity permutation of range(t)."""
     return Permutation(tuple(range(t)))

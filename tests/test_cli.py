@@ -158,6 +158,20 @@ class TestLambda:
         doc = json.loads(out.read_text())
         assert (doc["name"], doc["kind"], doc["pass"]) == ("step-0", "lambda", True)
 
+    @pytest.mark.parametrize("method", ["dense-svd", "power-iteration"])
+    def test_involution_defect_measured_once_per_call(self, tmp_path, monkeypatch, method):
+        # validate, the Hermitian gate of lambda_report and sector_lambda all read it
+        import qtpe.ensemble as ens
+
+        measured = []
+        real = ens._measure_involution_defect
+        monkeypatch.setattr(ens, "_measure_involution_defect", lambda e: measured.append(e.label) or real(e))
+        path = tmp_path / "g.qtpe"
+        save(sample_random_qtpe(3, 4, SeededRng(1)), path)
+        argv = ("lambda", "--ensemble", str(path), "--t", "1", "--method", method, "--out", str(tmp_path / "r.json"))
+        assert run(*argv) == 0
+        assert measured == ["haar-d3-s4"]
+
 
 class TestZigzagCommand:
     def _sample(self, tmp_path, name, dim, degree, seed):

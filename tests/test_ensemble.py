@@ -1,5 +1,7 @@
 """Ensemble type, algebra, and file-format tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qtpe.ensemble import (
     UnitaryEnsemble,
     check_product_degree,
     hermitian_double,
+    involution_defect,
     load,
     read_sidecar,
     sample_random_qtpe,
@@ -46,6 +49,14 @@ class TestValidate:
         assert validate(bad).passed  # identity members are self-adjoint
         worse = UnitaryEnsemble(2, e.unitaries, (0, 0), "non-bijective")
         assert not validate(worse).passed
+
+    def test_involution_defect_kept_per_ensemble(self):
+        e = sample_random_qtpe(3, 4, SeededRng(2))
+        assert involution_defect(e) == validate(e).involution_defect <= 1e-14
+        swapped = dataclasses.replace(e, involution=(1, 0, 3, 2))  # U_1 != U_0†
+        assert involution_defect(swapped) > 1.0
+        assert involution_defect(e) <= 1e-14
+        assert involution_defect(dataclasses.replace(swapped, involution=None)) == np.inf
 
 
 class TestSampler:

@@ -22,9 +22,12 @@ from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.linalg import SeededRng, haar_unitary
 from qtpe.moments import (
     MomentOperator,
+    _CHUNK_BYTES,
     design_errors,
+    hermitian_sector_block,
     irrep_action,
     irrep_bases,
+    sector_block,
     sector_lambda,
     alpha_prime_inner,
     alpha_sigma,
@@ -775,6 +778,99 @@ class TestSchurWeylSectors:
     def test_rerun_bit_identical(self):
         e = raw_haar_ensemble(3, 5, 9)
         assert sector_lambda(e, 2) == sector_lambda(e, 2)
+
+
+def hermitian_basis(d):
+    """The unitary T whose columns are vec(E_jj), then vec((E_jk + E_kj)/sqrt 2)
+    and then vec(i(E_jk - E_kj)/sqrt 2) for j < k in row-major order."""
+    j, k = np.triu_indices(d, 1)
+    sym, anti = np.zeros((d * d, j.size), dtype=complex), np.zeros((d * d, j.size), dtype=complex)
+    cols = np.arange(j.size)
+    sym[j * d + k, cols] = sym[k * d + j, cols] = np.sqrt(0.5)
+    anti[j * d + k, cols], anti[k * d + j, cols] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+    diag = np.zeros((d * d, d), dtype=complex)
+    diag[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+    return np.hstack([diag, sym, anti])
+
+
+def sector_reps(e, t):
+    """R_lambda(U_i) for every irrep lambda of (C^n)^(x t), in partition order."""
+    return [irrep_action(e.unitaries, b.basis, e.dim, t) for b in irrep_bases(e.dim, t)]
+
+
+def complex_diagonal_block(r):
+    """sector_block(R, R) minus vec(I)vec(I)†/d, on C^(d^2)."""
+    d = r.shape[1]
+    vec_eye = np.eye(d).reshape(-1)
+    return sector_block(r, r) - np.outer(vec_eye, vec_eye) / d
+
+
+# t = 1..4, with n < t at (1, 2), (1, 3), (2, 3), (2, 4) and (3, 4)
+HERMITIAN_COORDINATE_CASES = [(2, 1), (4, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3), (2, 4), (3, 4)]
+
+
+class TestHermitianCoordinates:
+    """The real form of each diagonal Schur-Weyl block against its complex
+    block, in the style of criterion 8: same spectrum, or same singular values
+    without an involution, to 1e-10."""
+
+    @staticmethod
+    def reps(n, t, family):
+        seed = 100 * n + 10 * t + 3
+        return sector_reps(hermitian_ensemble(n, 4, seed) if family == "hermitian" else raw_haar_ensemble(n, 3, seed), t)
+
+    @pytest.mark.parametrize("n,t", HERMITIAN_COORDINATE_CASES)
+    @pytest.mark.parametrize("family", ["hermitian", "raw"])
+    def test_real_block_is_the_complex_block_in_the_hermitian_basis(self, n, t, family):
+        for r in self.reps(n, t, family):
+            basis = hermitian_basis(r.shape[1])
+            assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-14)
+            rotated = basis.conj().T @ complex_diagonal_block(r) @ basis
+            real = hermitian_sector_block(r)
+            assert real.dtype == np.float64 and real.shape == rotated.shape
+            assert np.max(np.abs(rotated.imag), initial=0.0) <= 1e-13  # the discarded part is roundoff
+            assert np.max(np.abs(real - rotated.real), initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("n,t", HERMITIAN_COORDINATE_CASES)
+    def test_hermitian_spectrum_matches_the_complex_block(self, n, t):
+        for r in self.reps(n, t, "hermitian"):
+            real = hermitian_sector_block(r)
+            assert np.max(np.abs(real - real.T), initial=0.0) <= 1e-13
+            complex_eigs = np.linalg.eigvalsh(complex_diagonal_block(r))
+            assert np.max(np.abs(np.linalg.eigvalsh(real) - complex_eigs)) <= 1e-10
+
+    @pytest.mark.parametrize("n,t", HERMITIAN_COORDINATE_CASES)
+    def test_raw_singular_values_match_the_complex_block(self, n, t):
+        for r in self.reps(n, t, "raw"):
+            real_sv = np.linalg.svd(hermitian_sector_block(r), compute_uv=False)
+            complex_sv = np.linalg.svd(complex_diagonal_block(r), compute_uv=False)
+            assert np.max(np.abs(real_sv - complex_sv)) <= 1e-10
+
+    def test_t1_pauli_block_is_exactly_zero(self):
+        (r,) = sector_reps(pauli_ensemble(), 1)
+        assert np.array_equal(hermitian_sector_block(r), np.zeros((4, 4)))
+
+    def test_sector_lambda_peak_memory_at_n6_t2(self):
+        # the dense_t2 shape: diagonal blocks 441 and 225, off-diagonal 315. At
+        # most the complex 441^2 GEMM result and the real 441^2 block are alive
+        # at once, plus the chunks being gathered; the complex-block path held
+        # about 9.1 MB (the block, its transposed copy and B - B†)
+        e = hermitian_ensemble(6, 8, 0)
+        tracemalloc.start()
+        try:
+            sector_lambda(e, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        side = 21 * 21
+        assert peak <= 16 * side**2 + 8 * side**2 + 6 * _CHUNK_BYTES < 9.1e6
+
+    def test_implicit_complex_to_real_cast_fails_the_suite(self, pytestconfig):
+        # a cast that drops an imaginary part in the real-block path cannot pass unnoticed
+        warning = getattr(np, "exceptions", np).ComplexWarning
+        assert f"error::{warning.__module__}.{warning.__qualname__}" in pytestconfig.getini("filterwarnings")
+        with pytest.raises(warning):
+            np.zeros(2)[:] = np.full(2, 1j)
 
 
 class TestDesignIterations:
