@@ -4,9 +4,9 @@ Seeded Haar-random unitary sampling, Kronecker products,
 orthonormalisation, principal-angle distances, and the matrix-free
 largest-singular-value solver: seeded plain Lanczos, on the map itself when
 it is Hermitian and on op†∘op otherwise, with optional deflation of an
-invariant subspace. The solver keeps three vectors and the coefficients of
-its tridiagonal matrix, whose Ritz values it reads at checkpoints that
-thin out as the step count grows.
+invariant subspace given by its projector. The solver keeps three vectors
+and the coefficients of its tridiagonal matrix, whose Ritz values it reads
+at checkpoints that thin out as the step count grows.
 Which lambda path runs, dense or iterative, is decided in
 moments.lambda_report, not here.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -27,9 +27,10 @@ KRON_ENTRY_LIMIT = 2**31
 DEFAULT_TOL_ITERATIVE = 1e-7
 DEFAULT_MAX_ITERS = 5000
 
-# relative singular-value cut of orthonormalize; the shuffle families and the
-# Young symmetrisers have ratios below 4e-15 or above 0.16, so no rank depends
-# on where in that gap the cut lies
+# relative rank cut: on singular values in orthonormalize (Young symmetrisers:
+# ratios below 4e-15 or above 0.16) and on eigenvalues of the shuffle Gram
+# matrix in moments.fixed_space_basis (t <= 6, n <= 8: below 2.8e-15 or above
+# 2.2e-3); no rank depends on where in those gaps the cut lies
 _RANK_TOL = 1e-8
 
 
@@ -94,6 +95,14 @@ class LinearMap:
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
 
 
+class Subspace(Protocol):
+    """A subspace of dimension `rank`, known by its orthogonal projector."""
+
+    rank: int
+
+    def project_vec(self, x: np.ndarray) -> np.ndarray: ...
+
+
 @dataclass
 class SpectralEstimate:
     """Largest-singular-value estimate with convergence evidence."""
@@ -139,7 +148,7 @@ def spectral_norm(
     tol: float | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     rng: SeededRng | None = None,
-    deflate: np.ndarray | None = None,
+    deflate: Subspace | None = None,
     hermitian: bool = False,
 ) -> SpectralEstimate:
     """Largest singular value of a matrix-free linear map, by plain Lanczos.
@@ -163,11 +172,11 @@ def spectral_norm(
     ~ 0 or k reaches the dimension) the value is exact; when max_iters runs
     out, the last check is reported with converged False.
 
-    `deflate` takes orthonormal columns spanning a subspace W that op and
-    op† both map into itself; the start and every new Lanczos vector are
-    projected onto W^perp, which is then invariant too, so the result is the
-    norm of op restricted to W^perp. Projecting once per step keeps rounding
-    in W from growing.
+    `deflate` is a subspace W that op and op† both map into itself, given by
+    its rank and its projector project_vec; the start and every new Lanczos
+    vector are projected onto W^perp, which is then invariant too, so the
+    result is the norm of op restricted to W^perp. Projecting once per step
+    keeps rounding in W from growing.
     """
     if op.dim < 1 or max_iters < 1:
         raise PreconditionError(f"operator dimension and max_iters must be >= 1, got {op.dim} and {max_iters}")
@@ -175,11 +184,10 @@ def spectral_norm(
     rng = SeededRng(0, 0) if rng is None else rng
     n = op.dim
     g = rng.generator()
-    rows = None if deflate is None or deflate.size == 0 else np.ascontiguousarray(deflate.T)
 
     def project_out(x: np.ndarray) -> np.ndarray:
-        if rows is not None:
-            x -= np.conj(rows @ np.conj(x)) @ rows
+        if deflate is not None:
+            x -= deflate.project_vec(x)
         return x
 
     def b_apply(x: np.ndarray) -> np.ndarray:
@@ -190,7 +198,7 @@ def spectral_norm(
     if nrm < 1e-300:  # deflation removed everything
         return SpectralEstimate(value=0.0, residual=0.0, iterations=0)
     v *= 1.0 / nrm
-    full_dim = n - (0 if rows is None else rows.shape[0])
+    full_dim = n - (0 if deflate is None else deflate.rank)
     v_prev = None
     alphas: list[float] = []
     betas: list[float] = []

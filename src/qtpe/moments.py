@@ -11,8 +11,9 @@ them. The iterative one hands the moment operator, matrix-free, to
 linalg.spectral_norm, which deflates the fixed space W from every Lanczos
 vector once: the operator and its adjoint both fix W, so W^perp is
 invariant, and there the operator equals its difference with the
-projector. With an involution the operator is Hermitian and Lanczos runs on
-it directly; without one it runs on the operator's adjoint times it. Each
+projector, held as t! gathers and a t! x t! Gram matrix (FixedSpaceBasis).
+With an involution the operator is Hermitian and Lanczos runs on it
+directly; without one it runs on the operator's adjoint times it. Each
 apply runs one conjugation kernel per stage: a GEMM by the stacked members
 on the first leg of vec(M), per-member GEMMs that rotate each middle leg to
 the end, and a GEMM by the stacked adjoints on the last leg that also sums
@@ -50,7 +51,7 @@ from .linalg import (
     LinearMap,
     SeededRng,
     SpectralEstimate,
-    max_principal_sine,
+    _RANK_TOL,
     orthonormalize,
     spectral_norm,
 )
@@ -58,7 +59,9 @@ from .perms import (
     Permutation,
     all_permutations,
     column_group,
+    falling_factorial,
     partitions,
+    permutation_gram,
     row_group,
     sign,
     symmetric_irrep_dim,
@@ -74,8 +77,8 @@ MAX_T_BASIS = 6
 # c members; every benchmark shape and criteria 1 and 2 fit in one chunk, but
 # at the 10^7 iterative limit one member's intermediate alone is 160 MB
 _BATCH_BYTES = 2**27
-# roundoff allowed on top of a closeness bound: at t=1 the bounds are exactly 0
-# and the measured distances ~1e-16; at t >= 2 a bound is at least 2*sqrt(2/d)
+# roundoff allowed on top of a closeness bound: at t=1 the bounds and the
+# closed-form distances are exactly 0; at t >= 2 a bound is at least 2*sqrt(2/d)
 CLOSENESS_ROUNDOFF = 1e-12
 # bound on the complex rows of a diagonal sector block that
 # hermitian_sector_block gathers at once: 37 rows of the 441 block at t=2, n=6
@@ -91,6 +94,17 @@ _CHUNK_BYTES = 2**18
 HERMITIAN_DEFECT = 1e-12
 
 
+def _shuffle_targets(sigma: Permutation, n: int, t: int) -> np.ndarray:
+    """Flat row-major positions of the n^t ones of the register shuffle of
+    sigma, an n^t x n^t permutation matrix: the one of column j lies in row
+    r_j, j's index tuple with its registers moved by sigma, at r_j n^t + j."""
+    if sigma.size != t:
+        raise PreconditionError(f"permutation size {sigma.size} != t = {t}")
+    nt = n**t
+    rows = np.arange(nt).reshape((n,) * t).transpose(sigma.map).reshape(-1)
+    return rows * nt + np.arange(nt)
+
+
 def shuffle_operator(sigma: Permutation, n: int, t: int) -> np.ndarray:
     """Permutation matrix moving register a to register sigma(a) on (C^n)^(x t).
 
@@ -98,17 +112,11 @@ def shuffle_operator(sigma: Permutation, n: int, t: int) -> np.ndarray:
     convention is pinned by the Gram identity <alpha_{s'}, alpha_s> =
     n^(cycles(s'^-1 s) - t), which a unit test enforces.
     """
-    if sigma.size != t:
-        raise PreconditionError(f"permutation size {sigma.size} != t = {t}")
     nt = n**t
     if nt > DENSE_LIMIT:
         raise SizeLimitError(f"shuffle operator of size {nt} exceeds dense limit {DENSE_LIMIT}")
-    inv = sigma.inverse().map
-    idx = np.arange(nt)
-    digits = np.array(np.unravel_index(idx, (n,) * t))
-    dst = np.ravel_multi_index(tuple(digits[list(inv)]), (n,) * t)
     out = np.zeros((nt, nt), dtype=complex)
-    out[dst, idx] = 1.0
+    out.flat[_shuffle_targets(sigma, n, t)] = 1.0
     return out
 
 
@@ -122,55 +130,43 @@ def alpha_sigma(sigma: Permutation, n: int, t: int) -> np.ndarray:
     return shuffle_operator(sigma, n, t) / float(n) ** (t / 2.0)
 
 
-def alpha_prime_inner(sigma: Permutation, d: int, t: int) -> np.ndarray:
-    """Distinct-tuple variant of the inner fixed-space generator.
-
-    alpha_sigma with only the columns whose index tuple has t distinct values
-    kept; squared norm is (d)_t / d^t.
-    """
-    if t > d:
-        raise PreconditionError(f"distinct tuples need t <= d, got t={t}, d={d}")
-    digits = np.array(np.unravel_index(np.arange(d**t), (d,) * t))
-    distinct = np.ones(d**t, dtype=bool)
-    for a in range(t):
-        for b in range(a + 1, t):
-            distinct &= digits[a] != digits[b]
-    return alpha_sigma(sigma, d, t) * distinct
-
-
 @dataclass
 class FixedSpaceBasis:
-    """The shuffle-generator family and an orthonormal basis of its span.
+    """The fixed space W of every tensor-power conjugation on (C^n)^(x t), held
+    as its spanning family alpha_sigma and their Gram matrix.
 
-    `alphas` follow the lexicographic permutation ordering; `ortho` holds
-    `rank` orthonormal columns spanning the same space in vectorised form.
-    The family's Gram matrix has entries n^(cycles(sigma^-1 sigma') - t),
-    I + perms.cycle_gram_matrix(t, n) for n > t^2.
+    Row i of `targets` holds the flat positions in vec(M) of the n^t ones of
+    the register shuffle of the i-th permutation in all_permutations order,
+    so <alpha_sigma, x> is a gather and a sum scaled by n^(-t/2). `gram_pinv`
+    is the pseudo-inverse of their Gram matrix perms.permutation_gram(t, n)
+    without the eigenvalues at most _RANK_TOL times the largest (n < t, where
+    the family is rank-deficient); `rank` = dim W counts the others.
     """
 
-    alphas: list[np.ndarray]
-    ortho: np.ndarray
+    targets: np.ndarray
+    gram_pinv: np.ndarray
     rank: int
 
     def project_vec(self, x: np.ndarray) -> np.ndarray:
-        return self.ortho @ (self.ortho.conj().T @ x)
+        """P_W x = sum alpha_sigma (G^+)_{sigma tau} <alpha_tau, x>: a gather,
+        a t! x t! multiply and a scatter, O(t! n^t) work."""
+        coeffs = self.gram_pinv @ x[self.targets].sum(axis=1) / self.targets.shape[1]
+        out = np.zeros(x.shape, dtype=complex)
+        for positions, c in zip(self.targets, coeffs):
+            out[positions] += c  # distinct positions within one shuffle
+        return out
 
 
 def fixed_space_basis(n: int, t: int) -> FixedSpaceBasis:
-    """Build the fixed space of all tensor-power conjugations on (C^n)^(x t).
-
-    The orthonormal basis is the SVD orthonormalisation of the stacked family,
-    which also covers t > n, where the family is rank-deficient; only its
-    span is used (to deflate W and to project onto it).
-    """
+    """Build the fixed space of all tensor-power conjugations on (C^n)^(x t),
+    in O(t! n^t + (t!)^2) memory: no shuffle matrix or n^2t-long vector."""
     if t > MAX_T_BASIS:
         raise SizeLimitError(f"t={t} exceeds basis guard {MAX_T_BASIS}")
-    ambient = n ** (2 * t)
-    if ambient > ITERATIVE_AMBIENT_LIMIT:
-        raise SizeLimitError(f"ambient dimension {ambient} exceeds vector limit {ITERATIVE_AMBIENT_LIMIT}")
-    alphas = [alpha_sigma(sig, n, t) for sig in all_permutations(t)]
-    ortho, rank = orthonormalize(alphas)
-    return FixedSpaceBasis(alphas, ortho, rank)
+    evals, evecs = np.linalg.eigh(permutation_gram(t, n))
+    keep = evals > _RANK_TOL * evals[-1]
+    kept = evecs[:, keep]
+    targets = np.stack([_shuffle_targets(sig, n, t) for sig in all_permutations(t)])
+    return FixedSpaceBasis(targets, (kept / evals[keep]) @ kept.T, int(keep.sum()))
 
 
 def _conjugation_average(
@@ -578,7 +574,7 @@ def lambda_report(
             tol=tol,
             max_iters=max_iters,
             rng=rng,
-            deflate=fixed_space_basis(e.dim, t).ortho,
+            deflate=fixed_space_basis(e.dim, t),
             hermitian=hermitian,
         )
         applies = est.iterations * (1 if hermitian else 2)
@@ -606,10 +602,10 @@ def design_error_monomial(
 
     Evaluates |<E_I, (Phi^k - P_W)(M'_J)>| where M'_J is the matrix with a one
     at position (J, J), E_I the one at (I, I), and Phi^k the k-fold sequential
-    iteration. Bounded by lambda^k for unit-norm monomial matrices.
+    iteration. Bounded by lambda^k for unit-norm monomial matrices. t and k
+    are checked as design_errors checks them (check_design_powers).
     """
-    if k < 1:
-        raise PreconditionError(f"k must be >= 1, got {k}")
+    check_design_powers(e.dim, t, [k])
     n = e.dim
     if len(row_indices) != t or len(col_indices) != t:
         raise PreconditionError("index tuples must have length t")
@@ -734,53 +730,36 @@ class ClosenessReport:
         return dict(asdict(self), claims=self.claims)
 
 
-def _real_columns(columns, rows: int, count: int) -> np.ndarray:
-    """A preallocated real (rows x count) matrix whose column j is columns[j] flattened."""
-    out = np.empty((rows, count))
-    for j, column in enumerate(columns):
-        out[:, j] = column.reshape(-1)
-    return out
-
-
 def subspace_closeness_report(outer_dim: int, inner_dim: int, t: int) -> ClosenessReport:
-    """Measure how close the product fixed space is to its distinct-tuple proxy.
+    """How close the product fixed space is to its distinct-tuple proxy, in
+    closed form.
 
-    Works in the grouped register layout (outer factors first), which is a
-    fixed unitary relabelling of the interleaved layout and therefore leaves
-    all principal angles unchanged.
+    In the grouped register layout W is spanned by alpha_sigma(D) (x)
+    alpha_sigma(d), and W' the same with alpha'_sigma(d): alpha_sigma(d) on
+    the columns whose index tuple has t distinct values. W_2, W_2' are the
+    inner factors. The W' family is orthogonal, and its Gram matrix and the
+    cross Gram with W's family are both c I, c = (d)_t/d^t; W's is G =
+    perms.permutation_gram(t, N). So both directed distances are
+    sqrt(1 - c/g), g the Perron root of G, prod_{j<t} (1 + j/N), with N = Dd
+    for W and N = d for W_2. d >= t keeps both families of rank t!.
     """
     if min(outer_dim, inner_dim, t) < 1:
         raise PreconditionError(f"dimensions and t must be >= 1, got D={outer_dim}, d={inner_dim}, t={t}")
-    if t > 3:
-        raise SizeLimitError(f"t={t} exceeds closeness guard 3")
-    ambient = (outer_dim * inner_dim) ** (2 * t)
-    if ambient > ITERATIVE_AMBIENT_LIMIT:
-        raise SizeLimitError(f"ambient {ambient} exceeds vector limit {ITERATIVE_AMBIENT_LIMIT}")
-    perms = all_permutations(t)
-    # the generators are real, and so are the families and their bases
-    a1s = [alpha_sigma(sig, outer_dim, t).real for sig in perms]
-    a2s = [alpha_sigma(sig, inner_dim, t).real for sig in perms]
-    a2ps = [alpha_prime_inner(sig, inner_dim, t).real for sig in perms]
-    inner = inner_dim ** (2 * t)
-    # W, W', and their inner factors W_2, W_2'
-    qw, qwp, q2, q2p = (
-        orthonormalize(_real_columns(columns, rows, len(perms)))[0]
-        for columns, rows in (
-            (map(np.kron, a1s, a2s), ambient),
-            (map(np.kron, a1s, a2ps), ambient),
-            (a2s, inner),
-            (a2ps, inner),
-        )
-    )
+    if t > MAX_T_BASIS:
+        raise SizeLimitError(f"t={t} exceeds basis guard {MAX_T_BASIS}")
+    if inner_dim < t:
+        raise PreconditionError(f"distinct tuples need t <= d, got t={t}, d={inner_dim}")
+    c = falling_factorial(inner_dim, t) / inner_dim**t
+    w, w2 = (math.sqrt(1.0 - c / math.prod(1.0 + j / n for j in range(t))) for n in (outer_dim * inner_dim, inner_dim))
     tt = t * (t - 1) / inner_dim
     return ClosenessReport(
         outer_dim=outer_dim,
         inner_dim=inner_dim,
         t=t,
-        w_to_wprime=max_principal_sine(qw, qwp),
-        wprime_to_w=max_principal_sine(qwp, qw),
-        w2prime_to_w2=max_principal_sine(q2p, q2),
-        w2_to_w2prime=max_principal_sine(q2, q2p),
+        w_to_wprime=w,
+        wprime_to_w=w,
+        w2prime_to_w2=w2,
+        w2_to_w2prime=w2,
         bound_pair=2.0 * math.sqrt(tt),
         bound_perp=2.0 * tt**0.25,
     )

@@ -1,9 +1,9 @@
 """Permutations of {0,...,t-1} and the combinatorics behind the error terms.
 
 Covers cycle/fixed-point statistics, unsigned Stirling numbers of the first
-kind, falling factorials, the two t!-indexed matrices (cycle-weighted and
-fixed-point-weighted) whose spectral norms bound the off-diagonal mass of the
-permutation Gram matrices used elsewhere, and the Young-diagram data behind
+kind, falling factorials, the Gram matrix of the register shuffles with the
+two t!-indexed matrices (cycle-weighted and fixed-point-weighted) whose
+spectral norms bound its off-diagonal mass, and the Young-diagram data behind
 the Schur-Weyl sectors: partitions of t, the row and column groups of their
 canonical tableaux, the sign character, and the hook-length and hook-content
 irrep dimensions.
@@ -123,27 +123,39 @@ def distinct_fraction_deficit(d: int, t: int) -> tuple[float, float]:
 
 
 def _pair_statistic_matrix(t: int, weight) -> np.ndarray:
+    """t! x t! matrix of weight(sigma^-1 sigma') over the all_permutations(t)
+    ordering. weight runs once per permutation; each pair's product is found
+    by its one-line array read as a base-t number."""
     perms = all_permutations(t)
-    m = len(perms)
-    out = np.zeros((m, m))
-    for i, sigma in enumerate(perms):
-        inv = sigma.inverse()
-        for j, sigma_p in enumerate(perms):
-            if i == j:
-                continue
-            out[i, j] = weight(inv.compose(sigma_p))
-    return out
+    maps, digits = np.array([p.map for p in perms]), t ** np.arange(t)
+    index = np.zeros(t**t, dtype=np.intp)
+    index[maps @ digits] = np.arange(len(perms))
+    values = np.array([weight(p) for p in perms])
+    return values[index[np.argsort(maps, axis=1)[:, maps] @ digits]]
+
+
+def permutation_gram(t: int, n: int) -> np.ndarray:
+    """t! x t! Gram matrix n^(cycles(sigma^-1 sigma') - t) of the normalised
+    register shuffles on (C^n)^(x t), in the all_permutations(t) ordering.
+
+    Symmetric with unit diagonal. Its rows all sum to its Perron root
+    prod_{j<t} (1 + j/n), the eigenvalue of the all-ones vector; its inverse
+    is the Weingarten matrix (Collins-Sniady, Comm. Math. Phys. 264, 2006).
+    """
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    return _pair_statistic_matrix(t, lambda p: float(n) ** (cycle_count(p) - t))
 
 
 def cycle_gram_matrix(t: int, d: int) -> np.ndarray:
     """t! x t! matrix with entries d^(cycles(sigma^-1 sigma') - t) off the diagonal.
 
-    Indexed by the all_permutations(t) ordering; symmetric with zero diagonal.
+    permutation_gram(t, d) minus the identity: symmetric with zero diagonal.
     Its spectral norm is at most t(t-1)/d when d > t^2.
     """
     if d <= t * t:
         raise PreconditionError(f"need d > t^2, got d={d}, t={t}")
-    return _pair_statistic_matrix(t, lambda p: float(d) ** (cycle_count(p) - t))
+    return permutation_gram(t, d) - np.eye(math.factorial(t))
 
 
 def fixed_point_matrix(t: int, eps: float) -> np.ndarray:
@@ -153,7 +165,7 @@ def fixed_point_matrix(t: int, eps: float) -> np.ndarray:
     """
     if not 0 < eps < 1.0 / (2 * t):
         raise PreconditionError(f"need 0 < eps < 1/(2t) = {1.0/(2*t)}, got {eps}")
-    return _pair_statistic_matrix(t, lambda p: eps ** (t - fixed_point_count(p)))
+    return _pair_statistic_matrix(t, lambda p: eps ** (t - fixed_point_count(p))) - np.eye(math.factorial(t))
 
 
 def sign(p: Permutation) -> int:

@@ -1,12 +1,13 @@
-"""Shared helpers: ensemble constructors and the dense spectral oracle."""
+"""Shared helpers: ensemble constructors, the dense spectral oracle and the
+SVD oracles of the fixed space and of its closeness to the distinct-tuple proxy."""
 
 import numpy as np
 import pytest
 
 from qtpe.ensemble import UnitaryEnsemble, sample_random_qtpe
-from qtpe.linalg import SeededRng, haar_unitary
-from qtpe.moments import lambda_report
-from qtpe.perms import Permutation
+from qtpe.linalg import SeededRng, haar_unitary, max_principal_sine, orthonormalize
+from qtpe.moments import MomentOperator, lambda_report
+from qtpe.perms import Permutation, all_permutations
 
 
 def pytest_configure(config):
@@ -25,6 +26,65 @@ def identity(t):
 def dense_lambda(e, t):
     """Exact second-largest singular value via the dense SVD path."""
     return lambda_report(e, t, method="dense-svd").lambda_
+
+
+def shuffle_columns(n, t):
+    """The t! normalised shuffles alpha_sigma, vectorised row-major, as the real
+    columns of an n^2t x t! matrix in all_permutations order. Column j of the
+    shuffle of sigma has its one in the row whose index tuple is j's with
+    register a moved to sigma(a)."""
+    nt = n**t
+    digits = np.array(np.unravel_index(np.arange(nt), (n,) * t))
+    perms = all_permutations(t)
+    out = np.zeros((nt * nt, len(perms)))
+    for i, sig in enumerate(perms):
+        rows = np.ravel_multi_index(tuple(digits[list(sig.inverse().map)]), (n,) * t)
+        out[rows * nt + np.arange(nt), i] = float(n) ** (-t / 2)
+    return out
+
+
+def distinct_columns(d, t):
+    """shuffle_columns(d, t) on the matrix columns whose index tuple has t
+    distinct values only, zero elsewhere: the distinct-tuple family alpha'."""
+    nt = d**t
+    digits = np.array(np.unravel_index(np.arange(nt), (d,) * t))
+    distinct = np.array([len(set(col)) == t for col in digits.T])
+    return shuffle_columns(d, t) * np.tile(distinct, nt)[:, None]
+
+
+def svd_fixed_space(n, t):
+    """Orthonormal columns spanning W and their number, from the SVD of the
+    shuffle family: the oracle of moments.fixed_space_basis."""
+    return orthonormalize(shuffle_columns(n, t))
+
+
+def svd_deviation(e, t):
+    """Phi - P as a dense matrix, P from the SVD basis of W: Phi on W^perp, 0 on W."""
+    q, _ = svd_fixed_space(e.dim, t)
+    return MomentOperator(e, t).dense() - q @ q.T
+
+
+def svd_closeness(outer_dim, inner_dim, t):
+    """(w_to_wprime, wprime_to_w, w2prime_to_w2, w2_to_w2prime) from the SVD
+    bases of W, W', W_2 and W_2': the oracle of moments.subspace_closeness_report.
+    W's family is the column-wise Kronecker product of the outer and inner
+    families, a fixed relabelling of the grouped layout's coordinates."""
+    a1, a2, a2p = shuffle_columns(outer_dim, t), shuffle_columns(inner_dim, t), distinct_columns(inner_dim, t)
+    q = [
+        orthonormalize(family)[0]
+        for family in (
+            np.einsum("pi,qi->pqi", a1, a2).reshape(-1, a1.shape[1]),
+            np.einsum("pi,qi->pqi", a1, a2p).reshape(-1, a1.shape[1]),
+            a2,
+            a2p,
+        )
+    ]
+    return (
+        max_principal_sine(q[0], q[1]),
+        max_principal_sine(q[1], q[0]),
+        max_principal_sine(q[3], q[2]),
+        max_principal_sine(q[2], q[3]),
+    )
 
 
 def raw_haar_ensemble(d, s, seed, label=""):

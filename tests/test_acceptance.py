@@ -135,9 +135,9 @@ def test_criterion_04_fixed_space_geometry():
     for n, t, expected in ((3, 2, 2), (4, 2, 2), (3, 3, 6), (2, 3, 5)):
         basis = fixed_space_basis(n, t)
         checks.append((f"rank({n},{t})={expected}", basis.rank == expected))
-        stacked = np.stack([a.reshape(-1) for a in basis.alphas], axis=1)
-        gram = (stacked.conj().T @ stacked).real
         perms = all_permutations(t)
+        stacked = np.stack([alpha_sigma(sig, n, t).reshape(-1) for sig in perms], axis=1)
+        gram = (stacked.conj().T @ stacked).real
         formula = np.array(
             [[float(n) ** (cycle_count(a.inverse().compose(b)) - t) for b in perms] for a in perms]
         )

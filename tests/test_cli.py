@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from qtpe.cli import main
 from qtpe.ensemble import load, sample_random_qtpe, save
 from qtpe.linalg import SeededRng
+from qtpe.moments import MAX_T_BASIS
 from qtpe.zigzag import bound_genzigzag, bound_zigzag, bound_zigzag_derandomised
 
 
@@ -474,6 +475,19 @@ class TestCertify:
         out = tmp_path / "r.json"
         assert run("certify", "--config", str(self._write_config(tmp_path, steps)), "--out", str(out)) == 0
         assert json.loads(out.read_text())["steps"][0]["pass"]
+
+    @pytest.mark.parametrize(
+        "shape,code",
+        [((2, 3, 3), 0), ((2, 2, 3), 2), ((2, 8, MAX_T_BASIS + 1), 2), ((100, 8, 2), 0), ((2, 6, 4), 0)],
+        ids=["d=t", "d<t", "t-above-basis-guard", "ambient-above-vector-limit", "t=4"],
+    )
+    def test_closeness_guard_edges(self, tmp_path, shape, code):
+        d_outer, d_inner, t = shape
+        steps = [{"kind": "closeness", "name": "c", "D": d_outer, "d": d_inner, "t": t}]
+        out = tmp_path / "r.json"
+        assert run("certify", "--config", str(self._write_config(tmp_path, steps)), "--out", str(out)) == code
+        if code == 0:
+            assert json.loads(out.read_text())["steps"][0]["pass"]
 
     def test_epsgood_size_checked_before_drawing(self, tmp_path, capsys, monkeypatch):
         import qtpe.cli as cli

@@ -20,6 +20,17 @@ from qtpe.linalg import (
 from qtpe.moments import MomentOperator
 
 
+class ColumnSpan:
+    """The span of orthonormal columns q in the form spectral_norm's `deflate`
+    takes: its rank and its projector."""
+
+    def __init__(self, q):
+        self.q, self.rank = q, q.shape[1]
+
+    def project_vec(self, x):
+        return self.q @ (self.q.conj().T @ x)
+
+
 def unitarity_defect(u):
     return np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
 
@@ -189,7 +200,7 @@ class TestSpectralNorm:
     def test_deflation_removes_top_space(self):
         a = np.diag([5.0, 2.0, 1.0])
         q = np.zeros((3, 1), dtype=complex); q[0, 0] = 1.0
-        est = spectral_norm(as_map(a), rng=SeededRng(2), deflate=q)
+        est = spectral_norm(as_map(a), rng=SeededRng(2), deflate=ColumnSpan(q))
         assert est.value == pytest.approx(2.0, abs=1e-7)
 
     @staticmethod
@@ -208,7 +219,7 @@ class TestSpectralNorm:
         # A†A running past the every-step checks into the sparse ones
         a, w = self.normal_with_invariant_space(40, 3, seed=seed)
         p = np.eye(40) - w @ w.conj().T
-        est = spectral_norm(as_map(a), tol=1e-12, rng=SeededRng(4), deflate=w)
+        est = spectral_norm(as_map(a), tol=1e-12, rng=SeededRng(4), deflate=ColumnSpan(w))
         assert est.converged
         assert abs(est.value - top_singular_value(p @ a @ p)) <= 1e-10
 
@@ -218,7 +229,7 @@ class TestSpectralNorm:
         q = haar_unitary(8, SeededRng(10))
         w = q[:, :2]
         a = q @ np.diag([4.0, 4.0, 1.0, 0.8, 0.6, 0.4, 0.3, 0.2]) @ q.conj().T
-        est = spectral_norm(as_map(a), tol=1e-14, rng=SeededRng(3), deflate=w)
+        est = spectral_norm(as_map(a), tol=1e-14, rng=SeededRng(3), deflate=ColumnSpan(w))
         assert est.converged and est.iterations == 6
         assert abs(est.value - 1.0) <= 1e-12
 
@@ -228,7 +239,7 @@ class TestSpectralNorm:
         # without projecting it, rounding in W grows at every step
         q = haar_unitary(8, SeededRng(10))
         a = q @ np.diag([4.0, 4.0, 1.0, 0.999, 0.998, 0.997, 0.996, 0.995]) @ q.conj().T
-        est = spectral_norm(as_map(a), tol=tol, rng=SeededRng(3), deflate=q[:, :2])
+        est = spectral_norm(as_map(a), tol=tol, rng=SeededRng(3), deflate=ColumnSpan(q[:, :2]))
         assert est.converged and est.iterations <= 6
         assert abs(est.value - 1.0) <= 1e-14
 
@@ -245,7 +256,7 @@ class TestSpectralNorm:
         a, w = self.normal_with_invariant_space(60, 2, seed=11)
         for hermitian in (False, True):
             runs = [
-                spectral_norm(as_map(a + a.conj().T if hermitian else a), tol=1e-11, rng=SeededRng(5), deflate=w, hermitian=hermitian)
+                spectral_norm(as_map(a + a.conj().T if hermitian else a), tol=1e-11, rng=SeededRng(5), deflate=ColumnSpan(w), hermitian=hermitian)
                 for _ in range(2)
             ]
             assert runs[0].iterations > 32  # past the every-step checks
@@ -270,7 +281,7 @@ class TestSpectralNorm:
         op, q = self.spread_diagonal_map(n, applies)
         tracemalloc.start()
         try:
-            est = spectral_norm(op, tol=1e-12, max_iters=steps, rng=SeededRng(3), deflate=q, hermitian=hermitian)
+            est = spectral_norm(op, tol=1e-12, max_iters=steps, rng=SeededRng(3), deflate=ColumnSpan(q), hermitian=hermitian)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -288,7 +299,7 @@ class TestSpectralNorm:
         for steps in (100, 400):
             calls.clear()
             op, q = self.spread_diagonal_map(5184, [])
-            est = spectral_norm(op, tol=1e-14, max_iters=steps, rng=SeededRng(3), deflate=q, hermitian=True)
+            est = spectral_norm(op, tol=1e-14, max_iters=steps, rng=SeededRng(3), deflate=ColumnSpan(q), hermitian=True)
             assert not est.converged and calls[-1] == steps
             counts[steps] = len(calls)
         for steps, count in counts.items():
@@ -323,7 +334,7 @@ class TestHermitianLanczos:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_eigvalsh_of_deflated_matrix(self, spectrum, seed):
         a, w = self.hermitian_with_invariant_space(40, 2, spectrum, seed)
-        est = spectral_norm(as_map(a), tol=1e-12, rng=SeededRng(seed), deflate=w, hermitian=True)
+        est = spectral_norm(as_map(a), tol=1e-12, rng=SeededRng(seed), deflate=ColumnSpan(w), hermitian=True)
         assert est.converged
         exact = float(np.max(np.abs(np.linalg.eigvalsh(deflated_dense(a, w)))))
         assert abs(est.value - exact) <= 1e-10
@@ -342,14 +353,14 @@ class TestHermitianLanczos:
         a, w = self.hermitian_with_invariant_space(40, 2, np.linspace(-0.5, 0.9, 38), 3)
         forward, adjoint = [], []
         op = LinearMap(40, lambda x: forward.append(1) or a @ x, lambda x: adjoint.append(1) or a @ x)
-        est = spectral_norm(op, tol=1e-10, rng=SeededRng(1), deflate=w, hermitian=True)
+        est = spectral_norm(op, tol=1e-10, rng=SeededRng(1), deflate=ColumnSpan(w), hermitian=True)
         assert est.converged and len(forward) == est.iterations and not adjoint
 
     def test_residual_bounds_the_eigenvalue_error(self):
         # for a Hermitian map, a Ritz pair with ||A y - theta y|| = r |theta|
         # has an eigenvalue within r |theta| of theta
         a, w = self.hermitian_with_invariant_space(40, 2, np.linspace(-0.95, 0.6, 38), 4)
-        est = spectral_norm(as_map(a), tol=1e-6, rng=SeededRng(2), deflate=w, hermitian=True)
+        est = spectral_norm(as_map(a), tol=1e-6, rng=SeededRng(2), deflate=ColumnSpan(w), hermitian=True)
         assert est.converged and est.residual <= 1e-6
         exact = float(np.max(np.abs(np.linalg.eigvalsh(deflated_dense(a, w)))))
         assert abs(est.value - exact) <= est.residual * est.value + 1e-12

@@ -10,12 +10,17 @@ import pytest
 
 from conftest import (
     dense_lambda,
+    distinct_columns,
     hermitian_ensemble,
     identity,
     identity_ensemble,
     pauli_ensemble,
     raw_haar_ensemble,
     regroup_indices,
+    shuffle_columns,
+    svd_closeness,
+    svd_deviation,
+    svd_fixed_space,
 )
 from qtpe.ensemble import Stage, UnitaryEnsemble, involution_defect, load, product_ensemble, sample_random_qtpe, save, square_compose
 from qtpe.errors import PreconditionError, SizeLimitError
@@ -29,12 +34,12 @@ from qtpe.moments import (
     irrep_bases,
     sector_block,
     sector_lambda,
-    alpha_prime_inner,
     alpha_sigma,
     design_error_monomial,
     design_iterations_needed,
     fixed_space_basis,
     HERMITIAN_DEFECT,
+    MAX_T_BASIS,
     lambda_report,
     shuffle_operator,
     subspace_closeness_report,
@@ -44,7 +49,9 @@ from qtpe.perms import (
     all_permutations,
     cycle_count,
     cycle_gram_matrix,
+    falling_factorial,
     partitions,
+    permutation_gram,
     unitary_irrep_dim,
 )
 from qtpe.zigzag import zigzag, zigzag_derandomised, zigzag_generalised
@@ -120,29 +127,28 @@ class TestAlphaSigma:
 
 
 class TestAlphaPrime:
+    """The distinct-tuple family alpha' of the closeness oracle, and the facts
+    the closed form of subspace_closeness_report rests on."""
+
     def test_t1_equals_alpha(self):
-        sig = identity(1)
-        assert np.allclose(alpha_prime_inner(sig, 3, 1), alpha_sigma(sig, 3, 1))
+        assert np.array_equal(distinct_columns(3, 1), shuffle_columns(3, 1))
 
     def test_norm_is_falling_factorial_fraction(self):
-        sig = identity(2)
-        a = alpha_prime_inner(sig, 2, 2)
-        assert np.linalg.norm(a) ** 2 == pytest.approx(0.5, abs=1e-12)  # (2)_2 / 2^2
+        a = distinct_columns(2, 2)
+        assert np.linalg.norm(a[:, 0]) ** 2 == pytest.approx(0.5, abs=1e-12)  # (2)_2 / 2^2
 
-    def test_cross_orthogonality(self):
-        perms = all_permutations(2)
-        for i, sig in enumerate(perms):
-            for j, sig_p in enumerate(perms):
-                if i == j:
-                    continue
-                inner = np.vdot(
-                    alpha_prime_inner(sig_p, 3, 2).reshape(-1), alpha_sigma(sig, 3, 2).reshape(-1)
-                )
-                assert abs(inner) <= 1e-12
+    @pytest.mark.parametrize("d,t", [(3, 2), (4, 3), (3, 3)])
+    def test_cross_orthogonality(self, d, t):
+        # the alpha' family and its cross Gram with alpha are both c I, c = (d)_t/d^t
+        a, ap = shuffle_columns(d, t), distinct_columns(d, t)
+        c = falling_factorial(d, t) / d**t
+        for gram in (ap.T @ ap, a.T @ ap):
+            assert np.max(np.abs(gram - c * np.eye(gram.shape[0]))) <= 1e-12
 
-    def test_distinctness_needs_t_at_most_d(self):
-        with pytest.raises(PreconditionError):
-            alpha_prime_inner(identity(3), 2, 3)
+    def test_shuffle_columns_are_the_alphas(self):
+        cols = shuffle_columns(2, 3)
+        for i, sig in enumerate(all_permutations(3)):
+            assert np.max(np.abs(cols[:, i] - alpha_sigma(sig, 2, 3).reshape(-1))) <= 1e-15
 
 
 class TestRegroup:
@@ -157,9 +163,9 @@ class TestRegroup:
             assert np.allclose(regrouped, grouped, atol=1e-12)
 
 
-def numeric_gram(basis):
-    """<alpha_sigma, alpha_sigma'> over the basis' family, in permutation order."""
-    stacked = np.stack([a.reshape(-1) for a in basis.alphas], axis=1)
+def numeric_gram(n, t):
+    """<alpha_sigma, alpha_sigma'> over the shuffle family, in permutation order."""
+    stacked = np.stack([alpha_sigma(sig, n, t).reshape(-1) for sig in all_permutations(t)], axis=1)
     return stacked.conj().T @ stacked
 
 
@@ -168,28 +174,59 @@ class TestFixedSpaceBasis:
     def test_ranks(self, n, t, rank):
         assert fixed_space_basis(n, t).rank == rank
 
-    def test_t1_basis_is_normalised_identity(self):
-        basis = fixed_space_basis(2, 1)
-        assert np.allclose(np.abs(basis.ortho[:, 0]), np.eye(2).reshape(-1) / np.sqrt(2))
+    def test_t1_projection_is_the_normalised_trace(self):
+        m = SeededRng(4).generator().standard_normal((2, 2)) + 0j
+        projected = fixed_space_basis(2, 1).project_vec(m.reshape(-1))
+        assert np.allclose(projected, np.trace(m) / 2 * np.eye(2).reshape(-1), atol=1e-15)
 
     @pytest.mark.parametrize("n,t", [(2, 2), (3, 2), (2, 3)])
-    def test_gram_matches_inner_products(self, n, t):
-        # the family's coordinates in `ortho` keep every inner product, so the
-        # basis spans the whole family, rank-deficient (2, 3) included
+    def test_fixes_the_family(self, n, t):
+        # every alpha_sigma lies in W, rank-deficient (2, 3) included
         basis = fixed_space_basis(n, t)
-        coords = basis.ortho.conj().T @ np.stack([a.reshape(-1) for a in basis.alphas], axis=1)
-        assert np.max(np.abs(coords.conj().T @ coords - numeric_gram(basis))) <= 1e-10
+        for sig in all_permutations(t):
+            a = alpha_sigma(sig, n, t).reshape(-1)
+            assert np.max(np.abs(basis.project_vec(a) - a)) <= 1e-10
 
     @pytest.mark.parametrize("n,t", [(5, 2), (10, 3)])
     def test_gram_equals_identity_plus_cycle_matrix(self, n, t):
-        gram = numeric_gram(fixed_space_basis(n, t))
+        gram = numeric_gram(n, t)
         expected = np.eye(gram.shape[0]) + cycle_gram_matrix(t, n)
         assert np.max(np.abs(gram - expected)) <= 1e-12
+        assert np.max(np.abs(gram - permutation_gram(t, n))) <= 1e-12
 
-    def test_ortho_columns_orthonormal(self):
+    def test_projector_is_hermitian(self):
         basis = fixed_space_basis(2, 3)  # rank-deficient path
-        gram = basis.ortho.conj().T @ basis.ortho
-        assert np.max(np.abs(gram - np.eye(basis.rank))) <= 1e-10
+        g = SeededRng(8).generator()
+        x, y = (g.standard_normal(64) + 1j * g.standard_normal(64) for _ in range(2))
+        assert abs(np.vdot(x, basis.project_vec(y)) - np.vdot(basis.project_vec(x), y)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n,t",
+        [(1, 1), (2, 1)]
+        + [(n, t) for t in (2, 3, 4) for n in (t - 1, t, t + 1)]
+        + [(2, 5), (3, 5), (2, 6)],
+    )
+    def test_projector_matches_the_svd_oracle(self, n, t):
+        # n < t, n = t and n > t for t <= 4, and n < t at t = 5, 6
+        q, rank = svd_fixed_space(n, t)
+        basis = fixed_space_basis(n, t)
+        g = SeededRng(n, t).generator()
+        x = g.standard_normal((n ** (2 * t), 3)) + 1j * g.standard_normal((n ** (2 * t), 3))
+        projected = np.stack([basis.project_vec(col) for col in x.T], axis=1)
+        assert basis.rank == rank
+        assert np.max(np.abs(projected - q @ (q.T @ x))) <= 1e-10
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_peak_memory_stays_below_4_mb(self, n):
+        # the basis holds t! n^t gather positions and a t! x t! matrix; a dense
+        # shuffle family at (5, 4) alone is 24 * 5^8 complex entries, 150 MB
+        tracemalloc.start()
+        try:
+            basis = fixed_space_basis(n, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.rank == 24 and peak < 4 * 2**20
 
 
 def assert_matches_dense(phi):
@@ -412,8 +449,9 @@ class TestIdealApply:
 
     def test_fixes_alphas(self):
         basis = fixed_space_basis(2, 2)
-        for a in basis.alphas:
-            assert np.allclose(basis.project_vec(a.reshape(-1)), a.reshape(-1), atol=1e-10)
+        for sig in all_permutations(2):
+            a = alpha_sigma(sig, 2, 2).reshape(-1)
+            assert np.allclose(basis.project_vec(a), a, atol=1e-10)
 
     def test_kills_traceless_offdiagonal_t1(self):
         basis = fixed_space_basis(3, 1)
@@ -517,12 +555,6 @@ class TestLambda:
             lambda_report(hermitian_ensemble(2, 4, seed=0), 1, method=method, **setting)
 
 
-def deflated_dense_deviation(e, t):
-    """Phi - P as a dense matrix: Phi on W^perp, 0 on W."""
-    basis = fixed_space_basis(e.dim, t)
-    return MomentOperator(e, t).dense() - basis.ortho @ basis.ortho.conj().T
-
-
 def count_applies(monkeypatch):
     """Count MomentOperator's forward and adjoint applies into a dict."""
     counts = {"apply": 0, "adjoint": 0}
@@ -552,7 +584,7 @@ class TestLanczosPaths:
             g, h = sample_random_qtpe(2, 4, SeededRng(41)), sample_random_qtpe(4, 4, SeededRng(42))
             e = zigzag(g, h) if kind == "zigzag" else zigzag_derandomised(g, h)
         rep = lambda_report(e, t, method="power-iteration", tol=1e-12, rng=SeededRng(t))
-        exact = float(np.max(np.abs(np.linalg.eigvalsh(deflated_dense_deviation(e, t)))))
+        exact = float(np.max(np.abs(np.linalg.eigvalsh(svd_deviation(e, t)))))
         assert rep.converged and abs(rep.lambda_ - exact) <= 1e-10
 
     def test_negative_end_counts(self):
@@ -561,7 +593,7 @@ class TestLanczosPaths:
         paulis = pauli_ensemble().unitaries[1:]
         e = UnitaryEnsemble(2, paulis, (0, 1, 2), "xyz")
         rep = lambda_report(e, 1, method="power-iteration", tol=1e-12)
-        assert np.allclose(np.linalg.eigvalsh(deflated_dense_deviation(e, 1)), [-1 / 3] * 3 + [0.0])
+        assert np.allclose(np.linalg.eigvalsh(svd_deviation(e, 1)), [-1 / 3] * 3 + [0.0])
         assert rep.converged and abs(rep.lambda_ - 1 / 3) <= 1e-12
 
     def test_hermitian_ensemble_makes_no_adjoint_apply(self, monkeypatch):
@@ -625,6 +657,21 @@ class TestDesignError:
         with pytest.raises(PreconditionError):
             design_error_monomial(pauli_ensemble(), 1, 0, (0,), (0,))
 
+    @pytest.mark.parametrize("t,k", [(5, 1), (1, 2 * 10**5)])
+    def test_checked_as_design_errors_before_any_apply(self, monkeypatch, t, k):
+        # t above the lambda guard, and dim^t k = 4 * 10^5 applies above
+        # DESIGN_APPLY_LIMIT, are refused as design_errors refuses them
+        import qtpe.moments as m
+
+        def refuse(*args):
+            raise AssertionError("the moment operator was applied")
+
+        monkeypatch.setattr(m.MomentOperator, "apply_vec", refuse)
+        with pytest.raises(SizeLimitError):
+            design_errors(pauli_ensemble(), t, [k])
+        with pytest.raises(SizeLimitError):
+            design_error_monomial(pauli_ensemble(), t, k, (0,) * t, (0,) * t)
+
     def test_index_range_checked(self):
         with pytest.raises(PreconditionError):
             design_error_monomial(pauli_ensemble(), 1, 1, (2,), (0,))
@@ -684,9 +731,7 @@ class TestDesignErrors:
 
 def full_dense_lambda(e, t):
     """The oracle: top singular value of the materialised moment operator minus the Haar projector."""
-    basis = fixed_space_basis(e.dim, t)
-    deviation = MomentOperator(e, t).dense() - basis.ortho @ basis.ortho.conj().T
-    return float(np.linalg.svd(deviation, compute_uv=False)[0])
+    return float(np.linalg.svd(svd_deviation(e, t), compute_uv=False)[0])
 
 
 def small_zigzag(outer_dim, seed):
@@ -902,11 +947,21 @@ class TestSubspaceCloseness:
         assert reports[8].w_to_wprime < reports[4].w_to_wprime
 
     def test_t1_claims_hold_despite_roundoff(self):
-        # both bounds are exactly 0 at t=1 while the distances are ~2e-16
+        # both bounds are exactly 0 at t=1, and so are the closed-form distances
+        # (the SVD oracle measures ~2e-16)
         rep = subspace_closeness_report(2, 2, 1)
         assert rep.bound_pair == 0.0 and rep.bound_perp == 0.0
-        assert 0.0 < rep.w_to_wprime <= 1e-15
+        assert rep.w_to_wprime == rep.wprime_to_w == rep.w2prime_to_w2 == 0.0
         assert all(rep.claims.values())
+
+    @pytest.mark.parametrize(
+        "outer,inner,t",
+        [(2, 8, 2), (2, 5, 3), (2, 4, 2), (4, 6, 2), (1, 3, 3), (2, 3, 3), (2, 1, 1), (3, 3, 2), (2, 16, 2)],
+    )
+    def test_closed_form_matches_the_svd_oracle(self, outer, inner, t):
+        rep = subspace_closeness_report(outer, inner, t)
+        measured = (rep.w_to_wprime, rep.wprime_to_w, rep.w2prime_to_w2, rep.w2_to_w2prime)
+        assert np.max(np.abs(np.subtract(measured, svd_closeness(outer, inner, t)))) <= 1e-15
 
     @pytest.mark.parametrize("inner", [2, 3, 4, 8])
     def test_t2_claims_match_the_bare_comparison(self, inner):
@@ -927,6 +982,11 @@ class TestSubspaceCloseness:
 
     def test_guard(self):
         with pytest.raises(SizeLimitError):
-            subspace_closeness_report(2, 4, 4)
+            subspace_closeness_report(2, 8, MAX_T_BASIS + 1)
         with pytest.raises(PreconditionError):
             subspace_closeness_report(0, 4, 2)
+        with pytest.raises(PreconditionError):
+            subspace_closeness_report(2, 3, 4)  # d < t
+        # d = t, t up to MAX_T_BASIS and ambient sizes far past the vector limit
+        for outer, inner, t in ((2, 4, 4), (2, MAX_T_BASIS, MAX_T_BASIS), (100, 8, 2)):
+            assert all(subspace_closeness_report(outer, inner, t).claims.values())

@@ -19,6 +19,7 @@ from qtpe.perms import (
     fixed_point_count,
     fixed_point_matrix,
     partitions,
+    permutation_gram,
     row_group,
     sign,
     stirling_first,
@@ -186,6 +187,26 @@ class TestCycleGramMatrix:
             evals = np.linalg.eigvalsh(np.eye(m.shape[0]) + m)
             assert evals.min() >= 1 - t * (t - 1) / d - 1e-12
             assert evals.max() <= 1 + t * (t - 1) / d + 1e-12
+
+
+class TestPermutationGram:
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_the_pairwise_loop(self, t, n):
+        perms = all_permutations(t)
+        loop = [[float(n) ** (cycle_count(a.inverse().compose(b)) - t) for b in perms] for a in perms]
+        assert np.array_equal(permutation_gram(t, n), np.array(loop))
+
+    @pytest.mark.parametrize("t,n", [(3, 2), (4, 3), (6, 4)])
+    def test_perron_root_is_the_rising_factorial_ratio(self, t, n):
+        gram = permutation_gram(t, n)
+        perron = math.prod(1 + j / n for j in range(t))
+        assert np.allclose(gram.sum(axis=1), perron, rtol=1e-14)
+        assert np.linalg.eigvalsh(gram)[-1] == pytest.approx(perron, rel=1e-13)
+
+    def test_n_checked(self):
+        with pytest.raises(PreconditionError):
+            permutation_gram(2, 0)
 
 
 class TestFixedPointMatrix:
