@@ -30,31 +30,56 @@ PRODUCT_ENTRY_LIMIT = 2**26  # degree * dim^2 complex entries of one product's m
 
 @dataclass
 class Stage:
-    """One factor set of a product ensemble: the unitaries 1_outer (x) A_i.
+    """One factor set of a product ensemble, lifted or controlled.
 
-    `members` is an (s, m, m) stack of the A_i, acting on the inner axis of
-    C^outer (x) C^m; `outer` = 1 makes the A_i act on the whole space.
+    Lifted (no `relabel`): the s unitaries 1_outer (x) A_i, `members` the
+    (s, m, m) stack of the A_i acting on the inner axis of C^outer (x) C^m;
+    `outer` = 1 makes the A_i act on the whole space.
+
+    Controlled (`relabel` given): the one control unitary
+    sum_b U_b (x) |relabel[b]><b| (x) 1_trailing on C^(D*s*trailing), the
+    zigzag products' Gdot, `members` the (s, D, D) stack of its blocks U_b
+    and `relabel` a permutation of range(s). Its size is 1 and its inner
+    dimension D*s*trailing; `outer` stays 1.
     """
 
     members: np.ndarray
     outer: int = 1
+    relabel: tuple[int, ...] | None = None
+    trailing: int = 1
 
     def __post_init__(self):
         self.members = np.ascontiguousarray(self.members, dtype=complex)
         if self.members.ndim != 3 or self.members.shape[1] != self.members.shape[2] or self.outer < 1:
             raise PreconditionError(f"a stage needs an (s, m, m) stack and outer >= 1, got {self.members.shape}")
+        if self.relabel is not None:
+            self.relabel = tuple(int(b) for b in self.relabel)
+            if sorted(self.relabel) != list(range(self.members.shape[0])) or self.outer != 1 or self.trailing < 1:
+                raise PreconditionError("a controlled stage needs a relabel permuting its blocks, outer 1 and trailing >= 1")
+        elif self.trailing != 1:
+            raise PreconditionError("only a controlled stage has a trailing dimension")
         self.members.setflags(write=False)
 
     @property
     def size(self) -> int:
-        return self.members.shape[0]
+        return 1 if self.relabel is not None else self.members.shape[0]
 
     @property
     def inner(self) -> int:
-        return self.members.shape[1]
+        s, m, _ = self.members.shape
+        return m * s * self.trailing if self.relabel is not None else m
 
     def factors(self) -> np.ndarray:
-        """The (s, outer*m, outer*m) stack of lifted factors 1_outer (x) A_i."""
+        """The (size, outer*inner, outer*inner) stack of the stage's unitaries:
+        the lifted factors 1_outer (x) A_i, or the control unitary, which maps
+        e_a (x) e_b (x) e_c to (U_b e_a) (x) e_{relabel[b]} (x) e_c."""
+        if self.relabel is not None:
+            s, dd, _ = self.members.shape
+            out = np.zeros((dd, s, self.trailing, dd, s, self.trailing), dtype=complex)
+            for b in range(s):
+                for c in range(self.trailing):
+                    out[:, self.relabel[b], c, :, b, c] = self.members[b]
+            return out.reshape(1, self.inner, self.inner)
         if self.outer == 1:
             return self.members
         eye = np.eye(self.outer)
@@ -186,7 +211,7 @@ def hermitian_double(e: UnitaryEnsemble) -> UnitaryEnsemble:
 
 
 def product_ensemble(stages: list[Stage], involution: tuple[int, ...] | None, label: str) -> UnitaryEnsemble:
-    """Every product F_1 ... F_m of one lifted factor 1_outer (x) A per stage.
+    """Every product F_1 ... F_m of one factor per stage (Stage.factors).
 
     The only place product members are formed: in lexicographic order of
     the factor indices, left to right with one broadcast matmul per stage.

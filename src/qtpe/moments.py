@@ -14,13 +14,17 @@ invariant, and there the operator equals its difference with the
 projector, held as t! gathers and a t! x t! Gram matrix (FixedSpaceBasis).
 With an involution the operator is Hermitian and Lanczos runs on it
 directly; without one it runs on the operator's adjoint times it. Each
-apply runs one conjugation kernel per stage: a GEMM by the stacked members
-on the first leg of vec(M), per-member GEMMs that rotate each middle leg to
-the end, and a GEMM by the stacked adjoints on the last leg that also sums
-over the members; the stacks are laid out once per MomentOperator, the
-stacked intermediates in a two-row workspace that the operator allocates at
-its first apply and reuses, at most 2 * _BATCH_BYTES, so one MomentOperator
-must not be applied from two threads at once. The dense one never
+apply runs one kernel per stage, chosen once per MomentOperator from the
+stage's shapes (_stage_kernel). The member kernel makes a GEMM by the
+stacked members on the first leg of vec(M), per-member GEMMs that rotate
+each middle leg to the end, and a GEMM by the stacked adjoints on the last
+leg that also sums over the members. A lifted stage with a small inner
+moment matrix K_t is one GEMM by K_t on the inner axes instead, and the
+zigzag control unitary a batched matmul of its s blocks per leg. Operands
+are laid out once per MomentOperator, intermediates in a two-row workspace
+that the operator allocates at its first apply and reuses, at most
+2 * _BATCH_BYTES, so one MomentOperator must not be applied from two
+threads at once. The dense one never
 materialises the n^2t x n^2t operator: by Schur-Weyl duality (C^n)^(x t)
 splits into U(n) irreps
 V_lambda, lambda a partition of t with at most n rows, each repeated
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -172,12 +177,13 @@ def fixed_space_basis(n: int, t: int) -> FixedSpaceBasis:
 def _conjugation_average(
     left: np.ndarray,
     right: np.ndarray,
+    outer: int,
     x: np.ndarray,
     t: int,
-    outer: int,
     work: np.ndarray,
 ) -> np.ndarray:
-    """Average of tensor-power conjugations applied to vec(M), matrix-free.
+    """The member kernel: an average of tensor-power conjugations applied to
+    vec(M), matrix-free.
 
     Realises M -> (1/s) sum_i A_i^(x t) M B_i^(x t) with A_i = 1_outer (x)
     left[i] and B_i = 1_outer (x) right[i]; the moment operator passes right[i]
@@ -207,7 +213,7 @@ def _conjugation_average(
     ambient = side ** (2 * t)
     rest = side ** (2 * t - 2)
     chunk = min(s, work.shape[1] // ambient)
-    x = np.asarray(x, dtype=complex).reshape(outer, m, -1)
+    x = x.reshape(outer, m, -1)
     lefts, rights = left.reshape(s * m, m), right.reshape(s * m, m)
     acc = None
     for start in range(0, s, chunk):
@@ -230,6 +236,109 @@ def _conjugation_average(
     return acc.reshape(ambient)
 
 
+def _moment_matrix_average(k: np.ndarray, outer: int, m: int, x: np.ndarray, t: int, work: np.ndarray) -> np.ndarray:
+    """The moment-matrix kernel of a lifted stage 1_outer (x) A_i, applied to vec(M).
+
+    The stage acts on the 2t inner axes of vec(M) alone, as the inner moment
+    matrix K_t = (1/s) sum_i A_i^(x t) (x) conj(A_i)^(x t); `k` is K_t^T for
+    the forward map and conj(K_t) for the adjoint. A copy into one row of
+    `work` moves the inner axes of the 2t legs (outer, m) last, one GEMM by
+    `k` into the other row acts on them, and a copy into the result moves
+    them back.
+    """
+    legs = (outer, m) * (2 * t)
+    order = tuple(range(0, 4 * t, 2)) + tuple(range(1, 4 * t, 2))  # outer axes, then inner axes
+    grouped_shape = [legs[a] for a in order]
+    ambient = math.prod(legs)
+    grouped, product = work[0, :ambient], work[1, :ambient]
+    np.copyto(grouped.reshape(grouped_shape), x.reshape(legs).transpose(order))
+    np.matmul(grouped.reshape(-1, k.shape[0]), k, out=product.reshape(-1, k.shape[0]))
+    out = np.empty(ambient, dtype=complex)
+    np.copyto(out.reshape(legs), product.reshape(grouped_shape).transpose([order.index(a) for a in range(4 * t)]))
+    return out
+
+
+def _controlled_average(
+    rows: np.ndarray, cols: np.ndarray, gather: np.ndarray | None, trailing: int, x: np.ndarray, t: int, work: np.ndarray
+) -> np.ndarray:
+    """The controlled kernel of Gdot = sum_b U_b (x) |r(b)><b| (x) 1_trailing,
+    applied to vec(M).
+
+    Each leg of vec(M), of side D*s*trailing, is contracted at the front of
+    the tensor in turn: one batched matmul of the s D x D blocks over the
+    leg's b and trailing axes (rows[b] on the row legs, cols[b] on the column
+    legs), unless the relabelling is the identity a gather along b, and a
+    copy that rotates the leg to the end, so 2t legs restore the order.
+    Forward, the blocks are U_b and conj(U_b) and the gather reads r^-1, which
+    moves b to r(b); the adjoint's blocks are U_{r^-1(b)}† and its transpose,
+    and its gather reads r. Each pass writes one row of `work`, the last copy
+    the result.
+    """
+    s, _, d, _ = rows.shape
+    side = d * s * trailing
+    ambient = side ** (2 * t)
+    rest = ambient // side
+    split = (1, 2, 0, 3)  # the leg's (D, s, trailing) axes as (s, trailing) stacks of D-row matrices
+    cur, free, other = x, work[0, :ambient], work[1, :ambient]
+    for leg in range(2 * t):
+        np.matmul(
+            rows if leg < t else cols,
+            cur.reshape(d, s, trailing, rest).transpose(split),
+            out=free.reshape(d, s, trailing, rest).transpose(split),
+        )
+        if gather is not None:
+            # mode "wrap", not "raise", lets take write `out` without a buffer
+            np.take(free.reshape(d, s, -1), gather, axis=1, out=other.reshape(d, s, -1), mode="wrap")
+            free, other = other, free
+        cur = np.empty(ambient, dtype=complex) if leg == 2 * t - 1 else other
+        np.copyto(cur.reshape(rest, d, s, trailing), free.reshape(d, s, trailing, rest).transpose(3, 0, 1, 2))
+    return cur
+
+
+class _Kernel(NamedTuple):
+    """One stage's kernel: average(*operands, x, t, work) with the forward or the
+    adjoint operands; `members` is how many a member-kernel chunk may stack, 1
+    for the other kinds."""
+
+    kind: str  # "member", "moment-matrix" or "controlled"
+    average: Callable
+    forward: tuple
+    backward: tuple
+    members: int = 1
+
+
+def _stage_kernel(st: Stage, t: int) -> _Kernel:
+    """The cheapest exact kernel of one stage, chosen from its shapes alone.
+
+    A controlled stage takes the controlled kernel, s*trailing times fewer
+    flops than a GEMM by the dense control unitary. A lifted stage takes the moment-
+    matrix kernel when K_t costs no more flops per entry than the member
+    kernel, m^2t <= 2t*s*m, and holds no more entries than the vector,
+    m^4t <= ambient, which is m <= outer; else the member kernel.
+    """
+    a = st.members
+    if st.relabel is not None:
+        r = st.relabel
+        r_inv = sorted(range(len(r)), key=r.__getitem__)
+        back = np.ascontiguousarray(a[r_inv].conj().transpose(0, 2, 1))
+        gathers = (None, None) if r == tuple(range(len(r))) else (np.array(r_inv), np.array(r))
+        return _Kernel(
+            "controlled",
+            _controlled_average,
+            (a[:, None], a.conj()[:, None], gathers[0], st.trailing),
+            (back[:, None], back.conj()[:, None], gathers[1], st.trailing),
+        )
+    s, m, _ = a.shape
+    if m ** (2 * t) <= 2 * t * s * m and m <= st.outer:
+        powers = a
+        for _ in range(t - 1):
+            powers = np.einsum("sij,skl->sikjl", powers, a).reshape(s, powers.shape[1] * m, -1)
+        k = sector_block(powers, powers)
+        return _Kernel("moment-matrix", _moment_matrix_average, (k.T.copy(), st.outer, m), (k.conj(), st.outer, m))
+    a_dag = np.ascontiguousarray(a.conj().transpose(0, 2, 1))
+    return _Kernel("member", _conjugation_average, (a, a_dag, st.outer), (a_dag, a, st.outer), s)
+
+
 @dataclass
 class MomentOperator:
     """M -> (1/s) sum_i U_i^(x t) M (U_i†)^(x t) on matrices over (C^n)^(x t).
@@ -242,19 +351,20 @@ class MomentOperator:
     conjugations; the adjoint runs the adjoint stages from S_1 on. An
     ensemble without stages is its own single stage.
 
-    The kernel operands of every stage are laid out once, here, not once per
-    apply: the member stacks A_i and A_i†, which the forward and the adjoint
-    map use in swapped roles; the middle legs (t >= 2) read them in place,
-    the row legs through a transposed view, so a kernel entry is (outer,
-    (A, A†), (A†, A)).
+    Each stage's kernel and its operands are fixed once, here, from shapes
+    alone (_stage_kernel): the controlled kernel with Gdot's blocks for a
+    controlled stage; the moment-matrix kernel with K_t^T and conj(K_t) for
+    a lifted stage whose K_t is cheap and small; otherwise the member kernel
+    with the stacks A_i and A_i†, which the forward and the adjoint map use
+    in swapped roles.
 
-    The kernel's stacked intermediates live in one workspace of two rows,
-    allocated at the first apply and reused by every later one. A row holds
-    the largest chunk*ambient of the stages, the chunk being the most members
-    whose intermediate fits _BATCH_BYTES, so an operator holds at most
-    2 * _BATCH_BYTES; construction and dense() allocate none. Because the
-    applies share the workspace, one MomentOperator must not be applied from
-    two threads at once.
+    The kernels' intermediates live in one workspace of two rows, allocated
+    at the first apply and reused by every later one. A row holds one
+    vector, or the largest chunk*ambient of the member-kernel stages, the
+    chunk being the most members whose intermediate fits _BATCH_BYTES, so an
+    operator holds at most 2 * _BATCH_BYTES; construction and dense()
+    allocate none. Because the applies share the workspace, one
+    MomentOperator must not be applied from two threads at once.
     """
 
     ensemble: UnitaryEnsemble
@@ -265,12 +375,8 @@ class MomentOperator:
     def __post_init__(self):
         if self.t < 1:
             raise PreconditionError(f"t must be >= 1, got {self.t}")
-        kernels = []
-        for st in self.ensemble.stages or (Stage(self.ensemble.unitaries),):
-            a = st.members
-            a_dag = np.ascontiguousarray(a.conj().transpose(0, 2, 1))
-            kernels.append((st.outer, (a, a_dag), (a_dag, a)))
-        self._kernels = tuple(kernels)
+        stages = self.ensemble.stages or (Stage(self.ensemble.unitaries),)
+        self._kernels = tuple(_stage_kernel(st, self.t) for st in stages)
 
     @property
     def local_dim(self) -> int:
@@ -297,11 +403,12 @@ class MomentOperator:
     def _apply(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
         if self._work is None:
             ambient = self.ambient
-            members = max(forward[0].shape[0] for _, forward, _ in self._kernels)
+            members = max(k.members for k in self._kernels)
             chunk = max(1, min(members, _BATCH_BYTES // (16 * ambient)))
             self._work = np.empty((2, chunk * ambient), dtype=complex)
-        for outer, forward, backward in self._kernels if adjoint else reversed(self._kernels):
-            x = _conjugation_average(*(backward if adjoint else forward), x, self.t, outer, self._work)
+        x = np.asarray(x, dtype=complex)
+        for k in self._kernels if adjoint else reversed(self._kernels):
+            x = k.average(*(k.backward if adjoint else k.forward), x, self.t, self._work)
         return x
 
     def dense(self) -> np.ndarray:

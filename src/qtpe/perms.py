@@ -125,13 +125,23 @@ def distinct_fraction_deficit(d: int, t: int) -> tuple[float, float]:
 def _pair_statistic_matrix(t: int, weight) -> np.ndarray:
     """t! x t! matrix of weight(sigma^-1 sigma') over the all_permutations(t)
     ordering. weight runs once per permutation; each pair's product is found
-    by its one-line array read as a base-t number."""
+    by its one-line array read as a base-t number, accumulated one digit at a
+    time into a t! x t! code, so no t! x t! x t composition array is formed:
+    at t = 6 it peaks at 8.5 MB, the 4.1 MB result included. The integers stay
+    intp: int8 or int32 arithmetic would page in numpy loops that nothing else
+    in the package runs, 128 KB of resident memory in every lambda run."""
     perms = all_permutations(t)
     maps, digits = np.array([p.map for p in perms]), t ** np.arange(t)
+    inverses = np.argsort(maps, axis=1)
     index = np.zeros(t**t, dtype=np.intp)
     index[maps @ digits] = np.arange(len(perms))
+    code = np.zeros((len(perms), len(perms)), dtype=np.intp)
+    for a in reversed(range(t)):  # Horner: digit a of sigma^-1 sigma' is inverses[sigma, sigma'[a]]
+        code *= t
+        code += inverses[:, maps[:, a]]
+    code = index[code]  # rebound, so the codes are freed before the result is formed
     values = np.array([weight(p) for p in perms])
-    return values[index[np.argsort(maps, axis=1)[:, maps] @ digits]]
+    return values[code]
 
 
 def permutation_gram(t: int, n: int) -> np.ndarray:

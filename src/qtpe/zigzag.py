@@ -3,7 +3,8 @@
 Three constructions: the two-ensemble zigzag product, its derandomised
 variant, and the generalised product interleaving k inner ensembles with a
 control unitary. Each constructor only declares its stages (the lifted
-1 (x) V factor sets and the control unitary), involution and label;
+1 (x) V factor sets, and the control unitary as a controlled stage of g's
+blocks, except in the derandomised middle factors), involution and label;
 ensemble.product_ensemble forms the members from the stages, guards the
 degree, and attaches the stages, so the moment operator is applied stage by
 stage. Bound calculators evaluate the corresponding closed-form guarantees,
@@ -24,14 +25,9 @@ from .ensemble import Stage, UnitaryEnsemble, check_product_degree, product_ense
 from .errors import PreconditionError
 
 
-def _control_unitary(g: UnitaryEnsemble, relabel, trailing: int) -> np.ndarray:
-    """e_a (x) e_b (x) e_c -> (U_b e_a) (x) e_{relabel[b]} (x) e_c on C^(D*s*trailing), the one Gdot builder."""
-    dd, s = g.dim, g.size
-    out = np.zeros((dd, s, trailing, dd, s, trailing), dtype=complex)
-    for b in range(s):
-        for c in range(trailing):
-            out[:, relabel[b], c, :, b, c] = g.member(b)
-    return out.reshape(dd * s * trailing, -1)
+def _control_stage(g: UnitaryEnsemble) -> Stage:
+    """Gdot as a controlled stage: g's blocks, relabelled by g's involution or the identity map."""
+    return Stage(g.unitaries, relabel=g.involution or range(g.size))
 
 
 def g_dot(g: UnitaryEnsemble) -> np.ndarray:
@@ -40,7 +36,7 @@ def g_dot(g: UnitaryEnsemble) -> np.ndarray:
     Uses g's involution for the relabelling, or the identity map when none is
     attached. For an explicitly Hermitian g the result is an involution.
     """
-    return _control_unitary(g, g.involution or range(g.size), 1)
+    return _control_stage(g).factors()[0]
 
 
 def _inner_degree(g: UnitaryEnsemble, h: UnitaryEnsemble, stages: int) -> int:
@@ -65,7 +61,7 @@ def zigzag(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemble:
         hinv = h.involution
         involution = tuple(hinv[j] * s + hinv[i] for i in range(s) for j in range(s))
     lifted = Stage(h.unitaries, g.dim)
-    return product_ensemble([lifted, Stage(g_dot(g)[None]), lifted], involution, f"zigzag({g.label},{h.label})")
+    return product_ensemble([lifted, _control_stage(g), lifted], involution, f"zigzag({g.label},{h.label})")
 
 
 def zigzag_derandomised(g: UnitaryEnsemble, h: UnitaryEnsemble) -> UnitaryEnsemble:
@@ -95,9 +91,14 @@ def g_dot_general(g: UnitaryEnsemble, d: int, dprime: int) -> np.ndarray:
     Acts only through the middle index: it is g_dot with the identity
     relabelling, tensored with 1_{d'}.
     """
+    return _general_control_stage(g, d, dprime).factors()[0]
+
+
+def _general_control_stage(g: UnitaryEnsemble, d: int, dprime: int) -> Stage:
+    """g_dot_general as a controlled stage: the identity relabelling and a trailing 1_{d'}."""
     if g.size != d:
         raise PreconditionError(f"outer degree {g.size} must equal d = {d}")
-    return _control_unitary(g, range(d), dprime)
+    return Stage(g.unitaries, relabel=range(d), trailing=dprime)
 
 
 def zigzag_generalised(g: UnitaryEnsemble, h_list: list[UnitaryEnsemble], d: int, dprime: int) -> UnitaryEnsemble:
@@ -122,7 +123,7 @@ def zigzag_generalised(g: UnitaryEnsemble, h_list: list[UnitaryEnsemble], d: int
         raise PreconditionError(f"inner dimensions must all equal d*d' = {d*dprime}, got {sorted(dims)}")
     s = next(iter(sizes))
     check_product_degree([s] * k, g.dim * d * dprime)  # before Gdot is formed
-    dot = Stage(g_dot_general(g, d, dprime)[None])
+    dot = _general_control_stage(g, d, dprime)
     stages = [Stage(h_list[0].unitaries, g.dim)]
     for h in h_list[1:]:
         stages += [dot, Stage(h.unitaries, g.dim)]

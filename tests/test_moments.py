@@ -22,7 +22,17 @@ from conftest import (
     svd_deviation,
     svd_fixed_space,
 )
-from qtpe.ensemble import Stage, UnitaryEnsemble, involution_defect, load, product_ensemble, sample_random_qtpe, save, square_compose
+from qtpe.ensemble import (
+    Stage,
+    UnitaryEnsemble,
+    hermitian_double,
+    involution_defect,
+    load,
+    product_ensemble,
+    sample_random_qtpe,
+    save,
+    square_compose,
+)
 from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.linalg import SeededRng, haar_unitary
 from qtpe.moments import (
@@ -246,6 +256,26 @@ def staged_product():
     return product_ensemble([Stage(a.unitaries, outer=2), Stage(b.unitaries)], None, "staged")
 
 
+def stage_kernel_product(kind):
+    """A product on C^4 or C^16 whose lifted stages take the moment-matrix kernel
+    and whose Gdot takes the controlled one: zigzag with an involution-carrying
+    g of 2 members on C^2 and an h of 6 on C^2 (m = outer = 2), the same with a
+    g without involution (identity relabelling), or generalised with d = 2 and
+    d' = 1 or 2 (trailing identity; g on C^4 when d' = 2, so that m <= outer)."""
+    if kind == "zigzag":
+        g = hermitian_double(UnitaryEnsemble(2, raw_haar_ensemble(2, 1, seed=60).unitaries))
+        return zigzag(g, sample_random_qtpe(2, 6, SeededRng(61)))
+    if kind == "zigzag-no-involution":
+        return zigzag(raw_haar_ensemble(2, 2, seed=62), sample_random_qtpe(2, 6, SeededRng(61)))
+    dprime = int(kind[-1])  # generalised-d'1 or generalised-d'2
+    g = raw_haar_ensemble(2 * dprime, 2, seed=63)
+    return zigzag_generalised(g, [raw_haar_ensemble(2 * dprime, 3, seed=64 + i) for i in range(2)], 2, dprime)
+
+
+def kernel_kinds(e, t):
+    return [k.kind for k in MomentOperator(e, t)._kernels]
+
+
 class TestMomentOperatorApply:
     def test_identity_ensemble_is_identity_map(self):
         phi = MomentOperator(identity_ensemble(2), 2)
@@ -308,12 +338,18 @@ class TestMomentOperatorApply:
         assert np.linalg.norm(out) <= np.linalg.norm(m) + 1e-9
 
 
-WORKSPACE_CASES = [("raw", 1), ("raw", 2), ("raw", 3), ("staged", 1), ("staged", 2), ("staged", 3)]
+WORKSPACE_CASES = [("raw", 1), ("raw", 2), ("raw", 3), ("zigzag", 2), ("staged", 1), ("staged", 2), ("staged", 3)]
 
 
 def workspace_case(kind, t):
-    """A MomentOperator and two random inputs: 5 Haar members on C^2, or the staged product with outer = 2."""
-    phi = MomentOperator(raw_haar_ensemble(2, 5, seed=17) if kind == "raw" else staged_product(), t)
+    """A MomentOperator and two random inputs: 5 Haar members on C^2, the
+    staged product with outer = 2, or a zigzag product whose stages take the
+    moment-matrix and the controlled kernels."""
+    if kind == "raw":
+        e = raw_haar_ensemble(2, 5, seed=17)
+    else:
+        e = staged_product() if kind == "staged" else stage_kernel_product(kind)
+    phi = MomentOperator(e, t)
     g = SeededRng(7, t).generator()
     x, y = (g.standard_normal(phi.ambient) + 1j * g.standard_normal(phi.ambient) for _ in range(2))
     return phi, x, y
@@ -442,6 +478,78 @@ class TestFactoredProducts:
         x = SeededRng(15).generator().standard_normal(6**4) + 0j
         assert np.max(np.abs(inner.apply_vec(x) - full.apply_vec(x))) <= 1e-12
         assert np.max(np.abs(inner.adjoint_apply_vec(x) - full.adjoint_apply_vec(x))) <= 1e-12
+
+
+def certify_shaped_product(g_dim):
+    """zigzag of g on C^g_dim with 8 members and h on C^8 with 4: g_dim = 9 is the
+    certify_zigzag benchmark's product, 32 the criterion-2 product."""
+    return zigzag(sample_random_qtpe(g_dim, 8, SeededRng(70)), sample_random_qtpe(8, 4, SeededRng(71)))
+
+
+class TestStageKernels:
+    @pytest.mark.parametrize(
+        "kind,t",
+        [
+            ("zigzag", 1),
+            ("zigzag", 2),
+            ("zigzag", 3),
+            ("zigzag-no-involution", 1),
+            ("zigzag-no-involution", 2),
+            ("generalised-d'1", 1),
+            ("generalised-d'1", 2),
+            ("generalised-d'2", 1),
+        ],
+    )
+    def test_moment_matrix_and_controlled_kernels_match_dense(self, kind, t):
+        phi = MomentOperator(stage_kernel_product(kind), t)
+        assert [k.kind for k in phi._kernels] == ["moment-matrix", "controlled", "moment-matrix"]
+        assert_matches_dense(phi)
+
+    @pytest.mark.parametrize("trailing,t", [(1, 1), (1, 2), (2, 1)])
+    def test_controlled_kernel_with_a_relabelling_that_is_not_an_involution(self, trailing, t):
+        # a 3-cycle tells r from r^-1, which every involution leaves equal
+        blocks = raw_haar_ensemble(2, 3, seed=65).unitaries
+        phi = MomentOperator(product_ensemble([Stage(blocks, relabel=(1, 2, 0), trailing=trailing)], None, "cycle"), t)
+        assert [k.kind for k in phi._kernels] == ["controlled"]
+        assert_matches_dense(phi)
+
+    @pytest.mark.parametrize("kind", ["zigzag", "generalised-d'2"])
+    def test_lambda_matches_the_saved_product(self, kind, tmp_path):
+        product = stage_kernel_product(kind)
+        save(product, tmp_path / "p.qtpe")
+        kwargs = dict(method="power-iteration", tol=1e-10, rng=SeededRng(5), max_iters=4000)
+        staged, members = lambda_report(product, 1, **kwargs), lambda_report(load(tmp_path / "p.qtpe"), 1, **kwargs)
+        assert staged.converged and members.converged
+        assert abs(staged.lambda_ - members.lambda_) <= 1e-10
+
+    @pytest.mark.parametrize("g_dim", [9, 32])
+    def test_certify_and_criterion_2_lifted_stages_take_the_moment_matrix_at_t1_only(self, g_dim):
+        product = certify_shaped_product(g_dim)
+        # m = 8 <= outer and m^2 = 64 <= 2t*s*m = 64 multiply-adds per entry
+        assert kernel_kinds(product, 1) == ["moment-matrix", "controlled", "moment-matrix"]
+        # m^4 = 4096 against the member kernel's 2t*s*m = 128
+        assert kernel_kinds(product, 2) == ["member", "controlled", "member"]
+
+    def test_haar_ensembles_and_lifted_stages_wider_than_outer_keep_the_member_kernel(self):
+        # outer = 1: K_t would hold m^4t entries, more than the m^2t of the vector
+        for t in (1, 2, 3):
+            assert kernel_kinds(sample_random_qtpe(4, 8, SeededRng(72)), t) == ["member"]
+        # h on C^4 lifted by g on C^3: m = 4 > outer = 3
+        assert kernel_kinds(small_product("zigzag"), 1) == ["member", "controlled", "member"]
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("kind", PRODUCT_KINDS)
+    def test_every_gdot_stage_takes_the_controlled_kernel(self, kind, t):
+        product = small_product(kind)
+        controlled = [k == "controlled" for k in kernel_kinds(product, t)]
+        assert controlled == [st.relabel is not None for st in product.stages]
+        assert any(controlled) == (kind == "zigzag" or kind.startswith("generalised"))
+
+    def test_certify_shaped_apply_allocates_only_its_result(self):
+        phi = MomentOperator(certify_shaped_product(9), 1)
+        # a stage's input and its result, two complex vectors, plus numpy's
+        # per-call bookkeeping; a fresh intermediate would add a third vector
+        assert apply_peak_bytes(phi) <= 2 * 16 * phi.ambient + 4096
 
 
 class TestIdealApply:

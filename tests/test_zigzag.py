@@ -227,9 +227,19 @@ class TestZigzagGeneralised:
             zigzag_generalised(g, [h, h, h, h], 2, 2)
 
 
+def stage_factors(st):
+    """A stage's unitaries from their definition: the lifted 1_outer (x) A_i, or
+    the one control unitary sum_b U_b (x) |relabel[b]><b| (x) 1_trailing."""
+    if st.relabel is None:
+        return [np.kron(np.eye(st.outer), a) for a in st.members]
+    e = np.eye(len(st.relabel))
+    moves = [np.kron(np.outer(e[r], e[b]), np.eye(st.trailing)) for b, r in enumerate(st.relabel)]
+    return [sum(np.kron(u, move) for u, move in zip(st.members, moves))]
+
+
 def stage_products(e):
-    """Every product of one factor 1_outer (x) A from each stage, in lexicographic order."""
-    factors = [[np.kron(np.eye(st.outer), a) for a in st.members] for st in e.stages]
+    """Every product of one factor from each stage, in lexicographic order."""
+    factors = [stage_factors(st) for st in e.stages]
     out = []
     for word in itertools.product(*factors):
         m = np.eye(e.dim, dtype=complex)
@@ -254,11 +264,15 @@ class TestStages:
 
     def test_stage_shapes(self):
         zz, der, gen3, gen1, sq = self.products()
-        assert [(st.members.shape[0], st.outer, st.inner) for st in zz.stages] == [(4, 3, 4), (1, 1, 12), (4, 3, 4)]
-        assert [st.members.shape[0] for st in der.stages] == [4, 4, 4]
+        assert [(st.size, st.outer, st.inner) for st in zz.stages] == [(4, 3, 4), (1, 1, 12), (4, 3, 4)]
+        assert [st.size for st in der.stages] == [4, 4, 4]
         assert [st.outer for st in gen3.stages] == [2, 1, 2, 1, 2]
         assert len(gen1.stages) == 1
-        assert [(st.members.shape[0], st.outer, st.inner) for st in sq.stages] == [(3, 1, 6), (3, 1, 6)]
+        assert [(st.size, st.outer, st.inner) for st in sq.stages] == [(3, 1, 6), (3, 1, 6)]
+        # Gdot is declared by its s blocks: relabelled by g's involution, or by the identity with a trailing 1_{d'}
+        assert zz.stages[1].members.shape == (4, 3, 3) and zz.stages[1].relabel == (2, 3, 0, 1)
+        assert [(st.relabel, st.trailing) for st in gen3.stages[1::2]] == [((0, 1), 3)] * 2
+        assert all(st.relabel is None for st in der.stages)
 
     def test_load_and_double_carry_no_stages(self, tmp_path):
         product = self.products()[0]
@@ -275,6 +289,10 @@ class TestStages:
             UnitaryEnsemble(product.dim, product.unitaries, None, "", (Stage(np.eye(5)[None]),) + product.stages[1:])
         with pytest.raises(PreconditionError):
             Stage(np.eye(4)[None], outer=0)
+        blocks = np.stack([np.eye(2)] * 3)
+        for bad in [dict(relabel=(0, 0, 1)), dict(relabel=(0, 1)), dict(relabel=(0, 1, 2), outer=2), dict(trailing=2)]:
+            with pytest.raises(PreconditionError):
+                Stage(blocks, **bad)
 
 
 class TestSuperoperatorIdentity:
