@@ -274,12 +274,13 @@ def save(e: UnitaryEnsemble, path: str | Path, sidecar: dict | None = None) -> P
     numerics.
     """
     path = Path(path)
-    blob = bytearray(MAGIC + bytes([FORMAT_VERSION]) + struct.pack("<II", e.dim, e.size))
-    blob += bytes([e.involution is not None])
+    header = MAGIC + bytes([FORMAT_VERSION]) + struct.pack("<II", e.dim, e.size) + bytes([e.involution is not None])
     if e.involution is not None:
-        blob += struct.pack(f"<{e.size}I", *e.involution)
-    blob += np.ascontiguousarray(e.unitaries).astype("<c16").tobytes()
-    path.write_bytes(bytes(blob))
+        header += struct.pack(f"<{e.size}I", *e.involution)
+    payload = np.ascontiguousarray(e.unitaries, dtype="<c16")  # no copy when already so laid out
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload.data)
     meta = {"label": e.label, **(sidecar or {})}
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return path

@@ -4,9 +4,9 @@ Seeded Haar-random unitary sampling, Kronecker products,
 orthonormalisation, principal-angle distances, and the matrix-free
 largest-singular-value solver: seeded plain Lanczos, on the map itself when
 it is Hermitian and on op†∘op otherwise, with optional deflation of an
-invariant subspace given by its projector. The solver keeps three vectors
-and the coefficients of its tridiagonal matrix, whose Ritz values it reads
-at checkpoints that thin out as the step count grows.
+invariant subspace that removes itself from a vector in place. The solver
+keeps three vectors and the coefficients of its tridiagonal matrix, whose
+Ritz values it reads at checkpoints that thin out as the step count grows.
 Which lambda path runs, dense or iterative, is decided in
 moments.lambda_report, not here.
 """
@@ -96,11 +96,13 @@ class LinearMap:
 
 
 class Subspace(Protocol):
-    """A subspace of dimension `rank`, known by its orthogonal projector."""
+    """A subspace of dimension `rank` that can remove itself from a vector:
+    project_out(x) sets x to its orthogonal projection onto the complement,
+    in place."""
 
     rank: int
 
-    def project_vec(self, x: np.ndarray) -> np.ndarray: ...
+    def project_out(self, x: np.ndarray) -> None: ...
 
 
 @dataclass
@@ -173,8 +175,8 @@ def spectral_norm(
     out, the last check is reported with converged False.
 
     `deflate` is a subspace W that op and op† both map into itself, given by
-    its rank and its projector project_vec; the start and every new Lanczos
-    vector are projected onto W^perp, which is then invariant too, so the
+    its rank and project_out; the start and every new Lanczos vector are
+    projected onto W^perp in place, which is then invariant too, so the
     result is the norm of op restricted to W^perp. Projecting once per step
     keeps rounding in W from growing.
     """
@@ -187,7 +189,7 @@ def spectral_norm(
 
     def project_out(x: np.ndarray) -> np.ndarray:
         if deflate is not None:
-            x -= deflate.project_vec(x)
+            deflate.project_out(x)
         return x
 
     def b_apply(x: np.ndarray) -> np.ndarray:
@@ -195,10 +197,11 @@ def spectral_norm(
 
     v = project_out(g.standard_normal(n) + 1j * g.standard_normal(n))
     nrm = np.linalg.norm(v)
-    if nrm < 1e-300:  # deflation removed everything
+    full_dim = n - (0 if deflate is None else deflate.rank)
+    # deflation removed everything: W^perp is {0}, whatever roundoff v keeps
+    if full_dim < 1 or nrm < 1e-300:
         return SpectralEstimate(value=0.0, residual=0.0, iterations=0)
     v *= 1.0 / nrm
-    full_dim = n - (0 if deflate is None else deflate.rank)
     v_prev = None
     alphas: list[float] = []
     betas: list[float] = []

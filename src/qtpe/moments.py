@@ -7,36 +7,42 @@ the register-shuffle matrices, and the second largest singular value of their
 difference is the quantity every construction is judged by.
 
 Two exact ways to that value exist, and lambda_report alone picks between
-them. The iterative one hands the moment operator, matrix-free, to
-linalg.spectral_norm, which deflates the fixed space W from every Lanczos
-vector once: the operator and its adjoint both fix W, so W^perp is
-invariant, and there the operator equals its difference with the
-projector, held as t! gathers and a t! x t! Gram matrix (FixedSpaceBasis).
-With an involution the operator is Hermitian and Lanczos runs on it
-directly; without one it runs on the operator's adjoint times it. Each
-apply runs one kernel per stage, chosen once per MomentOperator from the
-stage's shapes (_stage_kernel). The member kernel makes a GEMM by the
-stacked members on the first leg of vec(M), per-member GEMMs that rotate
-each middle leg to the end, and a GEMM by the stacked adjoints on the last
-leg that also sums over the members. A lifted stage with a small inner
-moment matrix K_t is one GEMM by K_t on the inner axes instead, and the
-zigzag control unitary a batched matmul of its s blocks per leg. Operands
-are laid out once per MomentOperator, intermediates in a two-row workspace
-that the operator allocates at its first apply and reuses, at most
-2 * _BATCH_BYTES, so one MomentOperator must not be applied from two
-threads at once. The dense one never
-materialises the n^2t x n^2t operator: by Schur-Weyl duality (C^n)^(x t)
-splits into U(n) irreps
-V_lambda, lambda a partition of t with at most n rows, each repeated
-f_lambda times, and the moment operator is block diagonal over pairs
-(lambda, mu). Each block acts on d_lambda x d_mu matrices as X -> (1/s)
-sum_i R_lambda(U_i) X R_mu(U_i)†, the Haar projector is
-vec(I)vec(I)†/d_lambda on the diagonal blocks and 0 elsewhere, and lambda is
-the largest top singular value over the blocks, read from eigvalsh when an
-involution makes the blocks Hermitian. The moment operator maps Hermitian
-matrices to Hermitian ones, so each diagonal block is solved as a real
-matrix in an orthonormal basis of Herm(V_lambda); the off-diagonal blocks
-stay complex.
+them. The iterative one hands Phi, matrix-free, to linalg.spectral_norm,
+which deflates Phi's fixed space from every Lanczos vector once: Phi and
+its adjoint both fix it, so its complement is invariant, and there Phi
+equals its difference with the projector. With an involution Phi is
+Hermitian and Lanczos runs on it directly; without one it runs on Phi†Phi.
+Phi comes in one of two representations, chosen from shapes alone
+(_takes_sectors). An ensemble without stages at t >= 2 whose blocks are
+cheap takes SectorOperator, the direct sum of the Schur-Weyl blocks below,
+one per unordered irrep pair, whose fixed space is each diagonal block's
+identity. Every other call takes MomentOperator on C^(n^2t), whose fixed
+space W is held as t! gathers and a t! x t! Gram matrix (FixedSpaceBasis).
+
+A MomentOperator apply runs one kernel per stage, chosen once per
+MomentOperator from the stage's shapes (_stage_kernel). The member kernel
+makes a GEMM by the stacked members on the first leg of vec(M), per-member
+GEMMs that rotate each middle leg to the end, and a GEMM by the stacked
+adjoints on the last leg that also sums over the members. A lifted stage
+with a small inner moment matrix K_t is one GEMM by K_t on the inner axes
+instead, and the zigzag control unitary a batched matmul of its s blocks
+per leg. Operands are laid out once per MomentOperator, intermediates in a
+two-row workspace that the operator allocates at its first apply and
+reuses, at most 2 * _BATCH_BYTES, so one MomentOperator must not be applied
+from two threads at once.
+
+The dense way never materialises the n^2t x n^2t operator: by Schur-Weyl
+duality (C^n)^(x t) splits into U(n) irreps V_lambda, lambda a partition of
+t with at most n rows, each repeated f_lambda times, and the moment
+operator is block diagonal over pairs (lambda, mu). Each block acts on
+d_lambda x d_mu matrices as X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)†,
+the Haar projector is vec(I)vec(I)†/d_lambda on the diagonal blocks and 0
+elsewhere, and lambda is the largest top singular value over the blocks
+(sector_pairs lists one per unordered pair, for both ways), read from
+eigvalsh when an involution makes the blocks Hermitian. The moment operator
+maps Hermitian matrices to Hermitian ones, so each diagonal block is solved
+as a real matrix in an orthonormal basis of Herm(V_lambda); the
+off-diagonal blocks stay complex.
 """
 
 from __future__ import annotations
@@ -152,14 +158,23 @@ class FixedSpaceBasis:
     gram_pinv: np.ndarray
     rank: int
 
+    def _coefficients(self, x: np.ndarray) -> np.ndarray:
+        """The value P_W x adds at each one of each shuffle sigma,
+        (G^+ <alpha_tau, x>)_sigma n^(-t/2): a gather and a t! x t! multiply."""
+        return self.gram_pinv @ x[self.targets].sum(axis=1) / self.targets.shape[1]
+
     def project_vec(self, x: np.ndarray) -> np.ndarray:
-        """P_W x = sum alpha_sigma (G^+)_{sigma tau} <alpha_tau, x>: a gather,
-        a t! x t! multiply and a scatter, O(t! n^t) work."""
-        coeffs = self.gram_pinv @ x[self.targets].sum(axis=1) / self.targets.shape[1]
+        """P_W x, as a new vector: O(t! n^t) work and one n^2t allocation."""
         out = np.zeros(x.shape, dtype=complex)
-        for positions, c in zip(self.targets, coeffs):
+        for positions, c in zip(self.targets, self._coefficients(x)):
             out[positions] += c  # distinct positions within one shuffle
         return out
+
+    def project_out(self, x: np.ndarray) -> None:
+        """x -= P_W x in place: each shuffle's coefficient is subtracted at its
+        n^t positions, O(t! n^t) work and no n^2t-long temporary."""
+        for positions, c in zip(self.targets, self._coefficients(x)):
+            x[positions] -= c
 
 
 def fixed_space_basis(n: int, t: int) -> FixedSpaceBasis:
@@ -558,15 +573,38 @@ def hermitian_sector_block(r: np.ndarray) -> np.ndarray:
     return out
 
 
+class SectorPair(NamedTuple):
+    """The Schur-Weyl block of an irrep pair (lambda, mu), lambda at or before
+    mu in irrep_bases order: the stacks R_lambda(U_i) and R_mu(U_i), and
+    whether lambda = mu."""
+
+    left: np.ndarray
+    right: np.ndarray
+    diagonal: bool
+
+
+def sector_pairs(e: UnitaryEnsemble, t: int) -> list[SectorPair]:
+    """One block per unordered irrep pair, the diagonal block of each irrep
+    first, then its pairs with the later ones: the blocks both sector_lambda
+    and SectorOperator read.
+
+    The (mu, lambda) block equals J (lambda, mu) J with the antiunitary
+    J: X -> X†, so it has the same singular values and, when both are
+    Hermitian, the same (real) eigenvalues; the blocks listed here therefore
+    carry the norm of Phi - P and, under an involution, its extreme
+    eigenvalues.
+    """
+    reps = [irrep_action(e.unitaries, b.basis, e.dim, t) for b in irrep_bases(e.dim, t)]
+    return [SectorPair(a, b, i == j) for i, a in enumerate(reps) for j, b in enumerate(reps) if j >= i]
+
+
 def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
     """Largest singular value of the moment operator minus the Haar projector,
-    exactly, from its Schur-Weyl blocks.
+    exactly, from its Schur-Weyl blocks (sector_pairs).
 
-    The (lambda, mu) block is sector_block(R_lambda, R_mu). Each unordered
-    pair is computed once: the (mu, lambda) block equals J (lambda, mu) J with
-    the antiunitary J: X -> X†, so both have the same singular values. J maps
-    each diagonal block to itself, so that one is real in Hermitian
-    coordinates (hermitian_sector_block, which also removes the fixed vector
+    The (lambda, mu) block is sector_block(R_lambda, R_mu). J maps each
+    diagonal block to itself, so that one is real in Hermitian coordinates
+    (hermitian_sector_block, which also removes the fixed vector
     vec(I)/sqrt(d_lambda)); the off-diagonal ones stay complex.
 
     With an involution (U_{-i} = U_i†, to HERMITIAN_DEFECT) every block is
@@ -575,12 +613,11 @@ def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
     checked, and the SVD otherwise.
     """
     hermitian = involution_defect(e) <= HERMITIAN_DEFECT
-    reps = [irrep_action(e.unitaries, b.basis, e.dim, t) for b in irrep_bases(e.dim, t)]
     value = 0.0
-    for i, a in enumerate(reps):
-        value = max(value, _block_norm(hermitian_sector_block(a), hermitian))
-        for b in reps[i + 1 :]:
-            value = max(value, _block_norm(sector_block(a, b), hermitian))
+    for p in sector_pairs(e, t):
+        block = hermitian_sector_block(p.left) if p.diagonal else sector_block(p.left, p.right)
+        value = max(value, _block_norm(block, hermitian))
+        del block  # so that no two blocks are held at once
     return value
 
 
@@ -594,13 +631,111 @@ def _block_norm(block: np.ndarray, hermitian: bool) -> float:
 
 
 @dataclass
+class SectorFixedSpace:
+    """The fixed space of Phi on a SectorOperator's direct sum: vec(I)/sqrt(d)
+    in each diagonal block, given by the (offset, d) of those blocks."""
+
+    blocks: list[tuple[int, int]]
+
+    @property
+    def rank(self) -> int:
+        return len(self.blocks)
+
+    def project_out(self, x: np.ndarray) -> None:
+        """Subtract tr(X)/d from the diagonal of each diagonal block X, in place."""
+        for lo, d in self.blocks:
+            diag = x[lo : lo + d * d : d + 1]
+            diag -= diag.sum() / d
+
+
+class SectorOperator:
+    """Phi on the direct sum of its Schur-Weyl blocks, one per unordered irrep
+    pair (sector_pairs), matrix-free: the iterative path's representation of
+    Phi for the shapes _takes_sectors admits.
+
+    The vector holds each block's d_lambda x d_mu matrix X, row-major, in
+    sector_pairs order. Forward, a block maps X -> (1/s) sum_i R_lambda(U_i)
+    X R_mu(U_i)†: one GEMM by the stacked R_lambda(U_i) (s d_lambda x
+    d_lambda), a copy that moves the member axis between the row and column
+    axes, and one GEMM by the stacked R_mu(U_i)†/s (s d_mu x d_mu) that sums
+    over the members, s d_lambda d_mu (d_lambda + d_mu) multiply-adds. The
+    adjoint takes R_lambda(U_i)† and R_mu(U_i)/s. Phi - P is Phi on the
+    complement of `fixed`, each diagonal block's vec(I)/sqrt(d_lambda).
+
+    The block stacks hold s (d_lambda^2 + d_mu^2) entries per pair, and the
+    two intermediates of the largest block live in a two-row workspace that
+    every apply reuses, so one SectorOperator must not be applied from two
+    threads at once.
+    """
+
+    def __init__(self, pairs: list[SectorPair]):
+        self._blocks = []
+        lo = 0
+        diagonals = []
+        for p in pairs:
+            s, da, _ = p.left.shape
+            db = p.right.shape[1]
+            if p.diagonal:
+                diagonals.append((lo, da))
+            right = p.right / s
+            # reshaping the transposed stacks copies them into stacking order
+            forward = (p.left.reshape(s * da, da), right.conj().transpose(0, 2, 1).reshape(s * db, db))
+            backward = (p.left.conj().transpose(0, 2, 1).reshape(s * da, da), right.reshape(s * db, db))
+            self._blocks.append((lo, s, da, db, forward, backward))
+            lo += da * db
+        self.dim = lo
+        self.fixed = SectorFixedSpace(diagonals)
+        self._work = np.empty((2, max(s * da * db for _, s, da, db, _, _ in self._blocks)), dtype=complex)
+
+    def apply_vec(self, x: np.ndarray) -> np.ndarray:
+        return self._apply(x, adjoint=False)
+
+    def adjoint_apply_vec(self, x: np.ndarray) -> np.ndarray:
+        return self._apply(x, adjoint=True)
+
+    def _apply(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        out = np.empty(self.dim, dtype=complex)
+        for lo, s, da, db, forward, backward in self._blocks:
+            left, right = backward if adjoint else forward
+            size = da * db
+            first, moved = self._work[0, : s * size], self._work[1, : s * size]
+            np.matmul(left, x[lo : lo + size].reshape(da, db), out=first.reshape(s * da, db))
+            np.copyto(moved.reshape(da, s, db), first.reshape(s, da, db).transpose(1, 0, 2))
+            np.matmul(moved.reshape(da, s * db), right, out=out[lo : lo + size].reshape(da, db))
+        return out
+
+
+def _takes_sectors(e: UnitaryEnsemble, t: int) -> bool:
+    """Whether the iterative path runs on the Schur-Weyl blocks (SectorOperator)
+    instead of (C^n)^(x t) (MomentOperator), from shapes alone.
+
+    Only an ensemble without stages at t >= 2 may: a product keeps its stage
+    kernels, and at t = 1 the one block is the whole space. Its blocks are
+    taken when their apply, sum over lambda <= mu of s d_lambda d_mu
+    (d_lambda + d_mu) multiply-adds, costs no more than the member kernel's
+    2t s n^(2t+1), and when the one-off basis work, n^(3t) for the Young
+    symmetrisers' SVDs, costs no more than one member-kernel apply.
+    """
+    if e.stages or t < 2:
+        return False
+    n, s = e.dim, e.size
+    member = 2 * t * s * n ** (2 * t + 1)
+    dims = [unitary_irrep_dim(shape, n) for shape in partitions(t) if len(shape) <= n]
+    sectors = sum(s * a * b * (a + b) for i, a in enumerate(dims) for b in dims[i:])
+    return sectors <= member and n ** (3 * t) <= member
+
+
+@dataclass
 class SpectralReport:
     """Second-largest-singular-value report for one ensemble at one t."""
 
     lambda_: float
     method: str
     iterations: int
-    applies: int  # of the moment operator or its adjoint; 0 on the dense path
+    # applies of the map Lanczos ran (MomentOperator or SectorOperator) and of
+    # its adjoint; 0 on the dense path
+    applies: int
     residual: float
     seed: int
     t: int
@@ -659,7 +794,9 @@ def lambda_report(
     otherwise. The iterative method (named "power-iteration") is Lanczos,
     matrix-free, with fixed-space deflation: on Phi itself, one apply per
     step, when the members' involution defect is at most HERMITIAN_DEFECT,
-    and on Phi†Phi, two applies per step, otherwise. The solver settings are
+    and on Phi†Phi, two applies per step, otherwise. It runs on the
+    Schur-Weyl blocks (SectorOperator) where _takes_sectors admits the
+    shapes, and on C^(n^2t) (MomentOperator) elsewhere. The solver settings are
     checked whichever path runs (check_solver_settings).
     Non-convergence is surfaced in the report, never silently dropped.
     """
@@ -670,18 +807,24 @@ def lambda_report(
     if method == "dense-svd":
         est, applies = SpectralEstimate(value=sector_lambda(e, t), residual=0.0, iterations=0), 0
     else:
-        phi = MomentOperator(e, t)
         # Phi and Phi† both fix W (every U^(x t) commutes with it), so W^perp is
         # invariant under both and Phi - P is 0 on W and Phi on W^perp: the
         # norm of Phi on the deflated iterates is exactly lambda. With an
         # involution Phi† = Phi, so its norm there is its largest |eigenvalue|.
+        # On the sector blocks W is each diagonal block's identity.
         hermitian = involution_defect(e) <= HERMITIAN_DEFECT
+        if _takes_sectors(e, t):
+            phi = SectorOperator(sector_pairs(e, t))
+            dim, fixed = phi.dim, phi.fixed
+        else:
+            phi = MomentOperator(e, t)
+            dim, fixed = phi.ambient, fixed_space_basis(e.dim, t)
         est = spectral_norm(
-            LinearMap(phi.ambient, phi.apply_vec, phi.adjoint_apply_vec),
+            LinearMap(dim, phi.apply_vec, phi.adjoint_apply_vec),
             tol=tol,
             max_iters=max_iters,
             rng=rng,
-            deflate=fixed_space_basis(e.dim, t),
+            deflate=fixed,
             hermitian=hermitian,
         )
         applies = est.iterations * (1 if hermitian else 2)

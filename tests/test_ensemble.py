@@ -1,11 +1,13 @@
 """Ensemble type, algebra, and file-format tests."""
 
 import dataclasses
+import hashlib
+import struct
 
 import numpy as np
 import pytest
 
-from conftest import dense_lambda, hermitian_ensemble, identity_ensemble, raw_haar_ensemble
+from conftest import dense_lambda, hermitian_ensemble, identity_ensemble, pauli_ensemble, raw_haar_ensemble
 from qtpe.ensemble import (
     UnitaryEnsemble,
     check_product_degree,
@@ -213,6 +215,27 @@ class TestFileFormat:
         assert back.unitaries.tobytes() == e.unitaries.tobytes()  # all 128 floats
         assert back.involution == e.involution
         assert back.label == "roundtrip"
+
+    PINNED = {  # sha256 of the files the copying writer (bytearray of tobytes) wrote
+        "pauli": "313be901bc1d0afd93c981ede60be436dbd5dcf116b491a2aac1c933ede5ba74",
+        "phase": "9c81a37c6cfd3baabbb162a0e7871ae3a38d318133fd3942fec0b586ca8d7608",
+    }
+
+    @pytest.mark.parametrize("label", sorted(PINNED))
+    def test_written_bytes_are_pinned(self, tmp_path, label):
+        if label == "pauli":
+            members, involution = pauli_ensemble().unitaries, (0, 1, 2, 3)
+        else:
+            members = np.stack([np.eye(2), [[0, 1], [1, 0]], np.diag([1, 0.6 + 0.8j])]).astype(complex)
+            involution = None
+        e = UnitaryEnsemble(2, members, involution, label)
+        raw = save(e, tmp_path / "e.qtpe").read_bytes()
+        header = b"QTPE\x01" + struct.pack("<II", 2, e.size) + bytes([involution is not None])
+        if involution is not None:
+            header += struct.pack(f"<{e.size}I", *involution)
+        entries = b"".join(struct.pack("<dd", z.real, z.imag) for z in members.reshape(-1))
+        assert raw == header + entries
+        assert hashlib.sha256(raw).hexdigest() == self.PINNED[label]
 
     def test_truncated_file_is_parse_error(self, tmp_path):
         e = sample_random_qtpe(2, 4, SeededRng(1))

@@ -22,13 +22,13 @@ from qtpe.moments import MomentOperator
 
 class ColumnSpan:
     """The span of orthonormal columns q in the form spectral_norm's `deflate`
-    takes: its rank and its projector."""
+    takes: its rank and an in-place removal of its component."""
 
     def __init__(self, q):
         self.q, self.rank = q, q.shape[1]
 
-    def project_vec(self, x):
-        return self.q @ (self.q.conj().T @ x)
+    def project_out(self, x):
+        x -= self.q @ (self.q.conj().T @ x)
 
 
 def unitarity_defect(u):
@@ -364,6 +364,13 @@ class TestHermitianLanczos:
         assert est.converged and est.residual <= 1e-6
         exact = float(np.max(np.abs(np.linalg.eigvalsh(deflated_dense(a, w)))))
         assert abs(est.value - exact) <= est.residual * est.value + 1e-12
+
+    def test_deflating_the_whole_space_gives_zero(self):
+        # a full-rank W leaves W^perp = {0}: the roundoff that projecting keeps
+        # in the start vector must not be normalised into a Lanczos vector
+        q = haar_unitary(3, SeededRng(11))
+        est = spectral_norm(as_map(np.eye(3)), rng=SeededRng(1), deflate=ColumnSpan(q), hermitian=True)
+        assert (est.value, est.iterations) == (0.0, 0)
 
     def test_zero_and_exhausted(self):
         zero = spectral_norm(as_map(np.zeros((5, 5))), rng=SeededRng(0), hermitian=True)

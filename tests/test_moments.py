@@ -34,10 +34,13 @@ from qtpe.ensemble import (
     square_compose,
 )
 from qtpe.errors import PreconditionError, SizeLimitError
-from qtpe.linalg import SeededRng, haar_unitary
+from qtpe.linalg import LinearMap, SeededRng, haar_unitary, spectral_norm
 from qtpe.moments import (
     MomentOperator,
+    SectorOperator,
     _CHUNK_BYTES,
+    _takes_sectors,
+    sector_pairs,
     design_errors,
     hermitian_sector_block,
     irrep_action,
@@ -225,6 +228,18 @@ class TestFixedSpaceBasis:
         projected = np.stack([basis.project_vec(col) for col in x.T], axis=1)
         assert basis.rank == rank
         assert np.max(np.abs(projected - q @ (q.T @ x))) <= 1e-10
+
+    @pytest.mark.parametrize("n,t", [(1, 1), (5, 1), (1, 2), (2, 3), (3, 3), (3, 4)])
+    def test_project_out_subtracts_the_projection_in_place(self, n, t):
+        # one shuffle at t = 1, so x[pos] - c either way: bit-identical there
+        basis = fixed_space_basis(n, t)
+        g = SeededRng(n, t).generator()
+        x = g.standard_normal(n ** (2 * t)) + 1j * g.standard_normal(n ** (2 * t))
+        expected = x - basis.project_vec(x)
+        basis.project_out(x)
+        if t == 1:
+            assert np.array_equal(x, expected)
+        assert np.max(np.abs(x - expected)) <= 1e-14
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_peak_memory_stays_below_4_mb(self, n):
@@ -664,17 +679,25 @@ class TestLambda:
 
 
 def count_applies(monkeypatch):
-    """Count MomentOperator's forward and adjoint applies into a dict."""
-    counts = {"apply": 0, "adjoint": 0}
-    for name, key in (("apply_vec", "apply"), ("adjoint_apply_vec", "adjoint")):
-        real = getattr(MomentOperator, name)
+    """Count the forward and adjoint applies of each map Lanczos may run,
+    MomentOperator and SectorOperator, into a dict per class name."""
+    counts = {}
+    for cls in (MomentOperator, SectorOperator):
+        counts[cls.__name__] = per = {"apply": 0, "adjoint": 0}
+        for name, key in (("apply_vec", "apply"), ("adjoint_apply_vec", "adjoint")):
+            real = getattr(cls, name)
 
-        def counted(self, x, real=real, key=key):
-            counts[key] += 1
-            return real(self, x)
+            def counted(self, x, real=real, key=key, per=per):
+                per[key] += 1
+                return real(self, x)
 
-        monkeypatch.setattr(MomentOperator, name, counted)
+            monkeypatch.setattr(cls, name, counted)
     return counts
+
+
+def lanczos_map(e, t):
+    """The class of the map the iterative path runs Lanczos on."""
+    return "SectorOperator" if _takes_sectors(e, t) else "MomentOperator"
 
 
 class TestLanczosPaths:
@@ -704,17 +727,33 @@ class TestLanczosPaths:
         assert np.allclose(np.linalg.eigvalsh(svd_deviation(e, 1)), [-1 / 3] * 3 + [0.0])
         assert rep.converged and abs(rep.lambda_ - 1 / 3) <= 1e-12
 
+    def assert_counts(self, counts, e, t, rep, adjoints):
+        ran = lanczos_map(e, t)
+        assert ran == ("MomentOperator" if t == 1 else "SectorOperator")
+        assert rep.converged and counts.pop(ran) == {"apply": rep.iterations, "adjoint": adjoints}
+        assert counts == {name: {"apply": 0, "adjoint": 0} for name in counts}
+
     def test_hermitian_ensemble_makes_no_adjoint_apply(self, monkeypatch):
+        e = hermitian_ensemble(4, 6, 7)
         counts = count_applies(monkeypatch)
-        rep = lambda_report(hermitian_ensemble(4, 6, 7), 2, method="power-iteration", rng=SeededRng(3))
-        assert rep.converged and counts == {"apply": rep.iterations, "adjoint": 0}
+        rep = lambda_report(e, 2, method="power-iteration", rng=SeededRng(3))
+        self.assert_counts(counts, e, 2, rep, 0)
         assert rep.applies == rep.iterations > 0
 
     def test_ensemble_without_involution_applies_twice_per_step(self, monkeypatch):
+        e = raw_haar_ensemble(4, 3, 7)
         counts = count_applies(monkeypatch)
-        rep = lambda_report(raw_haar_ensemble(4, 3, 7), 2, method="power-iteration", rng=SeededRng(3))
-        assert rep.converged and counts == {"apply": rep.iterations, "adjoint": rep.iterations}
+        rep = lambda_report(e, 2, method="power-iteration", rng=SeededRng(3))
+        self.assert_counts(counts, e, 2, rep, rep.iterations)
         assert rep.applies == 2 * rep.iterations > 0
+
+    @pytest.mark.parametrize("kind", ["hermitian", "raw"])
+    def test_t1_applies_count_the_moment_operator(self, monkeypatch, kind):
+        e = hermitian_ensemble(4, 6, 7) if kind == "hermitian" else raw_haar_ensemble(4, 3, 7)
+        counts = count_applies(monkeypatch)
+        rep = lambda_report(e, 1, method="power-iteration", rng=SeededRng(3))
+        self.assert_counts(counts, e, 1, rep, 0 if kind == "hermitian" else rep.iterations)
+        assert rep.applies == (1 if kind == "hermitian" else 2) * rep.iterations > 0
 
     def test_involution_defect_above_the_gate_takes_the_adjoint_path(self, monkeypatch, tmp_path):
         # a file may pass validation with an involution defect up to 1e-8 * dim;
@@ -726,7 +765,7 @@ class TestLanczosPaths:
         save(noisy, tmp_path / "noisy.qtpe")
         loaded = load(tmp_path / "noisy.qtpe")
         assert HERMITIAN_DEFECT < involution_defect(loaded) <= 1e-8
-        counts = count_applies(monkeypatch)
+        counts = count_applies(monkeypatch)["MomentOperator"]
         rep = lambda_report(loaded, 1, method="power-iteration", tol=1e-10, rng=SeededRng(1))
         assert rep.converged and counts["adjoint"] == rep.iterations and rep.applies == 2 * rep.iterations
         assert abs(rep.lambda_ - lambda_report(loaded, 1, method="dense-svd").lambda_) <= 1e-8
@@ -933,6 +972,108 @@ class TestSchurWeylSectors:
         assert sector_lambda(e, 2) == sector_lambda(e, 2)
 
 
+# (n, t) with n < t, n = t and n > t at t = 2, 3, and n < t and n = t at t = 4;
+# n > t at t = 4 takes sectors only from s = 16 members on, where the
+# dense oracle's largest block is 7350 x 7350
+SECTOR_CASES = [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
+
+
+def sector_case(n, t, family):
+    """An ensemble of shape (n, ., t) that takes the sector path: s = 4
+    members, 8 at n = t = 4 where the basis rule needs n^(t-1) <= 2ts."""
+    s = 8 if n ** (t - 1) > 2 * t * 4 else 4
+    seed = 10 * n + t
+    e = hermitian_ensemble(n, s, seed) if family == "hermitian" else raw_haar_ensemble(n, s, seed)
+    assert _takes_sectors(e, t)
+    return e
+
+
+class TestSectorOperator:
+    """Lanczos on the direct sum of the Schur-Weyl blocks: its applies against
+    the dense sector_block of each block, its lambda against sector_lambda
+    and against Lanczos on the moment operator, and the shape rule."""
+
+    @pytest.mark.parametrize("n,t", SECTOR_CASES)
+    @pytest.mark.parametrize("family", ["hermitian", "raw"])
+    def test_applies_match_the_dense_blocks(self, n, t, family):
+        pairs = sector_pairs(sector_case(n, t, family), t)
+        op = SectorOperator(pairs)
+        g = SeededRng(n, t).generator()
+        x = g.standard_normal(op.dim) + 1j * g.standard_normal(op.dim)
+        forward, backward = op.apply_vec(x), op.adjoint_apply_vec(x)
+        lo = 0
+        for p in pairs:
+            block = sector_block(p.left, p.right)
+            size = block.shape[0]
+            assert np.max(np.abs(forward[lo : lo + size] - block @ x[lo : lo + size])) <= 1e-12
+            assert np.max(np.abs(backward[lo : lo + size] - block.conj().T @ x[lo : lo + size])) <= 1e-12
+            lo += size
+        assert lo == op.dim == sum(p.left.shape[1] * p.right.shape[1] for p in pairs)
+
+    def test_fixed_space_is_each_diagonal_identity(self):
+        op = SectorOperator(sector_pairs(hermitian_ensemble(3, 4, 1), 3))
+        dims = [(p.left.shape[1], p.right.shape[1], p.diagonal) for p in sector_pairs(hermitian_ensemble(3, 4, 1), 3)]
+        assert op.fixed.rank == sum(diagonal for _, _, diagonal in dims) == 3
+        g = SeededRng(2).generator()
+        x = g.standard_normal(op.dim) + 1j * g.standard_normal(op.dim)
+        y = x.copy()
+        op.fixed.project_out(y)
+        lo = 0
+        for da, db, diagonal in dims:
+            block, before = y[lo : lo + da * db].reshape(da, db), x[lo : lo + da * db].reshape(da, db)
+            if diagonal:
+                assert abs(np.trace(block)) <= 1e-13
+                assert np.allclose(block, before - np.trace(before) / da * np.eye(da), atol=1e-14)
+            else:
+                assert np.array_equal(block, before)
+            lo += da * db
+
+    # n = t = 4 once: the raw case's complex dense blocks alone take 4 s
+    @pytest.mark.parametrize(
+        "n,t,family", [(n, t, f) for n, t in SECTOR_CASES for f in ("hermitian", "raw")] + [(4, 4, "hermitian")]
+    )
+    def test_lambda_matches_dense_and_the_moment_operator(self, n, t, family):
+        e = sector_case(n, t, family)
+        rep = lambda_report(e, t, method="power-iteration", tol=1e-12, rng=SeededRng(t))
+        phi = MomentOperator(e, t)
+        full = spectral_norm(
+            LinearMap(phi.ambient, phi.apply_vec, phi.adjoint_apply_vec),
+            tol=1e-12,
+            rng=SeededRng(t),
+            deflate=fixed_space_basis(n, t),
+            hermitian=family == "hermitian",
+        )
+        assert rep.converged and full.converged
+        assert abs(rep.lambda_ - sector_lambda(e, t)) <= 1e-10
+        assert abs(rep.lambda_ - full.value) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "n,s,t,sectors",
+        [
+            (4, 8, 3, True),  # the haar_t3 benchmark shape
+            (3, 8, 4, True),
+            (4, 8, 4, True),  # basis work n^3t equals one member apply
+            (5, 8, 2, True),  # sector apply flops equal the member kernel's
+            (2, 4, 2, True),
+            (5, 16, 4, True),
+            (6, 8, 2, False),  # sector applies cost 1.18 member applies
+            (6, 8, 3, False),  # 1.05
+            (5, 8, 4, False),  # the basis costs 1.95 member applies
+            (3, 3, 4, False),  # 1.13
+            (4, 8, 1, False),  # t = 1: the one block is the whole space
+            (40, 32, 1, False),
+        ],
+    )
+    def test_shape_rule(self, n, s, t, sectors):
+        assert _takes_sectors(raw_haar_ensemble(n, s, 0), t) is sectors
+
+    @pytest.mark.parametrize("kind", PRODUCT_KINDS)
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_products_keep_their_stage_kernels(self, kind, t):
+        e = small_product(kind)
+        assert e.stages and not _takes_sectors(e, t)
+
+
 def hermitian_basis(d):
     """The unitary T whose columns are vec(E_jj), then vec((E_jk + E_kj)/sqrt 2)
     and then vec(i(E_jk - E_kj)/sqrt 2) for j < k in row-major order."""
@@ -1017,6 +1158,28 @@ class TestHermitianCoordinates:
             tracemalloc.stop()
         side = 21 * 21
         assert peak <= 16 * side**2 + 8 * side**2 + 6 * _CHUNK_BYTES < 9.1e6
+
+    def test_sector_lambda_holds_one_block_at_a_time(self, monkeypatch):
+        # each block is released before the next is formed: one still held
+        # while the next was built raised a dense_t2 process's peak RSS by 1.4 MB
+        import qtpe.moments as m
+
+        e = hermitian_ensemble(6, 8, 0)
+        held = []
+        for name in ("sector_block", "hermitian_sector_block"):
+
+            def build(*args, real=getattr(m, name)):
+                held.append(tracemalloc.get_traced_memory()[0])
+                return real(*args)
+
+            monkeypatch.setattr(m, name, build)
+        tracemalloc.start()
+        try:
+            sector_lambda(e, 2)
+        finally:
+            tracemalloc.stop()
+        # the R stacks, 16 * 8 * (21^2 + 15^2) bytes, against a 441^2 block of 1.6 MB
+        assert len(held) == 3 and max(held) <= 2**18
 
     def test_implicit_complex_to_real_cast_fails_the_suite(self, pytestconfig):
         # a cast that drops an imaginary part in the real-block path cannot pass unnoticed
