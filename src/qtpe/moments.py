@@ -13,11 +13,14 @@ its adjoint both fix it, so its complement is invariant, and there Phi
 equals its difference with the projector. With an involution Phi is
 Hermitian and Lanczos runs on it directly; without one it runs on Phi†Phi.
 Phi comes in one of two representations, chosen from shapes alone
-(_takes_sectors). An ensemble without stages at t >= 2 whose blocks are
-cheap takes SectorOperator, the direct sum of the Schur-Weyl blocks below,
-one per unordered irrep pair, whose fixed space is each diagonal block's
-identity. Every other call takes MomentOperator on C^(n^2t), whose fixed
-space W is held as t! gathers and a t! x t! Gram matrix (FixedSpaceBasis).
+(_takes_sectors). An ensemble without stages at t >= 2, at the (n, t) where
+the blocks were measured to run faster and within a memory budget, takes
+SectorOperator, the direct sum of the Schur-Weyl blocks below, one per
+unordered irrep pair, whose fixed space is each diagonal block's identity.
+Every other call takes MomentOperator on C^(n^2t), whose fixed space W is
+held as t! gathers and a t! x t! Gram matrix (FixedSpaceBasis).
+SectorOperator is a MomentOperator on another space: the two share
+apply_vec and adjoint_apply_vec, and each names its fixed space.
 
 A MomentOperator apply runs one kernel per stage, chosen once per
 MomentOperator from the stage's shapes (_stage_kernel). The member kernel
@@ -38,11 +41,11 @@ operator is block diagonal over pairs (lambda, mu). Each block acts on
 d_lambda x d_mu matrices as X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)†,
 the Haar projector is vec(I)vec(I)†/d_lambda on the diagonal blocks and 0
 elsewhere, and lambda is the largest top singular value over the blocks
-(sector_pairs lists one per unordered pair, for both ways), read from
-eigvalsh when an involution makes the blocks Hermitian. The moment operator
-maps Hermitian matrices to Hermitian ones, so each diagonal block is solved
-as a real matrix in an orthonormal basis of Herm(V_lambda); the
-off-diagonal blocks stay complex.
+(sector_pairs lists one per unordered pair, in SectorOperator's order),
+read from eigvalsh when an involution makes the blocks Hermitian. The
+moment operator maps Hermitian matrices to Hermitian ones, so each diagonal
+block is solved as a real matrix in an orthonormal basis of Herm(V_lambda);
+the off-diagonal blocks stay complex.
 """
 
 from __future__ import annotations
@@ -88,6 +91,16 @@ MAX_T_BASIS = 6
 # c members; every benchmark shape and criteria 1 and 2 fit in one chunk, but
 # at the 10^7 iterative limit one member's intermediate alone is 160 MB
 _BATCH_BYTES = 2**27
+# The largest n at which the iterative path takes the Schur-Weyl blocks, per
+# t (_takes_sectors): the largest n at which their lambda was measured no
+# slower than the member kernel's and no larger in peak memory, on 2 vCPUs
+# with OpenBLAS (README). Both kinds of apply scale with s, so which is
+# faster depends on (n, t) alone. At s = 8 the blocks took 0.7-1.0x the
+# member kernel's time at t = 2 up to n = 12 and 1.3x at n = 16; at t = 3
+# 0.3-0.7x up to n = 10 and 1.1x at n = 12 (s = 4); at t = 4 0.2-0.3x up to
+# n = 6. At n = 7, t = 4 they took 0.8x, but the basis's SVD peaked at 705
+# MiB against the full space's 573 MiB.
+_SECTOR_MAX_DIM = {2: 12, 3: 10, 4: 6}
 # roundoff allowed on top of a closeness bound: at t=1 the bounds and the
 # closed-form distances are exactly 0; at t >= 2 a bound is at least 2*sqrt(2/d)
 CLOSENESS_ROUNDOFF = 1e-12
@@ -409,6 +422,10 @@ class MomentOperator:
             raise PreconditionError(f"expected a {nt}x{nt} matrix, got {m.shape}")
         return self.apply_vec(m.reshape(-1)).reshape(nt, nt)
 
+    def fixed_space(self) -> FixedSpaceBasis:
+        """The space W that Phi and Phi† fix, as Lanczos deflates it."""
+        return fixed_space_basis(self.local_dim, self.t)
+
     def apply_vec(self, x: np.ndarray) -> np.ndarray:
         return self._apply(x, adjoint=False)
 
@@ -485,11 +502,10 @@ def irrep_bases(n: int, t: int) -> list[IrrepBasis]:
         if t == 1:
             basis = np.eye(n, dtype=complex)
         else:
-            rows = sum(shuffle_operator(p, n, t) for p in row_group(shape))
-            cols = sum(sign(q) * shuffle_operator(q, n, t) for q in column_group(shape))
-            basis, rank = orthonormalize(rows @ cols)
+            basis, rank = orthonormalize(_young_symmetriser(shape, n, t))
             if rank != dim:
                 raise AssertionError(f"Young symmetriser {shape} has rank {rank}, hook-content formula gives {dim}")
+            basis = basis.copy()  # a view would keep the SVD's whole n^t x n^t factor alive
         out.append(IrrepBasis(shape, symmetric_irrep_dim(shape), basis))
     copies = sum(b.multiplicity * b.dim for b in out)
     if copies != nt:
@@ -497,18 +513,43 @@ def irrep_bases(n: int, t: int) -> list[IrrepBasis]:
     return out
 
 
+def _young_symmetriser(shape: tuple[int, ...], n: int, t: int) -> np.ndarray:
+    """c_lambda = (sum_row P_p)(sum_col sgn(q) P_q) as a dense complex n^t x n^t
+    matrix, written one product at a time: P_p P_q is a permutation matrix
+    whose one of column j lies in row r_p(r_q(j)), so c_lambda is |R||C|
+    signed scatters of n^t ones, with no other n^t x n^t array and no GEMM.
+    Its entries are small integers, so it equals the product of the two
+    sums exactly."""
+    nt = n**t
+    out = np.zeros(nt * nt, dtype=complex)
+    cols = np.arange(nt)
+    for p in row_group(shape):
+        r_p = _shuffle_targets(p, n, t) // nt
+        for q in column_group(shape):
+            out[r_p[_shuffle_targets(q, n, t) // nt] * nt + cols] += sign(q)
+    return out.reshape(nt, nt)
+
+
 def irrep_action(members: np.ndarray, basis: np.ndarray, n: int, t: int) -> np.ndarray:
     """R(U_i) = B† U_i^(x t) B for every member, as an (s, d, d) stack.
 
     U^(x t) B is t mode contractions on the columns of B, batched over
-    members; no Kronecker power is formed.
+    members; no Kronecker power is formed. The members go a chunk at a time,
+    so that the two stacked n^t x d intermediates of a contraction hold at
+    most _BATCH_BYTES together.
     """
     s = members.shape[0]
     nt, d = basis.shape
-    cur = np.broadcast_to(basis, (s, nt, d))
-    for mode in range(t):
-        cur = np.matmul(members[:, None], cur.reshape(s, n**mode, n, -1))
-    return np.matmul(basis.conj().T, cur.reshape(s, nt, d))
+    out = np.empty((s, d, d), dtype=complex)
+    step = max(1, _BATCH_BYTES // (2 * 16 * nt * d))
+    for lo in range(0, s, step):
+        chunk = members[lo : lo + step]
+        c = chunk.shape[0]
+        cur = np.broadcast_to(basis, (c, nt, d))
+        for mode in range(t):
+            cur = np.matmul(chunk[:, None], cur.reshape(c, n**mode, n, -1))
+        np.matmul(basis.conj().T, cur.reshape(c, nt, d), out=out[lo : lo + c])
+    return out
 
 
 def sector_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -583,10 +624,21 @@ class SectorPair(NamedTuple):
     diagonal: bool
 
 
+def irrep_actions(e: UnitaryEnsemble, t: int) -> list[np.ndarray]:
+    """The stack R_lambda(U_i) of every irrep lambda of (C^n)^(x t), in
+    irrep_bases order."""
+    return [irrep_action(e.unitaries, b.basis, e.dim, t) for b in irrep_bases(e.dim, t)]
+
+
+def _irrep_pairs(k: int) -> list[tuple[int, int]]:
+    """The unordered pairs of k irreps in sector_pairs order: (i, i), then (i, j) for j > i."""
+    return [(i, j) for i in range(k) for j in range(i, k)]
+
+
 def sector_pairs(e: UnitaryEnsemble, t: int) -> list[SectorPair]:
     """One block per unordered irrep pair, the diagonal block of each irrep
-    first, then its pairs with the later ones: the blocks both sector_lambda
-    and SectorOperator read.
+    first, then its pairs with the later ones: the blocks sector_lambda
+    reads, in the order SectorOperator holds them.
 
     The (mu, lambda) block equals J (lambda, mu) J with the antiunitary
     J: X -> X†, so it has the same singular values and, when both are
@@ -594,8 +646,8 @@ def sector_pairs(e: UnitaryEnsemble, t: int) -> list[SectorPair]:
     carry the norm of Phi - P and, under an involution, its extreme
     eigenvalues.
     """
-    reps = [irrep_action(e.unitaries, b.basis, e.dim, t) for b in irrep_bases(e.dim, t)]
-    return [SectorPair(a, b, i == j) for i, a in enumerate(reps) for j, b in enumerate(reps) if j >= i]
+    reps = irrep_actions(e, t)
+    return [SectorPair(reps[i], reps[j], i == j) for i, j in _irrep_pairs(len(reps))]
 
 
 def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
@@ -648,62 +700,103 @@ class SectorFixedSpace:
             diag -= diag.sum() / d
 
 
-class SectorOperator:
+@dataclass
+class SectorOperator(MomentOperator):
     """Phi on the direct sum of its Schur-Weyl blocks, one per unordered irrep
-    pair (sector_pairs), matrix-free: the iterative path's representation of
-    Phi for the shapes _takes_sectors admits.
+    pair in sector_pairs order, matrix-free: the iterative path's
+    representation of Phi for the shapes _takes_sectors admits.
 
-    The vector holds each block's d_lambda x d_mu matrix X, row-major, in
-    sector_pairs order. Forward, a block maps X -> (1/s) sum_i R_lambda(U_i)
-    X R_mu(U_i)†: one GEMM by the stacked R_lambda(U_i) (s d_lambda x
-    d_lambda), a copy that moves the member axis between the row and column
-    axes, and one GEMM by the stacked R_mu(U_i)†/s (s d_mu x d_mu) that sums
-    over the members, s d_lambda d_mu (d_lambda + d_mu) multiply-adds. The
-    adjoint takes R_lambda(U_i)† and R_mu(U_i)/s. Phi - P is Phi on the
-    complement of `fixed`, each diagonal block's vec(I)/sqrt(d_lambda).
+    It is the moment operator of the same ensemble at the same t, on another
+    space, so it shares MomentOperator's apply_vec and adjoint_apply_vec
+    (and whatever counts or times them); `ambient` is the direct sum's
+    dimension, and fixed_space() is each diagonal block's vec(I)/sqrt(d).
+    The vector holds each block's d_lambda x d_mu matrix X, row-major.
+    Forward, a block maps X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)†: one
+    GEMM by the stacked R_lambda(U_i) (s d_lambda x d_lambda), a copy that
+    moves the member axis between the row and column axes, one GEMM by the
+    stacked R_mu(U_i)† (s d_mu x d_mu) that sums over the members, and the
+    division by s; s d_lambda d_mu (d_lambda + d_mu) multiply-adds. The
+    adjoint takes R_lambda(U_i)† and R_mu(U_i).
 
-    The block stacks hold s (d_lambda^2 + d_mu^2) entries per pair, and the
-    two intermediates of the largest block live in a two-row workspace that
-    every apply reuses, so one SectorOperator must not be applied from two
-    threads at once.
+    Each irrep's two stacks, of its R(U_i) and of their adjoints, are held
+    once and every pair indexes them: 2 s sum_lambda d_lambda^2 entries. The
+    two intermediates of the largest block live in a two-row workspace of
+    2 s max d_lambda d_mu entries, allocated at the first apply and reused by
+    every later one, so one SectorOperator must not be applied from two
+    threads at once. _sector_bytes counts both; building the stacks adds at
+    most _BATCH_BYTES of transients (irrep_action). apply() takes no
+    matrix over (C^n)^(x t): the vectors live on the direct sum.
     """
 
-    def __init__(self, pairs: list[SectorPair]):
+    def __post_init__(self):
+        if self.t < 1:
+            raise PreconditionError(f"t must be >= 1, got {self.t}")
+        reps = irrep_actions(self.ensemble, self.t)
+        self._stacks = []
+        for r in reps:
+            adjoints = np.empty_like(r)
+            np.conjugate(r.transpose(0, 2, 1), out=adjoints)
+            self._stacks.append((r.reshape(-1, r.shape[2]), adjoints.reshape(-1, r.shape[2])))
         self._blocks = []
-        lo = 0
         diagonals = []
-        for p in pairs:
-            s, da, _ = p.left.shape
-            db = p.right.shape[1]
-            if p.diagonal:
+        lo = 0
+        for i, j in _irrep_pairs(len(reps)):
+            da, db = reps[i].shape[2], reps[j].shape[2]
+            if i == j:
                 diagonals.append((lo, da))
-            right = p.right / s
-            # reshaping the transposed stacks copies them into stacking order
-            forward = (p.left.reshape(s * da, da), right.conj().transpose(0, 2, 1).reshape(s * db, db))
-            backward = (p.left.conj().transpose(0, 2, 1).reshape(s * da, da), right.reshape(s * db, db))
-            self._blocks.append((lo, s, da, db, forward, backward))
+            self._blocks.append((lo, da, db, i, j))
             lo += da * db
-        self.dim = lo
-        self.fixed = SectorFixedSpace(diagonals)
-        self._work = np.empty((2, max(s * da * db for _, s, da, db, _, _ in self._blocks)), dtype=complex)
+        self._dim = lo
+        self._fixed = SectorFixedSpace(diagonals)
 
-    def apply_vec(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(x, adjoint=False)
+    @property
+    def ambient(self) -> int:
+        return self._dim
 
-    def adjoint_apply_vec(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(x, adjoint=True)
+    def fixed_space(self) -> SectorFixedSpace:
+        return self._fixed
+
+    def apply(self, m: np.ndarray) -> np.ndarray:
+        raise PreconditionError("a SectorOperator acts on its direct sum of blocks (apply_vec), not on matrices")
 
     def _apply(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
+        s = self.ensemble.size
+        if self._work is None:
+            self._work = np.empty((2, s * max(da * db for _, da, db, _, _ in self._blocks)), dtype=complex)
         x = np.asarray(x, dtype=complex)
-        out = np.empty(self.dim, dtype=complex)
-        for lo, s, da, db, forward, backward in self._blocks:
-            left, right = backward if adjoint else forward
+        out = np.empty(self._dim, dtype=complex)
+        for lo, da, db, i, j in self._blocks:
+            # forward R_lambda(U_i) on the left and R_mu(U_i)† on the right; the adjoint swaps them
+            (r_left, rh_left), (r_right, rh_right) = self._stacks[i], self._stacks[j]
+            left, right = (rh_left, r_right) if adjoint else (r_left, rh_right)
             size = da * db
             first, moved = self._work[0, : s * size], self._work[1, : s * size]
+            block = out[lo : lo + size].reshape(da, db)
             np.matmul(left, x[lo : lo + size].reshape(da, db), out=first.reshape(s * da, db))
             np.copyto(moved.reshape(da, s, db), first.reshape(s, da, db).transpose(1, 0, 2))
-            np.matmul(moved.reshape(da, s * db), right, out=out[lo : lo + size].reshape(da, db))
+            np.matmul(moved.reshape(da, s * db), right, out=block)
+            block /= s
         return out
+
+    def dense(self) -> np.ndarray:
+        """The ambient x ambient matrix on the direct sum, block diagonal with
+        each pair's sector_block: the applies' oracle."""
+        if self.ambient > DENSE_LIMIT:
+            raise SizeLimitError(f"direct sum {self.ambient} exceeds dense limit {DENSE_LIMIT}")
+        s = self.ensemble.size
+        out = np.zeros((self.ambient, self.ambient), dtype=complex)
+        for lo, da, db, i, j in self._blocks:
+            hi = lo + da * db
+            a, b = self._stacks[i][0].reshape(s, da, da), self._stacks[j][0].reshape(s, db, db)
+            out[lo:hi, lo:hi] = sector_block(a, b)
+        return out
+
+
+def _sector_bytes(n: int, s: int, t: int) -> int:
+    """Bytes a SectorOperator of s members holds: each irrep's two stacks
+    and the two-row workspace of its largest block."""
+    dims = [unitary_irrep_dim(shape, n) for shape in partitions(t) if len(shape) <= n]
+    return 16 * s * (2 * sum(d * d for d in dims) + 2 * max(dims) ** 2)
 
 
 def _takes_sectors(e: UnitaryEnsemble, t: int) -> bool:
@@ -712,18 +805,17 @@ def _takes_sectors(e: UnitaryEnsemble, t: int) -> bool:
 
     Only an ensemble without stages at t >= 2 may: a product keeps its stage
     kernels, and at t = 1 the one block is the whole space. Its blocks are
-    taken when their apply, sum over lambda <= mu of s d_lambda d_mu
-    (d_lambda + d_mu) multiply-adds, costs no more than the member kernel's
-    2t s n^(2t+1), and when the one-off basis work, n^(3t) for the Young
-    symmetrisers' SVDs, costs no more than one member-kernel apply.
+    taken when (a) n is at most _SECTOR_MAX_DIM[t]; (b) it has two members
+    or more: one member's Phi is unitary, Lanczos ends after a step or two,
+    and nothing repays the basis work, n^(3t) for the Young symmetrisers'
+    SVDs (7.4 s against 0.19 s at n = 6, t = 4); and (c) the operator holds
+    at most 2 * _BATCH_BYTES (_sector_bytes), the bound on MomentOperator's
+    workspace.
     """
     if e.stages or t < 2:
         return False
     n, s = e.dim, e.size
-    member = 2 * t * s * n ** (2 * t + 1)
-    dims = [unitary_irrep_dim(shape, n) for shape in partitions(t) if len(shape) <= n]
-    sectors = sum(s * a * b * (a + b) for i, a in enumerate(dims) for b in dims[i:])
-    return sectors <= member and n ** (3 * t) <= member
+    return n <= _SECTOR_MAX_DIM.get(t, 0) and s >= 2 and _sector_bytes(n, s, t) <= 2 * _BATCH_BYTES
 
 
 @dataclass
@@ -813,18 +905,13 @@ def lambda_report(
         # involution Phi† = Phi, so its norm there is its largest |eigenvalue|.
         # On the sector blocks W is each diagonal block's identity.
         hermitian = involution_defect(e) <= HERMITIAN_DEFECT
-        if _takes_sectors(e, t):
-            phi = SectorOperator(sector_pairs(e, t))
-            dim, fixed = phi.dim, phi.fixed
-        else:
-            phi = MomentOperator(e, t)
-            dim, fixed = phi.ambient, fixed_space_basis(e.dim, t)
+        phi = (SectorOperator if _takes_sectors(e, t) else MomentOperator)(e, t)
         est = spectral_norm(
-            LinearMap(dim, phi.apply_vec, phi.adjoint_apply_vec),
+            LinearMap(phi.ambient, phi.apply_vec, phi.adjoint_apply_vec),
             tol=tol,
             max_iters=max_iters,
             rng=rng,
-            deflate=fixed,
+            deflate=phi.fixed_space(),
             hermitian=hermitian,
         )
         applies = est.iterations * (1 if hermitian else 2)

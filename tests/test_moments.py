@@ -34,11 +34,13 @@ from qtpe.ensemble import (
     square_compose,
 )
 from qtpe.errors import PreconditionError, SizeLimitError
-from qtpe.linalg import LinearMap, SeededRng, haar_unitary, spectral_norm
+from qtpe.linalg import DENSE_LIMIT, LinearMap, SeededRng, haar_unitary, spectral_norm
 from qtpe.moments import (
     MomentOperator,
     SectorOperator,
     _CHUNK_BYTES,
+    _sector_bytes,
+    _young_symmetriser,
     _takes_sectors,
     sector_pairs,
     design_errors,
@@ -61,10 +63,13 @@ from qtpe.perms import (
     Permutation,
     all_permutations,
     cycle_count,
+    column_group,
     cycle_gram_matrix,
     falling_factorial,
     partitions,
     permutation_gram,
+    row_group,
+    sign,
     unitary_irrep_dim,
 )
 from qtpe.zigzag import zigzag, zigzag_derandomised, zigzag_generalised
@@ -679,19 +684,18 @@ class TestLambda:
 
 
 def count_applies(monkeypatch):
-    """Count the forward and adjoint applies of each map Lanczos may run,
-    MomentOperator and SectorOperator, into a dict per class name."""
-    counts = {}
-    for cls in (MomentOperator, SectorOperator):
-        counts[cls.__name__] = per = {"apply": 0, "adjoint": 0}
-        for name, key in (("apply_vec", "apply"), ("adjoint_apply_vec", "adjoint")):
-            real = getattr(cls, name)
+    """Count the forward and adjoint applies of the map Lanczos ran, into a
+    dict per class name. SectorOperator shares MomentOperator's apply_vec and
+    adjoint_apply_vec, so wrapping those two counts either map."""
+    counts = {name: {"apply": 0, "adjoint": 0} for name in ("MomentOperator", "SectorOperator")}
+    for name, key in (("apply_vec", "apply"), ("adjoint_apply_vec", "adjoint")):
+        real = getattr(MomentOperator, name)
 
-            def counted(self, x, real=real, key=key, per=per):
-                per[key] += 1
-                return real(self, x)
+        def counted(self, x, real=real, key=key):
+            counts[type(self).__name__][key] += 1
+            return real(self, x)
 
-            monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(MomentOperator, name, counted)
     return counts
 
 
@@ -907,6 +911,18 @@ class TestSchurWeylSectors:
         for b in irrep_bases(n, t):
             assert np.allclose(b.basis.conj().T @ b.basis, np.eye(b.dim), atol=1e-12)
 
+    @pytest.mark.parametrize("n,t", [(1, 2), (3, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
+    def test_young_symmetriser_is_the_product_of_the_group_sums(self, n, t):
+        # bit for bit, signed zeros included, so the SVD and the bases are unchanged
+        for shape in partitions(t):
+            rows = sum(shuffle_operator(p, n, t) for p in row_group(shape))
+            cols = sum(sign(q) * shuffle_operator(q, n, t) for q in column_group(shape))
+            assert _young_symmetriser(shape, n, t).tobytes() == (rows @ cols).tobytes()
+
+    def test_bases_hold_only_their_columns(self):
+        for b in irrep_bases(3, 3):
+            assert b.basis.base is None or b.basis.base.size == b.basis.size
+
     def test_t1_basis_is_exactly_the_identity(self):
         (only,) = irrep_bases(5, 1)
         assert only.shape == (1,) and only.multiplicity == 1
@@ -973,17 +989,15 @@ class TestSchurWeylSectors:
 
 
 # (n, t) with n < t, n = t and n > t at t = 2, 3, and n < t and n = t at t = 4;
-# n > t at t = 4 takes sectors only from s = 16 members on, where the
-# dense oracle's largest block is 7350 x 7350
+# n > t at t = 4 is left out: at n = 5 the dense oracle's largest block is
+# 11025 x 11025
 SECTOR_CASES = [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
 
 
 def sector_case(n, t, family):
-    """An ensemble of shape (n, ., t) that takes the sector path: s = 4
-    members, 8 at n = t = 4 where the basis rule needs n^(t-1) <= 2ts."""
-    s = 8 if n ** (t - 1) > 2 * t * 4 else 4
+    """An ensemble of shape (n, 4, t) that takes the sector path."""
     seed = 10 * n + t
-    e = hermitian_ensemble(n, s, seed) if family == "hermitian" else raw_haar_ensemble(n, s, seed)
+    e = hermitian_ensemble(n, 4, seed) if family == "hermitian" else raw_haar_ensemble(n, 4, seed)
     assert _takes_sectors(e, t)
     return e
 
@@ -996,10 +1010,10 @@ class TestSectorOperator:
     @pytest.mark.parametrize("n,t", SECTOR_CASES)
     @pytest.mark.parametrize("family", ["hermitian", "raw"])
     def test_applies_match_the_dense_blocks(self, n, t, family):
-        pairs = sector_pairs(sector_case(n, t, family), t)
-        op = SectorOperator(pairs)
+        e = sector_case(n, t, family)
+        pairs, op = sector_pairs(e, t), SectorOperator(e, t)
         g = SeededRng(n, t).generator()
-        x = g.standard_normal(op.dim) + 1j * g.standard_normal(op.dim)
+        x = g.standard_normal(op.ambient) + 1j * g.standard_normal(op.ambient)
         forward, backward = op.apply_vec(x), op.adjoint_apply_vec(x)
         lo = 0
         for p in pairs:
@@ -1008,16 +1022,18 @@ class TestSectorOperator:
             assert np.max(np.abs(forward[lo : lo + size] - block @ x[lo : lo + size])) <= 1e-12
             assert np.max(np.abs(backward[lo : lo + size] - block.conj().T @ x[lo : lo + size])) <= 1e-12
             lo += size
-        assert lo == op.dim == sum(p.left.shape[1] * p.right.shape[1] for p in pairs)
+        assert lo == op.ambient == sum(p.left.shape[1] * p.right.shape[1] for p in pairs)
+        if op.ambient <= DENSE_LIMIT:
+            assert np.max(np.abs(forward - op.dense() @ x)) <= 1e-12
 
     def test_fixed_space_is_each_diagonal_identity(self):
-        op = SectorOperator(sector_pairs(hermitian_ensemble(3, 4, 1), 3))
+        op = SectorOperator(hermitian_ensemble(3, 4, 1), 3)
         dims = [(p.left.shape[1], p.right.shape[1], p.diagonal) for p in sector_pairs(hermitian_ensemble(3, 4, 1), 3)]
-        assert op.fixed.rank == sum(diagonal for _, _, diagonal in dims) == 3
+        assert op.fixed_space().rank == sum(diagonal for _, _, diagonal in dims) == 3
         g = SeededRng(2).generator()
-        x = g.standard_normal(op.dim) + 1j * g.standard_normal(op.dim)
+        x = g.standard_normal(op.ambient) + 1j * g.standard_normal(op.ambient)
         y = x.copy()
-        op.fixed.project_out(y)
+        op.fixed_space().project_out(y)
         lo = 0
         for da, db, diagonal in dims:
             block, before = y[lo : lo + da * db].reshape(da, db), x[lo : lo + da * db].reshape(da, db)
@@ -1051,15 +1067,17 @@ class TestSectorOperator:
         "n,s,t,sectors",
         [
             (4, 8, 3, True),  # the haar_t3 benchmark shape
-            (3, 8, 4, True),
-            (4, 8, 4, True),  # basis work n^3t equals one member apply
-            (5, 8, 2, True),  # sector apply flops equal the member kernel's
-            (2, 4, 2, True),
-            (5, 16, 4, True),
-            (6, 8, 2, False),  # sector applies cost 1.18 member applies
-            (6, 8, 3, False),  # 1.05
-            (5, 8, 4, False),  # the basis costs 1.95 member applies
-            (3, 3, 4, False),  # 1.13
+            (12, 8, 2, True),  # the largest n measured no slower at t = 2
+            (13, 8, 2, False),
+            (10, 4, 3, True),  # at t = 3
+            (11, 4, 3, False),
+            (6, 4, 4, True),  # at t = 4
+            (7, 4, 4, False),
+            (6, 2, 4, True),  # two members: 75 s against 545 s
+            (6, 1, 4, False),  # one member: the basis alone costs 7.4 s against 0.19 s
+            (2, 1, 2, False),
+            (6, 66, 4, True),  # holds 254.5 MiB of the 256 MiB that 2 * _BATCH_BYTES allows
+            (6, 67, 4, False),
             (4, 8, 1, False),  # t = 1: the one block is the whole space
             (40, 32, 1, False),
         ],
@@ -1072,6 +1090,39 @@ class TestSectorOperator:
     def test_products_keep_their_stage_kernels(self, kind, t):
         e = small_product(kind)
         assert e.stages and not _takes_sectors(e, t)
+
+    def test_shares_the_moment_operator_applies(self):
+        # what counts or times MomentOperator's applies sees the sector map's too
+        assert issubclass(SectorOperator, MomentOperator)
+        assert "apply_vec" not in vars(SectorOperator) and "adjoint_apply_vec" not in vars(SectorOperator)
+        op = SectorOperator(hermitian_ensemble(3, 4, 1), 3)
+        with pytest.raises(PreconditionError):
+            op.apply(np.eye(27))
+
+    def test_memory_stays_within_the_budget_at_large_s(self, monkeypatch):
+        import qtpe.moments as m
+
+        # with a 1 MiB _BATCH_BYTES, (n, t) = (3, 3) holds 16 (2 * 165 + 2 * 100) =
+        # 8480 B a member (irreps of dimensions 10, 8 and 1), so the rule admits up to
+        # s = 247 members against a 2 MiB budget
+        budget = 2**20
+        monkeypatch.setattr(m, "_BATCH_BYTES", budget)
+        assert _sector_bytes(3, 247, 3) == 247 * 8480 <= 2 * budget < _sector_bytes(3, 248, 3)
+        e = raw_haar_ensemble(3, 247, 0)
+        assert _takes_sectors(e, 3) and not _takes_sectors(raw_haar_ensemble(3, 248, 0), 3)
+        tracemalloc.start()
+        try:
+            op = SectorOperator(e, 3)
+            x = np.ones(op.ambient, dtype=complex)
+            op.apply_vec(x)
+            op.adjoint_apply_vec(x)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beyond the stacks and the workspace: the vector of 263 entries
+        assert held <= _sector_bytes(3, 247, 3) + 2**14
+        # building the stacks adds at most one _BATCH_BYTES of transients
+        assert peak <= _sector_bytes(3, 247, 3) + budget + 2**14
 
 
 def hermitian_basis(d):
