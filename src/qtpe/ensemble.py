@@ -25,7 +25,8 @@ from .linalg import ITERATIVE_AMBIENT_LIMIT, SeededRng, haar_unitary, kron
 MAGIC = b"QTPE"
 FORMAT_VERSION = 1
 PRODUCT_DEGREE_LIMIT = 4096
-PRODUCT_ENTRY_LIMIT = 2**26  # degree * dim^2 complex entries of one product's members: 1 GiB
+# degree * dim^2 complex entries of the members of one product, sample or double: 1 GiB
+PRODUCT_ENTRY_LIMIT = 2**26
 
 
 @dataclass
@@ -190,7 +191,8 @@ def sample_random_qtpe(d: int, s: int, rng: SeededRng, label: str = "") -> Unita
     Requires even s >= 4. Involution is -i = (i + s/2) mod s, making the
     result explicitly Hermitian. A dimension whose t=1 moment space d^2
     already exceeds the iterative limit is refused before any draw, since
-    no lambda of such an ensemble can be measured at any t.
+    no lambda of such an ensemble can be measured at any t, and so is a
+    degree whose members would hold more than PRODUCT_ENTRY_LIMIT entries.
     """
     if s < 4 or s % 2 != 0:
         raise PreconditionError(f"degree must be an even integer >= 4, got {s}")
@@ -198,12 +200,16 @@ def sample_random_qtpe(d: int, s: int, rng: SeededRng, label: str = "") -> Unita
         raise PreconditionError(f"dimension must be >= 1, got {d}")
     if d * d > ITERATIVE_AMBIENT_LIMIT:
         raise SizeLimitError(f"dimension {d}: d^2 = {d * d} exceeds the iterative limit {ITERATIVE_AMBIENT_LIMIT}")
+    _check_member_entries(s, d)
     half = np.stack([haar_unitary(d, rng.child(i)) for i in range(s // 2)])
     return replace(hermitian_double(UnitaryEnsemble(d, half)), label=label or f"haar-d{d}-s{s}")
 
 
 def hermitian_double(e: UnitaryEnsemble) -> UnitaryEnsemble:
-    """Union with the adjoint family (kept with multiplicity): degree exactly 2s."""
+    """Union with the adjoint family (kept with multiplicity): degree exactly 2s.
+    Members that would hold more than PRODUCT_ENTRY_LIMIT entries are
+    refused before they are formed."""
+    _check_member_entries(2 * e.size, e.dim)
     members = np.concatenate([e.unitaries, e.adjoints()])
     s = e.size
     involution = tuple(list(range(s, 2 * s)) + list(range(s)))
@@ -233,9 +239,15 @@ def check_product_degree(sizes: list[int], dim: int) -> None:
     degree = math.prod(sizes)
     if degree > PRODUCT_DEGREE_LIMIT:
         raise SizeLimitError(f"product degree {degree} exceeds guard {PRODUCT_DEGREE_LIMIT}")
+    _check_member_entries(degree, dim)
+
+
+def _check_member_entries(degree: int, dim: int) -> None:
+    """Refuse degree members on C^dim that would hold more than
+    PRODUCT_ENTRY_LIMIT entries (degree * dim^2), before any is formed."""
     entries = degree * dim * dim
     if entries > PRODUCT_ENTRY_LIMIT:
-        raise SizeLimitError(f"{entries} product member entries exceed guard PRODUCT_ENTRY_LIMIT {PRODUCT_ENTRY_LIMIT}")
+        raise SizeLimitError(f"{entries} member entries exceed guard PRODUCT_ENTRY_LIMIT {PRODUCT_ENTRY_LIMIT}")
 
 
 def square_compose(e: UnitaryEnsemble) -> UnitaryEnsemble:

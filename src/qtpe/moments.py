@@ -13,14 +13,17 @@ its adjoint both fix it, so its complement is invariant, and there Phi
 equals its difference with the projector. With an involution Phi is
 Hermitian and Lanczos runs on it directly; without one it runs on Phi†Phi.
 Phi comes in one of two representations, chosen from shapes alone
-(_takes_sectors). An ensemble without stages at t >= 2, at the (n, t) where
-the blocks were measured to run faster and within a memory budget, takes
-SectorOperator, the direct sum of the Schur-Weyl blocks below, one per
-unordered irrep pair, whose fixed space is each diagonal block's identity.
-Every other call takes MomentOperator on C^(n^2t), whose fixed space W is
-held as t! gathers and a t! x t! Gram matrix (FixedSpaceBasis).
-SectorOperator is a MomentOperator on another space: the two share
-apply_vec and adjoint_apply_vec, and each names its fixed space.
+(_takes_sectors). An ensemble without stages, with two members or more,
+within a memory budget and, at t >= 2, at the (n, t) where the blocks were
+measured to run faster, takes SectorOperator, the direct sum of the
+Schur-Weyl blocks below, one per unordered irrep pair, whose fixed space
+is each diagonal block's identity; at t = 1 that is one block, the whole
+space. Each block apply is two GEMMs by a member-minor stack of R(U_i), with
+no reordering copy. Every other call takes MomentOperator on C^(n^2t),
+whose fixed space W is held as t! gathers and a t! x t! Gram matrix
+(FixedSpaceBasis). SectorOperator is a MomentOperator on another space:
+the two share apply_vec and adjoint_apply_vec, and each names its fixed
+space.
 
 A MomentOperator apply runs one kernel per stage, chosen once per
 MomentOperator from the stage's shapes (_stage_kernel). The member kernel
@@ -626,7 +629,10 @@ class SectorPair(NamedTuple):
 
 def irrep_actions(e: UnitaryEnsemble, t: int) -> list[np.ndarray]:
     """The stack R_lambda(U_i) of every irrep lambda of (C^n)^(x t), in
-    irrep_bases order."""
+    irrep_bases order. At t = 1 the one irrep is C^n with the basis I, so
+    the stack is the members themselves."""
+    if t == 1:
+        return [e.unitaries]
     return [irrep_action(e.unitaries, b.basis, e.dim, t) for b in irrep_bases(e.dim, t)]
 
 
@@ -710,22 +716,26 @@ class SectorOperator(MomentOperator):
     space, so it shares MomentOperator's apply_vec and adjoint_apply_vec
     (and whatever counts or times them); `ambient` is the direct sum's
     dimension, and fixed_space() is each diagonal block's vec(I)/sqrt(d).
-    The vector holds each block's d_lambda x d_mu matrix X, row-major.
-    Forward, a block maps X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)†: one
-    GEMM by the stacked R_lambda(U_i) (s d_lambda x d_lambda), a copy that
-    moves the member axis between the row and column axes, one GEMM by the
-    stacked R_mu(U_i)† (s d_mu x d_mu) that sums over the members, and the
-    division by s; s d_lambda d_mu (d_lambda + d_mu) multiply-adds. The
-    adjoint takes R_lambda(U_i)† and R_mu(U_i).
+    The vector holds each block's d_lambda x d_mu matrix X, row-major. At
+    t = 1 the one block is the whole space, in the same layout.
 
-    Each irrep's two stacks, of its R(U_i) and of their adjoints, are held
-    once and every pair indexes them: 2 s sum_lambda d_lambda^2 entries. The
-    two intermediates of the largest block live in a two-row workspace of
-    2 s max d_lambda d_mu entries, allocated at the first apply and reused by
-    every later one, so one SectorOperator must not be applied from two
-    threads at once. _sector_bytes counts both; building the stacks adds at
-    most _BATCH_BYTES of transients (irrep_action). apply() takes no
-    matrix over (C^n)^(x t): the vectors live on the direct sum.
+    Each irrep's stack is laid out member-minor once, H[a, i, b] =
+    R(U_i)[a, b], with its conjugate: 2 s sum_lambda d_lambda^2 entries
+    that every pair indexes. Read as (d s) x d, H is [R(U_1); ...; R(U_s)]
+    with the members interleaved row by row; read as d x (s d) it is
+    [R(U_1) ... R(U_s)]. Forward, a block maps X -> (1/s) sum_i
+    R_lambda(U_i) X R_mu(U_i)† in two GEMMs: Y = H_lambda X, whose rows
+    read as d_lambda x (s d_mu) already hold [R_1 X ... R_s X], and one
+    long-K GEMM Y conj(H_mu)^T that sums over the members into the block,
+    then the division by s. The adjoint is Z = X H_mu and conj(H_lambda)^T Z,
+    Z read as (d_lambda s) x d_mu. Either way s d_lambda d_mu (d_lambda +
+    d_mu) multiply-adds and no reordering copy. The one intermediate lives
+    in a workspace of s max d_lambda d_mu entries, allocated at the first
+    apply and reused, so one SectorOperator must not be applied from two
+    threads at once; after the first apply, an apply allocates only its
+    result. _sector_bytes bounds what the operator holds; building the
+    stacks adds at most _BATCH_BYTES of transients (irrep_action). apply()
+    takes no matrix over (C^n)^(x t): the vectors live on the direct sum.
     """
 
     def __post_init__(self):
@@ -733,15 +743,14 @@ class SectorOperator(MomentOperator):
             raise PreconditionError(f"t must be >= 1, got {self.t}")
         reps = irrep_actions(self.ensemble, self.t)
         self._stacks = []
-        for r in reps:
-            adjoints = np.empty_like(r)
-            np.conjugate(r.transpose(0, 2, 1), out=adjoints)
-            self._stacks.append((r.reshape(-1, r.shape[2]), adjoints.reshape(-1, r.shape[2])))
+        while reps:  # each R(U_i) stack is dropped once laid out
+            h = np.ascontiguousarray(reps.pop(0).transpose(1, 0, 2))
+            self._stacks.append((h, h.conj()))
         self._blocks = []
         diagonals = []
         lo = 0
-        for i, j in _irrep_pairs(len(reps)):
-            da, db = reps[i].shape[2], reps[j].shape[2]
+        for i, j in _irrep_pairs(len(self._stacks)):
+            da, db = self._stacks[i][0].shape[0], self._stacks[j][0].shape[0]
             if i == j:
                 diagonals.append((lo, da))
             self._blocks.append((lo, da, db, i, j))
@@ -762,19 +771,19 @@ class SectorOperator(MomentOperator):
     def _apply(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
         s = self.ensemble.size
         if self._work is None:
-            self._work = np.empty((2, s * max(da * db for _, da, db, _, _ in self._blocks)), dtype=complex)
+            self._work = np.empty(s * max(da * db for _, da, db, _, _ in self._blocks), dtype=complex)
         x = np.asarray(x, dtype=complex)
         out = np.empty(self._dim, dtype=complex)
         for lo, da, db, i, j in self._blocks:
-            # forward R_lambda(U_i) on the left and R_mu(U_i)† on the right; the adjoint swaps them
-            (r_left, rh_left), (r_right, rh_right) = self._stacks[i], self._stacks[j]
-            left, right = (rh_left, r_right) if adjoint else (r_left, rh_right)
+            (h_left, hc_left), (h_right, hc_right) = self._stacks[i], self._stacks[j]
             size = da * db
-            first, moved = self._work[0, : s * size], self._work[1, : s * size]
-            block = out[lo : lo + size].reshape(da, db)
-            np.matmul(left, x[lo : lo + size].reshape(da, db), out=first.reshape(s * da, db))
-            np.copyto(moved.reshape(da, s, db), first.reshape(s, da, db).transpose(1, 0, 2))
-            np.matmul(moved.reshape(da, s * db), right, out=block)
+            work, block = self._work[: s * size], out[lo : lo + size].reshape(da, db)
+            if adjoint:
+                np.matmul(x[lo : lo + size].reshape(da, db), h_right.reshape(db, s * db), out=work.reshape(da, s * db))
+                np.matmul(hc_left.reshape(da * s, da).T, work.reshape(da * s, db), out=block)
+            else:
+                np.matmul(h_left.reshape(da * s, da), x[lo : lo + size].reshape(da, db), out=work.reshape(da * s, db))
+                np.matmul(work.reshape(da, s * db), hc_right.reshape(db, s * db).T, out=block)
             block /= s
         return out
 
@@ -783,18 +792,17 @@ class SectorOperator(MomentOperator):
         each pair's sector_block: the applies' oracle."""
         if self.ambient > DENSE_LIMIT:
             raise SizeLimitError(f"direct sum {self.ambient} exceeds dense limit {DENSE_LIMIT}")
-        s = self.ensemble.size
         out = np.zeros((self.ambient, self.ambient), dtype=complex)
         for lo, da, db, i, j in self._blocks:
             hi = lo + da * db
-            a, b = self._stacks[i][0].reshape(s, da, da), self._stacks[j][0].reshape(s, db, db)
+            a, b = self._stacks[i][0].transpose(1, 0, 2), self._stacks[j][0].transpose(1, 0, 2)
             out[lo:hi, lo:hi] = sector_block(a, b)
         return out
 
 
 def _sector_bytes(n: int, s: int, t: int) -> int:
-    """Bytes a SectorOperator of s members holds: each irrep's two stacks
-    and the two-row workspace of its largest block."""
+    """A bound on the bytes a SectorOperator of s members holds: each irrep's
+    stack and its conjugate, and twice the workspace of its largest block."""
     dims = [unitary_irrep_dim(shape, n) for shape in partitions(t) if len(shape) <= n]
     return 16 * s * (2 * sum(d * d for d in dims) + 2 * max(dims) ** 2)
 
@@ -803,19 +811,21 @@ def _takes_sectors(e: UnitaryEnsemble, t: int) -> bool:
     """Whether the iterative path runs on the Schur-Weyl blocks (SectorOperator)
     instead of (C^n)^(x t) (MomentOperator), from shapes alone.
 
-    Only an ensemble without stages at t >= 2 may: a product keeps its stage
-    kernels, and at t = 1 the one block is the whole space. Its blocks are
-    taken when (a) n is at most _SECTOR_MAX_DIM[t]; (b) it has two members
-    or more: one member's Phi is unitary, Lanczos ends after a step or two,
-    and nothing repays the basis work, n^(3t) for the Young symmetrisers'
-    SVDs (7.4 s against 0.19 s at n = 6, t = 4); and (c) the operator holds
-    at most 2 * _BATCH_BYTES (_sector_bytes), the bound on MomentOperator's
-    workspace.
+    Only an ensemble without stages may: a product keeps its stage kernels.
+    Its blocks are taken when (a) at t >= 2, n is at most
+    _SECTOR_MAX_DIM[t]; at t = 1 the one block is the whole space in the
+    same layout, and its two GEMMs are the member kernel's without its
+    reordering copy, so no n is excluded; (b) it has two members or more:
+    one member's Phi is unitary, Lanczos ends after a step or two, and
+    nothing repays the basis work, n^(3t) for the Young symmetrisers' SVDs
+    (7.4 s against 0.19 s at n = 6, t = 4); and (c) the operator holds at
+    most 2 * _BATCH_BYTES (_sector_bytes), the bound on MomentOperator's
+    workspace; at t = 1 that is 64 s n^2 bytes.
     """
-    if e.stages or t < 2:
+    if e.stages:
         return False
     n, s = e.dim, e.size
-    return n <= _SECTOR_MAX_DIM.get(t, 0) and s >= 2 and _sector_bytes(n, s, t) <= 2 * _BATCH_BYTES
+    return (t == 1 or n <= _SECTOR_MAX_DIM.get(t, 0)) and s >= 2 and _sector_bytes(n, s, t) <= 2 * _BATCH_BYTES
 
 
 @dataclass
@@ -888,8 +898,10 @@ def lambda_report(
     step, when the members' involution defect is at most HERMITIAN_DEFECT,
     and on Phi†Phi, two applies per step, otherwise. It runs on the
     Schur-Weyl blocks (SectorOperator) where _takes_sectors admits the
-    shapes, and on C^(n^2t) (MomentOperator) elsewhere. The solver settings are
-    checked whichever path runs (check_solver_settings).
+    shapes, which at t = 1 is every ensemble without stages of two members
+    or more within the memory budget, and on C^(n^2t) (MomentOperator)
+    elsewhere, products and single members included. The solver settings
+    are checked whichever path runs (check_solver_settings).
     Non-convergence is surfaced in the report, never silently dropped.
     """
     check_solver_settings(e.dim, t, method, tol, max_iters)

@@ -53,6 +53,18 @@ class TestSample:
         assert "iterative limit" in capsys.readouterr().err
         assert not (tmp_path / "x.qtpe").exists()
 
+    def test_huge_degree_exit_2_before_drawing(self, tmp_path, capsys, monkeypatch):
+        import qtpe.ensemble as ens
+
+        draws = []
+        monkeypatch.setattr(ens, "haar_unitary", lambda *args: draws.append(args))
+        # 40000 members of 64 x 64 would hold 1.6e8 entries, 2.6 GB
+        code = run("sample", "--dim", "64", "--degree", "40000", "--out", str(tmp_path / "x.qtpe"))
+        assert code == 2
+        assert draws == []
+        assert "PRODUCT_ENTRY_LIMIT" in capsys.readouterr().err
+        assert not (tmp_path / "x.qtpe").exists()
+
 
 class TestLambda:
     def test_pauli_t1_zero(self, tmp_path, capsys):
@@ -539,6 +551,16 @@ class TestCertify:
         assert run("certify", "--config", str(self._write_config(tmp_path, steps))) == 2
         assert draws == []
         assert "config.steps[0]: dimension 100000" in capsys.readouterr().err
+
+    def test_double_step_over_the_entry_limit_exit_2_without_writing(self, tmp_path, capsys, monkeypatch):
+        import qtpe.ensemble as ens
+
+        save(sample_random_qtpe(2, 4, SeededRng(1)), tmp_path / "g.qtpe")
+        monkeypatch.setattr(ens, "PRODUCT_ENTRY_LIMIT", 31)  # doubled: 8 members of 2 x 2, 32 entries
+        steps = [{"kind": "double", "ensemble": "g.qtpe", "out": "gg.qtpe"}]
+        assert run("certify", "--config", str(self._write_config(tmp_path, steps))) == 2
+        assert "PRODUCT_ENTRY_LIMIT" in capsys.readouterr().err
+        assert not (tmp_path / "gg.qtpe").exists()
 
     @pytest.mark.parametrize(
         "step",

@@ -79,6 +79,16 @@ class TestSampler:
         with pytest.raises(PreconditionError):
             sample_random_qtpe(2, s, SeededRng(0))
 
+    def test_member_entry_guard_before_any_draw(self, monkeypatch):
+        import qtpe.ensemble as ens
+
+        # 8 members of 4 x 4 fill a limit of 128 entries exactly; 10 exceed it
+        monkeypatch.setattr(ens, "PRODUCT_ENTRY_LIMIT", 128)
+        assert sample_random_qtpe(4, 8, SeededRng(0)).size == 8
+        monkeypatch.setattr(ens, "haar_unitary", lambda *args: pytest.fail("a member was drawn"))
+        with pytest.raises(SizeLimitError, match="PRODUCT_ENTRY_LIMIT"):
+            sample_random_qtpe(4, 10, SeededRng(0))
+
 
 class TestHermitianDouble:
     def test_literal_duplication(self):
@@ -93,6 +103,17 @@ class TestHermitianDouble:
     def test_size_doubles(self):
         e = raw_haar_ensemble(3, 5, seed=1)
         assert hermitian_double(e).size == 2 * e.size
+
+    def test_member_entry_guard_before_concatenation(self, monkeypatch):
+        import qtpe.ensemble as ens
+
+        # doubling 3 members of 3 x 3 fills a limit of 54 entries exactly; 4 members exceed it
+        monkeypatch.setattr(ens, "PRODUCT_ENTRY_LIMIT", 54)
+        assert hermitian_double(raw_haar_ensemble(3, 3, seed=1)).size == 6
+        e = raw_haar_ensemble(3, 4, seed=1)
+        monkeypatch.setattr(UnitaryEnsemble, "adjoints", lambda self: pytest.fail("the adjoints were formed"))
+        with pytest.raises(SizeLimitError, match="PRODUCT_ENTRY_LIMIT"):
+            hermitian_double(e)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_lambda_exact_on_hermitian_inputs(self, seed):

@@ -732,8 +732,10 @@ class TestLanczosPaths:
         assert rep.converged and abs(rep.lambda_ - 1 / 3) <= 1e-12
 
     def assert_counts(self, counts, e, t, rep, adjoints):
+        # every ensemble here is stage-less with two members or more, so at
+        # t = 1 and t = 2 alike Lanczos runs on the Schur-Weyl blocks
         ran = lanczos_map(e, t)
-        assert ran == ("MomentOperator" if t == 1 else "SectorOperator")
+        assert ran == "SectorOperator"
         assert rep.converged and counts.pop(ran) == {"apply": rep.iterations, "adjoint": adjoints}
         assert counts == {name: {"apply": 0, "adjoint": 0} for name in counts}
 
@@ -769,7 +771,8 @@ class TestLanczosPaths:
         save(noisy, tmp_path / "noisy.qtpe")
         loaded = load(tmp_path / "noisy.qtpe")
         assert HERMITIAN_DEFECT < involution_defect(loaded) <= 1e-8
-        counts = count_applies(monkeypatch)["MomentOperator"]
+        assert lanczos_map(loaded, 1) == "SectorOperator"
+        counts = count_applies(monkeypatch)["SectorOperator"]
         rep = lambda_report(loaded, 1, method="power-iteration", tol=1e-10, rng=SeededRng(1))
         assert rep.converged and counts["adjoint"] == rep.iterations and rep.applies == 2 * rep.iterations
         assert abs(rep.lambda_ - lambda_report(loaded, 1, method="dense-svd").lambda_) <= 1e-8
@@ -988,10 +991,11 @@ class TestSchurWeylSectors:
         assert sector_lambda(e, 2) == sector_lambda(e, 2)
 
 
-# (n, t) with n < t, n = t and n > t at t = 2, 3, and n < t and n = t at t = 4;
-# n > t at t = 4 is left out: at n = 5 the dense oracle's largest block is
-# 11025 x 11025
-SECTOR_CASES = [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
+# (n, t) at t = 1, where the one block is the whole space, up to the haar_t1
+# benchmark's n = 40; n < t, n = t and n > t at t = 2, 3; and n < t and n = t
+# at t = 4; n > t at t = 4 is left out: at n = 5 the dense oracle's largest
+# block is 11025 x 11025
+SECTOR_CASES = [(1, 1), (3, 1), (40, 1), (1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
 
 
 def sector_case(n, t, family):
@@ -1078,8 +1082,11 @@ class TestSectorOperator:
             (2, 1, 2, False),
             (6, 66, 4, True),  # holds 254.5 MiB of the 256 MiB that 2 * _BATCH_BYTES allows
             (6, 67, 4, False),
-            (4, 8, 1, False),  # t = 1: the one block is the whole space
-            (40, 32, 1, False),
+            (4, 8, 1, True),  # t = 1: the one block is the whole space, at any n
+            (40, 32, 1, True),  # the haar_t1 benchmark shape
+            (4, 1, 1, False),  # one member, at t = 1 too
+            (64, 1024, 1, True),  # 64 s n^2 B: 256 MiB, all that 2 * _BATCH_BYTES allows
+            (64, 1025, 1, False),
         ],
     )
     def test_shape_rule(self, n, s, t, sectors):
@@ -1098,6 +1105,17 @@ class TestSectorOperator:
         op = SectorOperator(hermitian_ensemble(3, 4, 1), 3)
         with pytest.raises(PreconditionError):
             op.apply(np.eye(27))
+
+    @pytest.mark.parametrize("n,s,t", [(40, 32, 1), (4, 8, 3)], ids=["haar_t1", "haar_t3"])
+    def test_applies_after_the_first_allocate_only_their_result(self, n, s, t):
+        # a block's two GEMMs write the workspace and the result in place, and
+        # the workspace is one row, the largest block's s * d_lambda * d_mu
+        # entries; a buffered out= would allocate as many again per apply
+        e = sample_random_qtpe(n, s, SeededRng(0))
+        assert _takes_sectors(e, t)
+        op = SectorOperator(e, t)
+        assert apply_peak_bytes(op) <= 16 * op.ambient + 4096
+        assert op._work.nbytes <= 16 * s * max(da * db for _, da, db, _, _ in op._blocks)
 
     def test_memory_stays_within_the_budget_at_large_s(self, monkeypatch):
         import qtpe.moments as m
