@@ -1,12 +1,15 @@
-"""Shared helpers: ensemble constructors, the dense spectral oracle and the
-SVD oracles of the fixed space and of its closeness to the distinct-tuple proxy."""
+"""Shared helpers: ensemble constructors, the dense spectral oracle, the
+SVD oracles of the fixed space and of its closeness to the distinct-tuple
+proxy, the per-block oracle of SectorOperator's planned applies, and a
+fixture that empties the irrep bases cache."""
 
 import numpy as np
 import pytest
 
 from qtpe.ensemble import UnitaryEnsemble, sample_random_qtpe
 from qtpe.linalg import SeededRng, haar_unitary, max_principal_sine, orthonormalize
-from qtpe.moments import MomentOperator, lambda_report
+from qtpe import moments
+from qtpe.moments import MomentOperator, irrep_actions, lambda_report
 from qtpe.perms import Permutation, all_permutations
 
 
@@ -16,6 +19,40 @@ def pytest_configure(config):
     level, numpy >= 1.25 in numpy.exceptions, so it is looked up here."""
     warning = getattr(np, "exceptions", np).ComplexWarning
     config.addinivalue_line("filterwarnings", f"error::{warning.__module__}.{warning.__qualname__}")
+
+
+@pytest.fixture
+def cold_bases():
+    """Empty the per-process irrep_bases cache, so that a memory pin measures
+    the basis build whatever ran before it in the session."""
+    moments._irrep_bases.cache_clear()
+
+
+def sector_reference_apply(e, t, x, adjoint=False):
+    """SectorOperator's apply_vec (adjoint_apply_vec with `adjoint`) written
+    plainly, block by block: the member-minor stacks H of irrep_actions, the
+    views of each block taken on every call, two GEMMs into a fresh
+    intermediate, and a division of each block by s. The same GEMMs on the
+    same operands, so the planned applies equal it bit for bit."""
+    s = e.size
+    stacks = [np.ascontiguousarray(r.transpose(1, 0, 2)) for r in irrep_actions(e, t)]
+    out, lo = [], 0
+    for i in range(len(stacks)):
+        for j in range(i, len(stacks)):
+            h_left, h_right = stacks[i], stacks[j]
+            da, db = h_left.shape[0], h_right.shape[0]
+            block, work = x[lo : lo + da * db].reshape(da, db), np.empty(s * da * db, dtype=complex)
+            y = np.empty((da, db), dtype=complex)
+            if adjoint:
+                np.matmul(block, h_right.reshape(db, s * db), out=work.reshape(da, s * db))
+                np.matmul(h_left.conj().reshape(da * s, da).T, work.reshape(da * s, db), out=y)
+            else:
+                np.matmul(h_left.reshape(da * s, da), block, out=work.reshape(da * s, db))
+                np.matmul(work.reshape(da, s * db), h_right.conj().reshape(db, s * db).T, out=y)
+            y /= s
+            out.append(y.reshape(-1))
+            lo += da * db
+    return np.concatenate(out)
 
 
 def identity(t):
