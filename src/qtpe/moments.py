@@ -8,17 +8,22 @@ difference is the quantity every construction is judged by.
 
 Two exact ways to that value exist, and lambda_report alone picks between
 them. The iterative one hands Phi, matrix-free, to linalg.spectral_norm,
-which deflates Phi's fixed space from every Lanczos vector once: Phi and its
-adjoint both fix it, so its complement is invariant, and there Phi equals its
-difference with the projector. With an involution Phi is Hermitian and
-Lanczos runs on it directly; without one it runs on Phi†Phi. Phi is held, as
-_takes_sectors decides from shapes alone, either as SectorOperator, the
-direct sum of the Schur-Weyl blocks below, whose fixed space is each diagonal
-block's identity (at t = 1 one block, the whole space), or as MomentOperator
-on C^(n^2t), whose fixed space W is t! gathers and a t! x t! Gram matrix
-(FixedSpaceBasis); the two share apply_vec and adjoint_apply_vec. Irrep bases
-are built once per (n, t) (irrep_bases), and a SectorOperator plans its GEMMs
-at its first apply.
+which deflates Phi's fixed space from every Lanczos vector once: Phi and
+its adjoint both fix it, so its complement is invariant, and there Phi
+equals its difference with the projector. With an involution Phi is
+Hermitian and Lanczos runs on it directly; without one it runs on Phi†Phi.
+Phi comes in one of two representations, chosen from shapes alone
+(_takes_sectors). An ensemble without stages, with two members or more,
+within a memory budget and, at t >= 2, at the (n, t) where the blocks were
+measured to run faster, takes SectorOperator, the direct sum of the
+Schur-Weyl blocks below, one per unordered irrep pair, whose fixed space
+is each diagonal block's identity; at t = 1 that is one block, the whole
+space. Each block apply is two GEMMs by a member-minor stack of R(U_i), with
+no reordering copy. Every other call takes MomentOperator on C^(n^2t),
+whose fixed space W is held as t! gathers and a t! x t! Gram matrix
+(FixedSpaceBasis). SectorOperator is a MomentOperator on another space:
+the two share apply_vec and adjoint_apply_vec, and each names its fixed
+space.
 
 A MomentOperator apply runs one kernel per stage, chosen once per
 MomentOperator from the stage's shapes (_stage_kernel). The member kernel
@@ -48,7 +53,6 @@ the off-diagonal blocks stay complex.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
@@ -462,13 +466,13 @@ class MomentOperator:
         return acc
 
 
-@dataclass(frozen=True)
+@dataclass
 class IrrepBasis:
     """One copy of the U(n) irrep V_lambda inside (C^n)^(x t).
 
     `basis` holds d_lambda(n) orthonormal columns spanning the image of the
-    Young symmetriser of `shape`, read-only, as irrep_bases shares it; the
-    irrep occurs `multiplicity` = f_lambda times in (C^n)^(x t).
+    Young symmetriser of `shape`; the irrep occurs `multiplicity` = f_lambda
+    times in (C^n)^(x t).
     """
 
     shape: tuple[int, ...]
@@ -489,19 +493,10 @@ def irrep_bases(n: int, t: int) -> list[IrrepBasis]:
     The ranks are checked against the hook-content formula, and the copies
     against sum_lambda f_lambda d_lambda(n) = n^t. At t=1 the symmetriser is
     the identity and so is the basis, exactly.
-
-    They depend on (n, t) alone: each call returns a fresh list of the
-    read-only bases that an LRU of the last 4 shapes holds (refusals are not
-    cached). A shape holds 16 n^t sum_lambda d_lambda bytes, on the lambda
-    paths at most 11.1 MiB, at (6, 4), so at most 44 MiB stay held.
     """
-    return list(_irrep_bases(n, t))
-
-
-@functools.lru_cache(maxsize=4)
-def _irrep_bases(n: int, t: int) -> tuple[IrrepBasis, ...]:
     if t > MAX_T_BASIS:
         raise SizeLimitError(f"t={t} exceeds basis guard {MAX_T_BASIS}")
+    nt = n**t
     out = []
     for shape in partitions(t):
         if len(shape) > n:
@@ -514,12 +509,11 @@ def _irrep_bases(n: int, t: int) -> tuple[IrrepBasis, ...]:
             if rank != dim:
                 raise AssertionError(f"Young symmetriser {shape} has rank {rank}, hook-content formula gives {dim}")
             basis = basis.copy()  # a view would keep the SVD's whole n^t x n^t factor alive
-        basis.flags.writeable = False
         out.append(IrrepBasis(shape, symmetric_irrep_dim(shape), basis))
     copies = sum(b.multiplicity * b.dim for b in out)
-    if copies != n**t:
-        raise AssertionError(f"irrep copies fill {copies} of {n**t} dimensions")
-    return tuple(out)
+    if copies != nt:
+        raise AssertionError(f"irrep copies fill {copies} of {nt} dimensions")
+    return out
 
 
 def _young_symmetriser(shape: tuple[int, ...], n: int, t: int) -> np.ndarray:
@@ -715,27 +709,36 @@ class SectorFixedSpace:
 @dataclass
 class SectorOperator(MomentOperator):
     """Phi on the direct sum of its Schur-Weyl blocks, one per unordered irrep
-    pair in sector_pairs order, matrix-free: the iterative path's Phi for the
-    shapes _takes_sectors admits. It shares MomentOperator's apply_vec and
-    adjoint_apply_vec (and what counts or times them). `ambient` is the direct
-    sum's dimension, fixed_space() each diagonal block's vec(I)/sqrt(d); the
-    vector holds the blocks' d_lambda x d_mu matrices X, row-major (one at t = 1).
+    pair in sector_pairs order, matrix-free: the iterative path's
+    representation of Phi for the shapes _takes_sectors admits.
+
+    It is the moment operator of the same ensemble at the same t, on another
+    space, so it shares MomentOperator's apply_vec and adjoint_apply_vec
+    (and whatever counts or times them); `ambient` is the direct sum's
+    dimension, and fixed_space() is each diagonal block's vec(I)/sqrt(d).
+    The vector holds each block's d_lambda x d_mu matrix X, row-major. At
+    t = 1 the one block is the whole space, in the same layout.
 
     Each irrep's stack is laid out member-minor once, H[a, i, b] =
-    R(U_i)[a, b], with its conjugate: 2 s sum_lambda d_lambda^2 entries that
-    every pair indexes. As (d s) x d, H is [R(U_1); ...; R(U_s)] with the
-    members interleaved row by row; as d x (s d) it is [R(U_1) ... R(U_s)].
-    So a block's forward map X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)† is
-    Y = H_lambda X, whose rows read as d_lambda x (s d_mu) hold [R_1 X ...
-    R_s X], and one long-K GEMM Y conj(H_mu)^T that sums over the members;
-    the adjoint is Z = X H_mu and conj(H_lambda)^T Z. The first apply
-    allocates the workspace, one row of s max d_lambda d_mu entries, and the
-    plan: per block its offsets, its stacks' 2-D views and two views of the
-    row. An apply is then two matmul(out=) calls per block and a division of
-    the result by s, and allocates only its result, so one SectorOperator
-    must not be applied from two threads at once. _sector_bytes bounds what
-    it holds; building the stacks adds at most _BATCH_BYTES of transients
-    (irrep_action). apply() takes no matrix over (C^n)^(x t).
+    R(U_i)[a, b], with its conjugate: 2 s sum_lambda d_lambda^2 entries
+    that every pair indexes. Read as (d s) x d, H is [R(U_1); ...; R(U_s)]
+    with the members interleaved row by row; read as d x (s d) it is
+    [R(U_1) ... R(U_s)]. Forward, a block maps X -> (1/s) sum_i
+    R_lambda(U_i) X R_mu(U_i)† in two GEMMs: Y = H_lambda X, whose rows
+    read as d_lambda x (s d_mu) already hold [R_1 X ... R_s X], and one
+    long-K GEMM Y conj(H_mu)^T that sums over the members into the block,
+    then the division by s. The adjoint is Z = X H_mu and conj(H_lambda)^T Z,
+    Z read as (d_lambda s) x d_mu. Either way s d_lambda d_mu (d_lambda +
+    d_mu) multiply-adds and no reordering copy. The one intermediate lives
+    in a workspace of s max d_lambda d_mu entries, allocated at the first
+    apply and reused, so one SectorOperator must not be applied from two
+    threads at once. The first apply also builds the plan: per block its
+    offsets, its stacks' 2-D views and two views of the workspace. An apply
+    is then two matmul(out=) calls per block and one division of the result
+    by s, and after the first it allocates only its result. _sector_bytes
+    bounds what the operator holds; building the stacks adds at most
+    _BATCH_BYTES of transients (irrep_action). apply() takes no matrix over
+    (C^n)^(x t): the vectors live on the direct sum.
     """
 
     def __post_init__(self):
@@ -746,7 +749,9 @@ class SectorOperator(MomentOperator):
         while reps:  # each R(U_i) stack is dropped once laid out
             h = np.ascontiguousarray(reps.pop(0).transpose(1, 0, 2))
             self._stacks.append((h, h.conj()))
-        self._blocks, diagonals, lo = [], [], 0
+        self._blocks = []
+        diagonals = []
+        lo = 0
         for i, j in _irrep_pairs(len(self._stacks)):
             da, db = self._stacks[i][0].shape[0], self._stacks[j][0].shape[0]
             if i == j:
@@ -793,12 +798,14 @@ class SectorOperator(MomentOperator):
 
     def dense(self) -> np.ndarray:
         """The ambient x ambient matrix on the direct sum, block diagonal with
-        the sector_block of each of sector_pairs: the applies' oracle."""
+        each pair's sector_block: the applies' oracle."""
         if self.ambient > DENSE_LIMIT:
             raise SizeLimitError(f"direct sum {self.ambient} exceeds dense limit {DENSE_LIMIT}")
         out = np.zeros((self.ambient, self.ambient), dtype=complex)
-        for (lo, da, db, _, _), p in zip(self._blocks, sector_pairs(self.ensemble, self.t)):
-            out[lo : lo + da * db, lo : lo + da * db] = sector_block(p.left, p.right)
+        for lo, da, db, i, j in self._blocks:
+            hi = lo + da * db
+            a, b = self._stacks[i][0].transpose(1, 0, 2), self._stacks[j][0].transpose(1, 0, 2)
+            out[lo:hi, lo:hi] = sector_block(a, b)
         return out
 
 
@@ -822,8 +829,7 @@ def _takes_sectors(e: UnitaryEnsemble, t: int) -> bool:
     nothing repays the basis work, n^(3t) for the Young symmetrisers' SVDs
     (7.4 s against 0.19 s at n = 6, t = 4); and (c) the operator holds at
     most 2 * _BATCH_BYTES (_sector_bytes), the bound on MomentOperator's
-    workspace; at t = 1 that is 64 s n^2 bytes. It reads no state, not even
-    irrep_bases' cache, so a report never depends on what ran before it.
+    workspace; at t = 1 that is 64 s n^2 bytes.
     """
     if e.stages:
         return False
@@ -899,9 +905,12 @@ def lambda_report(
     otherwise. The iterative method (named "power-iteration") is Lanczos,
     matrix-free, with fixed-space deflation: on Phi itself, one apply per
     step, when the members' involution defect is at most HERMITIAN_DEFECT,
-    and on Phi†Phi, two applies per step, otherwise; on SectorOperator where
-    _takes_sectors admits the shapes, else on MomentOperator. The solver
-    settings are checked whichever path runs (check_solver_settings).
+    and on Phi†Phi, two applies per step, otherwise. It runs on the
+    Schur-Weyl blocks (SectorOperator) where _takes_sectors admits the
+    shapes, which at t = 1 is every ensemble without stages of two members
+    or more within the memory budget, and on C^(n^2t) (MomentOperator)
+    elsewhere, products and single members included. The solver settings
+    are checked whichever path runs (check_solver_settings).
     Non-convergence is surfaced in the report, never silently dropped.
     """
     check_solver_settings(e.dim, t, method, tol, max_iters)

@@ -1,14 +1,12 @@
 """Shared helpers: ensemble constructors, the dense spectral oracle, the
 SVD oracles of the fixed space and of its closeness to the distinct-tuple
-proxy, the per-block oracle of SectorOperator's planned applies, and a
-fixture that empties the irrep bases cache."""
+proxy, and the per-block oracle of SectorOperator's planned applies."""
 
 import numpy as np
 import pytest
 
 from qtpe.ensemble import UnitaryEnsemble, sample_random_qtpe
 from qtpe.linalg import SeededRng, haar_unitary, max_principal_sine, orthonormalize
-from qtpe import moments
 from qtpe.moments import MomentOperator, irrep_actions, lambda_report
 from qtpe.perms import Permutation, all_permutations
 
@@ -19,13 +17,6 @@ def pytest_configure(config):
     level, numpy >= 1.25 in numpy.exceptions, so it is looked up here."""
     warning = getattr(np, "exceptions", np).ComplexWarning
     config.addinivalue_line("filterwarnings", f"error::{warning.__module__}.{warning.__qualname__}")
-
-
-@pytest.fixture
-def cold_bases():
-    """Empty the per-process irrep_bases cache, so that a memory pin measures
-    the basis build whatever ran before it in the session."""
-    moments._irrep_bases.cache_clear()
 
 
 def sector_reference_apply(e, t, x, adjoint=False):

@@ -34,7 +34,6 @@ from qtpe.ensemble import (
     save,
     square_compose,
 )
-from qtpe import moments
 from qtpe.errors import PreconditionError, SizeLimitError
 from qtpe.linalg import DENSE_LIMIT, LinearMap, SeededRng, haar_unitary, spectral_norm
 from qtpe.moments import (
@@ -999,64 +998,6 @@ class TestSchurWeylSectors:
         assert sector_lambda(e, 2) == sector_lambda(e, 2)
 
 
-# n < t, n = t and n > t at t = 2, 3 and 4, and the dense_t2 shape (6, 2)
-BASIS_CACHE_CASES = [(1, 2), (2, 2), (3, 2), (4, 2), (6, 2), (8, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
-
-
-class TestIrrepBasesCache:
-    """irrep_bases builds each (n, t) once per process: what it shares is
-    read-only and equal to a fresh build, refusals are not kept, and no
-    report depends on whether the bases were built before it."""
-
-    def test_shared_bases_are_read_only(self):
-        first = irrep_bases(3, 2)[0]
-        with pytest.raises(ValueError):
-            first.basis[0, 0] = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            first.basis = np.zeros_like(first.basis)
-
-    @pytest.mark.parametrize("n,t", BASIS_CACHE_CASES)
-    def test_cached_bases_are_byte_identical_to_an_uncached_build(self, n, t):
-        irrep_bases(n, t)
-        cached, fresh = irrep_bases(n, t), moments._irrep_bases.__wrapped__(n, t)
-        assert [(b.shape, b.multiplicity) for b in cached] == [(b.shape, b.multiplicity) for b in fresh]
-        assert [b.basis.tobytes() for b in cached] == [b.basis.tobytes() for b in fresh]
-
-    def test_each_call_returns_a_fresh_list(self):
-        first = irrep_bases(2, 3)
-        first.clear()
-        second = irrep_bases(2, 3)
-        assert len(second) == 2 and second is not irrep_bases(2, 3)
-
-    def test_a_refusal_is_raised_again(self):
-        for _ in range(2):
-            with pytest.raises(SizeLimitError):
-                irrep_bases(2, MAX_T_BASIS + 1)
-
-    @pytest.mark.usefixtures("cold_bases")
-    def test_holds_at_most_four_shapes_and_serves_both_lambda_paths(self):
-        e = hermitian_ensemble(3, 4, 5)
-        sector_lambda(e, 3)
-        SectorOperator(e, 3)
-        assert moments._irrep_bases.cache_info()[:2] == (1, 1)  # hits, misses
-        for n in (2, 4, 5, 6):
-            irrep_bases(n, 2)
-        assert moments._irrep_bases.cache_info().currsize == 4
-
-    @pytest.mark.parametrize("method", ["dense-svd", "power-iteration"])
-    @pytest.mark.parametrize("t", [2, 3])
-    @pytest.mark.parametrize("family", ["hermitian", "raw"])
-    @pytest.mark.usefixtures("cold_bases")
-    def test_reports_are_bitwise_equal_with_a_cold_and_a_warm_cache(self, family, t, method):
-        e = hermitian_ensemble(3, 4, 40 + t) if family == "hermitian" else raw_haar_ensemble(3, 4, 40 + t)
-        reports = []
-        for _ in range(2):
-            rep = lambda_report(e, t, method=method, tol=1e-10, rng=SeededRng(t))
-            reports.append(json.dumps(rep.to_json_dict()))
-            assert moments._irrep_bases.cache_info().currsize == 1
-        assert reports[0] == reports[1]
-
-
 # (n, t) at t = 1, where the one block is the whole space, up to the haar_t1
 # benchmark's n = 40; n < t, n = t and n > t at t = 2, 3; and n < t and n = t
 # at t = 4; n > t at t = 4 is left out: at n = 5 the dense oracle's largest
@@ -1200,7 +1141,6 @@ class TestSectorOperator:
         assert apply_peak_bytes(op) <= 16 * op.ambient + 4096
         assert op._work.nbytes <= 16 * s * max(da * db for _, da, db, _, _ in op._blocks)
 
-    @pytest.mark.usefixtures("cold_bases")
     def test_memory_stays_within_the_budget_at_large_s(self, monkeypatch):
         import qtpe.moments as m
 
@@ -1297,7 +1237,6 @@ class TestHermitianCoordinates:
         (r,) = sector_reps(pauli_ensemble(), 1)
         assert np.array_equal(hermitian_sector_block(r), np.zeros((4, 4)))
 
-    @pytest.mark.usefixtures("cold_bases")
     def test_sector_lambda_peak_memory_at_n6_t2(self):
         # the dense_t2 shape: diagonal blocks 441 and 225, off-diagonal 315. At
         # most the complex 441^2 GEMM result and the real 441^2 block are alive
@@ -1313,7 +1252,6 @@ class TestHermitianCoordinates:
         side = 21 * 21
         assert peak <= 16 * side**2 + 8 * side**2 + 6 * _CHUNK_BYTES < 9.1e6
 
-    @pytest.mark.usefixtures("cold_bases")
     def test_sector_lambda_holds_one_block_at_a_time(self, monkeypatch):
         # each block is released before the next is formed: one still held
         # while the next was built raised a dense_t2 process's peak RSS by 1.4 MB
