@@ -369,13 +369,13 @@ def workspace_case(kind, t):
     staged product with outer = 2, or a zigzag product whose stages take the
     moment-matrix and the controlled kernels; or a SectorOperator of 4
     members on C^3, a sampled Hermitian family or independent Haar ones."""
-    if kind.startswith("sector"):
+    if kind == "raw":
+        e = raw_haar_ensemble(2, 5, seed=17)
+    elif kind.startswith("sector"):
         e = hermitian_ensemble(3, 4, 17) if kind == "sector-hermitian" else raw_haar_ensemble(3, 4, seed=17)
-        phi = SectorOperator(e, t)
-    elif kind == "raw":
-        phi = MomentOperator(raw_haar_ensemble(2, 5, seed=17), t)
     else:
-        phi = MomentOperator(staged_product() if kind == "staged" else stage_kernel_product(kind), t)
+        e = staged_product() if kind == "staged" else stage_kernel_product(kind)
+    phi = SectorOperator(e, t) if kind.startswith("sector") else MomentOperator(e, t)
     g = SeededRng(7, t).generator()
     x, y = (g.standard_normal(phi.ambient) + 1j * g.standard_normal(phi.ambient) for _ in range(2))
     return phi, x, y
