@@ -6,7 +6,8 @@ largest-singular-value solver: seeded plain Lanczos, on the map itself when
 it is Hermitian and on op†∘op otherwise, with optional deflation of an
 invariant subspace that removes itself from a vector in place. The solver
 keeps three vectors and the coefficients of its tridiagonal matrix, whose
-Ritz values it reads at checkpoints that thin out as the step count grows.
+Ritz values it reads only at the steps where the rate of convergence so far
+predicts that the stop can be reached.
 Which lambda path runs, dense or iterative, is decided in
 moments.lambda_report, not here.
 """
@@ -115,10 +116,24 @@ class SpectralEstimate:
     converged: bool = True
 
 
-def _next_check(k: int) -> int:
-    """The step after k at which the Ritz values are read: every step up to 32,
-    then every k // 16 steps, so a solve of k steps makes O(log k) checks."""
-    return k + max(1, k // 16)
+def _next_check(k: int, readings: list[tuple[int, float]], tol: float, wait: int) -> int:
+    """The step after k at which the Ritz values are next read.
+
+    `readings` are the (step, q) readings so far of the quantity the stop
+    still waits on, which must fall to tol. The last two give q's geometric
+    rate per step; the next check is where that rate brings q to tol, plus
+    `wait` steps, but at least 1 and at most k // 2 steps after k. Without
+    two readings that fall, it is k // 8 steps after k, and at least 1.
+    """
+    if len(readings) >= 2:
+        (k0, q0), (k1, q1) = readings[-2:]
+        if q1 <= tol:
+            return k + min(max(1, k1 + wait - k), max(1, k // 2))
+        fall = math.log(q0 / q1) if q1 < q0 else 0.0
+        if fall > 0.0:
+            steps = (k1 - k0) * (math.log(q1) - math.log(tol)) / fall
+            return k + min(max(1, math.ceil(k1 + steps + wait - k)), max(1, k // 2))
+    return k + max(1, k // 8)
 
 
 def _last_component(alphas: list[float], betas: list[float], sigma: float) -> float:
@@ -167,12 +182,19 @@ def spectral_norm(
     T_k: ||op v - theta v|| / |theta| on the Hermitian path and
     ||op†op v - theta v|| / theta otherwise, for the Ritz vector v.
 
-    The Ritz values come from eigvalsh(T_k) at checkpoints only: every step
-    up to k = 32, then every k // 16 steps (_next_check). Convergence
-    requires the value to stay within tol (relative) over at least 3 steps
-    AND the residual to be <= tol. When the Krylov space is exhausted (beta_k
-    ~ 0 or k reaches the dimension) the value is exact; when max_iters runs
-    out, the last check is reported with converged False.
+    The Ritz values come from eigvalsh(T_k) at checks only, which
+    _next_check schedules from the quantity the stop still waits on: the
+    relative change of the value per step between checks until the residual
+    is first read, the residual after that. The geometric rate of its last
+    two readings predicts the step where it reaches tol; the next check is
+    there (3 steps later while the value must still prove stable), but at
+    least 1 and at most k // 2 steps after k, and k // 8 steps after k while
+    there is no falling pair of readings. The schedule reads only T_k, so a
+    rerun checks at the same steps. Convergence requires the value to stay
+    within tol (relative) over at least 3 steps AND the residual to be <=
+    tol. When the Krylov space is exhausted (beta_k ~ 0 or k reaches the
+    dimension) the value is exact; when max_iters runs out, the last check
+    is reported with converged False. Both force a check.
 
     `deflate` is a subspace W that op and op† both map into itself, given by
     its rank and project_out; the start and every new Lanczos vector are
@@ -206,9 +228,13 @@ def spectral_norm(
     alphas: list[float] = []
     betas: list[float] = []
     scale = 0.0  # largest |alpha_i|, beta_i: the size of T_k
-    check = 1
+    check = last_check = 1
     value_prev = None
     stable_from = 0  # the step from which the value has been stable
+    # the readings _next_check schedules from: the relative change of the
+    # value per step between checks, until the residual is first read
+    changes: list[tuple[int, float]] = []
+    residuals: list[tuple[int, float]] = []
 
     for k in range(1, max_iters + 1):
         w = np.asarray(b_apply(v), dtype=complex)
@@ -224,7 +250,6 @@ def spectral_norm(
         # beta_k at the rounding level of T_k: K_k is invariant and T_k exact
         exhausted = beta <= 1e-12 * scale or k >= full_dim
         if k == check or exhausted or k == max_iters:
-            check = _next_check(k)
             t_k = np.zeros((k, k))
             t_k.flat[:: k + 1] = alphas
             t_k.flat[1 :: k + 1] = t_k.flat[k :: k + 1] = betas[:-1]
@@ -236,7 +261,9 @@ def spectral_norm(
             value = abs(theta) if hermitian else math.sqrt(theta)
             if value_prev is None or abs(value - value_prev) > tol * max(value, 1e-12):
                 stable_from = k
-            value_prev = value
+            if value_prev is not None:
+                changes.append((k, abs(value - value_prev) / max(value, 1e-12) / (k - last_check)))
+            value_prev, last_check = value, k
             # the residual is read only where it can end the solve or is reported
             if exhausted or k == max_iters or k - stable_from >= 3:
                 shift = math.copysign(1e-10 * scale, theta)  # past theta, so outside T_k's spectrum
@@ -244,6 +271,9 @@ def spectral_norm(
                 residual = beta * s_k / max(abs(theta), 1e-24)
                 if exhausted or (k - stable_from >= 3 and residual <= tol):
                     return SpectralEstimate(value, residual, k, converged=True)
+                residuals.append((k, residual))
+            # before the residual is read, the value must stay stable for 3 steps
+            check = _next_check(k, residuals or changes, tol, 0 if residuals else 3)
         w *= 1.0 / beta  # several times cheaper than dividing complex entries by beta
         v_prev, v = v, w
 

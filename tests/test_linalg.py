@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtpe.ensemble import UnitaryEnsemble
+from qtpe import linalg
+from qtpe.ensemble import UnitaryEnsemble, sample_random_qtpe
 from qtpe.errors import PreconditionError
 from qtpe.linalg import (
     LinearMap,
@@ -17,7 +18,7 @@ from qtpe.linalg import (
     orthonormalize,
     spectral_norm,
 )
-from qtpe.moments import MomentOperator
+from qtpe.moments import MomentOperator, SectorOperator, sector_lambda
 
 
 class ColumnSpan:
@@ -216,7 +217,7 @@ class TestSpectralNorm:
     @pytest.mark.parametrize("seed", [3, 5])
     def test_restarts_match_svd_of_deflated_matrix(self, seed):
         # a top spectrum clustered at 3.0, 2.8, ... keeps plain Lanczos on
-        # A†A running past the every-step checks into the sparse ones
+        # A†A running past the first checks into the spread-out ones
         a, w = self.normal_with_invariant_space(40, 3, seed=seed)
         p = np.eye(40) - w @ w.conj().T
         est = spectral_norm(as_map(a), tol=1e-12, rng=SeededRng(4), deflate=ColumnSpan(w))
@@ -259,7 +260,7 @@ class TestSpectralNorm:
                 spectral_norm(as_map(a + a.conj().T if hermitian else a), tol=1e-11, rng=SeededRng(5), deflate=ColumnSpan(w), hermitian=hermitian)
                 for _ in range(2)
             ]
-            assert runs[0].iterations > 32  # past the every-step checks
+            assert runs[0].iterations > 32  # long enough for the checks to spread out
             assert runs[0] == runs[1]
 
     @staticmethod
@@ -289,9 +290,10 @@ class TestSpectralNorm:
         assert peak <= 8 * n * 16
 
     def test_ritz_checks_grow_like_log_k(self, monkeypatch):
-        # eigvalsh(T_k) runs at every step up to 32, then every k // 16 steps:
-        # 32 + 16 ln(k / 32) checks, plus a few for the rounding down of k // 16
-        # and the last step, against k steps
+        # on a map that converges far slower than tol asks, every predicted
+        # check lies beyond the cap, so the checks are k // 2 steps apart:
+        # ln(k) / ln(3/2) of them, plus the first steps before the readings
+        # fall and the forced last step, against k steps
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or real(a))
@@ -303,8 +305,22 @@ class TestSpectralNorm:
             assert not est.converged and calls[-1] == steps
             counts[steps] = len(calls)
         for steps, count in counts.items():
-            assert count <= 40 + 16 * np.log(steps / 32)
-        assert counts[400] - counts[100] <= 16 * np.log(4) + 4
+            assert count <= 3 + np.log(steps) / np.log(1.5)
+        assert counts[400] - counts[100] <= np.log(4) / np.log(1.5) + 1
+
+    def test_haar_t3_solve_reads_few_ritz_values(self, monkeypatch):
+        # the bench's haar_t3 shape, (n, s, t) = (4, 8, 3) on the sector map:
+        # a solve of 93 steps that reads T_k 14 times
+        e = sample_random_qtpe(4, 8, SeededRng(1))
+        phi = SectorOperator(e, 3)
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or real(a))
+        est = spectral_norm(
+            LinearMap(phi.ambient, phi.apply_vec, phi.adjoint_apply_vec),
+            tol=1e-7, rng=SeededRng(2), deflate=phi.fixed_space(), hermitian=True,
+        )
+        assert est.converged and len(calls) <= 20
 
 
 def deflated_dense(a, w):
@@ -379,6 +395,62 @@ class TestHermitianLanczos:
         est = spectral_norm(as_map(a), tol=1e-15, rng=SeededRng(1), hermitian=True)
         assert est.converged and est.iterations == 3
         assert est.value == pytest.approx(2.0, abs=1e-14)
+
+
+def random_50_case():
+    g = SeededRng(77).generator()
+    a = g.standard_normal((50, 50)) + 1j * g.standard_normal((50, 50))
+    return as_map(a), None, False, 1e-9, top_singular_value(a)
+
+
+def clustered_normal_case(seed):
+    a, w = TestSpectralNorm.normal_with_invariant_space(40, 3, seed=seed)
+    return as_map(a), ColumnSpan(w), False, 1e-12, top_singular_value(deflated_dense(a, w))
+
+
+def hermitian_ends_case(spectrum, seed):
+    a, w = TestHermitianLanczos.hermitian_with_invariant_space(40, 2, spectrum, seed)
+    return as_map(a), ColumnSpan(w), True, 1e-12, float(np.max(np.abs(np.linalg.eigvalsh(deflated_dense(a, w)))))
+
+
+def haar_t3_case(seed):
+    # the bench's haar_t3 shape and tolerance, on the Schur-Weyl sector map
+    e = sample_random_qtpe(4, 8, SeededRng(seed))
+    phi = SectorOperator(e, 3)
+    op = LinearMap(phi.ambient, phi.apply_vec, phi.adjoint_apply_vec)
+    return op, phi.fixed_space(), True, 1e-7, sector_lambda(e, 3)
+
+
+class TestCheckSchedule:
+    """The Ritz checks at predicted steps (_next_check) against checks at
+    every step: both converge, to values within 1e-12 relative of each other
+    and 1e-10 of the dense oracle, and the predicted schedule stops at most
+    k // 2 steps after the every-step one, k its stop."""
+
+    @pytest.mark.parametrize(
+        "case,args",
+        [
+            pytest.param(random_50_case, (), id="random-50"),
+            pytest.param(clustered_normal_case, (3,), id="clustered-3"),
+            pytest.param(clustered_normal_case, (5,), id="clustered-5"),
+            pytest.param(hermitian_ends_case, (np.linspace(-0.5, 0.9, 38), 1), id="hermitian-top"),
+            pytest.param(hermitian_ends_case, (np.linspace(-0.95, 0.6, 38), 2), id="hermitian-bottom"),
+            pytest.param(hermitian_ends_case, (np.concatenate([[-0.8, 0.8], np.linspace(-0.7, 0.7, 36)]), 1), id="hermitian-tie"),
+            pytest.param(haar_t3_case, (0,), id="haar_t3-0"),
+            pytest.param(haar_t3_case, (1,), id="haar_t3-1"),
+        ],
+    )
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_predicted_checks_against_every_step(self, case, args, start, monkeypatch):
+        op, deflate, hermitian, tol, exact = case(*args)
+        kwargs = dict(tol=tol, rng=SeededRng(start), deflate=deflate, hermitian=hermitian)
+        predicted = spectral_norm(op, **kwargs)
+        monkeypatch.setattr(linalg, "_next_check", lambda k, *_: k + 1)
+        every = spectral_norm(op, **kwargs)
+        assert predicted.converged and every.converged
+        assert predicted.iterations <= every.iterations + every.iterations // 2
+        assert abs(predicted.value - every.value) <= 1e-12 * every.value
+        assert abs(predicted.value - exact) <= 1e-10
 
 
 class TestOrthonormalize:
