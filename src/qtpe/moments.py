@@ -18,12 +18,12 @@ within a memory budget and, at t >= 2, at the (n, t) where the blocks were
 measured to run faster, takes SectorOperator, the direct sum of the
 Schur-Weyl blocks below, one per unordered irrep pair, whose fixed space
 is each diagonal block's identity; at t = 1 that is one block, the whole
-space. Each block apply is two GEMMs by a member-minor stack of R(U_i), with
-no reordering copy. Every other call takes MomentOperator on C^(n^2t),
-whose fixed space W is held as t! gathers and a t! x t! Gram matrix
-(FixedSpaceBasis). SectorOperator is a MomentOperator on another space:
-the two share apply_vec and adjoint_apply_vec, and each names its fixed
-space.
+space. Each block apply is two GEMMs by a member-minor stack of R(U_i),
+laid out at the first apply, with no reordering copy. Every other call
+takes MomentOperator on C^(n^2t), whose fixed space W is held as t!
+gathers and a t! x t! Gram matrix (FixedSpaceBasis). SectorOperator is a
+MomentOperator on another space: the two share apply_vec and
+adjoint_apply_vec, and each names its fixed space.
 
 A MomentOperator apply runs one kernel per stage, chosen once per
 MomentOperator from the stage's shapes (_stage_kernel). The member kernel
@@ -44,11 +44,12 @@ operator is block diagonal over pairs (lambda, mu). Each block acts on
 d_lambda x d_mu matrices as X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)†,
 the Haar projector is vec(I)vec(I)†/d_lambda on the diagonal blocks and 0
 elsewhere, and lambda is the largest top singular value over the blocks
-(sector_pairs lists one per unordered pair, in SectorOperator's order),
-read from eigvalsh when an involution makes the blocks Hermitian. The
-moment operator maps Hermitian matrices to Hermitian ones, so each diagonal
-block is solved as a real matrix in an orthonormal basis of Herm(V_lambda);
-the off-diagonal blocks stay complex.
+(one per unordered pair, from the one block list, which SectorOperator
+holds and the dense way reads without an apply), read from eigvalsh when
+an involution makes the blocks Hermitian. The moment operator maps
+Hermitian matrices to Hermitian ones, so each diagonal block is solved as
+a real matrix in an orthonormal basis of Herm(V_lambda); the off-diagonal
+blocks stay complex.
 """
 
 from __future__ import annotations
@@ -617,52 +618,27 @@ def hermitian_sector_block(r: np.ndarray) -> np.ndarray:
     return out
 
 
-class SectorPair(NamedTuple):
-    """The Schur-Weyl block of an irrep pair (lambda, mu), lambda at or before
-    mu in irrep_bases order: the stacks R_lambda(U_i) and R_mu(U_i), and
-    whether lambda = mu."""
-
-    left: np.ndarray
-    right: np.ndarray
-    diagonal: bool
-
-
 def irrep_actions(e: UnitaryEnsemble, t: int) -> list[np.ndarray]:
-    """The stack R_lambda(U_i) of every irrep lambda of (C^n)^(x t), in
-    irrep_bases order. At t = 1 the one irrep is C^n with the basis I, so
-    the stack is the members themselves."""
+    """The (s, d_lambda, d_lambda) stack R_lambda(U_i) of every irrep lambda
+    of (C^n)^(x t), in irrep_bases order. At t = 1 the one irrep is C^n with
+    the basis I, so the stack is the members themselves, not a copy."""
     if t == 1:
         return [e.unitaries]
     return [irrep_action(e.unitaries, b.basis, e.dim, t) for b in irrep_bases(e.dim, t)]
 
 
-def _irrep_pairs(k: int) -> list[tuple[int, int]]:
-    """The unordered pairs of k irreps in sector_pairs order: (i, i), then (i, j) for j > i."""
-    return [(i, j) for i in range(k) for j in range(i, k)]
-
-
-def sector_pairs(e: UnitaryEnsemble, t: int) -> list[SectorPair]:
-    """One block per unordered irrep pair, the diagonal block of each irrep
-    first, then its pairs with the later ones: the blocks sector_lambda
-    reads, in the order SectorOperator holds them.
-
-    The (mu, lambda) block equals J (lambda, mu) J with the antiunitary
-    J: X -> X†, so it has the same singular values and, when both are
-    Hermitian, the same (real) eigenvalues; the blocks listed here therefore
-    carry the norm of Phi - P and, under an involution, its extreme
-    eigenvalues.
-    """
-    reps = irrep_actions(e, t)
-    return [SectorPair(reps[i], reps[j], i == j) for i, j in _irrep_pairs(len(reps))]
-
-
 def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
     """Largest singular value of the moment operator minus the Haar projector,
-    exactly, from its Schur-Weyl blocks (sector_pairs).
+    exactly, from its Schur-Weyl blocks: those a SectorOperator of e at t
+    lists, read before any apply, so their stacks are irrep_actions' own.
 
-    The (lambda, mu) block is sector_block(R_lambda, R_mu). J maps each
-    diagonal block to itself, so that one is real in Hermitian coordinates
-    (hermitian_sector_block, which also removes the fixed vector
+    The (lambda, mu) block is sector_block(R_lambda, R_mu). The (mu, lambda)
+    block equals J (lambda, mu) J with the antiunitary J: X -> X†, so it has
+    the same singular values and, when both are Hermitian, the same (real)
+    eigenvalues; the blocks with lambda at or before mu therefore carry the
+    norm of Phi - P and, under an involution, its extreme eigenvalues. J maps
+    each diagonal block to itself, so that one is real in Hermitian
+    coordinates (hermitian_sector_block, which also removes the fixed vector
     vec(I)/sqrt(d_lambda)); the off-diagonal ones stay complex.
 
     With an involution (U_{-i} = U_i†, to HERMITIAN_DEFECT) every block is
@@ -672,8 +648,8 @@ def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
     """
     hermitian = involution_defect(e) <= HERMITIAN_DEFECT
     value = 0.0
-    for p in sector_pairs(e, t):
-        block = hermitian_sector_block(p.left) if p.diagonal else sector_block(p.left, p.right)
+    for _, left, right, diagonal in SectorOperator(e, t)._block_stacks():
+        block = hermitian_sector_block(left) if diagonal else sector_block(left, right)
         value = max(value, _block_norm(block, hermitian))
         del block  # so that no two blocks are held at once
     return value
@@ -709,8 +685,11 @@ class SectorFixedSpace:
 @dataclass
 class SectorOperator(MomentOperator):
     """Phi on the direct sum of its Schur-Weyl blocks, one per unordered irrep
-    pair in sector_pairs order, matrix-free: the iterative path's
-    representation of Phi for the shapes _takes_sectors admits.
+    pair (lambda, mu), lambda at or before mu in irrep_bases order: each
+    irrep's diagonal block, then its pairs with the later ones. It holds the
+    one list of those blocks. The iterative path applies it matrix-free for
+    the shapes _takes_sectors admits, and the dense path (sector_lambda) and
+    dense() read each block's stacks from it (_block_stacks).
 
     It is the moment operator of the same ensemble at the same t, on another
     space, so it shares MomentOperator's apply_vec and adjoint_apply_vec
@@ -719,24 +698,29 @@ class SectorOperator(MomentOperator):
     The vector holds each block's d_lambda x d_mu matrix X, row-major. At
     t = 1 the one block is the whole space, in the same layout.
 
-    Each irrep's stack is laid out member-minor once, H[a, i, b] =
-    R(U_i)[a, b], with its conjugate: 2 s sum_lambda d_lambda^2 entries
-    that every pair indexes. Read as (d s) x d, H is [R(U_1); ...; R(U_s)]
-    with the members interleaved row by row; read as d x (s d) it is
-    [R(U_1) ... R(U_s)]. Forward, a block maps X -> (1/s) sum_i
-    R_lambda(U_i) X R_mu(U_i)† in two GEMMs: Y = H_lambda X, whose rows
-    read as d_lambda x (s d_mu) already hold [R_1 X ... R_s X], and one
-    long-K GEMM Y conj(H_mu)^T that sums over the members into the block,
-    then the division by s. The adjoint is Z = X H_mu and conj(H_lambda)^T Z,
-    Z read as (d_lambda s) x d_mu. Either way s d_lambda d_mu (d_lambda +
-    d_mu) multiply-adds and no reordering copy. The one intermediate lives
-    in a workspace of s max d_lambda d_mu entries, allocated at the first
-    apply and reused, so one SectorOperator must not be applied from two
-    threads at once. The first apply also builds the plan: per block its
-    offsets, its stacks' 2-D views and two views of the workspace. An apply
-    is then two matmul(out=) calls per block and one division of the result
-    by s, and after the first it allocates only its result. _sector_bytes
-    bounds what the operator holds; building the stacks adds at most
+    Construction keeps irrep_actions' (s, d, d) stacks as they come, at
+    t = 1 the ensemble's members with no copy, and lists the blocks: their
+    offsets, their dims and the diagonal ones that make the fixed space. The
+    first apply lays each stack out member-minor, H[a, i, b] = R(U_i)[a, b],
+    with its conjugate: 2 s sum_lambda d_lambda^2 entries that every pair
+    indexes, and the stack held until then becomes an (s, d, d) view of H.
+    So the dense path, which never applies, holds no layout. Read as
+    (d s) x d, H is [R(U_1); ...; R(U_s)] with the members interleaved row
+    by row; read as d x (s d) it is [R(U_1) ... R(U_s)]. Forward, a block
+    maps X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)† in two GEMMs:
+    Y = H_lambda X, whose rows read as d_lambda x (s d_mu) already hold
+    [R_1 X ... R_s X], and one long-K GEMM Y conj(H_mu)^T that sums over the
+    members into the block, then the division by s. The adjoint is
+    Z = X H_mu and conj(H_lambda)^T Z, Z read as (d_lambda s) x d_mu.
+    Either way s d_lambda d_mu (d_lambda + d_mu) multiply-adds and no
+    reordering copy. The one intermediate lives in a workspace of
+    s max d_lambda d_mu entries, allocated at the first apply and reused, so
+    one SectorOperator must not be applied from two threads at once. The
+    first apply also builds the plan: per block its offsets, its stacks'
+    2-D views and two views of the workspace. An apply is then two
+    matmul(out=) calls per block and one division of the result by s, and
+    after the first it allocates only its result. _sector_bytes bounds what
+    the operator holds once applied; building the stacks adds at most
     _BATCH_BYTES of transients (irrep_action). apply() takes no matrix over
     (C^n)^(x t): the vectors live on the direct sum.
     """
@@ -744,20 +728,17 @@ class SectorOperator(MomentOperator):
     def __post_init__(self):
         if self.t < 1:
             raise PreconditionError(f"t must be >= 1, got {self.t}")
-        reps = irrep_actions(self.ensemble, self.t)
-        self._stacks = []
-        while reps:  # each R(U_i) stack is dropped once laid out
-            h = np.ascontiguousarray(reps.pop(0).transpose(1, 0, 2))
-            self._stacks.append((h, h.conj()))
+        self._stacks = irrep_actions(self.ensemble, self.t)
+        dims = [r.shape[1] for r in self._stacks]
         self._blocks = []
         diagonals = []
         lo = 0
-        for i, j in _irrep_pairs(len(self._stacks)):
-            da, db = self._stacks[i][0].shape[0], self._stacks[j][0].shape[0]
-            if i == j:
-                diagonals.append((lo, da))
-            self._blocks.append((lo, da, db, i, j))
-            lo += da * db
+        for i, da in enumerate(dims):
+            for j, db in enumerate(dims[i:], start=i):
+                if i == j:
+                    diagonals.append((lo, da))
+                self._blocks.append((lo, da, db, i, j))
+                lo += da * db
         self._dim = lo
         self._fixed = SectorFixedSpace(diagonals)
 
@@ -771,12 +752,21 @@ class SectorOperator(MomentOperator):
     def apply(self, m: np.ndarray) -> np.ndarray:
         raise PreconditionError("a SectorOperator acts on its direct sum of blocks (apply_vec), not on matrices")
 
+    def _block_stacks(self):
+        """Per block, in order: its offset, R_lambda, R_mu and whether lambda = mu."""
+        for lo, _, _, i, j in self._blocks:
+            yield lo, self._stacks[i], self._stacks[j], i == j
+
     def _apply(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
         if self._work is None:
-            s, self._plan = self.ensemble.size, []
+            s, self._plan, laid = self.ensemble.size, [], []
+            for i in range(len(self._stacks)):  # each R(U_i) stack is dropped once laid out
+                h = np.ascontiguousarray(self._stacks[i].transpose(1, 0, 2))
+                self._stacks[i] = h.transpose(1, 0, 2)
+                laid.append((h, h.conj()))
             self._work = np.empty(s * max(da * db for _, da, db, _, _ in self._blocks), dtype=complex)
             for lo, da, db, i, j in self._blocks:
-                (h_left, hc_left), (h_right, hc_right) = self._stacks[i], self._stacks[j]
+                (h_left, hc_left), (h_right, hc_right) = laid[i], laid[j]
                 work = self._work[: s * da * db]
                 self._plan.append(
                     (lo, lo + da * db, (da, db), work.reshape(da * s, db), work.reshape(da, s * db))
@@ -798,14 +788,15 @@ class SectorOperator(MomentOperator):
 
     def dense(self) -> np.ndarray:
         """The ambient x ambient matrix on the direct sum, block diagonal with
-        each pair's sector_block: the applies' oracle."""
+        each pair's sector_block from the stacks sector_lambda reads: the
+        applies' oracle and, less each diagonal block's vec(I)vec(I)†/d, the
+        dense path's."""
         if self.ambient > DENSE_LIMIT:
             raise SizeLimitError(f"direct sum {self.ambient} exceeds dense limit {DENSE_LIMIT}")
         out = np.zeros((self.ambient, self.ambient), dtype=complex)
-        for lo, da, db, i, j in self._blocks:
-            hi = lo + da * db
-            a, b = self._stacks[i][0].transpose(1, 0, 2), self._stacks[j][0].transpose(1, 0, 2)
-            out[lo:hi, lo:hi] = sector_block(a, b)
+        for lo, left, right, _ in self._block_stacks():
+            hi = lo + left.shape[1] * right.shape[1]
+            out[lo:hi, lo:hi] = sector_block(left, right)
         return out
 
 

@@ -43,10 +43,10 @@ from qtpe.moments import (
     _sector_bytes,
     _young_symmetriser,
     _takes_sectors,
-    sector_pairs,
     design_errors,
     hermitian_sector_block,
     irrep_action,
+    irrep_actions,
     irrep_bases,
     sector_block,
     sector_lambda,
@@ -1013,27 +1013,35 @@ def sector_case(n, t, family):
     return e
 
 
+def irrep_pairs(e, t):
+    """(R_lambda, R_mu, lambda == mu) for every unordered irrep pair, i <= j in
+    irrep_actions order: the blocks SectorOperator must hold, listed without it."""
+    reps = irrep_actions(e, t)
+    return [(reps[i], reps[j], i == j) for i in range(len(reps)) for j in range(i, len(reps))]
+
+
 class TestSectorOperator:
     """Lanczos on the direct sum of the Schur-Weyl blocks: its applies against
     the dense sector_block of each block, its lambda against sector_lambda
-    and against Lanczos on the moment operator, and the shape rule."""
+    and against Lanczos on the moment operator, its dense() against
+    sector_lambda, and the shape rule."""
 
     @pytest.mark.parametrize("n,t", SECTOR_CASES)
     @pytest.mark.parametrize("family", ["hermitian", "raw"])
     def test_applies_match_the_dense_blocks(self, n, t, family):
         e = sector_case(n, t, family)
-        pairs, op = sector_pairs(e, t), SectorOperator(e, t)
+        pairs, op = irrep_pairs(e, t), SectorOperator(e, t)
         g = SeededRng(n, t).generator()
         x = g.standard_normal(op.ambient) + 1j * g.standard_normal(op.ambient)
         forward, backward = op.apply_vec(x), op.adjoint_apply_vec(x)
         lo = 0
-        for p in pairs:
-            block = sector_block(p.left, p.right)
+        for left, right, _ in pairs:
+            block = sector_block(left, right)
             size = block.shape[0]
             assert np.max(np.abs(forward[lo : lo + size] - block @ x[lo : lo + size])) <= 1e-12
             assert np.max(np.abs(backward[lo : lo + size] - block.conj().T @ x[lo : lo + size])) <= 1e-12
             lo += size
-        assert lo == op.ambient == sum(p.left.shape[1] * p.right.shape[1] for p in pairs)
+        assert lo == op.ambient == sum(left.shape[1] * right.shape[1] for left, right, _ in pairs)
         if op.ambient <= DENSE_LIMIT:
             assert np.max(np.abs(forward - op.dense() @ x)) <= 1e-12
 
@@ -1055,8 +1063,9 @@ class TestSectorOperator:
             assert np.array_equal(op.adjoint_apply_vec(x), backward)
 
     def test_fixed_space_is_each_diagonal_identity(self):
-        op = SectorOperator(hermitian_ensemble(3, 4, 1), 3)
-        dims = [(p.left.shape[1], p.right.shape[1], p.diagonal) for p in sector_pairs(hermitian_ensemble(3, 4, 1), 3)]
+        e = hermitian_ensemble(3, 4, 1)
+        op = SectorOperator(e, 3)
+        dims = [(left.shape[1], right.shape[1], diagonal) for left, right, diagonal in irrep_pairs(e, 3)]
         assert op.fixed_space().rank == sum(diagonal for _, _, diagonal in dims) == 3
         g = SeededRng(2).generator()
         x = g.standard_normal(op.ambient) + 1j * g.standard_normal(op.ambient)
@@ -1071,6 +1080,25 @@ class TestSectorOperator:
             else:
                 assert np.array_equal(block, before)
             lo += da * db
+
+    @pytest.mark.parametrize("n,t", SECTOR_CASES)
+    @pytest.mark.parametrize("family", ["hermitian", "raw"])
+    def test_dense_less_the_projector_has_norm_sector_lambda(self, n, t, family):
+        # dense() is the dense path's oracle: its top singular value, with
+        # vec(I)vec(I)†/d removed from each diagonal block of the independent
+        # pair list, is the lambda sector_lambda reads block by block
+        e = sector_case(n, t, family)
+        op = SectorOperator(e, t)
+        assert op.ambient <= DENSE_LIMIT
+        dense, lo = op.dense(), 0
+        for left, right, diagonal in irrep_pairs(e, t):
+            da, db = left.shape[1], right.shape[1]
+            if diagonal:
+                ones = lo + (da + 1) * np.arange(da)  # the positions of X's diagonal in the vector
+                dense[np.ix_(ones, ones)] -= 1.0 / da
+            lo += da * db
+        assert lo == op.ambient
+        assert abs(sector_lambda(e, t) - np.linalg.svd(dense, compute_uv=False)[0]) <= 1e-10
 
     # n = t = 4 once: the raw case's complex dense blocks alone take 4 s
     @pytest.mark.parametrize(
@@ -1237,20 +1265,35 @@ class TestHermitianCoordinates:
         (r,) = sector_reps(pauli_ensemble(), 1)
         assert np.array_equal(hermitian_sector_block(r), np.zeros((4, 4)))
 
-    def test_sector_lambda_peak_memory_at_n6_t2(self):
-        # the dense_t2 shape: diagonal blocks 441 and 225, off-diagonal 315. At
-        # most the complex 441^2 GEMM result and the real 441^2 block are alive
-        # at once, plus the chunks being gathered; the complex-block path held
-        # about 9.1 MB (the block, its transposed copy and B - B†)
-        e = hermitian_ensemble(6, 8, 0)
+    @pytest.mark.parametrize(
+        "n,s,t,earlier",
+        [
+            # the dense_t2 shape: diagonal blocks 441 and 225, off-diagonal 315;
+            # the complex-block path held about 9.1 MB (the block, its
+            # transposed copy and B - B†)
+            (6, 8, 2, 9.1e6),
+            # t = 1 with s >> d^2: the stack is the members themselves, 8.4 MB;
+            # laying it out member-minor when the operator is built, not at its
+            # first apply, adds H and its conjugate, 26.2 MB or more
+            (16, 2048, 1, 26.2e6),
+        ],
+        ids=["n6-t2", "n16-s2048-t1"],
+    )
+    def test_sector_lambda_peak_memory(self, n, s, t, earlier):
+        # at most the conjugate of the largest diagonal block's stack, which its
+        # GEMM reads, the complex side^2 GEMM result and the real side^2 block
+        # are alive at once, plus the chunks being gathered
+        e = hermitian_ensemble(n, s, 0)
+        involution_defect(e)  # measured once and kept on e, as validate does on load
         tracemalloc.start()
         try:
-            sector_lambda(e, 2)
+            sector_lambda(e, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        side = 21 * 21
-        assert peak <= 16 * side**2 + 8 * side**2 + 6 * _CHUNK_BYTES < 9.1e6
+        d = max(unitary_irrep_dim(shape, n) for shape in partitions(t) if len(shape) <= n)
+        side = d * d
+        assert peak <= 16 * s * side + 16 * side**2 + 8 * side**2 + 6 * _CHUNK_BYTES < earlier
 
     def test_sector_lambda_holds_one_block_at_a_time(self, monkeypatch):
         # each block is released before the next is formed: one still held
