@@ -19,8 +19,6 @@ from .ensemble import (
 )
 from .epsgood import (
     GoodnessDecision,
-    dprime_threshold,
-    epsgood_failure_bound,
     is_good_for_set,
     is_good_for_vector,
     is_tuple_good,
@@ -31,8 +29,6 @@ from .linalg import (
     SeededRng,
     SpectralEstimate,
     haar_unitary,
-    kron,
-    max_principal_sine,
     orthonormalize,
     spectral_norm,
 )
@@ -56,12 +52,10 @@ from .perms import (
     all_permutations,
     cycle_count,
     cycle_gram_matrix,
-    distinct_fraction_deficit,
     falling_factorial,
     fixed_point_count,
     fixed_point_matrix,
     partitions,
-    stirling_first,
     symmetric_irrep_dim,
     unitary_irrep_dim,
 )

@@ -4,13 +4,11 @@ A unitary on C^d (x) C^d' is "good" for a state when measuring the first
 factor of its image gives near-uniform outcome probabilities, and good for a
 set when, additionally, conditioned post-measurement states of orthogonal
 inputs stay nearly orthogonal. Tuples inherit goodness inductively through
-conditioned states along outcome paths. Closed-form failure-probability and
-inner-dimension-threshold formulas accompany the checkers.
+conditioned states along outcome paths.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,46 +234,3 @@ def is_tuple_good(
             return GoodnessDecision(good=False, witness=witness)
     coverage = 1.0 if total == 0 else len(flats) / total
     return GoodnessDecision(good=True, witness=None, coverage=coverage)
-
-
-def epsgood_failure_bound(k: int, s: int, d: int, dprime: int, eps: float) -> float:
-    """Failure-probability bound 4 (s^(k+1) d^(k+2) d')^2 exp(-eps^2 d' / 16).
-
-    An upper bound on the probability that k independent Haar s-sets fail to
-    be eps-good; can exceed 1 (vacuous) at desk scales.
-    """
-    if min(k, s, d, dprime) < 1 or eps < 0:
-        raise PreconditionError("all arguments must be positive")
-    base = float(s) ** (k + 1) * float(d) ** (k + 2) * float(dprime)
-    return 4.0 * base * base * math.exp(-(eps**2) * dprime / 16.0)
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Inner-dimension threshold value with hypothesis flags."""
-
-    value: float
-    flags: tuple[str, ...] = ()
-
-
-def dprime_threshold(s: int, d: int, k: int, eps: float) -> ThresholdReport:
-    """Threshold 30 ln(s) (ln(s) + ln(d)) d^(2k+1) eps^-2 on the inner dimension.
-
-    The generalised zigzag bound holds when d' meets it; no bound or report
-    evaluates it. Natural logs; d^(2k+1) overflows a float, raising
-    OverflowError, once it passes about 1.8e308. Flags record s >= 4 and
-    d >= 100 hypothesis violations instead of refusing.
-    """
-    if eps <= 0:
-        raise PreconditionError(f"eps must be positive, got {eps}")
-    if min(s, d, k) < 1:
-        raise PreconditionError("s, d, k must be positive")
-    flags = []
-    if s < 4:
-        flags.append(f"hypothesis s >= 4 violated (s={s})")
-    if d < 100:
-        flags.append(f"hypothesis d >= 100 violated (d={d})")
-    ls = math.log(s)
-    ld = math.log(d)
-    value = 30.0 * ls * (ls + ld) * float(d) ** (2 * k + 1) / (eps * eps)
-    return ThresholdReport(value, tuple(flags))

@@ -1,13 +1,12 @@
 """Complex dense linear algebra substrate.
 
-Seeded Haar-random unitary sampling, Kronecker products,
-orthonormalisation, principal-angle distances, and the matrix-free
-largest-singular-value solver: seeded plain Lanczos, on the map itself when
-it is Hermitian and on op†∘op otherwise, with optional deflation of an
-invariant subspace that removes itself from a vector in place. The solver
-keeps three vectors and the coefficients of its tridiagonal matrix, whose
-Ritz values it reads only at the steps where the rate of convergence so far
-predicts that the stop can be reached.
+Seeded Haar-random unitary sampling, orthonormalisation, and the
+matrix-free largest-singular-value solver: seeded plain Lanczos, on the map
+itself when it is Hermitian and on op†∘op otherwise, with optional deflation
+of an invariant subspace that removes itself from a vector in place. The
+solver keeps three vectors and the coefficients of its tridiagonal matrix,
+whose Ritz values it reads only at the steps where the rate of convergence
+so far predicts that the stop can be reached.
 Which lambda path runs, dense or iterative, is decided in
 moments.lambda_report, not here.
 """
@@ -16,15 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 import numpy as np
 
-from .errors import PreconditionError, SizeLimitError
+from .errors import PreconditionError
 
 DENSE_LIMIT = 4096  # largest dimension the dense path materialises
 ITERATIVE_AMBIENT_LIMIT = 10**7  # largest vector length a moment operator is applied to
-KRON_ENTRY_LIMIT = 2**31
 DEFAULT_TOL_ITERATIVE = 1e-7
 DEFAULT_MAX_ITERS = 5000
 
@@ -73,16 +71,6 @@ def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:
     q, r = np.linalg.qr(z)
     diag = np.diag(r)
     return q * (diag / np.abs(diag))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with row-major index convention ((i1,i2) -> i1*dim2 + i2)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    entries = a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1]
-    if entries > KRON_ENTRY_LIMIT:
-        raise SizeLimitError(f"kron result would have {entries} entries (> {KRON_ENTRY_LIMIT})")
-    return np.kron(a, b)
 
 
 @dataclass
@@ -280,52 +268,16 @@ def spectral_norm(
     return SpectralEstimate(value, residual, max_iters, converged=False)
 
 
-def orthonormalize(vectors: Sequence[np.ndarray] | np.ndarray) -> tuple[np.ndarray, int]:
-    """Orthonormal basis (as columns) of the span, with its numerical rank.
+def orthonormalize(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthonormal basis (as columns) of the span of the columns of the 2-D
+    array a, with its numerical rank; real when a is real.
 
     Rank counts singular values above _RANK_TOL times the largest one; an
-    all-zero input yields rank 0 and an empty basis. A real 2-D array of
-    columns gets a real basis; any other input a complex one.
+    all-zero input yields rank 0 and an empty basis.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        a = np.asarray(vectors, dtype=float if np.isrealobj(vectors) else complex)
-    else:
-        seq = list(vectors)
-        if not seq:
-            raise PreconditionError("orthonormalize needs at least one vector")
-        a = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in seq], axis=1)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((a.shape[0], 0), dtype=a.dtype), 0
     rank = int(np.sum(s > _RANK_TOL * s[0]))
     return u[:, :rank], rank
-
-
-def _check_orthonormal(basis: np.ndarray, tag: str, tol: float = 1e-8) -> None:
-    if basis.ndim != 2:
-        raise PreconditionError(f"{tag} must be a 2-D column basis")
-    if basis.shape[1] == 0:
-        return
-    gram = basis.conj().T @ basis
-    defect = np.max(np.abs(gram - np.eye(basis.shape[1])))
-    if defect > tol:
-        raise PreconditionError(f"{tag} is not orthonormal (defect {defect:.2e} > {tol})")
-
-
-def max_principal_sine(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
-    """Directed subspace distance: max over unit w in span(A) of its distance to span(B).
-
-    Equals the sine of the largest principal angle from span(A) into span(B),
-    computed as the top singular value of (I - B B†) A. Symmetric closeness is
-    the max of the two directed values.
-    """
-    _check_orthonormal(basis_a, "basis_a")
-    _check_orthonormal(basis_b, "basis_b")
-    if basis_a.shape[0] != basis_b.shape[0]:
-        raise PreconditionError(f"ambient dimensions differ: {basis_a.shape[0]} vs {basis_b.shape[0]}")
-    if basis_a.shape[1] == 0:
-        return 0.0
-    resid = basis_a - basis_b @ (basis_b.conj().T @ basis_a)
-    value = float(np.linalg.svd(resid, compute_uv=False)[0])
-    return min(max(value, 0.0), 1.0)
 

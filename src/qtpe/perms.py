@@ -1,12 +1,11 @@
 """Permutations of {0,...,t-1} and the combinatorics behind the error terms.
 
-Covers cycle/fixed-point statistics, unsigned Stirling numbers of the first
-kind, falling factorials, the Gram matrix of the register shuffles with the
-two t!-indexed matrices (cycle-weighted and fixed-point-weighted) whose
-spectral norms bound its off-diagonal mass, and the Young-diagram data behind
-the Schur-Weyl sectors: partitions of t, the row and column groups of their
-canonical tableaux, the sign character, and the hook-length and hook-content
-irrep dimensions.
+Covers cycle/fixed-point statistics, falling factorials, the Gram matrix
+of the register shuffles with the two t!-indexed matrices (cycle-weighted
+and fixed-point-weighted) whose spectral norms bound its off-diagonal mass,
+and the Young-diagram data behind the Schur-Weyl sectors: partitions of t,
+the row and column groups of their canonical tableaux, the sign character,
+and the hook-length and hook-content irrep dimensions.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 from .errors import PreconditionError, SizeLimitError
 
 MAX_ENUM_T = 8  # t! enumeration guard
-MAX_STIRLING_T = 20  # exact integer recurrence guard
 
 
 @dataclass(frozen=True)
@@ -81,23 +79,6 @@ def fixed_point_count(p: Permutation) -> int:
     return sum(1 for a in range(p.size) if p.map[a] == a)
 
 
-def stirling_first(t: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind: permutations of [t] with k cycles.
-
-    Computed by the recurrence S(t+1, k) = t*S(t, k) + S(t, k-1) with
-    S(1, 1) = 1 and S(t, 0) = 0, in exact integer arithmetic.
-    """
-    if not (1 <= k <= t <= MAX_STIRLING_T):
-        raise PreconditionError(f"need 1 <= k <= t <= {MAX_STIRLING_T}, got t={t}, k={k}")
-    row = [0, 1]  # S(1, 0..1)
-    for m in range(1, t):
-        new = [0] * (m + 2)
-        for j in range(1, m + 2):
-            new[j] = m * (row[j] if j < len(row) else 0) + row[j - 1]
-        row = new
-    return row[k]
-
-
 def falling_factorial(d: int, t: int) -> int:
     """(d)_t = d (d-1) ... (d-t+1); equals 1 at t=0 and 0 once t > d."""
     if d < 0 or t < 0:
@@ -108,18 +89,6 @@ def falling_factorial(d: int, t: int) -> int:
         if out == 0:
             return 0
     return out
-
-
-def distinct_fraction_deficit(d: int, t: int) -> tuple[float, float]:
-    """Deficit 1 - (d)_t/d^t of distinct index tuples, with its t(t-1)/(2d) bound.
-
-    Returns (exact, bound); exact <= bound always holds for d >= t.
-    """
-    if d < t:
-        raise PreconditionError(f"need d >= t, got d={d}, t={t}")
-    exact = 1.0 - falling_factorial(d, t) / float(d**t)
-    bound = t * (t - 1) / (2.0 * d)
-    return exact, bound
 
 
 def _pair_statistic_matrix(t: int, weight) -> np.ndarray:

@@ -10,8 +10,8 @@ degree, and attaches the stages, so the moment operator is applied stage by
 stage. Bound calculators evaluate the corresponding closed-form guarantees,
 flagging (never refusing) out-of-hypothesis parameters, since desk-scale
 experiments intentionally run outside the guaranteed regimes. The generalised
-product's inner-dimension threshold is a separate calculator,
-epsgood.dprime_threshold, that no bound evaluates.
+product's guarantee also needs its inner dimension d' to reach a threshold
+(bound_genzigzag), which no bound evaluates.
 """
 
 from __future__ import annotations
@@ -184,9 +184,10 @@ def bound_zigzag_derandomised(l1: float, l2: float, t: int, d: int) -> BoundValu
 def bound_genzigzag(l1: float, l2: float, k: int, t: int, d: int, dprime: int, eps: float) -> BoundValue:
     """8(lambda_1 + 7 eps) + lambda_2^(k-1) + lambda_2^k + 47 (t(t-1)/(dd'))^(1/4).
 
-    The guarantee also needs d' >= 30 ln(s)(ln(s)+ln(d)) d^(2k+1) eps^-2
-    (epsgood.dprime_threshold). The bound does not evaluate that threshold,
-    so a large k overflows only through lambda_2^k, when lambda_2 > 1.
+    The guarantee also needs d' >= 30 ln(s)(ln(s)+ln(d)) d^(2k+1) eps^-2,
+    natural logs, s the degree of the inner ensembles. The bound does not
+    evaluate that threshold, so a large k overflows only through
+    lambda_2^k, when lambda_2 > 1.
     k < 1, eps <= 0 and d or d' < 1 are refused.
     """
     if k < 1:

@@ -1,12 +1,14 @@
 """Shared helpers: ensemble constructors, the dense spectral oracle, the
 SVD oracles of the fixed space and of its closeness to the distinct-tuple
-proxy, and the per-block oracle of SectorOperator's planned applies."""
+proxy with the principal-angle distance they use, and the per-block oracle
+of SectorOperator's planned applies."""
 
 import numpy as np
 import pytest
 
 from qtpe.ensemble import UnitaryEnsemble, sample_random_qtpe
-from qtpe.linalg import SeededRng, haar_unitary, max_principal_sine, orthonormalize
+from qtpe.errors import PreconditionError
+from qtpe.linalg import SeededRng, haar_unitary, orthonormalize
 from qtpe.moments import MomentOperator, irrep_actions, lambda_report
 from qtpe.perms import Permutation, all_permutations
 
@@ -90,6 +92,35 @@ def svd_deviation(e, t):
     """Phi - P as a dense matrix, P from the SVD basis of W: Phi on W^perp, 0 on W."""
     q, _ = svd_fixed_space(e.dim, t)
     return MomentOperator(e, t).dense() - q @ q.T
+
+
+def _check_orthonormal(basis, tag, tol=1e-8):
+    if basis.ndim != 2:
+        raise PreconditionError(f"{tag} must be a 2-D column basis")
+    if basis.shape[1] == 0:
+        return
+    gram = basis.conj().T @ basis
+    defect = np.max(np.abs(gram - np.eye(basis.shape[1])))
+    if defect > tol:
+        raise PreconditionError(f"{tag} is not orthonormal (defect {defect:.2e} > {tol})")
+
+
+def max_principal_sine(basis_a, basis_b):
+    """Directed subspace distance: max over unit w in span(A) of its distance to span(B).
+
+    Equals the sine of the largest principal angle from span(A) into span(B),
+    computed as the top singular value of (I - B B†) A. Symmetric closeness is
+    the max of the two directed values.
+    """
+    _check_orthonormal(basis_a, "basis_a")
+    _check_orthonormal(basis_b, "basis_b")
+    if basis_a.shape[0] != basis_b.shape[0]:
+        raise PreconditionError(f"ambient dimensions differ: {basis_a.shape[0]} vs {basis_b.shape[0]}")
+    if basis_a.shape[1] == 0:
+        return 0.0
+    resid = basis_a - basis_b @ (basis_b.conj().T @ basis_a)
+    value = float(np.linalg.svd(resid, compute_uv=False)[0])
+    return min(max(value, 0.0), 1.0)
 
 
 def svd_closeness(outer_dim, inner_dim, t):

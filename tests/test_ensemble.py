@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,33 @@ class TestValidate:
         assert involution_defect(swapped) > 1.0
         assert involution_defect(e) <= 1e-14
         assert involution_defect(dataclasses.replace(swapped, involution=None)) == np.inf
+
+    def test_chunked_defects_equal_the_whole_stack_formulas(self):
+        # 1100 members of dimension 16 take chunks of 512, 512 and 76
+        e = sample_random_qtpe(16, 1100, SeededRng(3))
+        noise = 1e-9 * np.random.default_rng(0).standard_normal(e.unitaries.shape)
+        e = UnitaryEnsemble(e.dim, e.unitaries + noise, e.involution)
+        adjoints = e.unitaries.conj().transpose(0, 2, 1)
+        gram = np.matmul(adjoints, e.unitaries) - np.eye(e.dim)
+        diffs = e.unitaries[list(e.involution)] - adjoints
+        report = validate(e)
+        assert report.unitarity_defect == float(np.sqrt(np.sum(np.abs(gram) ** 2, axis=(1, 2))).max())
+        assert report.involution_defect == float(np.sqrt(np.sum(np.abs(diffs) ** 2, axis=(1, 2))).max())
+        members = e.unitaries.copy()
+        members[1099, 0, 0] = np.nan  # in the last, partial chunk
+        assert np.isnan(validate(UnitaryEnsemble(e.dim, members, e.involution)).unitarity_defect)
+
+    def test_peak_memory_below_the_members(self):
+        # the defects go a fixed chunk of members at a time; the whole stack's
+        # adjoints, Gram matrices and differences peaked at 3.0x the members
+        e = sample_random_qtpe(16, 2048, SeededRng(4))
+        tracemalloc.start()
+        try:
+            validate(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * e.unitaries.nbytes
 
 
 class TestSampler:
@@ -182,7 +210,7 @@ class TestTensorEnsemble:
     def test_entry_guard_before_any_member(self, monkeypatch):
         import qtpe.ensemble as ens
 
-        monkeypatch.setattr(ens, "kron", lambda *args: pytest.fail("a member was formed"))
+        monkeypatch.setattr(ens.np, "kron", lambda *args: pytest.fail("a member was formed"))
         with pytest.raises(SizeLimitError, match="PRODUCT_ENTRY_LIMIT"):
             tensor_ensemble(raw_haar_ensemble(64, 4, seed=0))  # 16 members of 4096 x 4096: 4 GiB
 

@@ -1,7 +1,6 @@
-"""Measurement-goodness checkers and their closed-form companions."""
+"""Measurement-goodness checkers."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -9,8 +8,6 @@ import pytest
 from qtpe.epsgood import (
     _branch,
     check_tuple_size,
-    dprime_threshold,
-    epsgood_failure_bound,
     is_good_for_set,
     is_good_for_vector,
     is_tuple_good,
@@ -248,43 +245,6 @@ class TestTupleGood:
             us = [haar_unitary(512, SeededRng(seed, 902 + i)) for i in range(2)]
             accepted += is_tuple_good(us, 2, 256, eps=0.3).good
         assert accepted >= 4
-
-
-class TestFailureBound:
-    def test_example_value(self):
-        value = epsgood_failure_bound(1, 2, 2, 10**4, 0.1)
-        expected = 4.0 * (4 * 8 * 10**4) ** 2 * math.exp(-6.25)
-        assert value == pytest.approx(expected, rel=1e-12)
-        assert value > 1  # vacuous at desk scale
-
-    def test_eps_zero_limit(self):
-        base = epsgood_failure_bound(1, 2, 2, 100, 1e-12)
-        assert base == pytest.approx(4.0 * (2**2 * 2**3 * 100) ** 2, rel=1e-6)
-
-    def test_exponential_factor_decreases_in_dprime(self):
-        eps = 0.1
-        f1 = math.exp(-(eps**2) * 10**4 / 16)
-        f2 = math.exp(-(eps**2) * 2 * 10**4 / 16)
-        assert f2 < f1
-        assert epsgood_failure_bound(1, 2, 2, 2 * 10**4, eps) < epsgood_failure_bound(1, 2, 2, 10**4, eps)
-
-
-class TestDprimeThreshold:
-    def test_example_value(self):
-        report = dprime_threshold(4, 100, 1, 0.01)
-        expected = 30.0 * math.log(4) * (math.log(4) + math.log(100)) * 100**3 * 10**4
-        assert report.value == pytest.approx(expected, rel=1e-12)
-        assert report.flags == ()
-
-    def test_monotone_in_k(self):
-        assert dprime_threshold(4, 100, 2, 0.01).value > dprime_threshold(4, 100, 1, 0.01).value
-
-    def test_decreasing_in_eps(self):
-        assert dprime_threshold(4, 100, 1, 0.02).value < dprime_threshold(4, 100, 1, 0.01).value
-
-    def test_hypothesis_flags(self):
-        assert dprime_threshold(2, 100, 1, 0.01).flags
-        assert dprime_threshold(4, 50, 1, 0.01).flags
 
 
 def full_walk(us, d, dprime, eps, budget, rng):

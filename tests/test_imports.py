@@ -1,13 +1,16 @@
-"""Import hygiene of the package: numpy is its only runtime dependency, and no
-module keeps an import it does not use."""
+"""Import hygiene of the package: numpy is its only runtime dependency, no
+module keeps an import it does not use, and every name the benchmark's
+tracer wraps still exists."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qtpe"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qtpe"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -40,3 +43,14 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted({name for _, name in _imports(tree) if name not in used})
     assert unused == []
+
+
+def test_benchmark_tracer_targets_exist(monkeypatch):
+    """bench/tracer.py wraps each target by vars(owner)[attr], so a package
+    name it wraps that is deleted or moved stops every benchmark worker."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look their module up
+    spec.loader.exec_module(tracer)
+    missing = [f"{owner.__name__}.{attr}" for _, owner, attr, _ in tracer.targets() if attr not in vars(owner)]
+    assert missing == []

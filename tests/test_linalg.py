@@ -6,18 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import max_principal_sine
 from qtpe import linalg
 from qtpe.ensemble import UnitaryEnsemble, sample_random_qtpe
 from qtpe.errors import PreconditionError
-from qtpe.linalg import (
-    LinearMap,
-    SeededRng,
-    haar_unitary,
-    kron,
-    max_principal_sine,
-    orthonormalize,
-    spectral_norm,
-)
+from qtpe.linalg import LinearMap, SeededRng, haar_unitary, orthonormalize, spectral_norm
 from qtpe.moments import MomentOperator, SectorOperator, sector_lambda
 
 
@@ -82,27 +75,6 @@ class TestHaarUnitary:
         mean = samples.mean()
         sem = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(mean - 1.0) <= 3.0 * sem
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_singular_values_outer_product(self):
-        g = SeededRng(5).generator()
-        a = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
-        b = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
-        sv = np.linalg.svd(kron(a, b), compute_uv=False)
-        expected = np.sort(np.outer(np.linalg.svd(a, compute_uv=False), np.linalg.svd(b, compute_uv=False)).ravel())[::-1]
-        assert np.allclose(sv, expected, atol=1e-12)
-
-    def test_index_convention(self):
-        d2 = 3
-        e1 = np.zeros((2, 2)); e1[0, 0] = 1
-        e2 = np.zeros((d2, d2)); e2[1, 1] = 1
-        out = kron(e1, e2)
-        assert out[0 * d2 + 1, 0 * d2 + 1] == 1.0
-        assert out.sum() == 1.0
 
 
 class TestModeApply:
@@ -456,11 +428,11 @@ class TestCheckSchedule:
 class TestOrthonormalize:
     def test_duplicate_vector_rank_1(self):
         v = np.array([1.0, 0.0, 0.0], dtype=complex)
-        basis, rank = orthonormalize([v, v])
+        basis, rank = orthonormalize(np.stack([v, v], axis=1))
         assert rank == 1 and basis.shape == (3, 1)
 
     def test_standard_basis_unchanged_up_to_phase(self):
-        basis, rank = orthonormalize([np.eye(3, dtype=complex)[:, i] for i in range(3)])
+        basis, rank = orthonormalize(np.eye(3, dtype=complex))
         assert rank == 3
         assert np.allclose(np.abs(basis.conj().T @ np.eye(3)), np.eye(3), atol=1e-12)
 
@@ -471,7 +443,7 @@ class TestOrthonormalize:
 
         vecs = [alpha_sigma(s, 2, 2).reshape(-1) for s in all_permutations(2)]
         assert np.vdot(vecs[0], vecs[1]) == pytest.approx(0.5)
-        basis, rank = orthonormalize(vecs)
+        basis, rank = orthonormalize(np.stack(vecs, axis=1))
         assert rank == 2
         gram = basis.conj().T @ basis
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
@@ -479,20 +451,20 @@ class TestOrthonormalize:
     def test_idempotent_on_own_output(self):
         g = SeededRng(3).generator()
         vecs = [g.standard_normal(6) + 1j * g.standard_normal(6) for _ in range(4)]
-        basis, rank = orthonormalize(vecs)
-        basis2, rank2 = orthonormalize([basis[:, i] for i in range(rank)])
+        basis, rank = orthonormalize(np.stack(vecs, axis=1))
+        basis2, rank2 = orthonormalize(basis)
         assert rank2 == rank
         overlap = np.linalg.svd(basis.conj().T @ basis2, compute_uv=False)
         assert np.allclose(overlap, 1.0, atol=1e-10)
 
     def test_all_zero(self):
-        basis, rank = orthonormalize([np.zeros(4, dtype=complex)])
+        basis, rank = orthonormalize(np.zeros((4, 1), dtype=complex))
         assert rank == 0 and basis.shape == (4, 0)
 
 
 def brute_force_directed_sine(a, b, steps=4000):
     """Grid oracle: max over unit w in span(a) of distance to projection onto span(b)."""
-    q_b, _ = orthonormalize([b[:, i] for i in range(b.shape[1])])
+    q_b, _ = orthonormalize(b)
     if a.shape[1] == 1:
         w = a[:, 0] / np.linalg.norm(a[:, 0])
         return np.linalg.norm(w - q_b @ (q_b.conj().T @ w))
@@ -504,8 +476,10 @@ def brute_force_directed_sine(a, b, steps=4000):
 
 
 class TestMaxPrincipalSine:
+    """conftest.max_principal_sine, the distance behind the closeness oracle."""
+
     def test_identical_spans(self):
-        q, _ = orthonormalize([np.array([1.0, 2.0, 0.0], dtype=complex)])
+        q, _ = orthonormalize(np.array([[1.0], [2.0], [0.0]], dtype=complex))
         assert max_principal_sine(q, q) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_lines(self):
@@ -523,8 +497,8 @@ class TestMaxPrincipalSine:
         g = SeededRng(50, trial).generator()
         a_raw = g.standard_normal((4, 2))
         b_raw = g.standard_normal((4, 2))
-        qa, _ = orthonormalize([a_raw[:, i].astype(complex) for i in range(2)])
-        qb, _ = orthonormalize([b_raw[:, i].astype(complex) for i in range(2)])
+        qa, _ = orthonormalize(a_raw.astype(complex))
+        qb, _ = orthonormalize(b_raw.astype(complex))
         fast = max_principal_sine(qa, qb)
         slow = brute_force_directed_sine(qa, qb)
         assert abs(fast - slow) <= 1e-6
@@ -533,13 +507,13 @@ class TestMaxPrincipalSine:
         # perp-space distance equals the reversed directed distance, the swap
         # that ClosenessReport.perp_* rely on
         g = SeededRng(51).generator()
-        qa, _ = orthonormalize([g.standard_normal(5).astype(complex) for _ in range(2)])
-        qb, _ = orthonormalize([g.standard_normal(5).astype(complex) for _ in range(2)])
+        qa, _ = orthonormalize(np.stack([g.standard_normal(5).astype(complex) for _ in range(2)], axis=1))
+        qb, _ = orthonormalize(np.stack([g.standard_normal(5).astype(complex) for _ in range(2)], axis=1))
         # dense complement oracle
         pa = np.eye(5) - qa @ qa.conj().T
         pb = np.eye(5) - qb @ qb.conj().T
-        ca, _ = orthonormalize([pa[:, i] for i in range(5)])
-        cb, _ = orthonormalize([pb[:, i] for i in range(5)])
+        ca, _ = orthonormalize(pa)
+        cb, _ = orthonormalize(pb)
         assert max_principal_sine(qb, qa) == pytest.approx(max_principal_sine(ca, cb), abs=1e-10)
 
     def test_dimension_mismatch(self):

@@ -1,6 +1,5 @@
 """Permutation combinatorics: oracles are brute-force enumerations of S_t."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -15,7 +14,6 @@ from qtpe.perms import (
     column_group,
     cycle_count,
     cycle_gram_matrix,
-    distinct_fraction_deficit,
     falling_factorial,
     fixed_point_count,
     fixed_point_matrix,
@@ -23,19 +21,9 @@ from qtpe.perms import (
     permutation_gram,
     row_group,
     sign,
-    stirling_first,
     symmetric_irrep_dim,
     unitary_irrep_dim,
 )
-
-
-def brute_force_cycle_histogram(t):
-    """Independent oracle: count permutations of [t] by number of cycles."""
-    hist = {}
-    for p in itertools.permutations(range(t)):
-        c = cycle_count(Permutation(p))
-        hist[c] = hist.get(c, 0) + 1
-    return hist
 
 
 perm_strategy = st.integers(1, 6).flatmap(
@@ -89,40 +77,6 @@ class TestAllPermutations:
             all_permutations(0)
 
 
-class TestStirling:
-    def test_identity_only_full_cycle_count(self):
-        assert stirling_first(3, 3) == 1
-
-    def test_s3_oracle(self):
-        # brute force over S_3: two 3-cycles have a single cycle
-        assert brute_force_cycle_histogram(3)[1] == 2
-        assert stirling_first(3, 1) == 2
-
-    def test_s4_oracle(self):
-        assert brute_force_cycle_histogram(4)[2] == 11
-        assert stirling_first(4, 2) == 11
-
-    @pytest.mark.parametrize("t", range(1, 9))
-    def test_row_sums_match_enumeration(self, t):
-        hist = brute_force_cycle_histogram(t)
-        for k in range(1, t + 1):
-            assert stirling_first(t, k) == hist.get(k, 0)
-        assert sum(stirling_first(t, k) for k in range(1, t + 1)) == math.factorial(t)
-
-    @pytest.mark.parametrize("t", range(2, 9))
-    def test_near_diagonal_binomial_bound(self, t):
-        for k in range(1, t):
-            assert stirling_first(t, t - k) <= math.comb(math.comb(t, 2), k)
-
-    def test_guard(self):
-        with pytest.raises(PreconditionError):
-            stirling_first(3, 0)
-        with pytest.raises(PreconditionError):
-            stirling_first(21, 1)
-        with pytest.raises(PreconditionError):
-            stirling_first(3, 4)
-
-
 class TestFallingFactorial:
     def test_examples(self):
         assert falling_factorial(4, 2) == 12
@@ -134,29 +88,6 @@ class TestFallingFactorial:
     def test_matches_math_perm(self, d, t):
         expected = math.perm(d, t) if t <= d else 0
         assert falling_factorial(d, t) == expected
-
-
-class TestDistinctFractionDeficit:
-    def test_trivial_t1(self):
-        assert distinct_fraction_deficit(4, 1) == (0.0, 0.0)
-
-    def test_derived_values(self):
-        exact, bound = distinct_fraction_deficit(4, 2)
-        assert exact == pytest.approx(0.25, abs=1e-15)
-        assert bound == pytest.approx(0.25, abs=1e-15)
-        exact, bound = distinct_fraction_deficit(10, 3)
-        assert exact == pytest.approx(0.28, abs=1e-15)
-        assert bound == pytest.approx(0.30, abs=1e-15)
-
-    @given(st.integers(1, 8).flatmap(lambda t: st.tuples(st.integers(t, 64), st.just(t))))
-    def test_exact_below_bound(self, dt):
-        d, t = dt
-        exact, bound = distinct_fraction_deficit(d, t)
-        assert 0.0 <= exact <= bound + 1e-15
-
-    def test_domain_error(self):
-        with pytest.raises(PreconditionError):
-            distinct_fraction_deficit(2, 3)
 
 
 class TestCycleGramMatrix:
