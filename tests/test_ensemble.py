@@ -61,9 +61,18 @@ class TestValidate:
         assert involution_defect(e) <= 1e-14
         assert involution_defect(dataclasses.replace(swapped, involution=None)) == np.inf
 
-    def test_chunked_defects_equal_the_whole_stack_formulas(self):
-        # 1100 members of dimension 16 take chunks of 512, 512 and 76
-        e = sample_random_qtpe(16, 1100, SeededRng(3))
+    @pytest.mark.parametrize(
+        "dim,size",
+        [
+            (16, 1100),  # chunks of 512, 512 and 76
+            (16, 512),  # exactly one chunk
+            (16, 1024),  # two full chunks, no partial one
+            (16, 514),  # a full chunk and a partial one of 2
+            (400, 4),  # a member above the chunk size: one member a chunk
+        ],
+    )
+    def test_chunked_defects_equal_the_whole_stack_formulas(self, dim, size):
+        e = sample_random_qtpe(dim, size, SeededRng(3))
         noise = 1e-9 * np.random.default_rng(0).standard_normal(e.unitaries.shape)
         e = UnitaryEnsemble(e.dim, e.unitaries + noise, e.involution)
         adjoints = e.unitaries.conj().transpose(0, 2, 1)
@@ -73,7 +82,7 @@ class TestValidate:
         assert report.unitarity_defect == float(np.sqrt(np.sum(np.abs(gram) ** 2, axis=(1, 2))).max())
         assert report.involution_defect == float(np.sqrt(np.sum(np.abs(diffs) ** 2, axis=(1, 2))).max())
         members = e.unitaries.copy()
-        members[1099, 0, 0] = np.nan  # in the last, partial chunk
+        members[size - 1, 0, 0] = np.nan  # in the last chunk
         assert np.isnan(validate(UnitaryEnsemble(e.dim, members, e.involution)).unitarity_defect)
 
     def test_peak_memory_below_the_members(self):
@@ -201,6 +210,20 @@ class TestTensorEnsemble:
         e = raw_haar_ensemble(2, 2, seed=2)
         out = tensor_ensemble(e)
         assert out.size == 4 and out.dim == 4
+
+    def test_member_order_and_index_convention(self):
+        # member i*s + j is U_i (x) U_j: entry (a*d + b, c*d + e) is U_i[a, c] U_j[b, e]
+        e = raw_haar_ensemble(3, 3, seed=4)
+        out = tensor_ensemble(e)
+        u = e.unitaries
+        expected = (u[:, None, :, None, :, None] * u[None, :, None, :, None, :]).reshape(9, 9, 9)
+        assert np.array_equal(out.unitaries, expected)
+
+    def test_members_are_unitary_without_involution(self):
+        out = tensor_ensemble(sample_random_qtpe(3, 4, SeededRng(6)))
+        report = validate(out)
+        assert out.involution is None and report.passed
+        assert report.unitarity_defect <= 1e-13 and report.involution_defect == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_lambda_preserved_t1(self, seed):

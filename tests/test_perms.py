@@ -31,6 +31,15 @@ perm_strategy = st.integers(1, 6).flatmap(
 )
 
 
+def stirling_first(t, k):
+    """Unsigned Stirling number of the first kind by its recurrence: the
+    number of permutations of [t] with k cycles."""
+    row = [1]  # t = 0
+    for n in range(t):
+        row = [(row[j - 1] if j >= 1 else 0) + (n * row[j] if j < len(row) else 0) for j in range(n + 2)]
+    return row[k] if 0 <= k < len(row) else 0
+
+
 class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(PreconditionError):
@@ -55,6 +64,37 @@ class TestPermutation:
         assert fixed_point_count(identity(4)) == 4
         assert fixed_point_count(Permutation((1, 2, 0))) == 0
         assert fixed_point_count(Permutation((1, 0, 2))) == 1
+
+
+class TestCycleStatistics:
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_cycle_histogram_is_stirling_first(self, t):
+        hist = {}
+        for p in all_permutations(t):
+            c = cycle_count(p)
+            hist[c] = hist.get(c, 0) + 1
+        assert hist == {k: stirling_first(t, k) for k in range(1, t + 1)}
+        assert sum(hist.values()) == math.factorial(t)
+
+    @pytest.mark.parametrize("t", range(2, 8))
+    def test_a_transposition_merges_or_splits_one_cycle(self, t):
+        # sigma after (a b) splits the cycle holding a and b, or merges the two holding them
+        for p in all_permutations(t):
+            c = cycle_count(p)
+            for a in range(t):
+                for b in range(a + 1, t):
+                    swap = list(range(t))
+                    swap[a], swap[b] = b, a
+                    x, same = p.map[a], False
+                    while x != a:
+                        same |= x == b
+                        x = p.map[x]
+                    assert cycle_count(p.compose(Permutation(tuple(swap)))) == c + (1 if same else -1)
+
+    @given(perm_strategy, perm_strategy)
+    def test_cycle_count_is_a_class_function(self, p, q):
+        if p.size == q.size:
+            assert cycle_count(q.compose(p).compose(q.inverse())) == cycle_count(p) == cycle_count(p.inverse())
 
 
 class TestAllPermutations:
@@ -88,6 +128,26 @@ class TestFallingFactorial:
     def test_matches_math_perm(self, d, t):
         expected = math.perm(d, t) if t <= d else 0
         assert falling_factorial(d, t) == expected
+
+
+class TestDistinctTupleFraction:
+    """(d)_t / d^t, the share of t-tuples over [d] with distinct entries: the
+    constant c of the closeness report's W' Gram matrices."""
+
+    def test_t1_all_distinct(self):
+        assert falling_factorial(4, 1) / 4 == 1.0
+
+    def test_examples(self):
+        assert 1 - falling_factorial(4, 2) / 4**2 == pytest.approx(0.25, abs=1e-15)
+        assert 1 - falling_factorial(10, 3) / 10**3 == pytest.approx(0.28, abs=1e-15)
+        assert falling_factorial(3, 4) / 3**4 == 0.0
+
+    @given(st.integers(1, 8).flatmap(lambda t: st.tuples(st.integers(t, 64), st.just(t))))
+    def test_deficit_below_the_pair_union_bound(self, dt):
+        # a repeated entry needs one of the C(t, 2) pairs to collide, each with chance 1/d
+        d, t = dt
+        deficit = 1 - falling_factorial(d, t) / d**t
+        assert 0.0 <= deficit <= math.comb(t, 2) / d + 1e-15
 
 
 class TestCycleGramMatrix:
