@@ -9,12 +9,14 @@ The matrix calls qtpe.cli.main in one fresh work directory. It covers every
 subcommand and every certify step kind; lambda at t = 1..4 with `dense-svd`
 and with `power-iteration`, on the Schur-Weyl blocks and on the full space
 (a stage-less ensemble above the block limit, and a zigzag product through
-its stage kernels); `--csv` reports; and refused inputs that exit 2, 3 and 4.
+its stage kernels); `auto` on both sides of its price model, and cut short
+by --max-iters; `--csv` reports; and refused inputs that exit 2, 3 and 4.
 
 For each call the manifest records its exit code, its first stderr line
 (the work directory reads <work>), and, for its stdout and for every file it
 wrote or changed, the sha256 of the bytes. A JSON or CSV report also records
-its solver fields as values, and the sha256 of the report without them.
+its solver fields and its `method` as values, and the sha256 of the report
+without the solver fields.
 
 --compare is exact on exit codes, stderr lines and every sha256, with two
 exceptions for a report whose bytes differ: lambda and the values computed
@@ -99,6 +101,11 @@ RUNS: list[tuple[str, list[str]]] = [
     # the full space: n = 13 is above the blocks' limit at t = 2
     ("t2-full-space", _lambda("s13.qtpe", 2, "power-iteration", "--out", "t2-full-space.json")),
     ("auto-stdout", ["lambda", "--ensemble", "s3.qtpe", "--t", "2"]),
+    # auto prices the blocks' dense norms above Lanczos on them at (6, 8, 2);
+    # cut short by --max-iters, Lanczos gives way to the dense report
+    ("sample-s6", ["sample", "--dim", "6", "--degree", "8", "--seed", "2", "--out", "s6.qtpe"]),
+    ("auto-moved", ["lambda", "--ensemble", "s6.qtpe", "--t", "2", "--out", "auto-moved.json"]),
+    ("auto-capped", ["lambda", "--ensemble", "s6.qtpe", "--t", "2", "--max-iters", "20", "--out", "auto-capped.json"]),
     ("csv-stdout", ["lambda", "--ensemble", "s3.qtpe", "--t", "1", "--csv"]),
     # products: the zigzag product's lambda runs its stage kernels, the
     # written product loads without stages
@@ -171,6 +178,8 @@ def _output_entry(data: bytes) -> dict:
     entry = {"sha256": hashlib.sha256(data).hexdigest()}
     fields = _report_fields(data)
     if fields is not None:
+        if "method" in fields:
+            entry["method"] = fields["method"]  # the lambda path taken, as a value
         solver = {path: value for path, value in fields.items() if _field_class(path)}
         if solver:
             rest = {path: value for path, value in fields.items() if path not in solver}
@@ -183,8 +192,9 @@ def _snapshot(work: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(work.iterdir()) if p.is_file()}
 
 
-def run_matrix(work: Path) -> dict:
-    """Run RUNS in `work` and return the manifest."""
+def run_matrix(work: Path, names: list[str] | None = None) -> dict:
+    """Run RUNS in `work`, or only those named in `names`, in RUNS order, and
+    return the manifest."""
     from qtpe.cli import main
 
     for name, text in INPUTS.items():
@@ -193,7 +203,7 @@ def run_matrix(work: Path) -> dict:
     cwd = os.getcwd()
     os.chdir(work)
     try:
-        for name, argv in RUNS:
+        for name, argv in RUNS if names is None else [run for run in RUNS if run[0] in names]:
             before = _snapshot(work)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

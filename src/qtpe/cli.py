@@ -445,7 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="second largest singular value of an ensemble at tensor power t")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--method", choices=moments.METHODS)
+    p.add_argument(
+        "--method",
+        choices=moments.METHODS,
+        help=f"auto (default): power-iteration above ambient n^2t = {moments.DENSE_LIMIT}; at or below it, "
+        "dense-svd or Lanczos on the Schur-Weyl blocks, whichever a price model of the shapes finds cheaper, "
+        "and dense-svd where the blocks do not apply, as for products; a Lanczos solve that stops "
+        "unconverged gives way to the dense report",
+    )
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iters", type=int)
     p.add_argument("--seed", type=int, default=0)

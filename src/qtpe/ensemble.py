@@ -275,10 +275,16 @@ def square_compose(e: UnitaryEnsemble) -> UnitaryEnsemble:
 
 
 def tensor_ensemble(e: UnitaryEnsemble) -> UnitaryEnsemble:
-    """All s^2 tensor products U_i (x) U_j on dimension dim^2."""
+    """All s^2 tensor products U_i (x) U_j on dimension dim^2, member i*s + j
+    being U_i (x) U_j. One multiply of broadcast views writes every entry
+    U_i[a, c] U_j[b, e] into the one (s, s, d, d, d, d) member array, so the
+    members are held once."""
     check_product_degree([e.size, e.size], e.dim * e.dim)
-    members = np.stack([np.kron(a, b) for a in e.unitaries for b in e.unitaries])
-    return UnitaryEnsemble(e.dim * e.dim, members, None, f"tensor({e.label})" if e.label else "tensor")
+    s, d, u = e.size, e.dim, e.unitaries
+    members = np.empty((s, s, d, d, d, d), dtype=complex)
+    np.multiply(u[:, None, :, None, :, None], u[None, :, None, :, None, :], out=members)
+    label = f"tensor({e.label})" if e.label else "tensor"
+    return UnitaryEnsemble(d * d, members.reshape(s * s, d * d, d * d), None, label)
 
 
 def sidecar_path(path: Path) -> Path:

@@ -87,7 +87,7 @@ from .perms import (
 )
 
 MAX_T_LAMBDA = 4
-METHODS = ("auto", "dense-svd", "power-iteration")  # the lambda paths; auto picks one by size
+METHODS = ("auto", "dense-svd", "power-iteration")  # the lambda paths; auto picks one from shapes
 # most applies of the moment operator one design_errors call makes, n^t max(ks)
 DESIGN_APPLY_LIMIT = 10**5
 MAX_T_BASIS = 6
@@ -105,6 +105,19 @@ _BATCH_BYTES = 2**27
 # n = 6. At n = 7, t = 4 they took 0.8x, but the basis's SVD peaked at 705
 # MiB against the full space's 573 MiB.
 _SECTOR_MAX_DIM = {2: 12, 3: 10, 4: 6}
+# The price model by which lambda_report's auto picks dense or Lanczos on the
+# Schur-Weyl blocks (_lanczos_is_cheaper), in multiply-adds of a block apply.
+# Fitted to best-of-5 timings of both paths at 27 (n, s, t) shapes, with and
+# without an involution, on 2 vCPUs with OpenBLAS at 2 threads (README): a
+# block multiply-add took about 155 ps; eigvalsh of a real N x N diagonal
+# block 60-190 ps per N^3 for N = 225..1024, a complex one about 3 times
+# that, and the SVD 2-3 times eigvalsh; Lanczos took 35-130 steps at the
+# default tol and about 25 us per step beyond its applies.
+_EIGVALSH_PRICE = 0.7  # per N^3 of a real diagonal block
+_COMPLEX_PRICE = 3.0  # a complex off-diagonal block against a real diagonal one
+_SVD_PRICE = 2.5  # the SVD, without an involution, against eigvalsh
+_LANCZOS_STEPS = 100  # the step budget priced, whatever the shape
+_STEP_PRICE = 1.5e5  # Lanczos' vector work and Python dispatch per step
 # roundoff allowed on top of a closeness bound: at t=1 the bounds and the
 # closed-form distances are exactly 0; at t >= 2 a bound is at least 2*sqrt(2/d)
 CLOSENESS_ROUNDOFF = 1e-12
@@ -800,11 +813,36 @@ class SectorOperator(MomentOperator):
         return out
 
 
+def _irrep_dims(n: int, t: int) -> list[int]:
+    """d_lambda(n) for each U(n) irrep of (C^n)^(x t), in irrep_bases order."""
+    return [unitary_irrep_dim(shape, n) for shape in partitions(t) if len(shape) <= n]
+
+
 def _sector_bytes(n: int, s: int, t: int) -> int:
     """A bound on the bytes a SectorOperator of s members holds: each irrep's
     stack and its conjugate, and twice the workspace of its largest block."""
-    dims = [unitary_irrep_dim(shape, n) for shape in partitions(t) if len(shape) <= n]
+    dims = _irrep_dims(n, t)
     return 16 * s * (2 * sum(d * d for d in dims) + 2 * max(dims) ** 2)
+
+
+def _lanczos_is_cheaper(n: int, s: int, t: int, involution: bool) -> bool:
+    """Whether Lanczos on the Schur-Weyl blocks is priced below their dense
+    norms, from n, s, t, the involution flag and the irrep dimensions alone.
+
+    The dense price is sum N^3 over the blocks lambda <= mu, N = d_lambda
+    d_mu, a complex off-diagonal block weighted _COMPLEX_PRICE above a real
+    diagonal one and everything _SVD_PRICE above eigvalsh without an
+    involution. The Lanczos price is _LANCZOS_STEPS steps of one apply (two
+    without an involution, on Phi†Phi) of s sum d_lambda d_mu (d_lambda +
+    d_mu) multiply-adds, plus _STEP_PRICE per step. The work both paths
+    share, the irrep bases and R(U_i) stacks, is left out.
+    """
+    dims = _irrep_dims(n, t)
+    pairs = [(a, b, i == j) for i, a in enumerate(dims) for j, b in enumerate(dims[i:], start=i)]
+    dense = _EIGVALSH_PRICE * sum((a * b) ** 3 * (1.0 if diagonal else _COMPLEX_PRICE) for a, b, diagonal in pairs)
+    apply = s * sum(a * b * (a + b) for a, b, _ in pairs)
+    applies, solver = (1, 1.0) if involution else (2, _SVD_PRICE)
+    return _LANCZOS_STEPS * (applies * apply + _STEP_PRICE) < solver * dense
 
 
 def _takes_sectors(e: UnitaryEnsemble, t: int) -> bool:
@@ -820,7 +858,9 @@ def _takes_sectors(e: UnitaryEnsemble, t: int) -> bool:
     nothing repays the basis work, n^(3t) for the Young symmetrisers' SVDs
     (7.4 s against 0.19 s at n = 6, t = 4); and (c) the operator holds at
     most 2 * _BATCH_BYTES (_sector_bytes), the bound on MomentOperator's
-    workspace; at t = 1 that is 64 s n^2 bytes.
+    workspace; at t = 1 that is 64 s n^2 bytes. The same ensembles are the
+    ones that `auto` prices at or below the dense limit (lambda_report,
+    _lanczos_is_cheaper); every other one keeps the dense path there.
     """
     if e.stages:
         return False
@@ -888,45 +928,42 @@ def lambda_report(
 ) -> SpectralReport:
     """Second largest singular value of the moment operator vs the Haar projector.
 
-    The one place that picks the solver path: `method` "auto" takes the dense
-    one up to the dense limit on n^2t and the iterative one above it. The
-    dense method is exact: it takes the norm of every Schur-Weyl block
-    (sector_lambda) instead of the n^2t x n^2t superoperator, from eigvalsh
-    when an involution makes the blocks Hermitian and from the SVD
-    otherwise. The iterative method (named "power-iteration") is Lanczos,
-    matrix-free, with fixed-space deflation: on Phi itself, one apply per
-    step, when the members' involution defect is at most HERMITIAN_DEFECT,
-    and on Phi†Phi, two applies per step, otherwise. It runs on the
-    Schur-Weyl blocks (SectorOperator) where _takes_sectors admits the
-    shapes, which at t = 1 is every ensemble without stages of two members
-    or more within the memory budget, and on C^(n^2t) (MomentOperator)
-    elsewhere, products and single members included. The solver settings
-    are checked whichever path runs (check_solver_settings).
-    Non-convergence is surfaced in the report, never silently dropped.
+    The one place that picks the solver path. The dense method is exact: it
+    takes the norm of every Schur-Weyl block (sector_lambda) instead of the
+    n^2t x n^2t superoperator, from eigvalsh when an involution makes the
+    blocks Hermitian and from the SVD otherwise. The iterative method (named
+    "power-iteration") is Lanczos, matrix-free, with fixed-space deflation:
+    on Phi itself, one apply per step, when the members' involution defect
+    is at most HERMITIAN_DEFECT, and on Phi†Phi, two applies per step,
+    otherwise. It runs on the Schur-Weyl blocks (SectorOperator) where
+    _takes_sectors admits the shapes, which at t = 1 is every ensemble
+    without stages of two members or more within the memory budget, and on
+    C^(n^2t) (MomentOperator) elsewhere, products and single members
+    included.
+
+    `method` "auto" takes the iterative path above the dense limit on n^2t.
+    At or below it, an ensemble the blocks admit takes whichever path
+    _lanczos_is_cheaper prices lower, from shapes alone, so a rerun takes
+    the same path; every other ensemble, products included, takes the dense
+    path. Should Lanczos so taken stop unconverged, which only a max_iters
+    below the direct sum's dimension allows, the dense report is returned
+    instead. The solver settings are checked whichever path runs
+    (check_solver_settings). Non-convergence is surfaced in the report,
+    never silently dropped.
     """
     check_solver_settings(e.dim, t, method, tol, max_iters)
     rng = SeededRng(0, 0) if rng is None else rng
+    routed = False
     if method == "auto":
-        method = "dense-svd" if e.dim ** (2 * t) <= DENSE_LIMIT else "power-iteration"
-    if method == "dense-svd":
-        est, applies = SpectralEstimate(value=sector_lambda(e, t), residual=0.0, iterations=0), 0
-    else:
-        # Phi and Phi† both fix W (every U^(x t) commutes with it), so W^perp is
-        # invariant under both and Phi - P is 0 on W and Phi on W^perp: the
-        # norm of Phi on the deflated iterates is exactly lambda. With an
-        # involution Phi† = Phi, so its norm there is its largest |eigenvalue|.
-        # On the sector blocks W is each diagonal block's identity.
-        hermitian = involution_defect(e) <= HERMITIAN_DEFECT
-        phi = (SectorOperator if _takes_sectors(e, t) else MomentOperator)(e, t)
-        est = spectral_norm(
-            LinearMap(phi.ambient, phi.apply_vec, phi.adjoint_apply_vec),
-            tol=tol,
-            max_iters=max_iters,
-            rng=rng,
-            deflate=phi.fixed_space(),
-            hermitian=hermitian,
-        )
-        applies = est.iterations * (1 if hermitian else 2)
+        if e.dim ** (2 * t) > DENSE_LIMIT:
+            method = "power-iteration"
+        else:
+            routed = _takes_sectors(e, t) and _lanczos_is_cheaper(e.dim, e.size, t, e.involution is not None)
+            method = "power-iteration" if routed else "dense-svd"
+    est, applies = _solve(e, t, method, tol, rng, max_iters)
+    if routed and not est.converged:
+        method = "dense-svd"
+        est, applies = _solve(e, t, method, tol, rng, max_iters)
     return SpectralReport(
         lambda_=est.value,
         method=method,
@@ -938,6 +975,31 @@ def lambda_report(
         label=e.label,
         converged=est.converged,
     )
+
+
+def _solve(
+    e: UnitaryEnsemble, t: int, method: str, tol: float | None, rng: SeededRng, max_iters: int
+) -> tuple[SpectralEstimate, int]:
+    """lambda by `method`, "dense-svd" or "power-iteration", and the applies
+    of the map Lanczos ran (0 on the dense path)."""
+    if method == "dense-svd":
+        return SpectralEstimate(value=sector_lambda(e, t), residual=0.0, iterations=0), 0
+    # Phi and Phi† both fix W (every U^(x t) commutes with it), so W^perp is
+    # invariant under both and Phi - P is 0 on W and Phi on W^perp: the norm
+    # of Phi on the deflated iterates is exactly lambda. With an involution
+    # Phi† = Phi, so its norm there is its largest |eigenvalue|. On the
+    # sector blocks W is each diagonal block's identity.
+    hermitian = involution_defect(e) <= HERMITIAN_DEFECT
+    phi = (SectorOperator if _takes_sectors(e, t) else MomentOperator)(e, t)
+    est = spectral_norm(
+        LinearMap(phi.ambient, phi.apply_vec, phi.adjoint_apply_vec),
+        tol=tol,
+        max_iters=max_iters,
+        rng=rng,
+        deflate=phi.fixed_space(),
+        hermitian=hermitian,
+    )
+    return est, est.iterations * (1 if hermitian else 2)
 
 
 def design_error_monomial(

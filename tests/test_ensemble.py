@@ -219,6 +219,25 @@ class TestTensorEnsemble:
         expected = (u[:, None, :, None, :, None] * u[None, :, None, :, None, :]).reshape(9, 9, 9)
         assert np.array_equal(out.unitaries, expected)
 
+    @pytest.mark.parametrize("n,s", [(1, 1), (2, 3), (3, 4), (8, 16)])
+    def test_members_equal_the_kron_stack_bitwise(self, n, s):
+        e = sample_random_qtpe(n, s, SeededRng(n)) if s % 2 == 0 else raw_haar_ensemble(n, s, seed=n)
+        kron = np.stack([np.kron(a, b) for a in e.unitaries for b in e.unitaries])
+        out = tensor_ensemble(e).unitaries
+        assert out.shape == kron.shape and out.tobytes() == kron.tobytes()
+
+    def test_peak_memory_holds_the_members_once(self):
+        # a list of the s^2 kron products, then their stack, held the members
+        # twice: a tracemalloc peak of 33.7 MB for 16.8 MB of members here
+        e = sample_random_qtpe(8, 16, SeededRng(3))
+        tracemalloc.start()
+        try:
+            out = tensor_ensemble(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.unitaries.nbytes
+
     def test_members_are_unitary_without_involution(self):
         out = tensor_ensemble(sample_random_qtpe(3, 4, SeededRng(6)))
         report = validate(out)
@@ -233,9 +252,10 @@ class TestTensorEnsemble:
     def test_entry_guard_before_any_member(self, monkeypatch):
         import qtpe.ensemble as ens
 
-        monkeypatch.setattr(ens.np, "kron", lambda *args: pytest.fail("a member was formed"))
+        e = raw_haar_ensemble(64, 4, seed=0)  # 16 members of 4096 x 4096: 4 GiB
+        monkeypatch.setattr(ens.np, "empty", lambda *args, **kwargs: pytest.fail("the member array was allocated"))
         with pytest.raises(SizeLimitError, match="PRODUCT_ENTRY_LIMIT"):
-            tensor_ensemble(raw_haar_ensemble(64, 4, seed=0))  # 16 members of 4096 x 4096: 4 GiB
+            tensor_ensemble(e)
 
 
 def test_product_entry_guard():

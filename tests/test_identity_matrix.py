@@ -1,13 +1,20 @@
-"""scripts/identity_matrix.py: the matrix runs, and --compare tells solver
-roundoff from a changed report."""
+"""scripts/identity_matrix.py: the matrix runs, --compare tells solver
+roundoff from a changed report, and a slice of it matches a checked-in
+manifest."""
 
 import copy
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "identity_matrix.py"
+# per run of the slice: its exit code, its first stderr line and the `method`
+# of each report it writes; the slice is the refused inputs, auto on the
+# moved (6, 8, 2) shape with and without --max-iters 20, and the samples
+# they read
+SLICE_MANIFEST = Path(__file__).resolve().parent / "identity_slice.json"
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +71,18 @@ def test_other_changes_are_reported(identity, manifest, change):
         run["stderr"] = "error: something else"
     diffs, _ = identity.compare(manifest, other)
     assert len(diffs) == 1 and diffs[0].startswith("t2-iterative:")
+
+
+def test_slice_matches_the_checked_in_manifest(identity, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line at the terminal width
+    expected = json.loads(SLICE_MANIFEST.read_text())
+    manifest = identity.run_matrix(tmp_path.resolve(), names=list(expected))
+    got = {
+        run["name"]: {
+            "exit": run["exit"],
+            "stderr": run["stderr"],
+            "methods": sorted(out["method"] for out in run["outputs"].values() if "method" in out),
+        }
+        for run in manifest["runs"]
+    }
+    assert got == expected

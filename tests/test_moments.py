@@ -40,6 +40,7 @@ from qtpe.moments import (
     MomentOperator,
     SectorOperator,
     _CHUNK_BYTES,
+    _lanczos_is_cheaper,
     _sector_bytes,
     _young_symmetriser,
     _takes_sectors,
@@ -792,6 +793,68 @@ class TestLanczosPaths:
         e = hermitian_ensemble(4, 6, 9) if kind == "hermitian" else raw_haar_ensemble(4, 3, 9)
         runs = [lambda_report(e, 2, method="power-iteration", rng=SeededRng(5)) for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+# (n, s, t) at which auto keeps the dense norms of the Schur-Weyl blocks, and
+# at which it moves to Lanczos on them, as timed in the README's table
+STAYS_DENSE = [(8, 4, 1), (9, 8, 1), (3, 8, 2), (4, 8, 2), (2, 8, 3), (2, 8, 4)]
+MOVES = [(24, 8, 1), (32, 8, 1), (6, 8, 2), (7, 8, 2), (8, 8, 2), (4, 8, 3)]
+
+
+def auto_case(n, s, seed, family="hermitian"):
+    return hermitian_ensemble(n, s, seed) if family == "hermitian" else raw_haar_ensemble(n, s, seed)
+
+
+class TestAutoRoute:
+    """auto prices the dense norms of the Schur-Weyl blocks against Lanczos on
+    them from shapes alone, and takes the cheaper one."""
+
+    @pytest.mark.parametrize("involution", [True, False], ids=["involution", "none"])
+    @pytest.mark.parametrize("shape", STAYS_DENSE + MOVES, ids=str)
+    def test_pinned_routes(self, shape, involution):
+        assert _lanczos_is_cheaper(*shape, involution) == (shape in MOVES)
+
+    @pytest.mark.parametrize("shape", STAYS_DENSE, ids=str)
+    def test_small_shapes_report_the_dense_path(self, shape):
+        n, s, t = shape
+        e = auto_case(n, s, 1)
+        assert _takes_sectors(e, t)
+        assert lambda_report(e, t).method == "dense-svd"
+
+    # criterion 8's oracle on the moved shapes with ambient n^2t <= 1296, and
+    # on one family without an involution, where Lanczos runs on Phi†Phi
+    @pytest.mark.parametrize(
+        "n,s,t,family",
+        [(24, 8, 1, "hermitian"), (32, 8, 1, "hermitian"), (6, 8, 2, "hermitian"), (6, 8, 2, "raw")],
+        ids=["24-8-1", "32-8-1", "6-8-2", "raw-6-8-2"],
+    )
+    def test_moved_lambda_matches_the_dense_path(self, n, s, t, family):
+        e = auto_case(n, s, 20 + n, family)
+        rep = lambda_report(e, t, rng=SeededRng(3))
+        assert rep.method == "power-iteration" and rep.converged and rep.applies > 0
+        assert abs(rep.lambda_ - lambda_report(e, t, method="dense-svd").lambda_) <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(9, 8, 1), (4, 8, 2), (6, 8, 2), (4, 8, 3)], ids=str)
+    @pytest.mark.parametrize("family", ["hermitian", "raw"])
+    def test_two_draws_take_the_same_route(self, shape, family):
+        n, s, t = shape
+        first, second = (lambda_report(auto_case(n, s, seed, family), t) for seed in (5, 6))
+        assert first.method == second.method
+
+    def test_unconverged_route_returns_the_dense_report(self):
+        e = auto_case(6, 8, 1)
+        assert lambda_report(e, 2, method="power-iteration", max_iters=20).converged is False
+        rep = lambda_report(e, 2, max_iters=20, rng=SeededRng(7))
+        assert (rep.method, rep.converged, rep.iterations, rep.applies, rep.residual) == ("dense-svd", True, 0, 0, 0.0)
+        assert rep.lambda_ == sector_lambda(e, 2) and rep.seed == 7
+
+    def test_products_and_single_members_keep_the_dense_path(self):
+        # the price would move both, but the blocks do not admit them
+        product = square_compose(raw_haar_ensemble(24, 2, 3))
+        single = raw_haar_ensemble(32, 1, 4)
+        for e in (product, single):
+            assert _lanczos_is_cheaper(e.dim, e.size, 1, False) and not _takes_sectors(e, 1)
+            assert lambda_report(e, 1).method == "dense-svd"
 
 
 class TestDesignError:
