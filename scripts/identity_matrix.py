@@ -7,10 +7,12 @@ manifest of what each call produced; or the comparison of two manifests.
 
 The matrix calls qtpe.cli.main in one fresh work directory. It covers every
 subcommand and every certify step kind; lambda at t = 1..4 with `dense-svd`
-and with `power-iteration`, on the Schur-Weyl blocks and on the full space
-(a stage-less ensemble above the block limit, and a zigzag product through
-its stage kernels); `auto` on both sides of its price model, and cut short
-by --max-iters; `--csv` reports; and refused inputs that exit 2, 3 and 4.
+and with `power-iteration`, on the Schur-Weyl blocks (at t = 4 with n = 2
+and with n = 4, where every partition of 4 has an irrep) and on the full
+space (a stage-less ensemble above the block limit, and a zigzag product
+through its stage kernels); `auto` on both sides of its price model, and
+cut short by --max-iters; `--csv` reports; and refused inputs that exit 2,
+3 and 4.
 
 For each call the manifest records its exit code, its first stderr line
 (the work directory reads <work>), and, for its stdout and for every file it
@@ -98,6 +100,8 @@ RUNS: list[tuple[str, list[str]]] = [
     ("t3-iterative", _lambda("s4.qtpe", 3, "power-iteration", "--seed", "2", "--out", "t3-iterative.json")),
     ("t4-dense", _lambda("s2.qtpe", 4, "dense-svd", "--out", "t4-dense.json")),
     ("t4-iterative", _lambda("s2.qtpe", 4, "power-iteration", "--out", "t4-iterative.json")),
+    # at n = 4 every partition of 4 has an irrep, (2, 1, 1) and (1, 1, 1, 1) included
+    ("t4-blocks", _lambda("s4.qtpe", 4, "power-iteration", "--out", "t4-blocks.json")),
     # the full space: n = 13 is above the blocks' limit at t = 2
     ("t2-full-space", _lambda("s13.qtpe", 2, "power-iteration", "--out", "t2-full-space.json")),
     ("auto-stdout", ["lambda", "--ensemble", "s3.qtpe", "--t", "2"]),

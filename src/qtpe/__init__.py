@@ -29,7 +29,6 @@ from .linalg import (
     SeededRng,
     SpectralEstimate,
     haar_unitary,
-    orthonormalize,
     spectral_norm,
 )
 from .moments import (
@@ -40,7 +39,6 @@ from .moments import (
     alpha_sigma,
     design_error_monomial,
     design_errors,
-    design_iterations_needed,
     fixed_space_basis,
     lambda_report,
     sector_lambda,

@@ -1,7 +1,7 @@
 """Complex dense linear algebra substrate.
 
-Seeded Haar-random unitary sampling, orthonormalisation, and the
-matrix-free largest-singular-value solver: seeded plain Lanczos, on the map
+Seeded Haar-random unitary sampling and the matrix-free
+largest-singular-value solver: seeded plain Lanczos, on the map
 itself when it is Hermitian and on op†∘op otherwise, with optional deflation
 of an invariant subspace that removes itself from a vector in place. The
 solver keeps three vectors and the coefficients of its tridiagonal matrix,
@@ -25,12 +25,6 @@ DENSE_LIMIT = 4096  # largest dimension the dense path materialises
 ITERATIVE_AMBIENT_LIMIT = 10**7  # largest vector length a moment operator is applied to
 DEFAULT_TOL_ITERATIVE = 1e-7
 DEFAULT_MAX_ITERS = 5000
-
-# relative rank cut: on singular values in orthonormalize (Young symmetrisers:
-# ratios below 4e-15 or above 0.16) and on eigenvalues of the shuffle Gram
-# matrix in moments.fixed_space_basis (t <= 6, n <= 8: below 2.8e-15 or above
-# 2.2e-3); no rank depends on where in those gaps the cut lies
-_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -266,18 +260,3 @@ def spectral_norm(
         v_prev, v = v, w
 
     return SpectralEstimate(value, residual, max_iters, converged=False)
-
-
-def orthonormalize(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """Orthonormal basis (as columns) of the span of the columns of the 2-D
-    array a, with its numerical rank; real when a is real.
-
-    Rank counts singular values above _RANK_TOL times the largest one; an
-    all-zero input yields rank 0 and an empty basis.
-    """
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((a.shape[0], 0), dtype=a.dtype), 0
-    rank = int(np.sum(s > _RANK_TOL * s[0]))
-    return u[:, :rank], rank
-

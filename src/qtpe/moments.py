@@ -69,8 +69,6 @@ from .linalg import (
     LinearMap,
     SeededRng,
     SpectralEstimate,
-    _RANK_TOL,
-    orthonormalize,
     spectral_norm,
 )
 from .perms import (
@@ -81,6 +79,7 @@ from .perms import (
     partitions,
     permutation_gram,
     row_group,
+    semistandard_words,
     sign,
     symmetric_irrep_dim,
     unitary_irrep_dim,
@@ -91,6 +90,12 @@ METHODS = ("auto", "dense-svd", "power-iteration")  # the lambda paths; auto pic
 # most applies of the moment operator one design_errors call makes, n^t max(ks)
 DESIGN_APPLY_LIMIT = 10**5
 MAX_T_BASIS = 6
+# relative rank cut: on the eigenvalues of the shuffle Gram matrix in
+# fixed_space_basis (t <= 6, n <= 8: below 2.8e-15 or above 2.2e-3), and on
+# the QR pivots |R_jj| in irrep_bases, all of which must lie above it (t <= 4
+# with n <= 8 and t <= 6 with n <= 4: at least 0.074 times the largest); no
+# rank depends on where in those gaps the cut lies
+_RANK_TOL = 1e-8
 # bound on the stacked (c*ambient) complex intermediate of one kernel chunk of
 # c members; every benchmark shape and criteria 1 and 2 fit in one chunk, but
 # at the 10^7 iterative limit one member's intermediate alone is 160 MB
@@ -102,8 +107,8 @@ _BATCH_BYTES = 2**27
 # faster depends on (n, t) alone. At s = 8 the blocks took 0.7-1.0x the
 # member kernel's time at t = 2 up to n = 12 and 1.3x at n = 16; at t = 3
 # 0.3-0.7x up to n = 10 and 1.1x at n = 12 (s = 4); at t = 4 0.2-0.3x up to
-# n = 6. At n = 7, t = 4 they took 0.8x, but the basis's SVD peaked at 705
-# MiB against the full space's 573 MiB.
+# n = 6. At n = 7, t = 4 they took 0.14x the time and 0.4x the peak RSS (s =
+# 8); n >= 7 at t = 4 waits on measurements at more shapes.
 _SECTOR_MAX_DIM = {2: 12, 3: 10, 4: 6}
 # The price model by which lambda_report's auto picks dense or Lanczos on the
 # Schur-Weyl blocks (_lanczos_is_cheaper), in multiply-adds of a block apply.
@@ -484,9 +489,9 @@ class MomentOperator:
 class IrrepBasis:
     """One copy of the U(n) irrep V_lambda inside (C^n)^(x t).
 
-    `basis` holds d_lambda(n) orthonormal columns spanning the image of the
-    Young symmetriser of `shape`; the irrep occurs `multiplicity` = f_lambda
-    times in (C^n)^(x t).
+    `basis` holds d_lambda(n) real orthonormal columns spanning the image of
+    the Young symmetriser of `shape`; the irrep occurs `multiplicity` =
+    f_lambda times in (C^n)^(x t).
     """
 
     shape: tuple[int, ...]
@@ -503,10 +508,13 @@ def irrep_bases(n: int, t: int) -> list[IrrepBasis]:
 
     For every partition lambda of t with at most n rows, the image of the
     Young symmetriser c_lambda = (sum_row P_p)(sum_col sgn(q) P_q) is one copy
-    of V_lambda; partitions with more rows have c_lambda = 0 and are skipped.
-    The ranks are checked against the hook-content formula, and the copies
-    against sum_lambda f_lambda d_lambda(n) = n^t. At t=1 the symmetriser is
-    the identity and so is the basis, exactly.
+    of V_lambda, spanned by the columns c_lambda e_w of the semistandard words
+    w (perms.semistandard_words); partitions with more rows have c_lambda = 0
+    and are skipped. Those columns (_symmetriser_columns) are orthonormalised
+    by one real QR. The word counts are checked against the hook-content
+    formula, the QR pivots |R_jj| against _RANK_TOL times the largest, and
+    the copies against sum_lambda f_lambda d_lambda(n) = n^t. At t=1 the
+    columns are the identity, and so is their QR, exactly.
     """
     if t > MAX_T_BASIS:
         raise SizeLimitError(f"t={t} exceeds basis guard {MAX_T_BASIS}")
@@ -515,14 +523,14 @@ def irrep_bases(n: int, t: int) -> list[IrrepBasis]:
     for shape in partitions(t):
         if len(shape) > n:
             continue
+        words = semistandard_words(shape, n)
         dim = unitary_irrep_dim(shape, n)
-        if t == 1:
-            basis = np.eye(n, dtype=complex)
-        else:
-            basis, rank = orthonormalize(_young_symmetriser(shape, n, t))
-            if rank != dim:
-                raise AssertionError(f"Young symmetriser {shape} has rank {rank}, hook-content formula gives {dim}")
-            basis = basis.copy()  # a view would keep the SVD's whole n^t x n^t factor alive
+        if words.size != dim:
+            raise AssertionError(f"{words.size} semistandard words of {shape}, hook-content formula gives {dim}")
+        basis, r = np.linalg.qr(_symmetriser_columns(shape, n, t, words))
+        pivots = np.abs(r.diagonal())
+        if pivots.min() <= _RANK_TOL * pivots.max():
+            raise AssertionError(f"Young symmetriser {shape}: its semistandard columns are rank-deficient")
         out.append(IrrepBasis(shape, symmetric_irrep_dim(shape), basis))
     copies = sum(b.multiplicity * b.dim for b in out)
     if copies != nt:
@@ -530,25 +538,27 @@ def irrep_bases(n: int, t: int) -> list[IrrepBasis]:
     return out
 
 
-def _young_symmetriser(shape: tuple[int, ...], n: int, t: int) -> np.ndarray:
-    """c_lambda = (sum_row P_p)(sum_col sgn(q) P_q) as a dense complex n^t x n^t
-    matrix, written one product at a time: P_p P_q is a permutation matrix
-    whose one of column j lies in row r_p(r_q(j)), so c_lambda is |R||C|
-    signed scatters of n^t ones, with no other n^t x n^t array and no GEMM.
-    Its entries are small integers, so it equals the product of the two
-    sums exactly."""
-    nt = n**t
-    out = np.zeros(nt * nt, dtype=complex)
-    cols = np.arange(nt)
+def _symmetriser_columns(shape: tuple[int, ...], n: int, t: int, words: np.ndarray) -> np.ndarray:
+    """The columns c_lambda e_w of the Young symmetriser of `shape` at the
+    flat indices `words`, as a real n^t x len(words) array, written one
+    product at a time: P_p P_q is a permutation matrix whose one of column j
+    lies in row r_p(r_q(j)), so the columns are |R||C| signed scatters, each
+    into distinct rows of distinct columns. Their entries are small
+    integers, so they equal those columns of the product of the two sums
+    exactly."""
+    nt, d = n**t, words.size
+    out = np.zeros(nt * d)
+    flat = np.arange(d)
+    by_q = [(_shuffle_targets(q, n, t)[words] // nt, sign(q)) for q in column_group(shape)]
     for p in row_group(shape):
         r_p = _shuffle_targets(p, n, t) // nt
-        for q in column_group(shape):
-            out[r_p[_shuffle_targets(q, n, t) // nt] * nt + cols] += sign(q)
-    return out.reshape(nt, nt)
+        for rows, sgn in by_q:
+            out[r_p[rows] * d + flat] += sgn
+    return out.reshape(nt, d)
 
 
 def irrep_action(members: np.ndarray, basis: np.ndarray, n: int, t: int) -> np.ndarray:
-    """R(U_i) = B† U_i^(x t) B for every member, as an (s, d, d) stack.
+    """R(U_i) = B^T U_i^(x t) B for every member, as an (s, d, d) stack, B real.
 
     U^(x t) B is t mode contractions on the columns of B, batched over
     members; no Kronecker power is formed. The members go a chunk at a time,
@@ -565,7 +575,7 @@ def irrep_action(members: np.ndarray, basis: np.ndarray, n: int, t: int) -> np.n
         cur = np.broadcast_to(basis, (c, nt, d))
         for mode in range(t):
             cur = np.matmul(chunk[:, None], cur.reshape(c, n**mode, n, -1))
-        np.matmul(basis.conj().T, cur.reshape(c, nt, d), out=out[lo : lo + c])
+        np.matmul(basis.T, cur.reshape(c, nt, d), out=out[lo : lo + c])
     return out
 
 
@@ -855,12 +865,13 @@ def _takes_sectors(e: UnitaryEnsemble, t: int) -> bool:
     same layout, and its two GEMMs are the member kernel's without its
     reordering copy, so no n is excluded; (b) it has two members or more:
     one member's Phi is unitary, Lanczos ends after a step or two, and
-    nothing repays the basis work, n^(3t) for the Young symmetrisers' SVDs
-    (7.4 s against 0.19 s at n = 6, t = 4); and (c) the operator holds at
-    most 2 * _BATCH_BYTES (_sector_bytes), the bound on MomentOperator's
-    workspace; at t = 1 that is 64 s n^2 bytes. The same ensembles are the
-    ones that `auto` prices at or below the dense limit (lambda_report,
-    _lanczos_is_cheaper); every other one keeps the dense path there.
+    nothing repays the one-off work of the bases and the R(U_i) stacks (at
+    t = 2 and 3 such a lambda took 1.4-1.8x longer on the blocks); and (c)
+    the operator holds at most 2 * _BATCH_BYTES (_sector_bytes), the bound
+    on MomentOperator's workspace; at t = 1 that is 64 s n^2 bytes. The
+    same ensembles are the ones that `auto` prices at or below the dense
+    limit (lambda_report, _lanczos_is_cheaper); every other one keeps the
+    dense path there.
     """
     if e.stages:
         return False
@@ -1077,21 +1088,6 @@ def _monomial_deviations(phi: MomentOperator, basis: FixedSpaceBasis, ks: list[i
         if k in ks:
             reads[k] = np.abs((y - fixed).reshape(nt, nt).diagonal())
     return [reads[k] for k in ks]
-
-
-def design_iterations_needed(t: int, n: int, alpha: float, lam: float) -> int:
-    """Iterations of the moment operator needed for an alpha-approximate design.
-
-    ceil((t ln n + ln(1/alpha)) / ln(1/lambda)); the implied constant is fixed
-    to 1 by choice, documented rather than claimed tight.
-    """
-    if not 0.0 < lam < 1.0:
-        raise PreconditionError(f"lambda must lie in (0, 1), got {lam}")
-    if not 0.0 < alpha < 1.0:
-        raise PreconditionError(f"alpha must lie in (0, 1), got {alpha}")
-    if n < 2:
-        raise PreconditionError(f"n must be >= 2, got {n}")
-    return math.ceil((t * math.log(n) + math.log(1.0 / alpha)) / math.log(1.0 / lam))
 
 
 @dataclass

@@ -4,8 +4,9 @@ Covers cycle/fixed-point statistics, falling factorials, the Gram matrix
 of the register shuffles with the two t!-indexed matrices (cycle-weighted
 and fixed-point-weighted) whose spectral norms bound its off-diagonal mass,
 and the Young-diagram data behind the Schur-Weyl sectors: partitions of t,
-the row and column groups of their canonical tableaux, the sign character,
-and the hook-length and hook-content irrep dimensions.
+the row and column groups of their canonical tableaux and its semistandard
+fillings, the sign character, and the hook-length and hook-content irrep
+dimensions.
 """
 
 from __future__ import annotations
@@ -185,6 +186,30 @@ def _tableau_rows(shape: tuple[int, ...]) -> list[list[int]]:
         rows.append(list(range(start, start + length)))
         start += length
     return rows
+
+
+def semistandard_words(shape: tuple[int, ...], n: int) -> np.ndarray:
+    """The words w in {0..n-1}^t whose filling of the canonical Young tableau
+    of `shape` (box a holds w_a) is semistandard, as ascending row-major flat
+    indices sum_a w_a n^(t-1-a) into (C^n)^(x t).
+
+    Semistandard means rows weakly increasing and columns strictly
+    increasing, so the boxes are filled in order, each letter at least its
+    left neighbour's and above the one over it. There are d_lambda(n) such
+    words (Fulton, Young Tableaux, 1997, 8.1), none when `shape` has more
+    than n rows.
+    """
+    t = _check_shape(shape)
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    rows = _tableau_rows(shape)
+    words: list[tuple[int, ...]] = [()]
+    for i, row in enumerate(rows):
+        for j, box in enumerate(row):  # box - 1 is its left neighbour, rows[i - 1][j] the box over it
+            words = [
+                w + (c,) for w in words for c in range(max(w[box - 1] if j else 0, w[rows[i - 1][j]] + 1 if i else 0), n)
+            ]
+    return np.array(words, dtype=np.intp).reshape(-1, t) @ n ** np.arange(t - 1, -1, -1)
 
 
 def _block_stabiliser(blocks: list[list[int]], t: int) -> list[Permutation]:

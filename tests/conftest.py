@@ -1,15 +1,16 @@
 """Shared helpers: ensemble constructors, the dense spectral oracle, the
-SVD oracles of the fixed space and of its closeness to the distinct-tuple
-proxy with the principal-angle distance they use, and the per-block oracle
-of SectorOperator's planned applies."""
+SVD orthonormalisation and the oracles built on it, of the fixed space and
+of its closeness to the distinct-tuple proxy with the principal-angle
+distance they use, and the per-block oracle of SectorOperator's planned
+applies."""
 
 import numpy as np
 import pytest
 
 from qtpe.ensemble import UnitaryEnsemble, sample_random_qtpe
 from qtpe.errors import PreconditionError
-from qtpe.linalg import SeededRng, haar_unitary, orthonormalize
-from qtpe.moments import MomentOperator, irrep_actions, lambda_report
+from qtpe.linalg import SeededRng, haar_unitary
+from qtpe.moments import _RANK_TOL, MomentOperator, irrep_actions, lambda_report
 from qtpe.perms import Permutation, all_permutations
 
 
@@ -80,6 +81,19 @@ def distinct_columns(d, t):
     digits = np.array(np.unravel_index(np.arange(nt), (d,) * t))
     distinct = np.array([len(set(col)) == t for col in digits.T])
     return shuffle_columns(d, t) * np.tile(distinct, nt)[:, None]
+
+
+def orthonormalize(a):
+    """Orthonormal columns spanning the columns of the 2-D array a, real when
+    a is real, and their number: the left singular vectors of the singular
+    values above _RANK_TOL times the largest. An all-zero input yields rank 0
+    and no columns. The SVD oracle of the fixed space and of the Schur-Weyl
+    bases."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    if s.size == 0 or s[0] <= 0.0:
+        return np.zeros((a.shape[0], 0), dtype=a.dtype), 0
+    rank = int(np.sum(s > _RANK_TOL * s[0]))
+    return u[:, :rank], rank
 
 
 def svd_fixed_space(n, t):

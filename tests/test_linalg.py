@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import max_principal_sine
+from conftest import max_principal_sine, orthonormalize
 from qtpe import linalg
 from qtpe.ensemble import UnitaryEnsemble, sample_random_qtpe
 from qtpe.errors import PreconditionError
-from qtpe.linalg import LinearMap, SeededRng, haar_unitary, orthonormalize, spectral_norm
+from qtpe.linalg import LinearMap, SeededRng, haar_unitary, spectral_norm
 from qtpe.moments import MomentOperator, SectorOperator, sector_lambda
 
 
@@ -426,6 +426,8 @@ class TestCheckSchedule:
 
 
 class TestOrthonormalize:
+    """conftest.orthonormalize, the SVD oracle of the fixed space and the Schur-Weyl bases."""
+
     def test_duplicate_vector_rank_1(self):
         v = np.array([1.0, 0.0, 0.0], dtype=complex)
         basis, rank = orthonormalize(np.stack([v, v], axis=1))

@@ -14,6 +14,7 @@ from conftest import (
     hermitian_ensemble,
     identity,
     identity_ensemble,
+    orthonormalize,
     pauli_ensemble,
     raw_haar_ensemble,
     regroup_indices,
@@ -42,7 +43,7 @@ from qtpe.moments import (
     _CHUNK_BYTES,
     _lanczos_is_cheaper,
     _sector_bytes,
-    _young_symmetriser,
+    _symmetriser_columns,
     _takes_sectors,
     design_errors,
     hermitian_sector_block,
@@ -53,7 +54,6 @@ from qtpe.moments import (
     sector_lambda,
     alpha_sigma,
     design_error_monomial,
-    design_iterations_needed,
     fixed_space_basis,
     HERMITIAN_DEFECT,
     MAX_T_BASIS,
@@ -71,6 +71,7 @@ from qtpe.perms import (
     partitions,
     permutation_gram,
     row_group,
+    semistandard_words,
     sign,
     unitary_irrep_dim,
 )
@@ -964,6 +965,14 @@ def small_zigzag(outer_dim, seed):
     return zigzag(g, h)
 
 
+def dense_symmetriser(shape, n, t):
+    """The Young symmetriser (sum_row P_p)(sum_col sgn(q) P_q) of `shape`, as
+    the product of the two dense n^t x n^t group sums."""
+    rows = sum(shuffle_operator(p, n, t) for p in row_group(shape))
+    cols = sum(sign(q) * shuffle_operator(q, n, t) for q in column_group(shape))
+    return rows @ cols
+
+
 class TestSchurWeylSectors:
     @pytest.mark.parametrize("n,t", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 3), (5, 2)])
     def test_ranks_are_hook_content_dims(self, n, t):
@@ -985,12 +994,36 @@ class TestSchurWeylSectors:
             assert np.allclose(b.basis.conj().T @ b.basis, np.eye(b.dim), atol=1e-12)
 
     @pytest.mark.parametrize("n,t", [(1, 2), (3, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
-    def test_young_symmetriser_is_the_product_of_the_group_sums(self, n, t):
-        # bit for bit, signed zeros included, so the SVD and the bases are unchanged
+    def test_symmetriser_columns_are_those_of_the_product_of_the_group_sums(self, n, t):
+        # bit for bit, signed zeros included: the columns QR reads are exact
         for shape in partitions(t):
-            rows = sum(shuffle_operator(p, n, t) for p in row_group(shape))
-            cols = sum(sign(q) * shuffle_operator(q, n, t) for q in column_group(shape))
-            assert _young_symmetriser(shape, n, t).tobytes() == (rows @ cols).tobytes()
+            words = semistandard_words(shape, n)
+            product = dense_symmetriser(shape, n, t)[:, words]
+            assert not product.imag.any()
+            assert _symmetriser_columns(shape, n, t, words).tobytes() == product.real.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_semistandard_word_counts_are_hook_content_dims(self, n):
+        for t in range(1, MAX_T_BASIS + 1):
+            for shape in partitions(t):
+                assert semistandard_words(shape, n).size == unitary_irrep_dim(shape, n)
+
+    @pytest.mark.parametrize("n,t", [(4, 3), (6, 2), (3, 4), (2, 5)])
+    def test_projectors_match_the_svd_of_the_dense_symmetriser(self, n, t):
+        for b in irrep_bases(n, t):
+            oracle, rank = orthonormalize(dense_symmetriser(b.shape, n, t))
+            assert rank == b.dim
+            assert np.max(np.abs(b.basis @ b.basis.T - oracle @ oracle.conj().T)) <= 1e-12
+
+    def test_bases_at_six_dimensions_and_t4_stay_small(self):
+        # the SVDs of the dense n^t x n^t symmetrisers peak at 88 MiB here
+        tracemalloc.start()
+        try:
+            irrep_bases(6, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_bases_hold_only_their_columns(self):
         for b in irrep_bases(3, 3):
@@ -1386,18 +1419,6 @@ class TestHermitianCoordinates:
         assert f"error::{warning.__module__}.{warning.__qualname__}" in pytestconfig.getini("filterwarnings")
         with pytest.raises(warning):
             np.zeros(2)[:] = np.full(2, 1j)
-
-
-class TestDesignIterations:
-    def test_example_small(self):
-        assert design_iterations_needed(1, 2, 0.5, 0.5) == 2
-
-    def test_example_larger(self):
-        assert design_iterations_needed(2, 4, 1e-3, 0.8) == 44
-
-    def test_lambda_one_rejected(self):
-        with pytest.raises(PreconditionError):
-            design_iterations_needed(1, 2, 0.5, 1.0)
 
 
 class TestSubspaceCloseness:
