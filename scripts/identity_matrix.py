@@ -10,9 +10,12 @@ subcommand and every certify step kind; lambda at t = 1..4 with `dense-svd`
 and with `power-iteration`, on the Schur-Weyl blocks (at t = 4 with n = 2
 and with n = 4, where every partition of 4 has an irrep) and on the full
 space (a stage-less ensemble above the block limit, and a zigzag product
-through its stage kernels); `auto` on both sides of its price model, and
-cut short by --max-iters; `--csv` reports; and refused inputs that exit 2,
-3 and 4.
+through its stage kernels); one member at t = 4 on the blocks; `auto` on
+both sides of its price model, cut short by --max-iters, and on a loaded
+family whose involution defect passes validation but not the Hermitian
+gate; `--csv` reports; and refused inputs that exit 2, 3 and 4. Besides
+the text INPUTS, the matrix writes the two ensembles no `sample` call
+makes (write_ensembles).
 
 For each call the manifest records its exit code, its first stderr line
 (the work directory reads <work>), and, for its stdout and for every file it
@@ -80,6 +83,20 @@ INPUTS = {
 }
 
 
+def write_ensembles(work: Path) -> None:
+    """Save one Haar member at n = 4, and a sampled (16, 8) family with one
+    entry moved by 1e-10: its involution defect, about 1e-10, passes
+    validation but not the Hermitian gate."""
+    from qtpe.ensemble import UnitaryEnsemble, sample_random_qtpe, save
+    from qtpe.linalg import SeededRng, haar_unitary
+
+    save(UnitaryEnsemble(4, haar_unitary(4, SeededRng(8))[None], None, "single"), work / "single.qtpe")
+    e = sample_random_qtpe(16, 8, SeededRng(9))
+    members = e.unitaries.copy()
+    members[0, 0, 0] += 1e-10
+    save(UnitaryEnsemble(16, members, e.involution, "near-hermitian"), work / "near-hermitian.qtpe")
+
+
 def _lambda(ensemble: str, t: int, method: str, *extra: str) -> list[str]:
     return ["lambda", "--ensemble", ensemble, "--t", str(t), "--method", method, *extra]
 
@@ -102,6 +119,8 @@ RUNS: list[tuple[str, list[str]]] = [
     ("t4-iterative", _lambda("s2.qtpe", 4, "power-iteration", "--out", "t4-iterative.json")),
     # at n = 4 every partition of 4 has an irrep, (2, 1, 1) and (1, 1, 1, 1) included
     ("t4-blocks", _lambda("s4.qtpe", 4, "power-iteration", "--out", "t4-blocks.json")),
+    # one member takes the blocks as any stage-less ensemble does
+    ("single-t4", _lambda("single.qtpe", 4, "power-iteration", "--out", "single-t4.json")),
     # the full space: n = 13 is above the blocks' limit at t = 2
     ("t2-full-space", _lambda("s13.qtpe", 2, "power-iteration", "--out", "t2-full-space.json")),
     ("auto-stdout", ["lambda", "--ensemble", "s3.qtpe", "--t", "2"]),
@@ -110,6 +129,9 @@ RUNS: list[tuple[str, list[str]]] = [
     ("sample-s6", ["sample", "--dim", "6", "--degree", "8", "--seed", "2", "--out", "s6.qtpe"]),
     ("auto-moved", ["lambda", "--ensemble", "s6.qtpe", "--t", "2", "--out", "auto-moved.json"]),
     ("auto-capped", ["lambda", "--ensemble", "s6.qtpe", "--t", "2", "--max-iters", "20", "--out", "auto-capped.json"]),
+    # priced outside the Hermitian gate, as it is solved: at (16, 8, 1) Lanczos
+    # on Phi†Phi is priced below the SVD of the block, though not below eigvalsh
+    ("auto-near-hermitian", ["lambda", "--ensemble", "near-hermitian.qtpe", "--t", "1", "--out", "auto-near-hermitian.json"]),
     ("csv-stdout", ["lambda", "--ensemble", "s3.qtpe", "--t", "1", "--csv"]),
     # products: the zigzag product's lambda runs its stage kernels, the
     # written product loads without stages
@@ -203,6 +225,7 @@ def run_matrix(work: Path, names: list[str] | None = None) -> dict:
 
     for name, text in INPUTS.items():
         (work / name).write_text(text)
+    write_ensembles(work)
     runs = []
     cwd = os.getcwd()
     os.chdir(work)

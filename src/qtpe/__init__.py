@@ -41,7 +41,6 @@ from .moments import (
     design_errors,
     fixed_space_basis,
     lambda_report,
-    sector_lambda,
     shuffle_operator,
     subspace_closeness_report,
 )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError
 
-DENSE_LIMIT = 4096  # largest dimension the dense path materialises
+DENSE_LIMIT = 4096  # largest n^2t of dense-svd and the dense() oracles; the dense path forms blocks only
 ITERATIVE_AMBIENT_LIMIT = 10**7  # largest vector length a moment operator is applied to
 DEFAULT_TOL_ITERATIVE = 1e-7
 DEFAULT_MAX_ITERS = 5000

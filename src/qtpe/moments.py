@@ -7,23 +7,26 @@ the register-shuffle matrices, and the second largest singular value of their
 difference is the quantity every construction is judged by.
 
 Two exact ways to that value exist, and lambda_report alone picks between
-them. The iterative one hands Phi, matrix-free, to linalg.spectral_norm,
-which deflates Phi's fixed space from every Lanczos vector once: Phi and
-its adjoint both fix it, so its complement is invariant, and there Phi
-equals its difference with the projector. With an involution Phi is
-Hermitian and Lanczos runs on it directly; without one it runs on Phi†Phi.
-Phi comes in one of two representations, chosen from shapes alone
-(_takes_sectors). An ensemble without stages, with two members or more,
-within a memory budget and, at t >= 2, at the (n, t) where the blocks were
-measured to run faster, takes SectorOperator, the direct sum of the
-Schur-Weyl blocks below, one per unordered irrep pair, whose fixed space
-is each diagonal block's identity; at t = 1 that is one block, the whole
-space. Each block apply is two GEMMs by a member-minor stack of R(U_i),
-laid out at the first apply, with no reordering copy. Every other call
-takes MomentOperator on C^(n^2t), whose fixed space W is held as t!
-gathers and a t! x t! Gram matrix (FixedSpaceBasis). SectorOperator is a
-MomentOperator on another space: the two share apply_vec and
-adjoint_apply_vec, and each names its fixed space.
+them. It decides each call once: the Hermitian gate (the members'
+involution defect at most HERMITIAN_DEFECT), the representation of Phi,
+and the path, and it builds one operator that the path reads. The
+iterative way hands Phi, matrix-free, to linalg.spectral_norm, which
+deflates Phi's fixed space from every Lanczos vector once: Phi and its
+adjoint both fix it, so its complement is invariant, and there Phi equals
+its difference with the projector. Through the gate Phi is Hermitian and
+Lanczos runs on it directly; otherwise it runs on Phi†Phi. Phi comes in
+one of two representations, chosen from shapes alone (_takes_sectors). An
+ensemble without stages, within a memory budget and, at t >= 2, at the
+(n, t) where the blocks were measured to run faster, takes SectorOperator,
+the direct sum of the Schur-Weyl blocks below, one per unordered irrep
+pair, whose fixed space is each diagonal block's identity; at t = 1 that
+is one block, the whole space. Each block apply is two GEMMs by a
+member-minor stack of R(U_i), laid out at the first apply, with no
+reordering copy. Every other call takes MomentOperator on C^(n^2t), whose
+fixed space W is held as t! gathers and a t! x t! Gram matrix
+(FixedSpaceBasis). SectorOperator is a MomentOperator on another space:
+the two share apply_vec and adjoint_apply_vec, and each names its fixed
+space.
 
 A MomentOperator apply runs one kernel per stage, chosen once per
 MomentOperator from the stage's shapes (_stage_kernel). The member kernel
@@ -44,12 +47,12 @@ operator is block diagonal over pairs (lambda, mu). Each block acts on
 d_lambda x d_mu matrices as X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)†,
 the Haar projector is vec(I)vec(I)†/d_lambda on the diagonal blocks and 0
 elsewhere, and lambda is the largest top singular value over the blocks
-(one per unordered pair, from the one block list, which SectorOperator
-holds and the dense way reads without an apply), read from eigvalsh when
-an involution makes the blocks Hermitian. The moment operator maps
-Hermitian matrices to Hermitian ones, so each diagonal block is solved as
-a real matrix in an orthonormal basis of Herm(V_lambda); the off-diagonal
-blocks stay complex.
+(one per unordered pair, from the one block list that SectorOperator
+holds; SectorOperator.dense_lambda reads it without an apply), read from
+eigvalsh when the Hermitian gate makes the blocks Hermitian. The moment
+operator maps Hermitian matrices to Hermitian ones, so each diagonal block
+is solved as a real matrix in an orthonormal basis of Herm(V_lambda); the
+off-diagonal blocks stay complex.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ _SECTOR_MAX_DIM = {2: 12, 3: 10, 4: 6}
 # default tol and about 25 us per step beyond its applies.
 _EIGVALSH_PRICE = 0.7  # per N^3 of a real diagonal block
 _COMPLEX_PRICE = 3.0  # a complex off-diagonal block against a real diagonal one
-_SVD_PRICE = 2.5  # the SVD, without an involution, against eigvalsh
+_SVD_PRICE = 2.5  # the SVD, outside the Hermitian gate, against eigvalsh
 _LANCZOS_STEPS = 100  # the step budget priced, whatever the shape
 _STEP_PRICE = 1.5e5  # Lanczos' vector work and Python dispatch per step
 # roundoff allowed on top of a closeness bound: at t=1 the bounds and the
@@ -130,13 +133,14 @@ CLOSENESS_ROUNDOFF = 1e-12
 # hermitian_sector_block gathers at once: 37 rows of the 441 block at t=2, n=6
 _CHUNK_BYTES = 2**18
 # how far from Hermitian an ensemble's moment operator may be and still be
-# treated as Hermitian: the members' involution defect (ensemble.
-# involution_defect) gates both lambda paths, and on the dense path each
-# sector block's entrywise |B - B†| is checked against it too: the real form
-# of a diagonal block (hermitian_sector_block), and the complex off-diagonal
-# blocks. Sampled and product ensembles measure 0 to ~1e-14; a loaded file may
-# pass validation with up to 1e-8 * dim, and then takes the paths for
-# non-Hermitian operators
+# treated as Hermitian: lambda_report reads the members' involution defect
+# (ensemble.involution_defect) against it once per call, and that one gate
+# sets auto's price, Lanczos' map (Phi or Phi†Phi) and the dense norms'
+# eigvalsh; on the dense path each sector block's entrywise |B - B†| is
+# checked against it too: the real form of a diagonal block
+# (hermitian_sector_block), and the complex off-diagonal blocks. Sampled and
+# product ensembles measure 0 to ~1e-14; a loaded file may pass validation
+# with up to 1e-8 * dim, and is then priced and solved as non-Hermitian
 HERMITIAN_DEFECT = 1e-12
 
 
@@ -650,34 +654,6 @@ def irrep_actions(e: UnitaryEnsemble, t: int) -> list[np.ndarray]:
     return [irrep_action(e.unitaries, b.basis, e.dim, t) for b in irrep_bases(e.dim, t)]
 
 
-def sector_lambda(e: UnitaryEnsemble, t: int) -> float:
-    """Largest singular value of the moment operator minus the Haar projector,
-    exactly, from its Schur-Weyl blocks: those a SectorOperator of e at t
-    lists, read before any apply, so their stacks are irrep_actions' own.
-
-    The (lambda, mu) block is sector_block(R_lambda, R_mu). The (mu, lambda)
-    block equals J (lambda, mu) J with the antiunitary J: X -> X†, so it has
-    the same singular values and, when both are Hermitian, the same (real)
-    eigenvalues; the blocks with lambda at or before mu therefore carry the
-    norm of Phi - P and, under an involution, its extreme eigenvalues. J maps
-    each diagonal block to itself, so that one is real in Hermitian
-    coordinates (hermitian_sector_block, which also removes the fixed vector
-    vec(I)/sqrt(d_lambda)); the off-diagonal ones stay complex.
-
-    With an involution (U_{-i} = U_i†, to HERMITIAN_DEFECT) every block is
-    Hermitian, the diagonal ones real symmetric, so its norm is max
-    |eigenvalue|: eigvalsh is used once the block's Hermitian defect is
-    checked, and the SVD otherwise.
-    """
-    hermitian = involution_defect(e) <= HERMITIAN_DEFECT
-    value = 0.0
-    for _, left, right, diagonal in SectorOperator(e, t)._block_stacks():
-        block = hermitian_sector_block(left) if diagonal else sector_block(left, right)
-        value = max(value, _block_norm(block, hermitian))
-        del block  # so that no two blocks are held at once
-    return value
-
-
 def _block_norm(block: np.ndarray, hermitian: bool) -> float:
     """Spectral norm of one sector block, real or complex: max |eigenvalue|
     from eigvalsh when the block's entrywise |B - B†| is at most
@@ -711,8 +687,8 @@ class SectorOperator(MomentOperator):
     pair (lambda, mu), lambda at or before mu in irrep_bases order: each
     irrep's diagonal block, then its pairs with the later ones. It holds the
     one list of those blocks. The iterative path applies it matrix-free for
-    the shapes _takes_sectors admits, and the dense path (sector_lambda) and
-    dense() read each block's stacks from it (_block_stacks).
+    the shapes _takes_sectors admits, and the dense path (dense_lambda) and
+    dense() read each block's stacks from that list.
 
     It is the moment operator of the same ensemble at the same t, on another
     space, so it shares MomentOperator's apply_vec and adjoint_apply_vec
@@ -727,7 +703,7 @@ class SectorOperator(MomentOperator):
     first apply lays each stack out member-minor, H[a, i, b] = R(U_i)[a, b],
     with its conjugate: 2 s sum_lambda d_lambda^2 entries that every pair
     indexes, and the stack held until then becomes an (s, d, d) view of H.
-    So the dense path, which never applies, holds no layout. Read as
+    So the dense path holds no layout unless Lanczos ran first. Read as
     (d s) x d, H is [R(U_1); ...; R(U_s)] with the members interleaved row
     by row; read as d x (s d) it is [R(U_1) ... R(U_s)]. Forward, a block
     maps X -> (1/s) sum_i R_lambda(U_i) X R_mu(U_i)† in two GEMMs:
@@ -775,10 +751,34 @@ class SectorOperator(MomentOperator):
     def apply(self, m: np.ndarray) -> np.ndarray:
         raise PreconditionError("a SectorOperator acts on its direct sum of blocks (apply_vec), not on matrices")
 
-    def _block_stacks(self):
-        """Per block, in order: its offset, R_lambda, R_mu and whether lambda = mu."""
-        for lo, _, _, i, j in self._blocks:
-            yield lo, self._stacks[i], self._stacks[j], i == j
+    def dense_lambda(self, hermitian: bool) -> float:
+        """Largest singular value of the moment operator minus the Haar
+        projector, exactly, from the norms of the blocks, one block at a time.
+
+        The (lambda, mu) block is sector_block(R_lambda, R_mu). The (mu,
+        lambda) block equals J (lambda, mu) J with the antiunitary J: X -> X†,
+        so it has the same singular values and, when both are Hermitian, the
+        same (real) eigenvalues; the blocks with lambda at or before mu
+        therefore carry the norm of Phi - P and, through the gate, its extreme
+        eigenvalues. J maps each diagonal block to itself, so that one is real
+        in Hermitian coordinates (hermitian_sector_block, which also removes
+        the fixed vector vec(I)/sqrt(d_lambda)); the off-diagonal ones stay
+        complex.
+
+        `hermitian` is lambda_report's gate (U_{-i} = U_i†, to
+        HERMITIAN_DEFECT): through it every block is Hermitian, the diagonal
+        ones real symmetric, so its norm is max |eigenvalue|, from eigvalsh
+        once the block's own Hermitian defect is checked, and from the SVD
+        otherwise. No apply is needed, so the stacks are read as they are,
+        laid out or not.
+        """
+        value = 0.0
+        for _, _, _, i, j in self._blocks:
+            left, right = self._stacks[i], self._stacks[j]
+            block = hermitian_sector_block(left) if i == j else sector_block(left, right)
+            value = max(value, _block_norm(block, hermitian))
+            del block  # so that no two blocks are held at once
+        return value
 
     def _apply(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
         if self._work is None:
@@ -811,15 +811,14 @@ class SectorOperator(MomentOperator):
 
     def dense(self) -> np.ndarray:
         """The ambient x ambient matrix on the direct sum, block diagonal with
-        each pair's sector_block from the stacks sector_lambda reads: the
+        each pair's sector_block from the stacks dense_lambda reads: the
         applies' oracle and, less each diagonal block's vec(I)vec(I)†/d, the
         dense path's."""
         if self.ambient > DENSE_LIMIT:
             raise SizeLimitError(f"direct sum {self.ambient} exceeds dense limit {DENSE_LIMIT}")
         out = np.zeros((self.ambient, self.ambient), dtype=complex)
-        for lo, left, right, _ in self._block_stacks():
-            hi = lo + left.shape[1] * right.shape[1]
-            out[lo:hi, lo:hi] = sector_block(left, right)
+        for lo, da, db, i, j in self._blocks:
+            out[lo : lo + da * db, lo : lo + da * db] = sector_block(self._stacks[i], self._stacks[j])
         return out
 
 
@@ -835,23 +834,24 @@ def _sector_bytes(n: int, s: int, t: int) -> int:
     return 16 * s * (2 * sum(d * d for d in dims) + 2 * max(dims) ** 2)
 
 
-def _lanczos_is_cheaper(n: int, s: int, t: int, involution: bool) -> bool:
+def _lanczos_is_cheaper(n: int, s: int, t: int, hermitian: bool) -> bool:
     """Whether Lanczos on the Schur-Weyl blocks is priced below their dense
-    norms, from n, s, t, the involution flag and the irrep dimensions alone.
+    norms, from n, s, t, lambda_report's Hermitian gate and the irrep
+    dimensions alone.
 
     The dense price is sum N^3 over the blocks lambda <= mu, N = d_lambda
     d_mu, a complex off-diagonal block weighted _COMPLEX_PRICE above a real
-    diagonal one and everything _SVD_PRICE above eigvalsh without an
-    involution. The Lanczos price is _LANCZOS_STEPS steps of one apply (two
-    without an involution, on Phi†Phi) of s sum d_lambda d_mu (d_lambda +
-    d_mu) multiply-adds, plus _STEP_PRICE per step. The work both paths
-    share, the irrep bases and R(U_i) stacks, is left out.
+    diagonal one and everything _SVD_PRICE above eigvalsh outside the gate.
+    The Lanczos price is _LANCZOS_STEPS steps of one apply (two outside the
+    gate, on Phi†Phi) of s sum d_lambda d_mu (d_lambda + d_mu) multiply-adds,
+    plus _STEP_PRICE per step. The work both paths share, the irrep bases
+    and R(U_i) stacks, is left out.
     """
     dims = _irrep_dims(n, t)
     pairs = [(a, b, i == j) for i, a in enumerate(dims) for j, b in enumerate(dims[i:], start=i)]
     dense = _EIGVALSH_PRICE * sum((a * b) ** 3 * (1.0 if diagonal else _COMPLEX_PRICE) for a, b, diagonal in pairs)
     apply = s * sum(a * b * (a + b) for a, b, _ in pairs)
-    applies, solver = (1, 1.0) if involution else (2, _SVD_PRICE)
+    applies, solver = (1, 1.0) if hermitian else (2, _SVD_PRICE)
     return _LANCZOS_STEPS * (applies * apply + _STEP_PRICE) < solver * dense
 
 
@@ -863,20 +863,17 @@ def _takes_sectors(e: UnitaryEnsemble, t: int) -> bool:
     Its blocks are taken when (a) at t >= 2, n is at most
     _SECTOR_MAX_DIM[t]; at t = 1 the one block is the whole space in the
     same layout, and its two GEMMs are the member kernel's without its
-    reordering copy, so no n is excluded; (b) it has two members or more:
-    one member's Phi is unitary, Lanczos ends after a step or two, and
-    nothing repays the one-off work of the bases and the R(U_i) stacks (at
-    t = 2 and 3 such a lambda took 1.4-1.8x longer on the blocks); and (c)
-    the operator holds at most 2 * _BATCH_BYTES (_sector_bytes), the bound
-    on MomentOperator's workspace; at t = 1 that is 64 s n^2 bytes. The
-    same ensembles are the ones that `auto` prices at or below the dense
-    limit (lambda_report, _lanczos_is_cheaper); every other one keeps the
-    dense path there.
+    reordering copy, so no n is excluded; and (b) the operator holds at
+    most 2 * _BATCH_BYTES (_sector_bytes), the bound on MomentOperator's
+    workspace; at t = 1 that is 64 s n^2 bytes. One member is no exception.
+    The same ensembles are the ones that `auto` prices at or below the
+    dense limit (lambda_report, _lanczos_is_cheaper); every other one keeps
+    the dense path there.
     """
     if e.stages:
         return False
     n, s = e.dim, e.size
-    return (t == 1 or n <= _SECTOR_MAX_DIM.get(t, 0)) and s >= 2 and _sector_bytes(n, s, t) <= 2 * _BATCH_BYTES
+    return (t == 1 or n <= _SECTOR_MAX_DIM.get(t, 0)) and _sector_bytes(n, s, t) <= 2 * _BATCH_BYTES
 
 
 @dataclass
@@ -939,42 +936,60 @@ def lambda_report(
 ) -> SpectralReport:
     """Second largest singular value of the moment operator vs the Haar projector.
 
-    The one place that picks the solver path. The dense method is exact: it
-    takes the norm of every Schur-Weyl block (sector_lambda) instead of the
-    n^2t x n^2t superoperator, from eigvalsh when an involution makes the
-    blocks Hermitian and from the SVD otherwise. The iterative method (named
-    "power-iteration") is Lanczos, matrix-free, with fixed-space deflation:
-    on Phi itself, one apply per step, when the members' involution defect
-    is at most HERMITIAN_DEFECT, and on Phi†Phi, two applies per step,
-    otherwise. It runs on the Schur-Weyl blocks (SectorOperator) where
-    _takes_sectors admits the shapes, which at t = 1 is every ensemble
-    without stages of two members or more within the memory budget, and on
-    C^(n^2t) (MomentOperator) elsewhere, products and single members
-    included.
+    The one place that decides a call, each decision once: the Hermitian
+    gate (the members' involution defect at most HERMITIAN_DEFECT), the
+    representation (_takes_sectors) and the path; and it builds one
+    operator, which every path reads: a SectorOperator when the dense path
+    runs or the blocks admit the shapes, a MomentOperator otherwise.
+
+    The dense method is exact: the norm of every Schur-Weyl block
+    (SectorOperator.dense_lambda) instead of the n^2t x n^2t superoperator,
+    from eigvalsh through the gate and from the SVD otherwise. The
+    iterative method (named "power-iteration") is Lanczos, matrix-free,
+    with fixed-space deflation: on Phi itself, one apply per step, through
+    the gate, and on Phi†Phi, two applies per step, otherwise.
 
     `method` "auto" takes the iterative path above the dense limit on n^2t.
     At or below it, an ensemble the blocks admit takes whichever path
-    _lanczos_is_cheaper prices lower, from shapes alone, so a rerun takes
-    the same path; every other ensemble, products included, takes the dense
-    path. Should Lanczos so taken stop unconverged, which only a max_iters
-    below the direct sum's dimension allows, the dense report is returned
-    instead. The solver settings are checked whichever path runs
-    (check_solver_settings). Non-convergence is surfaced in the report,
-    never silently dropped.
+    _lanczos_is_cheaper prices lower, from shapes and the gate alone, so a
+    rerun takes the same path; every other ensemble, products included,
+    takes the dense path. Should Lanczos so taken stop unconverged, which
+    only a max_iters below the direct sum's dimension allows, the dense
+    report is returned instead, from the same operator. The solver settings
+    are checked whichever path runs (check_solver_settings).
+    Non-convergence is surfaced in the report, never silently dropped.
     """
     check_solver_settings(e.dim, t, method, tol, max_iters)
     rng = SeededRng(0, 0) if rng is None else rng
+    hermitian = involution_defect(e) <= HERMITIAN_DEFECT
+    sectors = _takes_sectors(e, t)
     routed = False
     if method == "auto":
         if e.dim ** (2 * t) > DENSE_LIMIT:
             method = "power-iteration"
         else:
-            routed = _takes_sectors(e, t) and _lanczos_is_cheaper(e.dim, e.size, t, e.involution is not None)
+            routed = sectors and _lanczos_is_cheaper(e.dim, e.size, t, hermitian)
             method = "power-iteration" if routed else "dense-svd"
-    est, applies = _solve(e, t, method, tol, rng, max_iters)
-    if routed and not est.converged:
-        method = "dense-svd"
-        est, applies = _solve(e, t, method, tol, rng, max_iters)
+    phi = SectorOperator(e, t) if sectors or method == "dense-svd" else MomentOperator(e, t)
+    if method == "power-iteration":
+        # Phi and Phi† both fix W (every U^(x t) commutes with it), so W^perp is
+        # invariant under both and Phi - P is 0 on W and Phi on W^perp: the norm
+        # of Phi on the deflated iterates is exactly lambda. With an involution
+        # Phi† = Phi, so its norm there is its largest |eigenvalue|. On the
+        # sector blocks W is each diagonal block's identity.
+        est = spectral_norm(
+            LinearMap(phi.ambient, phi.apply_vec, phi.adjoint_apply_vec),
+            tol=tol,
+            max_iters=max_iters,
+            rng=rng,
+            deflate=phi.fixed_space(),
+            hermitian=hermitian,
+        )
+        applies = est.iterations * (1 if hermitian else 2)
+        if routed and not est.converged:
+            method = "dense-svd"
+    if method == "dense-svd":
+        est, applies = SpectralEstimate(value=phi.dense_lambda(hermitian), residual=0.0, iterations=0), 0
     return SpectralReport(
         lambda_=est.value,
         method=method,
@@ -986,31 +1001,6 @@ def lambda_report(
         label=e.label,
         converged=est.converged,
     )
-
-
-def _solve(
-    e: UnitaryEnsemble, t: int, method: str, tol: float | None, rng: SeededRng, max_iters: int
-) -> tuple[SpectralEstimate, int]:
-    """lambda by `method`, "dense-svd" or "power-iteration", and the applies
-    of the map Lanczos ran (0 on the dense path)."""
-    if method == "dense-svd":
-        return SpectralEstimate(value=sector_lambda(e, t), residual=0.0, iterations=0), 0
-    # Phi and Phi† both fix W (every U^(x t) commutes with it), so W^perp is
-    # invariant under both and Phi - P is 0 on W and Phi on W^perp: the norm
-    # of Phi on the deflated iterates is exactly lambda. With an involution
-    # Phi† = Phi, so its norm there is its largest |eigenvalue|. On the
-    # sector blocks W is each diagonal block's identity.
-    hermitian = involution_defect(e) <= HERMITIAN_DEFECT
-    phi = (SectorOperator if _takes_sectors(e, t) else MomentOperator)(e, t)
-    est = spectral_norm(
-        LinearMap(phi.ambient, phi.apply_vec, phi.adjoint_apply_vec),
-        tol=tol,
-        max_iters=max_iters,
-        rng=rng,
-        deflate=phi.fixed_space(),
-        hermitian=hermitian,
-    )
-    return est, est.iterations * (1 if hermitian else 2)
 
 
 def design_error_monomial(

@@ -173,7 +173,7 @@ class TestLambda:
 
     @pytest.mark.parametrize("method", ["dense-svd", "power-iteration"])
     def test_involution_defect_measured_once_per_call(self, tmp_path, monkeypatch, method):
-        # validate, the Hermitian gate of lambda_report and sector_lambda all read it
+        # validate and the Hermitian gate of lambda_report both read it
         import qtpe.ensemble as ens
 
         measured = []
@@ -295,7 +295,7 @@ class TestZigzagCommand:
         import qtpe.moments as mom
 
         solves = []
-        monkeypatch.setattr(mom, "sector_lambda", lambda *args: solves.append(args))
+        monkeypatch.setattr(mom.SectorOperator, "dense_lambda", lambda *args: solves.append(args))
         monkeypatch.setattr(mom, "spectral_norm", lambda *args, **kwargs: solves.append(args))
         g = self._sample(tmp_path, "g.qtpe", 8, 4, 1)
         h = self._sample(tmp_path, "h.qtpe", 4, 4, 2)

@@ -11,7 +11,7 @@ from qtpe import linalg
 from qtpe.ensemble import UnitaryEnsemble, sample_random_qtpe
 from qtpe.errors import PreconditionError
 from qtpe.linalg import LinearMap, SeededRng, haar_unitary, spectral_norm
-from qtpe.moments import MomentOperator, SectorOperator, sector_lambda
+from qtpe.moments import MomentOperator, SectorOperator
 
 
 class ColumnSpan:
@@ -390,7 +390,7 @@ def haar_t3_case(seed):
     e = sample_random_qtpe(4, 8, SeededRng(seed))
     phi = SectorOperator(e, 3)
     op = LinearMap(phi.ambient, phi.apply_vec, phi.adjoint_apply_vec)
-    return op, phi.fixed_space(), True, 1e-7, sector_lambda(e, 3)
+    return op, phi.fixed_space(), True, 1e-7, phi.dense_lambda(True)
 
 
 class TestCheckSchedule:

@@ -51,7 +51,6 @@ from qtpe.moments import (
     irrep_actions,
     irrep_bases,
     sector_block,
-    sector_lambda,
     alpha_sigma,
     design_error_monomial,
     fixed_space_basis,
@@ -842,20 +841,40 @@ class TestAutoRoute:
         first, second = (lambda_report(auto_case(n, s, seed, family), t) for seed in (5, 6))
         assert first.method == second.method
 
-    def test_unconverged_route_returns_the_dense_report(self):
+    def test_unconverged_route_returns_the_dense_report(self, monkeypatch):
+        import qtpe.moments as m
+
         e = auto_case(6, 8, 1)
         assert lambda_report(e, 2, method="power-iteration", max_iters=20).converged is False
+        # the dense norms read the operator Lanczos ran on: one set of bases
+        bases = []
+        monkeypatch.setattr(m, "irrep_bases", lambda *args, real=m.irrep_bases: bases.append(args) or real(*args))
         rep = lambda_report(e, 2, max_iters=20, rng=SeededRng(7))
+        assert bases == [(6, 2)]
         assert (rep.method, rep.converged, rep.iterations, rep.applies, rep.residual) == ("dense-svd", True, 0, 0, 0.0)
-        assert rep.lambda_ == sector_lambda(e, 2) and rep.seed == 7
+        assert rep.lambda_ == dense_lambda(e, 2) and rep.seed == 7
 
-    def test_products_and_single_members_keep_the_dense_path(self):
-        # the price would move both, but the blocks do not admit them
-        product = square_compose(raw_haar_ensemble(24, 2, 3))
-        single = raw_haar_ensemble(32, 1, 4)
-        for e in (product, single):
-            assert _lanczos_is_cheaper(e.dim, e.size, 1, False) and not _takes_sectors(e, 1)
-            assert lambda_report(e, 1).method == "dense-svd"
+    def test_products_keep_the_dense_path(self):
+        # the price would move it, but the blocks do not admit a product
+        e = square_compose(raw_haar_ensemble(24, 2, 3))
+        assert _lanczos_is_cheaper(e.dim, e.size, 1, False) and not _takes_sectors(e, 1)
+        assert lambda_report(e, 1).method == "dense-svd"
+
+    def test_near_hermitian_file_is_priced_outside_the_gate(self, tmp_path):
+        # a file may pass validation with an involution defect up to 1e-8 * dim;
+        # above HERMITIAN_DEFECT it is priced, as it is solved, for Phi†Phi and
+        # the SVD, where Lanczos wins at (16, 8, 1), and not for eigvalsh,
+        # where the dense norms win as they do for the family it was made from
+        e = hermitian_ensemble(16, 8, 3)
+        members = e.unitaries.copy()
+        members[0, 0, 0] += 1e-10
+        save(UnitaryEnsemble(16, members, e.involution, "near-hermitian"), tmp_path / "near.qtpe")
+        loaded = load(tmp_path / "near.qtpe")
+        assert HERMITIAN_DEFECT < involution_defect(loaded) <= 1e-8
+        assert lambda_report(e, 1).method == "dense-svd"
+        rep = lambda_report(loaded, 1)
+        assert rep.method == "power-iteration" and rep.converged
+        assert abs(rep.lambda_ - lambda_report(loaded, 1, method="dense-svd").lambda_) <= 1e-10
 
 
 class TestDesignError:
@@ -1058,27 +1077,27 @@ class TestSchurWeylSectors:
     def test_oracle_against_full_dense_svd(self, n, t, family):
         seed = 100 * n + 10 * t
         e = hermitian_ensemble(n, 4, seed) if family == "hermitian" else raw_haar_ensemble(n, 3, seed)
-        assert abs(sector_lambda(e, t) - full_dense_lambda(e, t)) <= 1e-10
+        assert abs(dense_lambda(e, t) - full_dense_lambda(e, t)) <= 1e-10
 
     @pytest.mark.parametrize("outer_dim,t", [(1, 1), (2, 1), (1, 2)])
     def test_oracle_on_zigzag_products(self, outer_dim, t):
         product = small_zigzag(outer_dim, 70 + outer_dim)
-        assert abs(sector_lambda(product, t) - full_dense_lambda(product, t)) <= 1e-10
+        assert abs(dense_lambda(product, t) - full_dense_lambda(product, t)) <= 1e-10
 
     @pytest.mark.parametrize("n,t", [(2, 2), (3, 2), (2, 3)])
     def test_false_involution_falls_back_to_the_svd(self, n, t):
         raw = raw_haar_ensemble(n, 3, 30 + n)
         claimed = dataclasses.replace(raw, involution=(1, 0, 2))  # U_1 != U_0†, so the blocks are not Hermitian
-        assert abs(sector_lambda(claimed, t) - full_dense_lambda(raw, t)) <= 1e-10
+        assert abs(dense_lambda(claimed, t) - full_dense_lambda(raw, t)) <= 1e-10
 
     def test_pauli_exact(self):
-        assert sector_lambda(pauli_ensemble(), 1) == 0.0
-        assert sector_lambda(pauli_ensemble(), 2) == pytest.approx(1.0, abs=1e-12)
+        assert dense_lambda(pauli_ensemble(), 1) == 0.0
+        assert dense_lambda(pauli_ensemble(), 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_report_fields_unchanged(self):
         rep = lambda_report(hermitian_ensemble(3, 4, 2), 2, method="dense-svd", rng=SeededRng(4))
         assert (rep.method, rep.iterations, rep.residual, rep.converged, rep.seed) == ("dense-svd", 0, 0.0, True, 4)
-        assert rep.lambda_ == sector_lambda(hermitian_ensemble(3, 4, 2), 2)
+        assert rep.lambda_ == dense_lambda(hermitian_ensemble(3, 4, 2), 2)
 
     def test_dense_path_builds_no_fixed_space_basis(self, monkeypatch):
         import qtpe.moments as m
@@ -1091,7 +1110,7 @@ class TestSchurWeylSectors:
 
     def test_rerun_bit_identical(self):
         e = raw_haar_ensemble(3, 5, 9)
-        assert sector_lambda(e, 2) == sector_lambda(e, 2)
+        assert dense_lambda(e, 2) == dense_lambda(e, 2)
 
 
 # (n, t) at t = 1, where the one block is the whole space, up to the haar_t1
@@ -1118,9 +1137,9 @@ def irrep_pairs(e, t):
 
 class TestSectorOperator:
     """Lanczos on the direct sum of the Schur-Weyl blocks: its applies against
-    the dense sector_block of each block, its lambda against sector_lambda
+    the dense sector_block of each block, its lambda against the dense path
     and against Lanczos on the moment operator, its dense() against
-    sector_lambda, and the shape rule."""
+    dense_lambda, and the shape rule."""
 
     @pytest.mark.parametrize("n,t", SECTOR_CASES)
     @pytest.mark.parametrize("family", ["hermitian", "raw"])
@@ -1179,10 +1198,10 @@ class TestSectorOperator:
 
     @pytest.mark.parametrize("n,t", SECTOR_CASES)
     @pytest.mark.parametrize("family", ["hermitian", "raw"])
-    def test_dense_less_the_projector_has_norm_sector_lambda(self, n, t, family):
+    def test_dense_less_the_projector_has_norm_dense_lambda(self, n, t, family):
         # dense() is the dense path's oracle: its top singular value, with
         # vec(I)vec(I)†/d removed from each diagonal block of the independent
-        # pair list, is the lambda sector_lambda reads block by block
+        # pair list, is the lambda dense_lambda reads block by block
         e = sector_case(n, t, family)
         op = SectorOperator(e, t)
         assert op.ambient <= DENSE_LIMIT
@@ -1194,7 +1213,7 @@ class TestSectorOperator:
                 dense[np.ix_(ones, ones)] -= 1.0 / da
             lo += da * db
         assert lo == op.ambient
-        assert abs(sector_lambda(e, t) - np.linalg.svd(dense, compute_uv=False)[0]) <= 1e-10
+        assert abs(op.dense_lambda(family == "hermitian") - np.linalg.svd(dense, compute_uv=False)[0]) <= 1e-10
 
     # n = t = 4 once: the raw case's complex dense blocks alone take 4 s
     @pytest.mark.parametrize(
@@ -1212,7 +1231,7 @@ class TestSectorOperator:
             hermitian=family == "hermitian",
         )
         assert rep.converged and full.converged
-        assert abs(rep.lambda_ - sector_lambda(e, t)) <= 1e-10
+        assert abs(rep.lambda_ - SectorOperator(e, t).dense_lambda(family == "hermitian")) <= 1e-10
         assert abs(rep.lambda_ - full.value) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -1226,19 +1245,37 @@ class TestSectorOperator:
             (6, 4, 4, True),  # at t = 4
             (7, 4, 4, False),
             (6, 2, 4, True),  # two members: 75 s against 545 s
-            (6, 1, 4, False),  # one member: the basis alone costs 7.4 s against 0.19 s
-            (2, 1, 2, False),
+            (6, 1, 4, True),  # one member: 0.12 s against 0.18 s
+            (2, 1, 2, True),
             (6, 66, 4, True),  # holds 254.5 MiB of the 256 MiB that 2 * _BATCH_BYTES allows
             (6, 67, 4, False),
             (4, 8, 1, True),  # t = 1: the one block is the whole space, at any n
             (40, 32, 1, True),  # the haar_t1 benchmark shape
-            (4, 1, 1, False),  # one member, at t = 1 too
+            (4, 1, 1, True),  # one member, at t = 1 too
             (64, 1024, 1, True),  # 64 s n^2 B: 256 MiB, all that 2 * _BATCH_BYTES allows
             (64, 1025, 1, False),
         ],
     )
     def test_shape_rule(self, n, s, t, sectors):
         assert _takes_sectors(raw_haar_ensemble(n, s, 0), t) is sectors
+
+    # one member's Phi is unitary, so lambda = 1 and Lanczos exhausts its Krylov
+    # space in a step or two: on Phi†Phi = 1 for a raw member, and on Phi,
+    # whose eigenvalues are +-1, for a Hermitian one (a reflection, U = U†,
+    # as a Pauli is); t = 4 at n = 4 is above the dense limit, so the oracle
+    # is the blocks' dense norms themselves
+    @pytest.mark.parametrize("n,t", [(4, 4), (6, 2), (4, 3)], ids=str)
+    @pytest.mark.parametrize("kind", ["raw", "hermitian"])
+    def test_one_member_lambda_matches_the_dense_blocks(self, n, t, kind):
+        if kind == "raw":
+            e = raw_haar_ensemble(n, 1, 60 + n)
+        else:
+            v = haar_unitary(n, SeededRng(60 + n))
+            signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+            e = UnitaryEnsemble(n, ((v * signs) @ v.conj().T)[None], (0,), "reflection")
+        assert _takes_sectors(e, t)
+        rep = lambda_report(e, t, method="power-iteration", tol=1e-12, rng=SeededRng(t))
+        assert rep.converged and abs(rep.lambda_ - SectorOperator(e, t).dense_lambda(kind == "hermitian")) <= 1e-10
 
     @pytest.mark.parametrize("kind", PRODUCT_KINDS)
     @pytest.mark.parametrize("t", [1, 2, 3])
@@ -1375,7 +1412,7 @@ class TestHermitianCoordinates:
         ],
         ids=["n6-t2", "n16-s2048-t1"],
     )
-    def test_sector_lambda_peak_memory(self, n, s, t, earlier):
+    def test_dense_lambda_peak_memory(self, n, s, t, earlier):
         # at most the conjugate of the largest diagonal block's stack, which its
         # GEMM reads, the complex side^2 GEMM result and the real side^2 block
         # are alive at once, plus the chunks being gathered
@@ -1383,7 +1420,7 @@ class TestHermitianCoordinates:
         involution_defect(e)  # measured once and kept on e, as validate does on load
         tracemalloc.start()
         try:
-            sector_lambda(e, t)
+            dense_lambda(e, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1391,7 +1428,7 @@ class TestHermitianCoordinates:
         side = d * d
         assert peak <= 16 * s * side + 16 * side**2 + 8 * side**2 + 6 * _CHUNK_BYTES < earlier
 
-    def test_sector_lambda_holds_one_block_at_a_time(self, monkeypatch):
+    def test_dense_lambda_holds_one_block_at_a_time(self, monkeypatch):
         # each block is released before the next is formed: one still held
         # while the next was built raised a dense_t2 process's peak RSS by 1.4 MB
         import qtpe.moments as m
@@ -1407,7 +1444,7 @@ class TestHermitianCoordinates:
             monkeypatch.setattr(m, name, build)
         tracemalloc.start()
         try:
-            sector_lambda(e, 2)
+            dense_lambda(e, 2)
         finally:
             tracemalloc.stop()
         # the R stacks, 16 * 8 * (21^2 + 15^2) bytes, against a 441^2 block of 1.6 MB
