@@ -13,7 +13,9 @@ space (a stage-less ensemble above the block limit, and a zigzag product
 through its stage kernels); one member at t = 4 on the blocks; `auto` on
 both sides of its price model, cut short by --max-iters, and on a loaded
 family whose involution defect passes validation but not the Hermitian
-gate; `--csv` reports; and refused inputs that exit 2, 3 and 4. Besides
+gate; `--csv` reports; and refused inputs that exit 2, 3 and 4, among
+them a generalised product at k = 10000 and an epsgood step whose unitary
+is too large to draw, each refused in one bounded line. Besides
 the text INPUTS, the matrix writes the two ensembles no `sample` call
 makes (write_ensembles).
 
@@ -75,10 +77,13 @@ CERTIFY_ALL_KINDS = {
 }
 CERTIFY_FAILS = {"schema_version": 1, "steps": [{"kind": "lambda", "ensemble": "s3.qtpe", "t": 1, "assert_below": 0.0}]}
 CERTIFY_BAD_FIELD = {"schema_version": 1, "steps": [{"kind": "sample", "degree": 4, "out": "never.qtpe"}]}
+# k = 1 unitary of dimension d*d' = 2*10^6: refused before it is drawn
+CERTIFY_EPSGOOD_SIZE = {"schema_version": 1, "steps": [{"kind": "epsgood", "d": 2, "dprime": 1000000, "k": 1, "eps": 0.1}]}
 INPUTS = {
     "all-kinds.json": json.dumps(CERTIFY_ALL_KINDS),
     "fails.json": json.dumps(CERTIFY_FAILS),
     "bad-field.json": json.dumps(CERTIFY_BAD_FIELD),
+    "epsgood-size.json": json.dumps(CERTIFY_EPSGOOD_SIZE),
     "truncated.qtpe": "QTPE\x01",
 }
 
@@ -159,6 +164,12 @@ RUNS: list[tuple[str, list[str]]] = [
     ("refuse-usage", ["lambda", "--ensemble", "s3.qtpe"]),
     ("refuse-format", ["lambda", "--ensemble", "truncated.qtpe", "--t", "1"]),
     ("refuse-field", ["certify", "--config", "bad-field.json"]),
+    # 4^10000 members: refused at the 7th stage, the first past the degree guard, in one line
+    (
+        "refuse-generalised-k",
+        ["zigzag", "--g", "s2.qtpe", "--h", "h.qtpe", "--kind", "generalised", "--k", "10000", "--out", "never-gen.qtpe"],
+    ),
+    ("refuse-epsgood-size", ["certify", "--config", "epsgood-size.json"]),
     ("not-converged", _lambda("s4.qtpe", 3, "power-iteration", "--tol", "1e-30", "--max-iters", "40", "--out", "cut.json")),
     ("missing-file", ["lambda", "--ensemble", "missing.qtpe", "--t", "1"]),
     ("missing-config", ["certify", "--config", "missing.json"]),

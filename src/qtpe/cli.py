@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -22,7 +23,16 @@ from pathlib import Path
 
 from . import epsgood as eg
 from . import moments
-from .ensemble import UnitaryEnsemble, hermitian_double, load, read_sidecar, sample_random_qtpe, save, validate
+from .ensemble import (
+    UnitaryEnsemble,
+    check_product_degree,
+    hermitian_double,
+    load,
+    read_sidecar,
+    sample_random_qtpe,
+    save,
+    validate,
+)
 from .zigzag import (
     bound_genzigzag,
     bound_zigzag,
@@ -111,6 +121,7 @@ def _build_product(kind: str, g: UnitaryEnsemble, hs: list[UnitaryEnsemble], k: 
         return zigzag_derandomised(g, hs[0]), lambda l1, l2, t: bound_zigzag_derandomised(l1, l2, t, g.size)
     k = len(hs) if k is None else k
     if len(hs) == 1 and k > 1:
+        check_product_degree(itertools.repeat(hs[0].size, k), g.dim * hs[0].dim)  # before the k-item list
         hs = hs * k
     if len(hs) != k:
         raise PreconditionError(f"generalised product needs k={k} inner ensembles, got {len(hs)}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -44,16 +45,15 @@ class Stage:
     `outer` = 1 makes the A_i act on the whole space.
 
     Controlled (`relabel` given): the one control unitary
-    sum_b U_b (x) |relabel[b]><b| (x) 1_trailing on C^(D*s*trailing), the
-    zigzag products' Gdot, `members` the (s, D, D) stack of its blocks U_b
-    and `relabel` a permutation of range(s). Its size is 1 and its inner
-    dimension D*s*trailing; `outer` stays 1.
+    sum_b U_b (x) |relabel[b]><b| on C^(D*s), the zigzag products' Gdot,
+    `members` the (s, D, D) stack of its blocks U_b and `relabel` a
+    permutation of range(s). Its size is 1 and its inner dimension D*s;
+    `outer` stays 1.
     """
 
     members: np.ndarray
     outer: int = 1
     relabel: tuple[int, ...] | None = None
-    trailing: int = 1
 
     def __post_init__(self):
         self.members = np.ascontiguousarray(self.members, dtype=complex)
@@ -61,10 +61,8 @@ class Stage:
             raise PreconditionError(f"a stage needs an (s, m, m) stack and outer >= 1, got {self.members.shape}")
         if self.relabel is not None:
             self.relabel = tuple(int(b) for b in self.relabel)
-            if sorted(self.relabel) != list(range(self.members.shape[0])) or self.outer != 1 or self.trailing < 1:
-                raise PreconditionError("a controlled stage needs a relabel permuting its blocks, outer 1 and trailing >= 1")
-        elif self.trailing != 1:
-            raise PreconditionError("only a controlled stage has a trailing dimension")
+            if sorted(self.relabel) != list(range(self.members.shape[0])) or self.outer != 1:
+                raise PreconditionError("a controlled stage needs a relabel permuting its blocks and outer 1")
         self.members.setflags(write=False)
 
     @property
@@ -74,18 +72,16 @@ class Stage:
     @property
     def inner(self) -> int:
         s, m, _ = self.members.shape
-        return m * s * self.trailing if self.relabel is not None else m
+        return m * s if self.relabel is not None else m
 
     def factors(self) -> np.ndarray:
         """The (size, outer*inner, outer*inner) stack of the stage's unitaries:
         the lifted factors 1_outer (x) A_i, or the control unitary, which maps
-        e_a (x) e_b (x) e_c to (U_b e_a) (x) e_{relabel[b]} (x) e_c."""
+        e_a (x) e_b to (U_b e_a) (x) e_{relabel[b]}."""
         if self.relabel is not None:
             s, dd, _ = self.members.shape
-            out = np.zeros((dd, s, self.trailing, dd, s, self.trailing), dtype=complex)
-            for b in range(s):
-                for c in range(self.trailing):
-                    out[:, self.relabel[b], c, :, b, c] = self.members[b]
+            out = np.zeros((dd, s, dd, s), dtype=complex)
+            out[:, list(self.relabel), :, range(s)] = self.members
             return out.reshape(1, self.inner, self.inner)
         if self.outer == 1:
             return self.members
@@ -250,13 +246,17 @@ def product_ensemble(stages: list[Stage], involution: tuple[int, ...] | None, la
     return UnitaryEnsemble(members.shape[1], members, involution, label, stages)
 
 
-def check_product_degree(sizes: list[int], dim: int) -> None:
+def check_product_degree(sizes: Iterable[int], dim: int) -> None:
     """Refuse a product on C^dim of stages of these sizes whose degree prod |S_i|
     exceeds PRODUCT_DEGREE_LIMIT, or whose members would hold more than
-    PRODUCT_ENTRY_LIMIT entries (degree * dim^2)."""
-    degree = math.prod(sizes)
-    if degree > PRODUCT_DEGREE_LIMIT:
-        raise SizeLimitError(f"product degree {degree} exceeds guard {PRODUCT_DEGREE_LIMIT}")
+    PRODUCT_ENTRY_LIMIT entries (degree * dim^2). The degree is refused at
+    the first stage that takes it past the limit, so a long run of stages
+    never forms a huge integer, nor needs to be held as a list."""
+    degree = 1
+    for count, size in enumerate(sizes, 1):
+        degree *= size
+        if degree > PRODUCT_DEGREE_LIMIT:
+            raise SizeLimitError(f"product degree of the first {count} stages exceeds guard {PRODUCT_DEGREE_LIMIT}")
     _check_member_entries(degree, dim)
 
 

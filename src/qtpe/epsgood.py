@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import PRODUCT_ENTRY_LIMIT
 from .errors import PreconditionError, SizeLimitError
-from .linalg import SeededRng
+from .linalg import ITERATIVE_AMBIENT_LIMIT, SeededRng
 
 # work of one tuple walk: its outcome-path steps when exhaustive, its unitary
 # draws plus the path steps of its picks when sampled
@@ -118,7 +119,10 @@ def check_tuple_size(k: int, d: int, dprime: int, mode: str, budget: int | None 
     sampler takes. Its picks can fall at any level, so the guard bounds the
     k unitary draws plus up to k-1 path steps per pick; at d = 1, where the
     count is only (k-1)*d', that bound is what keeps a long tuple from
-    drawing all k unitaries for a handful of picks.
+    drawing all k unitaries for a handful of picks. In either mode the k
+    unitaries of dimension n = d*d' are refused when n^2 exceeds
+    ITERATIVE_AMBIENT_LIMIT or k*n^2 exceeds PRODUCT_ENTRY_LIMIT, the guards
+    sample_random_qtpe puts on its draws, so a caller checks before drawing.
     """
     if mode not in ("exhaustive", "sampled"):
         raise PreconditionError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
@@ -132,21 +136,27 @@ def check_tuple_size(k: int, d: int, dprime: int, mode: str, budget: int | None 
             raise SizeLimitError(
                 f"exhaustive walk for k={k}, d={d}, d'={dprime} exceeds {EXHAUSTIVE_LIMIT} path steps; use sampled mode"
             )
-        return
-    if budget is None or budget < 1:
-        raise PreconditionError("sampled mode needs a positive budget")
-    limit = np.iinfo(np.int64).max
-    total = _configuration_count(min(k, 65) if d > 1 else k, d, d * dprime)
-    if total > limit:
+    else:
+        if budget is None or budget < 1:
+            raise PreconditionError("sampled mode needs a positive budget")
+        limit = np.iinfo(np.int64).max
+        total = _configuration_count(min(k, 65) if d > 1 else k, d, d * dprime)
+        if total > limit:
+            raise SizeLimitError(
+                f"sampled configuration count for k={k}, d={d}, d'={dprime} exceeds {limit}, "
+                "the largest population the sampler draws from"
+            )
+        work = k + min(budget, total) * (k - 1)
+        if work > EXHAUSTIVE_LIMIT:
+            raise SizeLimitError(
+                f"sampled walk for k={k}, d={d}, d'={dprime}, budget {budget} needs up to {work} "
+                f"unitary draws and path steps (> {EXHAUSTIVE_LIMIT})"
+            )
+    n = d * dprime
+    if n * n > ITERATIVE_AMBIENT_LIMIT or k * n * n > PRODUCT_ENTRY_LIMIT:
         raise SizeLimitError(
-            f"sampled configuration count for k={k}, d={d}, d'={dprime} exceeds {limit}, "
-            "the largest population the sampler draws from"
-        )
-    work = k + min(budget, total) * (k - 1)
-    if work > EXHAUSTIVE_LIMIT:
-        raise SizeLimitError(
-            f"sampled walk for k={k}, d={d}, d'={dprime}, budget {budget} needs up to {work} "
-            f"unitary draws and path steps (> {EXHAUSTIVE_LIMIT})"
+            f"k={k} unitaries of dimension d*d' = {n} exceed the sampling guards "
+            f"(n^2 <= {ITERATIVE_AMBIENT_LIMIT}, k*n^2 <= PRODUCT_ENTRY_LIMIT {PRODUCT_ENTRY_LIMIT})"
         )
 
 

@@ -126,9 +126,6 @@ _COMPLEX_PRICE = 3.0  # a complex off-diagonal block against a real diagonal one
 _SVD_PRICE = 2.5  # the SVD, outside the Hermitian gate, against eigvalsh
 _LANCZOS_STEPS = 100  # the step budget priced, whatever the shape
 _STEP_PRICE = 1.5e5  # Lanczos' vector work and Python dispatch per step
-# roundoff allowed on top of a closeness bound: at t=1 the bounds and the
-# closed-form distances are exactly 0; at t >= 2 a bound is at least 2*sqrt(2/d)
-CLOSENESS_ROUNDOFF = 1e-12
 # bound on the complex rows of a diagonal sector block that
 # hermitian_sector_block gathers at once: 37 rows of the 441 block at t=2, n=6
 _CHUNK_BYTES = 2**18
@@ -313,39 +310,37 @@ def _moment_matrix_average(k: np.ndarray, outer: int, m: int, x: np.ndarray, t: 
 
 
 def _controlled_average(
-    rows: np.ndarray, cols: np.ndarray, gather: np.ndarray | None, trailing: int, x: np.ndarray, t: int, work: np.ndarray
+    rows: np.ndarray, cols: np.ndarray, gather: np.ndarray | None, x: np.ndarray, t: int, work: np.ndarray
 ) -> np.ndarray:
-    """The controlled kernel of Gdot = sum_b U_b (x) |r(b)><b| (x) 1_trailing,
-    applied to vec(M).
+    """The controlled kernel of Gdot = sum_b U_b (x) |r(b)><b|, applied to vec(M).
 
-    Each leg of vec(M), of side D*s*trailing, is contracted at the front of
-    the tensor in turn: one batched matmul of the s D x D blocks over the
-    leg's b and trailing axes (rows[b] on the row legs, cols[b] on the column
-    legs), unless the relabelling is the identity a gather along b, and a
-    copy that rotates the leg to the end, so 2t legs restore the order.
-    Forward, the blocks are U_b and conj(U_b) and the gather reads r^-1, which
-    moves b to r(b); the adjoint's blocks are U_{r^-1(b)}† and its transpose,
-    and its gather reads r. Each pass writes one row of `work`, the last copy
-    the result.
+    Each leg of vec(M), of side D*s, is contracted at the front of the tensor
+    in turn: one batched matmul of the s D x D blocks over the leg's b axis
+    (rows[b] on the row legs, cols[b] on the column legs), unless the
+    relabelling is the identity a gather along b, and a copy that rotates
+    the leg to the end, so 2t legs restore the order. Forward, the blocks
+    are U_b and conj(U_b) and the gather reads r^-1, which moves b to r(b);
+    the adjoint's blocks are U_{r^-1(b)}† and its transpose, and its gather
+    reads r. Each pass writes one row of `work`, the last copy the result.
     """
-    s, _, d, _ = rows.shape
-    side = d * s * trailing
+    s, d, _ = rows.shape
+    side = d * s
     ambient = side ** (2 * t)
     rest = ambient // side
-    split = (1, 2, 0, 3)  # the leg's (D, s, trailing) axes as (s, trailing) stacks of D-row matrices
+    split = (1, 0, 2)  # the leg's (D, s) axes as s D-row matrices
     cur, free, other = x, work[0, :ambient], work[1, :ambient]
     for leg in range(2 * t):
         np.matmul(
             rows if leg < t else cols,
-            cur.reshape(d, s, trailing, rest).transpose(split),
-            out=free.reshape(d, s, trailing, rest).transpose(split),
+            cur.reshape(d, s, rest).transpose(split),
+            out=free.reshape(d, s, rest).transpose(split),
         )
         if gather is not None:
             # mode "wrap", not "raise", lets take write `out` without a buffer
             np.take(free.reshape(d, s, -1), gather, axis=1, out=other.reshape(d, s, -1), mode="wrap")
             free, other = other, free
         cur = np.empty(ambient, dtype=complex) if leg == 2 * t - 1 else other
-        np.copyto(cur.reshape(rest, d, s, trailing), free.reshape(d, s, trailing, rest).transpose(3, 0, 1, 2))
+        np.copyto(cur.reshape(rest, d, s), free.reshape(d, s, rest).transpose(2, 0, 1))
     return cur
 
 
@@ -364,8 +359,8 @@ class _Kernel(NamedTuple):
 def _stage_kernel(st: Stage, t: int) -> _Kernel:
     """The cheapest exact kernel of one stage, chosen from its shapes alone.
 
-    A controlled stage takes the controlled kernel, s*trailing times fewer
-    flops than a GEMM by the dense control unitary. A lifted stage takes the moment-
+    A controlled stage takes the controlled kernel, s times fewer flops than
+    a GEMM by the dense control unitary. A lifted stage takes the moment-
     matrix kernel when K_t costs no more flops per entry than the member
     kernel, m^2t <= 2t*s*m, and holds no more entries than the vector,
     m^4t <= ambient, which is m <= outer; else the member kernel.
@@ -379,8 +374,8 @@ def _stage_kernel(st: Stage, t: int) -> _Kernel:
         return _Kernel(
             "controlled",
             _controlled_average,
-            (a[:, None], a.conj()[:, None], gathers[0], st.trailing),
-            (back[:, None], back.conj()[:, None], gathers[1], st.trailing),
+            (a, a.conj(), gathers[0]),
+            (back, back.conj(), gathers[1]),
         )
     s, m, _ = a.shape
     if m ** (2 * t) <= 2 * t * s * m and m <= st.outer:
@@ -1114,12 +1109,14 @@ class ClosenessReport:
 
     @property
     def claims(self) -> dict[str, bool]:
-        pair, perp = self.bound_pair + CLOSENESS_ROUNDOFF, self.bound_perp + CLOSENESS_ROUNDOFF
+        """Each distance against its bound, with no roundoff allowance: at t = 1
+        the distances and both bounds are exactly 0, and at t >= 2
+        w^2 = 1 - c/g <= t(t-1)/d, so w is at most half of bound_pair."""
         return {
-            "pair_w": max(self.w_to_wprime, self.wprime_to_w) <= pair,
-            "pair_w2": self.w2prime_to_w2 <= pair,
-            "perp_w": max(self.perp_w_to_wprime, self.perp_wprime_to_w) <= perp,
-            "perp_w2": self.perp_w2prime_to_w2 <= perp,
+            "pair_w": max(self.w_to_wprime, self.wprime_to_w) <= self.bound_pair,
+            "pair_w2": self.w2prime_to_w2 <= self.bound_pair,
+            "perp_w": max(self.perp_w_to_wprime, self.perp_wprime_to_w) <= self.bound_perp,
+            "perp_w2": self.perp_w2prime_to_w2 <= self.bound_perp,
         }
 
     def to_json_dict(self) -> dict:

@@ -95,10 +95,14 @@ def g_dot_general(g: UnitaryEnsemble, d: int, dprime: int) -> np.ndarray:
 
 
 def _general_control_stage(g: UnitaryEnsemble, d: int, dprime: int) -> Stage:
-    """g_dot_general as a controlled stage: the identity relabelling and a trailing 1_{d'}."""
+    """g_dot_general as a controlled stage on the joint index (b, b') of
+    C^d (x) C^d': block (b, b') is U_b, each of g's blocks repeated d' times,
+    and the relabelling is the identity."""
     if g.size != d:
         raise PreconditionError(f"outer degree {g.size} must equal d = {d}")
-    return Stage(g.unitaries, relabel=range(d), trailing=dprime)
+    if dprime < 1:
+        raise PreconditionError(f"d' must be >= 1, got {dprime}")
+    return Stage(np.repeat(g.unitaries, dprime, axis=0), relabel=range(d * dprime))
 
 
 def zigzag_generalised(g: UnitaryEnsemble, h_list: list[UnitaryEnsemble], d: int, dprime: int) -> UnitaryEnsemble:
@@ -121,8 +125,7 @@ def zigzag_generalised(g: UnitaryEnsemble, h_list: list[UnitaryEnsemble], d: int
         raise PreconditionError(f"inner ensembles must share one degree, got {sorted(sizes)}")
     if dims != {d * dprime}:
         raise PreconditionError(f"inner dimensions must all equal d*d' = {d*dprime}, got {sorted(dims)}")
-    s = next(iter(sizes))
-    check_product_degree([s] * k, g.dim * d * dprime)  # before Gdot is formed
+    check_product_degree((h.size for h in h_list), g.dim * d * dprime)  # before Gdot is formed
     dot = _general_control_stage(g, d, dprime)
     stages = [Stage(h_list[0].unitaries, g.dim)]
     for h in h_list[1:]:

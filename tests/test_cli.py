@@ -268,6 +268,16 @@ class TestZigzagCommand:
         assert np.isfinite(check["bound"]) and check["vacuous"]
         assert load(out).size == 1  # s^k members with s = 1
 
+    def test_generalised_degree_guard_at_huge_k_exit_2(self, tmp_path, capsys):
+        g = self._sample(tmp_path, "g.qtpe", 2, 4, 1)
+        h = self._sample(tmp_path, "h.qtpe", 8, 4, 2)
+        out = tmp_path / "gen.qtpe"
+        code = run("zigzag", "--g", str(g), "--h", str(h), "--kind", "generalised", "--k", "10000", "--out", str(out))
+        assert code == 2  # 4^10000 members, refused at the 7th stage: 4^7 > 4096
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 120 and "guard 4096" in err
+        assert not out.exists()
+
     def test_bound_check_malformed_tol_exit_2(self, tmp_path, capsys):
         g = self._sample(tmp_path, "g.qtpe", 2, 4, 1)
         h = self._sample(tmp_path, "h.qtpe", 4, 4, 2)
@@ -511,6 +521,19 @@ class TestCertify:
         assert draws == []
         assert "sampled mode" in capsys.readouterr().err
 
+    def test_epsgood_dimension_checked_before_drawing(self, tmp_path, capsys, monkeypatch):
+        import qtpe.cli as cli
+
+        def no_draw(*args):
+            raise AssertionError("drew a unitary")
+
+        monkeypatch.setattr(cli, "haar_unitary", no_draw)
+        # one unitary of dimension 2*10^6: 4*10^12 entries, 58 TiB
+        steps = [{"kind": "epsgood", "name": "big", "d": 2, "dprime": 1000000, "k": 1, "eps": 0.1}]
+        assert run("certify", "--config", str(self._write_config(tmp_path, steps))) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config.steps[0]: k=1 unitaries of dimension d*d' = 2000000")
+
     def _sampled_step_refused_before_drawing(self, tmp_path, capsys, monkeypatch, d, k):
         import qtpe.cli as cli
 
@@ -660,7 +683,7 @@ class TestCertifyProducts:
         step = doc["steps"][2]
         assert step["members"] == 16
         check = step["bound_check"]
-        # epsilon is fixed at the `qtpe zigzag --eps` default: the config has no field for it
+        # epsilon is fixed at cli.GENZIGZAG_EPS: neither the config nor `qtpe zigzag` takes it
         assert check["bound"] == bound_genzigzag(check["lambda1"], check["lambda2"], 2, 1, 4, 1, 1e-3).value
 
     def test_generalised_inner_dimension_must_split(self, tmp_path, capsys):

@@ -232,6 +232,14 @@ class TestTupleGood:
         with pytest.raises(PreconditionError, match="budget"):
             check_tuple_size(3, 2, 2, "sampled")
 
+    def test_draw_size_is_bounded(self):
+        # n = d*d': n^2 <= ITERATIVE_AMBIENT_LIMIT (10^7) and k*n^2 <= PRODUCT_ENTRY_LIMIT (2^26), in either mode
+        check_tuple_size(2, 2, 1581, "exhaustive")  # n^2 = 9998244
+        check_tuple_size(16, 8, 256, "sampled", budget=1)  # 16 * 2048^2 = 2^26
+        for args in [(1, 2, 1582, "exhaustive"), (17, 8, 256, "sampled", 1), (1, 2, 10**6, "sampled", 1)]:
+            with pytest.raises(SizeLimitError, match="sampling guards"):
+                check_tuple_size(*args)
+
     def test_dead_branches_skipped(self):
         # X on C^2 (x) C^1 sends e0 to e1: outcome 0 is a dead branch; with a
         # window wide enough to allow it the tuple is vacuously good

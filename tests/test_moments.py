@@ -283,7 +283,8 @@ def stage_kernel_product(kind):
     and whose Gdot takes the controlled one: zigzag with an involution-carrying
     g of 2 members on C^2 and an h of 6 on C^2 (m = outer = 2), the same with a
     g without involution (identity relabelling), or generalised with d = 2 and
-    d' = 1 or 2 (trailing identity; g on C^4 when d' = 2, so that m <= outer)."""
+    d' = 1 or 2 (each of g's blocks repeated d' times; g on C^4 when d' = 2,
+    so that m <= outer)."""
     if kind == "zigzag":
         g = hermitian_double(UnitaryEnsemble(2, raw_haar_ensemble(2, 1, seed=60).unitaries))
         return zigzag(g, sample_random_qtpe(2, 6, SeededRng(61)))
@@ -533,11 +534,13 @@ class TestStageKernels:
         assert [k.kind for k in phi._kernels] == ["moment-matrix", "controlled", "moment-matrix"]
         assert_matches_dense(phi)
 
-    @pytest.mark.parametrize("trailing,t", [(1, 1), (1, 2), (2, 1)])
-    def test_controlled_kernel_with_a_relabelling_that_is_not_an_involution(self, trailing, t):
-        # a 3-cycle tells r from r^-1, which every involution leaves equal
-        blocks = raw_haar_ensemble(2, 3, seed=65).unitaries
-        phi = MomentOperator(product_ensemble([Stage(blocks, relabel=(1, 2, 0), trailing=trailing)], None, "cycle"), t)
+    @pytest.mark.parametrize("copies,t", [(1, 1), (1, 2), (2, 1)])
+    def test_controlled_kernel_with_a_relabelling_that_is_not_an_involution(self, copies, t):
+        # a 3-cycle tells r from r^-1, which every involution leaves equal; with
+        # each block repeated, (b, c) -> (r(b), c) cycles the repeated blocks
+        blocks = np.repeat(raw_haar_ensemble(2, 3, seed=65).unitaries, copies, axis=0)
+        relabel = [copies * r + c for r in (1, 2, 0) for c in range(copies)]
+        phi = MomentOperator(product_ensemble([Stage(blocks, relabel=relabel)], None, "cycle"), t)
         assert [k.kind for k in phi._kernels] == ["controlled"]
         assert_matches_dense(phi)
 
@@ -1474,13 +1477,22 @@ class TestSubspaceCloseness:
             assert all(rep.claims.values())
         assert reports[8].w_to_wprime < reports[4].w_to_wprime
 
-    def test_t1_claims_hold_despite_roundoff(self):
+    def test_t1_claims_hold_at_exactly_zero(self):
         # both bounds are exactly 0 at t=1, and so are the closed-form distances
         # (the SVD oracle measures ~2e-16)
         rep = subspace_closeness_report(2, 2, 1)
         assert rep.bound_pair == 0.0 and rep.bound_perp == 0.0
         assert rep.w_to_wprime == rep.wprime_to_w == rep.w2prime_to_w2 == 0.0
         assert all(rep.claims.values())
+
+    def test_distances_keep_a_margin_below_the_bounds(self):
+        # w^2 = 1 - c/g <= t(t-1)/d at t >= 2, so no claim sits within roundoff of its bound
+        for t in range(2, MAX_T_BASIS + 1):
+            for inner in range(t, 65):
+                for outer in (1, 2, 3, 8, 64):
+                    rep = subspace_closeness_report(outer, inner, t)
+                    w = max(rep.w_to_wprime, rep.w2prime_to_w2)
+                    assert w <= 0.5 * rep.bound_pair and w <= 0.45 * rep.bound_perp, (outer, inner, t)
 
     @pytest.mark.parametrize(
         "outer,inner,t",

@@ -174,6 +174,13 @@ class TestGDotGeneral:
         g = raw_haar_ensemble(3, 2, seed=5)
         with pytest.raises(PreconditionError):
             g_dot_general(g, 3, 4)
+        with pytest.raises(PreconditionError):
+            g_dot_general(g, 2, 0)
+
+    @pytest.mark.parametrize("dprime", [1, 2, 3])
+    def test_equals_the_kron_of_gdot_with_the_identity(self, dprime):
+        g = raw_haar_ensemble(3, 2, seed=6)
+        assert np.array_equal(g_dot_general(g, 2, dprime), general_dot(g, dprime))
 
 
 class TestZigzagGeneralised:
@@ -227,19 +234,28 @@ class TestZigzagGeneralised:
             zigzag_generalised(g, [h, h, h, h], 2, 2)
 
 
-def stage_factors(st):
+def general_dot(g, dprime):
+    """The generalised product's Gdot from its definition, built from g alone:
+    (sum_b U_b (x) |b><b|) (x) 1_{d'}."""
+    e = np.eye(g.size)
+    return np.kron(sum(np.kron(u, np.outer(e[b], e[b])) for b, u in enumerate(g.unitaries)), np.eye(dprime))
+
+
+def stage_factors(st, dot=None):
     """A stage's unitaries from their definition: the lifted 1_outer (x) A_i, or
-    the one control unitary sum_b U_b (x) |relabel[b]><b| (x) 1_trailing."""
+    the one control unitary, `dot` when given, else sum_b U_b (x) |relabel[b]><b|."""
     if st.relabel is None:
         return [np.kron(np.eye(st.outer), a) for a in st.members]
+    if dot is not None:
+        return [dot]
     e = np.eye(len(st.relabel))
-    moves = [np.kron(np.outer(e[r], e[b]), np.eye(st.trailing)) for b, r in enumerate(st.relabel)]
-    return [sum(np.kron(u, move) for u, move in zip(st.members, moves))]
+    return [sum(np.kron(u, np.outer(e[r], e[b])) for b, (u, r) in enumerate(zip(st.members, st.relabel)))]
 
 
-def stage_products(e):
-    """Every product of one factor from each stage, in lexicographic order."""
-    factors = [stage_factors(st) for st in e.stages]
+def stage_products(e, dot=None):
+    """Every product of one factor from each stage, in lexicographic order; a
+    controlled stage contributes `dot` when it is given."""
+    factors = [stage_factors(st, dot) for st in e.stages]
     out = []
     for word in itertools.product(*factors):
         m = np.eye(e.dim, dtype=complex)
@@ -250,17 +266,23 @@ def stage_products(e):
 
 
 class TestStages:
+    def general_g(self):
+        """The outer ensemble of the generalised products, d = 2."""
+        return raw_haar_ensemble(2, 2, seed=52)
+
     def products(self):
         g = sample_random_qtpe(3, 4, SeededRng(50))
         h = sample_random_qtpe(4, 4, SeededRng(51))
-        g2 = raw_haar_ensemble(2, 2, seed=52)
+        g2 = self.general_g()
         hs = [raw_haar_ensemble(6, 3, seed=53 + i) for i in range(3)]  # d = 2, d' = 3
         gen = [zigzag_generalised(g2, hs, 2, 3), zigzag_generalised(g2, hs[:1], 2, 3)]
         return [zigzag(g, h), zigzag_derandomised(g, h)] + gen + [square_compose(hs[0])]
 
     def test_members_are_the_stage_products(self):
-        for product in self.products():
-            assert np.max(np.abs(product.unitaries - stage_products(product))) <= 1e-12
+        zz, der, gen3, gen1, sq = self.products()
+        dot = general_dot(self.general_g(), 3)
+        for product, oracle in [(zz, None), (der, None), (gen3, dot), (gen1, dot), (sq, None)]:
+            assert np.max(np.abs(product.unitaries - stage_products(product, oracle))) <= 1e-12
 
     def test_stage_shapes(self):
         zz, der, gen3, gen1, sq = self.products()
@@ -269,9 +291,13 @@ class TestStages:
         assert [st.outer for st in gen3.stages] == [2, 1, 2, 1, 2]
         assert len(gen1.stages) == 1
         assert [(st.size, st.outer, st.inner) for st in sq.stages] == [(3, 1, 6), (3, 1, 6)]
-        # Gdot is declared by its s blocks: relabelled by g's involution, or by the identity with a trailing 1_{d'}
+        # Gdot is declared by its blocks: g's s blocks relabelled by g's involution, or in the
+        # generalised product d*d' blocks, block (b, b') being U_b, relabelled by the identity
         assert zz.stages[1].members.shape == (4, 3, 3) and zz.stages[1].relabel == (2, 3, 0, 1)
-        assert [(st.relabel, st.trailing) for st in gen3.stages[1::2]] == [((0, 1), 3)] * 2
+        blocks = np.stack([self.general_g().unitaries] * 3, axis=1)  # [b, b'] = U_b, d' = 3
+        for st in gen3.stages[1::2]:
+            assert (st.size, st.outer, st.inner) == (1, 1, 12) and st.relabel == tuple(range(6))
+            assert np.array_equal(st.members.reshape(2, 3, 2, 2), blocks)
         assert all(st.relabel is None for st in der.stages)
 
     def test_load_and_double_carry_no_stages(self, tmp_path):
@@ -290,7 +316,7 @@ class TestStages:
         with pytest.raises(PreconditionError):
             Stage(np.eye(4)[None], outer=0)
         blocks = np.stack([np.eye(2)] * 3)
-        for bad in [dict(relabel=(0, 0, 1)), dict(relabel=(0, 1)), dict(relabel=(0, 1, 2), outer=2), dict(trailing=2)]:
+        for bad in [dict(relabel=(0, 0, 1)), dict(relabel=(0, 1)), dict(relabel=(0, 1, 2), outer=2)]:
             with pytest.raises(PreconditionError):
                 Stage(blocks, **bad)
 
