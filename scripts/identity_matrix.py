@@ -14,8 +14,9 @@ through its stage kernels); one member at t = 4 on the blocks; `auto` on
 both sides of its price model, cut short by --max-iters, and on a loaded
 family whose involution defect passes validation but not the Hermitian
 gate; `--csv` reports; and refused inputs that exit 2, 3 and 4, among
-them a generalised product at k = 10000 and an epsgood step whose unitary
-is too large to draw, each refused in one bounded line. Besides
+them a generalised product at k = 10000, one with a one-member inner
+ensemble at k = 100000, and an epsgood step whose unitary is too large
+to draw, each refused in one bounded line. Besides
 the text INPUTS, the matrix writes the two ensembles no `sample` call
 makes (write_ensembles).
 
@@ -168,6 +169,12 @@ RUNS: list[tuple[str, list[str]]] = [
     (
         "refuse-generalised-k",
         ["zigzag", "--g", "s2.qtpe", "--h", "h.qtpe", "--kind", "generalised", "--k", "10000", "--out", "never-gen.qtpe"],
+    ),
+    # one inner member keeps the degree at 1: refused by the stage count, in one line
+    (
+        "refuse-generalised-k-one-member",
+        ["zigzag", "--g", "s2.qtpe", "--h", "single.qtpe", "--kind", "generalised", "--k", "100000"]
+        + ["--out", "never-gen-one.qtpe"],
     ),
     ("refuse-epsgood-size", ["certify", "--config", "epsgood-size.json"]),
     ("not-converged", _lambda("s4.qtpe", 3, "power-iteration", "--tol", "1e-30", "--max-iters", "40", "--out", "cut.json")),

@@ -248,15 +248,18 @@ def product_ensemble(stages: list[Stage], involution: tuple[int, ...] | None, la
 
 def check_product_degree(sizes: Iterable[int], dim: int) -> None:
     """Refuse a product on C^dim of stages of these sizes whose degree prod |S_i|
-    exceeds PRODUCT_DEGREE_LIMIT, or whose members would hold more than
-    PRODUCT_ENTRY_LIMIT entries (degree * dim^2). The degree is refused at
-    the first stage that takes it past the limit, so a long run of stages
-    never forms a huge integer, nor needs to be held as a list."""
+    or number of stages exceeds PRODUCT_DEGREE_LIMIT, or whose members would
+    hold more than PRODUCT_ENTRY_LIMIT entries (degree * dim^2). Either is
+    refused at the first stage that takes it past the limit, so a long run
+    of stages, one-member ones included, never forms a huge integer, nor
+    needs to be held as a list."""
     degree = 1
     for count, size in enumerate(sizes, 1):
         degree *= size
         if degree > PRODUCT_DEGREE_LIMIT:
             raise SizeLimitError(f"product degree of the first {count} stages exceeds guard {PRODUCT_DEGREE_LIMIT}")
+        if count > PRODUCT_DEGREE_LIMIT:
+            raise SizeLimitError(f"product stage count exceeds guard {PRODUCT_DEGREE_LIMIT}")
     _check_member_entries(degree, dim)
 
 

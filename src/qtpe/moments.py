@@ -16,8 +16,8 @@ adjoint both fix it, so its complement is invariant, and there Phi equals
 its difference with the projector. Through the gate Phi is Hermitian and
 Lanczos runs on it directly; otherwise it runs on Phi†Phi. Phi comes in
 one of two representations, chosen from shapes alone (_takes_sectors). An
-ensemble without stages, within a memory budget and, at t >= 2, at the
-(n, t) where the blocks were measured to run faster, takes SectorOperator,
+ensemble without stages, within a memory budget and, at t = 2 and 3, up to
+the n past which the full space was measured faster, takes SectorOperator,
 the direct sum of the Schur-Weyl blocks below, one per unordered irrep
 pair, whose fixed space is each diagonal block's identity; at t = 1 that
 is one block, the whole space. Each block apply is two GEMMs by a
@@ -103,16 +103,11 @@ _RANK_TOL = 1e-8
 # c members; every benchmark shape and criteria 1 and 2 fit in one chunk, but
 # at the 10^7 iterative limit one member's intermediate alone is 160 MB
 _BATCH_BYTES = 2**27
-# The largest n at which the iterative path takes the Schur-Weyl blocks, per
-# t (_takes_sectors): the largest n at which their lambda was measured no
-# slower than the member kernel's and no larger in peak memory, on 2 vCPUs
-# with OpenBLAS (README). Both kinds of apply scale with s, so which is
-# faster depends on (n, t) alone. At s = 8 the blocks took 0.7-1.0x the
-# member kernel's time at t = 2 up to n = 12 and 1.3x at n = 16; at t = 3
-# 0.3-0.7x up to n = 10 and 1.1x at n = 12 (s = 4); at t = 4 0.2-0.3x up to
-# n = 6. At n = 7, t = 4 they took 0.14x the time and 0.4x the peak RSS (s =
-# 8); n >= 7 at t = 4 waits on measurements at more shapes.
-_SECTOR_MAX_DIM = {2: 12, 3: 10, 4: 6}
+# The largest n at which the iterative path takes the Schur-Weyl blocks, at
+# the t where the full space was measured faster above it (_takes_sectors;
+# 2 vCPUs, OpenBLAS, README): at t = 2 the blocks took 1.0x its time at
+# n = 12 and 1.3x at n = 16 (s = 8), at t = 3 1.1x at n = 12 (s = 4).
+_SECTOR_MAX_DIM = {2: 12, 3: 10}
 # The price model by which lambda_report's auto picks dense or Lanczos on the
 # Schur-Weyl blocks (_lanczos_is_cheaper), in multiply-adds of a block apply.
 # Fitted to best-of-5 timings of both paths at 27 (n, s, t) shapes, with and
@@ -194,22 +189,13 @@ class FixedSpaceBasis:
     gram_pinv: np.ndarray
     rank: int
 
-    def _coefficients(self, x: np.ndarray) -> np.ndarray:
-        """The value P_W x adds at each one of each shuffle sigma,
-        (G^+ <alpha_tau, x>)_sigma n^(-t/2): a gather and a t! x t! multiply."""
-        return self.gram_pinv @ x[self.targets].sum(axis=1) / self.targets.shape[1]
-
-    def project_vec(self, x: np.ndarray) -> np.ndarray:
-        """P_W x, as a new vector: O(t! n^t) work and one n^2t allocation."""
-        out = np.zeros(x.shape, dtype=complex)
-        for positions, c in zip(self.targets, self._coefficients(x)):
-            out[positions] += c  # distinct positions within one shuffle
-        return out
-
     def project_out(self, x: np.ndarray) -> None:
-        """x -= P_W x in place: each shuffle's coefficient is subtracted at its
-        n^t positions, O(t! n^t) work and no n^2t-long temporary."""
-        for positions, c in zip(self.targets, self._coefficients(x)):
+        """x -= P_W x in place. P_W x adds (G^+ <alpha_tau, x>)_sigma n^(-t/2)
+        at each one of each shuffle sigma, a gather and a t! x t! multiply,
+        so each shuffle's coefficient is subtracted at its n^t positions:
+        O(t! n^t) work and no n^2t-long temporary."""
+        coefficients = self.gram_pinv @ x[self.targets].sum(axis=1) / self.targets.shape[1]
+        for positions, c in zip(self.targets, coefficients):
             x[positions] -= c
 
 
@@ -855,20 +841,17 @@ def _takes_sectors(e: UnitaryEnsemble, t: int) -> bool:
     instead of (C^n)^(x t) (MomentOperator), from shapes alone.
 
     Only an ensemble without stages may: a product keeps its stage kernels.
-    Its blocks are taken when (a) at t >= 2, n is at most
-    _SECTOR_MAX_DIM[t]; at t = 1 the one block is the whole space in the
-    same layout, and its two GEMMs are the member kernel's without its
-    reordering copy, so no n is excluded; and (b) the operator holds at
-    most 2 * _BATCH_BYTES (_sector_bytes), the bound on MomentOperator's
-    workspace; at t = 1 that is 64 s n^2 bytes. One member is no exception.
-    The same ensembles are the ones that `auto` prices at or below the
-    dense limit (lambda_report, _lanczos_is_cheaper); every other one keeps
-    the dense path there.
+    Its blocks are taken when (a) n is at most _SECTOR_MAX_DIM[t], at the two
+    t that have a limit, and (b) the operator holds at most 2 * _BATCH_BYTES
+    (_sector_bytes), the bound on MomentOperator's workspace. The same
+    ensembles are the ones that `auto` prices at or below the dense limit
+    (lambda_report, _lanczos_is_cheaper); every other one keeps the dense
+    path there.
     """
     if e.stages:
         return False
     n, s = e.dim, e.size
-    return (t == 1 or n <= _SECTOR_MAX_DIM.get(t, 0)) and _sector_bytes(n, s, t) <= 2 * _BATCH_BYTES
+    return n <= _SECTOR_MAX_DIM.get(t, n) and _sector_bytes(n, s, t) <= 2 * _BATCH_BYTES
 
 
 @dataclass
@@ -1061,17 +1044,18 @@ def design_errors(e: UnitaryEnsemble, t: int, ks: list[int]) -> list[np.ndarray]
 
 
 def _monomial_deviations(phi: MomentOperator, basis: FixedSpaceBasis, ks: list[int], flat_j: int) -> list[np.ndarray]:
-    """|<E_I, (Phi^k - P_W)(M'_J)>| for every flat row tuple I, one array per k in ks."""
+    """|<E_I, (Phi^k - P_W)(M'_J)>| for every flat row tuple I, one array per
+    k in ks. Phi fixes W, so (Phi^k - P_W) x = Phi^k (x - P_W x): W is
+    removed from the monomial once, in place, and Phi^k read directly."""
     nt = phi.local_dim**phi.t
-    x = np.zeros(nt * nt, dtype=complex)
-    x[flat_j * nt + flat_j] = 1.0
-    fixed = basis.project_vec(x)
+    y = np.zeros(nt * nt, dtype=complex)
+    y[flat_j * nt + flat_j] = 1.0
+    basis.project_out(y)
     reads = {}
-    y = x
     for k in range(1, max(ks) + 1):
         y = phi.apply_vec(y)
         if k in ks:
-            reads[k] = np.abs((y - fixed).reshape(nt, nt).diagonal())
+            reads[k] = np.abs(y.reshape(nt, nt).diagonal())
     return [reads[k] for k in ks]
 
 

@@ -278,6 +278,18 @@ class TestZigzagCommand:
         assert err.count("\n") == 1 and len(err) < 120 and "guard 4096" in err
         assert not out.exists()
 
+    def test_generalised_stage_guard_with_one_inner_member_exit_2(self, tmp_path, capsys):
+        # one inner member keeps the degree at 1: the stage count refuses,
+        # before the k-item list of inner ensembles is built
+        g = self._sample(tmp_path, "g.qtpe", 2, 4, 1)
+        h, out = tmp_path / "single.qtpe", tmp_path / "gen.qtpe"
+        save(raw_haar_ensemble(4, 1, 8), h)
+        code = run("zigzag", "--g", str(g), "--h", str(h), "--kind", "generalised", "--k", "100000", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 120 and "guard 4096" in err
+        assert not out.exists()
+
     def test_bound_check_malformed_tol_exit_2(self, tmp_path, capsys):
         g = self._sample(tmp_path, "g.qtpe", 2, 4, 1)
         h = self._sample(tmp_path, "h.qtpe", 4, 4, 2)

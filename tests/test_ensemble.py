@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import struct
 import tracemalloc
 
@@ -262,6 +263,13 @@ def test_product_entry_guard():
     check_product_degree([16, 16], 512)  # 256 * 512^2 = 2^26 entries, at the guard
     with pytest.raises(SizeLimitError, match="PRODUCT_ENTRY_LIMIT"):
         check_product_degree([16, 16], 513)
+
+
+def test_product_stage_guard():
+    # one-member stages keep the degree at 1, so their number is guarded too
+    check_product_degree(itertools.repeat(1, 4096), 4)
+    with pytest.raises(SizeLimitError, match="stage count exceeds guard 4096"):
+        check_product_degree(itertools.repeat(1, 10**9), 4)
 
 
 class TestTracingOut:
