@@ -328,10 +328,10 @@ def save(e: UnitaryEnsemble, path: str | Path, sidecar: dict | None = None) -> P
 def load(path: str | Path) -> UnitaryEnsemble:
     """Read the binary format back; round-trips save() bit-exactly."""
     path = Path(path)
-    raw = path.read_bytes()
+    raw = memoryview(path.read_bytes())  # every field a view of the bytes, not a copy
     off = 0
 
-    def take(nbytes: int, fieldname: str) -> bytes:
+    def take(nbytes: int, fieldname: str) -> memoryview:
         nonlocal off
         if off + nbytes > len(raw):
             raise EnsembleFormatError(fieldname, f"file truncated at byte {off} (need {nbytes} more)")
@@ -361,5 +361,7 @@ def load(path: str | Path) -> UnitaryEnsemble:
     payload = take(count * dim * dim * 16, "payload")
     if off != len(raw):
         raise EnsembleFormatError("payload", f"{len(raw) - off} trailing bytes after payload")
+    # one copy out of the file's bytes: a view of them would start at byte
+    # 14 + 4 count, unaligned, and numpy copies an unaligned operand at every GEMM
     members = np.frombuffer(payload, dtype="<c16").astype(complex).reshape(count, dim, dim)
     return UnitaryEnsemble(dim, members, involution, str(read_sidecar(path).get("label", "")))

@@ -174,9 +174,17 @@ def spectral_norm(
     there is no falling pair of readings. The schedule reads only T_k, so a
     rerun checks at the same steps. Convergence requires the value to stay
     within tol (relative) over at least 3 steps AND the residual to be <=
-    tol. When the Krylov space is exhausted (beta_k ~ 0 or k reaches the
-    dimension) the value is exact; when max_iters runs out, the last check
-    is reported with converged False. Both force a check.
+    tol. When the Krylov space is invariant (beta_k <= 1e-12 times the size
+    of T_k) the value is exact. On the Hermitian path that size is at least
+    1, the norm of every map solved there (an average of isometries): at an
+    exact design every alpha_i and beta_i is roundoff, and a size read from
+    them would never call the space invariant. There theta may be roundoff
+    too, so the residual is divided by max(|theta|, 1). When k reaches the
+    dimension first, the value is reported as converged on op†op; on the
+    Hermitian path only if the residual is <= tol, and the solve goes on
+    otherwise, because without reorthogonalisation k Lanczos vectors need
+    not span the space. When max_iters runs out, the last check is reported
+    with converged False. All three force a check.
 
     `deflate` is a subspace W that op and op† both map into itself, given by
     its rank and project_out; the start and every new Lanczos vector are
@@ -229,9 +237,12 @@ def spectral_norm(
         alphas.append(alpha)
         betas.append(beta)
         scale = max(scale, abs(alpha), beta)
-        # beta_k at the rounding level of T_k: K_k is invariant and T_k exact
-        exhausted = beta <= 1e-12 * scale or k >= full_dim
-        if k == check or exhausted or k == max_iters:
+        # beta_k at the rounding level of T_k, or on the Hermitian path of
+        # the map: K_k is invariant and T_k exact
+        invariant = beta <= 1e-12 * (max(scale, 1.0) if hermitian else scale)
+        counted = k == full_dim
+        exhausted = invariant or (counted and not hermitian)
+        if k == check or invariant or counted or k == max_iters:
             t_k = np.zeros((k, k))
             t_k.flat[:: k + 1] = alphas
             t_k.flat[1 :: k + 1] = t_k.flat[k :: k + 1] = betas[:-1]
@@ -247,11 +258,14 @@ def spectral_norm(
                 changes.append((k, abs(value - value_prev) / max(value, 1e-12) / (k - last_check)))
             value_prev, last_check = value, k
             # the residual is read only where it can end the solve or is reported
-            if exhausted or k == max_iters or k - stable_from >= 3:
+            if invariant or counted or k == max_iters or k - stable_from >= 3:
                 shift = math.copysign(1e-10 * scale, theta)  # past theta, so outside T_k's spectrum
                 s_k = _last_component(alphas, betas, theta + shift) if beta > 0.0 else 0.0
-                residual = beta * s_k / max(abs(theta), 1e-24)
-                if exhausted or (k - stable_from >= 3 and residual <= tol):
+                # an invariant K_k on the Hermitian path may hold theta at
+                # roundoff, so its residual is read against the map's norm
+                floor = 1.0 if hermitian and invariant else 1e-24
+                residual = beta * s_k / max(abs(theta), floor)
+                if exhausted or (residual <= tol and (counted or k - stable_from >= 3)):
                     return SpectralEstimate(value, residual, k, converged=True)
                 residuals.append((k, residual))
             # before the residual is read, the value must stay stable for 3 steps

@@ -22,7 +22,11 @@ the direct sum of the Schur-Weyl blocks below, one per unordered irrep
 pair, whose fixed space is each diagonal block's identity; at t = 1 that
 is one block, the whole space. Each block apply is two GEMMs by a
 member-minor stack of R(U_i), laid out at the first apply, with no
-reordering copy. Every other call takes MomentOperator on C^(n^2t), whose
+reordering copy. On the diagonal blocks with d >= _HERMITIAN_IMAGE_DIM
+Lanczos also deflates the anti-Hermitian part, which carries a copy of the
+block's spectrum, so its iterates are Hermitian there, and so are their
+images, whose member-sum GEMM forms only the lower block triangle. Every
+other call takes MomentOperator on C^(n^2t), whose
 fixed space W is held as t! gathers and a t! x t! Gram matrix
 (FixedSpaceBasis). SectorOperator is a MomentOperator on another space:
 the two share apply_vec and adjoint_apply_vec, and each names its fixed
@@ -124,6 +128,14 @@ _STEP_PRICE = 1.5e5  # Lanczos' vector work and Python dispatch per step
 # bound on the complex rows of a diagonal sector block that
 # hermitian_sector_block gathers at once: 37 rows of the 441 block at t=2, n=6
 _CHUNK_BYTES = 2**18
+# The smallest d_lambda of a diagonal Schur-Weyl block whose Lanczos iterates
+# are kept Hermitian (SectorFixedSpace.project_out) and whose Hermitian input
+# gets its image from the lower block triangle (_hermitian_image). The
+# member-sum GEMM, two half-width GEMMs against the whole (best of 300, 2
+# vCPUs, OpenBLAS at 2 threads): d = 16-24 x1.05-1.39 (slower), 32
+# x0.77-0.81, 40 x0.60-0.64, 48 x0.50-0.52, 64-128 with s up to 100
+# x0.79-0.92.
+_HERMITIAN_IMAGE_DIM = 32
 # how far from Hermitian an ensemble's moment operator may be and still be
 # treated as Hermitian: lambda_report reads the members' involution defect
 # (ensemble.involution_defect) against it once per call, and that one gate
@@ -646,8 +658,17 @@ def _block_norm(block: np.ndarray, hermitian: bool) -> float:
 
 @dataclass
 class SectorFixedSpace:
-    """The fixed space of Phi on a SectorOperator's direct sum: vec(I)/sqrt(d)
-    in each diagonal block, given by the (offset, d) of those blocks."""
+    """The space a SectorOperator's Lanczos deflates, given by the (offset, d)
+    of the diagonal blocks: Phi's fixed space, vec(I)/sqrt(d) in each
+    diagonal block, and in those with d >= _HERMITIAN_IMAGE_DIM also the
+    anti-Hermitian matrices.
+
+    Phi and Phi† commute with J: X -> X† on a diagonal block, so both map the
+    Hermitian matrices and the anti-Hermitian ones, i times the Hermitian
+    ones, each into itself, with the block's whole spectrum on either: the
+    anti-Hermitian part is deflated exactly as vec(I) is, and lambda keeps
+    its value. `rank` counts the vec(I) alone, so the dimension Lanczos
+    takes as its bound on the Krylov space stays an upper one."""
 
     blocks: list[tuple[int, int]]
 
@@ -656,10 +677,54 @@ class SectorFixedSpace:
         return len(self.blocks)
 
     def project_out(self, x: np.ndarray) -> None:
-        """Subtract tr(X)/d from the diagonal of each diagonal block X, in place."""
+        """Replace each diagonal block X with d >= _HERMITIAN_IMAGE_DIM by
+        (X + X†)/2, bitwise Hermitian (the sums of a pair add the same two
+        numbers, the differences are exact negatives), then subtract tr(X)/d
+        from the diagonal of every diagonal block, in place. A Hermitian
+        block's trace is real, so it stays bitwise Hermitian."""
         for lo, d in self.blocks:
+            if d >= _HERMITIAN_IMAGE_DIM:
+                block = x[lo : lo + d * d].reshape(d, d)
+                block += block.conj().T
+                block *= 0.5
             diag = x[lo : lo + d * d : d + 1]
             diag -= diag.sum() / d
+
+
+def _adjoint_into(x: np.ndarray, scratch: np.ndarray) -> None:
+    """scratch = x†, for a square x, by a transposing copy and a conjugation
+    in place: numpy's ufuncs buffer a transposed or strided operand, a copy
+    does not."""
+    np.copyto(scratch, x.T)
+    np.conjugate(scratch, out=scratch)
+
+
+def _hermitian_image(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = a @ b for a square product known to be Hermitian, from its lower
+    block triangle, written bitwise Hermitian; `scratch`, of out's shape, is
+    overwritten.
+
+    With h = d // 2, the left block column a @ b[:, :h] and the bottom-right
+    block a[h:] @ b[:, h:] go into out, three quarters of the multiply-adds
+    of the whole product. The top-right block is then read from out†, and
+    out becomes (out + out†)/2, which changes the two off-diagonal blocks in
+    no bit and symmetrises the diagonal ones."""
+    h = out.shape[0] // 2
+    np.matmul(a, b[:, :h], out=out[:, :h])
+    np.matmul(a[h:], b[:, h:], out=out[h:, h:])
+    _adjoint_into(out, scratch)
+    np.copyto(out[:h, h:], scratch[:h, h:])
+    _adjoint_into(out, scratch)
+    out += scratch
+    out *= 0.5
+
+
+def _is_hermitian(x: np.ndarray, scratch: np.ndarray) -> bool:
+    """Whether the square x equals x† entry for entry; `scratch`, of x's
+    shape, is overwritten."""
+    _adjoint_into(x, scratch)
+    np.subtract(x, scratch, out=scratch)
+    return np.count_nonzero(scratch) == 0
 
 
 @dataclass
@@ -674,7 +739,8 @@ class SectorOperator(MomentOperator):
     It is the moment operator of the same ensemble at the same t, on another
     space, so it shares MomentOperator's apply_vec and adjoint_apply_vec
     (and whatever counts or times them); `ambient` is the direct sum's
-    dimension, and fixed_space() is each diagonal block's vec(I)/sqrt(d).
+    dimension, and fixed_space() is each diagonal block's vec(I)/sqrt(d)
+    and, on the large ones, the anti-Hermitian matrices.
     The vector holds each block's d_lambda x d_mu matrix X, row-major. At
     t = 1 the one block is the whole space, in the same layout.
 
@@ -699,7 +765,20 @@ class SectorOperator(MomentOperator):
     first apply also builds the plan: per block its offsets, its stacks'
     2-D views and two views of the workspace. An apply is then two
     matmul(out=) calls per block and one division of the result by s, and
-    after the first it allocates only its result. _sector_bytes bounds what
+    after the first it allocates only its result.
+
+    Phi and Phi† commute with J: X -> X† on a diagonal block, so they map a
+    Hermitian X to a Hermitian image. Lanczos keeps its iterates bitwise
+    Hermitian on the diagonal blocks with d >= _HERMITIAN_IMAGE_DIM
+    (SectorFixedSpace), and an apply checks each such block of its input:
+    a bitwise Hermitian X takes the Hermitian image (_hermitian_image), whose
+    member-sum GEMM forms only the lower block triangle, three quarters of
+    its multiply-adds, and whose result is bitwise Hermitian again. Its
+    d x d scratch is the start of the workspace, free once the GEMMs have
+    read it, and the check's is the block's slot in the result, free until
+    they write it. Every other input, and every other block, keeps the two
+    GEMMs, so an arbitrary vector is applied as before, bit for bit.
+    _sector_bytes bounds what
     the operator holds once applied; building the stacks adds at most
     _BATCH_BYTES of transients (irrep_action). apply() takes no matrix over
     (C^n)^(x t): the vectors live on the direct sum.
@@ -776,17 +855,24 @@ class SectorOperator(MomentOperator):
                     (lo, lo + da * db, (da, db), work.reshape(da * s, db), work.reshape(da, s * db))
                     + (h_left.reshape(da * s, da), hc_right.reshape(db, s * db).T)  # forward
                     + (hc_left.reshape(da * s, da).T, h_right.reshape(db, s * db))  # adjoint
+                    + (work[: da * da].reshape(da, da) if i == j and da >= _HERMITIAN_IMAGE_DIM else None,)
                 )
         x = np.asarray(x, dtype=complex)
         out = np.empty(self._dim, dtype=complex)
-        for lo, hi, shape, tall, wide, left, right, left_adj, right_adj in self._plan:
+        for lo, hi, shape, tall, wide, left, right, left_adj, right_adj, scratch in self._plan:
             block, y = x[lo:hi].reshape(shape), out[lo:hi].reshape(shape)
+            # y is scratch until the GEMMs write it, and the workspace once they have read it
+            hermitian = scratch is not None and _is_hermitian(block, y)
             if adjoint:
                 np.matmul(block, right_adj, out=wide)
-                np.matmul(left_adj, tall, out=y)
+                a, b = left_adj, tall
             else:
                 np.matmul(left, block, out=tall)
-                np.matmul(wide, right, out=y)
+                a, b = wide, right
+            if hermitian:
+                _hermitian_image(a, b, y, scratch)
+            else:
+                np.matmul(a, b, out=y)
         out /= self.ensemble.size
         return out
 

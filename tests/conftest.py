@@ -188,6 +188,40 @@ def pauli_ensemble():
     return UnitaryEnsemble(2, paulis, (0, 1, 2, 3), "pauli")
 
 
+def _phase_free_key(u):
+    """u up to a global phase: its entries rotated so that the first nonzero
+    one is real and positive, rounded, with -0.0 read as 0.0."""
+    flat = u.reshape(-1)
+    lead = flat[np.argmax(np.abs(flat) > 1e-9)]
+    v = flat * (abs(lead) / lead)
+    return tuple(np.round(np.concatenate([v.real, v.imag]), 9) + 0.0)
+
+
+def clifford_ensemble():
+    """The one-qubit Clifford group modulo phases: 24 members, built by
+    closure from H and S, rephased so that U_{-i} = U_i† exactly. A member
+    that is its own inverse up to the phase c (U^2 = c I) is divided by
+    sqrt(c), which makes it Hermitian. The group is a unitary 3-design and
+    not a 4-design, and each moment operator a projector, so lambda_1..3 = 0
+    and lambda_4 = 1 exactly."""
+    gens = [np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), np.diag([1, 1j])]
+    members, index, frontier = [], {}, [np.eye(2, dtype=complex)]
+    while frontier:
+        u = frontier.pop()
+        key = _phase_free_key(u)
+        if key not in index:
+            index[key] = len(members)
+            members.append(u)
+            frontier.extend(g @ u for g in gens)
+    partners = [index[_phase_free_key(u.conj().T)] for u in members]
+    for i, j in enumerate(partners):
+        if j == i:
+            members[i] = members[i] / np.sqrt((members[i] @ members[i])[0, 0])
+        elif j > i:
+            members[j] = members[i].conj().T
+    return UnitaryEnsemble(2, np.stack(members), tuple(partners), "clifford-1q")
+
+
 def regroup_indices(outer_dim, inner_dim, t):
     """Index permutation from interleaved (C^D x C^d)^(x t) to grouped
     (C^D)^(x t) x (C^d)^(x t) register order."""

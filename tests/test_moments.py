@@ -3,12 +3,14 @@
 import dataclasses
 import functools
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (
+    clifford_ensemble,
     dense_lambda,
     distinct_columns,
     hermitian_ensemble,
@@ -41,6 +43,7 @@ from qtpe.moments import (
     MomentOperator,
     SectorOperator,
     _CHUNK_BYTES,
+    _HERMITIAN_IMAGE_DIM,
     _lanczos_is_cheaper,
     _sector_bytes,
     _symmetriser_columns,
@@ -388,9 +391,10 @@ def workspace_case(kind, t):
     return phi, x, y
 
 
-def apply_peak_bytes(phi):
-    """tracemalloc peak of an apply plus an adjoint apply, after a first apply sized the workspace."""
-    x = SeededRng(8).generator().standard_normal(phi.ambient) + 0j
+def apply_peak_bytes(phi, x=None):
+    """tracemalloc peak of an apply plus an adjoint apply of x (a real random
+    vector by default), after a first apply sized the workspace."""
+    x = SeededRng(8).generator().standard_normal(phi.ambient) + 0j if x is None else x
     phi.apply_vec(x)
     tracemalloc.start()
     try:
@@ -1157,6 +1161,20 @@ def irrep_pairs(e, t):
     return [(reps[i], reps[j], i == j) for i in range(len(reps)) for j in range(i, len(reps))]
 
 
+def hermitian_start(op, seed):
+    """A random vector on op's direct sum, deflated as Lanczos deflates its
+    start: each diagonal block with d >= _HERMITIAN_IMAGE_DIM bitwise Hermitian."""
+    g = SeededRng(seed, 5).generator()
+    x = g.standard_normal(op.ambient) + 1j * g.standard_normal(op.ambient)
+    op.fixed_space().project_out(x)
+    return x
+
+
+def diagonal_blocks(op, x):
+    """(d, the d x d view of x) for each diagonal block of a SectorOperator."""
+    return [(d, x[lo : lo + d * d].reshape(d, d)) for lo, d in op.fixed_space().blocks]
+
+
 class TestSectorOperator:
     """Lanczos on the direct sum of the Schur-Weyl blocks: its applies against
     the dense sector_block of each block, its lambda against the dense path
@@ -1324,11 +1342,14 @@ class TestSectorOperator:
     def test_applies_after_the_first_allocate_only_their_result(self, n, s, t):
         # a block's two GEMMs write the workspace and the result in place, and
         # the workspace is one row, the largest block's s * d_lambda * d_mu
-        # entries; a buffered out= would allocate as many again per apply
+        # entries; a buffered out= would allocate as many again per apply. A
+        # Hermitian input on haar_t1's d = 40 block takes the Hermitian image,
+        # whose check and symmetrising write the result and the workspace
         e = sample_random_qtpe(n, s, SeededRng(0))
         assert _takes_sectors(e, t)
         op = SectorOperator(e, t)
         assert apply_peak_bytes(op) <= 16 * op.ambient + 4096
+        assert apply_peak_bytes(op, hermitian_start(op, 0)) <= 16 * op.ambient + 4096
         assert op._work.nbytes <= 16 * s * max(da * db for _, da, db, _, _ in op._blocks)
 
     def test_memory_stays_within_the_budget_at_large_s(self, monkeypatch):
@@ -1355,6 +1376,159 @@ class TestSectorOperator:
         assert held <= _sector_bytes(3, 247, 3) + 2**14
         # building the stacks adds at most one _BATCH_BYTES of transients
         assert peak <= _sector_bytes(3, 247, 3) + budget + 2**14
+
+
+def image_case(n, s, t, family):
+    seed = 10 * n + t
+    e = hermitian_ensemble(n, s, seed) if family == "hermitian" else raw_haar_ensemble(n, s, seed)
+    assert _takes_sectors(e, t)
+    return e
+
+
+# t = 1 at n = 32, 40 and 48, and (8, s, 2), whose Sym^2 block has d = 36 and
+# whose Lambda^2 block (d = 28) and off-diagonal block keep the GEMM path;
+# s = 6 and 5, not powers of two
+IMAGE_SHAPES = [(32, 1), (40, 1), (48, 1), (8, 2)]
+
+
+class TestHermitianImage:
+    """The diagonal blocks with d >= _HERMITIAN_IMAGE_DIM: Lanczos keeps them
+    Hermitian (SectorFixedSpace.project_out), and an apply gives a bitwise
+    Hermitian input its image from the lower block triangle. Every other
+    input and block is applied as the per-block reference applies it."""
+
+    @pytest.mark.parametrize("n,t", IMAGE_SHAPES)
+    @pytest.mark.parametrize("family", ["hermitian", "raw"])
+    def test_hermitian_input_matches_the_reference_and_its_image_is_hermitian(self, n, t, family):
+        e = image_case(n, 6 if family == "hermitian" else 5, t, family)
+        op = SectorOperator(e, t)
+        x = hermitian_start(op, n)
+        assert any(d >= _HERMITIAN_IMAGE_DIM for d, _ in diagonal_blocks(op, x))
+        for adjoint in (False, True):
+            got = op.adjoint_apply_vec(x) if adjoint else op.apply_vec(x)
+            assert np.max(np.abs(got - sector_reference_apply(e, t, x, adjoint=adjoint))) <= 1e-13
+            for d, block in diagonal_blocks(op, got):
+                if d >= _HERMITIAN_IMAGE_DIM:
+                    assert np.array_equal(block, block.conj().T)
+
+    @pytest.mark.parametrize("n,t", IMAGE_SHAPES)
+    @pytest.mark.parametrize("family", ["hermitian", "raw"])
+    def test_non_hermitian_input_equals_the_reference_bitwise(self, n, t, family):
+        e = image_case(n, 6 if family == "hermitian" else 5, t, family)
+        op = SectorOperator(e, t)
+        x = hermitian_start(op, n)
+        x[op.fixed_space().blocks[0][0] + 1] += 1e-3j  # one entry off X[0, 1]: X is no longer Hermitian
+        for _ in range(2):
+            assert np.array_equal(op.apply_vec(x), sector_reference_apply(e, t, x))
+            assert np.array_equal(op.adjoint_apply_vec(x), sector_reference_apply(e, t, x, adjoint=True))
+
+    @pytest.mark.parametrize("n,s,t", [(31, 6, 1), (7, 6, 2), (4, 8, 3), (8, 6, 2)])
+    def test_blocks_below_the_threshold_never_take_it(self, n, s, t, monkeypatch):
+        import qtpe.moments as m
+
+        taken = []
+        real = m._hermitian_image
+        monkeypatch.setattr(m, "_hermitian_image", lambda a, b, z, out: taken.append(out.shape[0]) or real(a, b, z, out))
+        e = image_case(n, s, t, "hermitian")
+        op = SectorOperator(e, t)
+        x = hermitian_start(op, n)
+        forward, backward = op.apply_vec(x), op.adjoint_apply_vec(x)
+        large = [d for d, _ in diagonal_blocks(op, x) if d >= _HERMITIAN_IMAGE_DIM]
+        assert taken == large + large
+        if not large:
+            assert np.array_equal(forward, sector_reference_apply(e, t, x))
+            assert np.array_equal(backward, sector_reference_apply(e, t, x, adjoint=True))
+
+    def test_deflation_takes_the_hermitian_part_of_the_large_blocks(self):
+        op = SectorOperator(image_case(8, 6, 2, "hermitian"), 2)
+        g = SeededRng(4).generator()
+        x = g.standard_normal(op.ambient) + 1j * g.standard_normal(op.ambient)
+        y = x.copy()
+        op.fixed_space().project_out(y)
+        for (d, before), (_, after) in zip(diagonal_blocks(op, x), diagonal_blocks(op, y)):
+            expected = (before + before.conj().T) / 2 if d >= _HERMITIAN_IMAGE_DIM else before
+            expected = expected - np.trace(expected) / d * np.eye(d)
+            assert np.allclose(after, expected, atol=1e-14, rtol=0)
+            assert abs(np.trace(after)) <= 1e-13
+            assert np.array_equal(after, after.conj().T) == (d >= _HERMITIAN_IMAGE_DIM)
+
+    @pytest.mark.parametrize("family", ["hermitian", "raw"])
+    def test_iterates_stay_hermitian_and_reruns_are_identical(self, family, monkeypatch):
+        e = image_case(40, 8 if family == "hermitian" else 5, 1, family)
+        inputs = []
+        real = SectorOperator._apply
+        monkeypatch.setattr(SectorOperator, "_apply", lambda self, x, adjoint: inputs.append(x.copy()) or real(self, x, adjoint))
+        reports = [lambda_report(e, 1, method="power-iteration", tol=1e-10, rng=SeededRng(3)).to_json_dict() for _ in range(2)]
+        assert reports[0] == reports[1] and reports[0]["converged"]
+        assert len(inputs) == 2 * reports[0]["applies"] > 0
+        for x in inputs:
+            block = x.reshape(40, 40)
+            assert np.array_equal(block, block.conj().T)
+
+    @pytest.mark.parametrize(
+        "n,s,t,family", [(32, 8, 1, "hermitian"), (40, 32, 1, "hermitian"), (8, 4, 2, "hermitian"), (32, 5, 1, "raw")]
+    )
+    def test_lambda_matches_the_dense_path(self, n, s, t, family):
+        # (32, 5, 1) raw runs on Phi†Phi, so the adjoint takes the image too
+        e = image_case(n, s, t, family)
+        rep = lambda_report(e, t, method="power-iteration", tol=1e-12, rng=SeededRng(1))
+        assert rep.converged
+        assert abs(rep.lambda_ - lambda_report(e, t, method="dense-svd").lambda_) <= 1e-10
+
+
+class TestExactDesigns:
+    """Group averages are projectors, so every lambda is exactly 0 or 1: the
+    Paulis (n = 2) are a 1-design and not a 2-design, the one-qubit Clifford
+    group a 3-design and not a 4-design. Lanczos on the Hermitian path must
+    read them as the dense path does, and report converged exactly when its
+    residual is within tol."""
+
+    CASES = [("pauli", 1, 0.0), ("pauli", 2, 1.0)] + [("clifford", t, 0.0) for t in (1, 2, 3)] + [("clifford", 4, 1.0)]
+
+    def test_clifford_group(self):
+        e = clifford_ensemble()
+        assert e.size == 24 and involution_defect(e) <= HERMITIAN_DEFECT
+        assert all(np.allclose(u @ u.conj().T, np.eye(2), atol=1e-15) for u in e.unitaries)
+
+    @pytest.mark.parametrize("name,t,expected", CASES)
+    def test_dense_path(self, name, t, expected):
+        e = pauli_ensemble() if name == "pauli" else clifford_ensemble()
+        rep = lambda_report(e, t, method="dense-svd")
+        assert abs(rep.lambda_ - expected) <= 1e-12 and rep.converged and rep.residual <= 1e-12
+
+    @pytest.mark.parametrize("name,t,expected", CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lanczos_on_the_hermitian_path(self, name, t, expected, seed):
+        e = pauli_ensemble() if name == "pauli" else clifford_ensemble()
+        rep = lambda_report(e, t, method="power-iteration", tol=1e-12, rng=SeededRng(seed))
+        assert abs(rep.lambda_ - expected) <= 1e-12
+        assert rep.converged and rep.residual <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_near_designs(self, eps, t):
+        # each member pair (U, U†) turned by exp(i eps H), H random Hermitian,
+        # and each self-inverse member conjugated by it, so the involution
+        # holds and lambda is of order eps; while the size of T_k was read
+        # from its roundoff alone, Lanczos stopped at eps <= 1e-6 with a
+        # residual above tol, marked converged
+        e = clifford_ensemble()
+        g, members = SeededRng(int(-math.log10(eps))).generator(), e.unitaries.copy()
+        for i, j in enumerate(e.involution):
+            h = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
+            w, v = np.linalg.eigh(h + h.conj().T)
+            turn = (v * np.exp(0.5j * eps * w)) @ v.conj().T
+            if i == j:
+                members[i] = turn @ members[i] @ turn.conj().T
+            elif i < j:
+                members[i] = members[i] @ turn
+                members[j] = members[i].conj().T
+        near = UnitaryEnsemble(2, members, e.involution, "near-clifford")
+        dense = lambda_report(near, t, method="dense-svd").lambda_
+        rep = lambda_report(near, t, method="power-iteration", tol=1e-10)
+        assert eps / 100 <= dense <= 10 * eps
+        assert abs(rep.lambda_ - dense) <= 1e-12
+        assert rep.converged and rep.residual <= 1e-10
 
 
 def hermitian_basis(d):
